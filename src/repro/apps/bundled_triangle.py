@@ -70,8 +70,7 @@ class BundledTriangleCountComper(Comper):
     def _emit(self, members: List[Tuple[int, Tuple[int, ...]]]) -> None:
         task = Task(context=members)
         for _v, gt in members:
-            for u in gt:
-                task.pull(u)  # Task.pull dedupes across bundle members
+            task.pull_many(gt)  # dedupes across bundle members
         self.add_task(task)
 
     # -- computing ------------------------------------------------------------
@@ -79,8 +78,10 @@ class BundledTriangleCountComper(Comper):
     def compute(self, task: Task, frontier: Sequence[VertexView]) -> bool:
         adj_of: Dict[int, Sequence[int]] = {view.id: view.adj for view in frontier}
         count = 0
-        for v, gt_v in task.context:
-            for u in gt_v:
-                count += kernels.intersect_count(gt_v, adj_of[int(u)])
+        for _v, gt_v in task.context:
+            # One fused kernel call per bundle member, as in plain TC.
+            count += kernels.intersect_count_many(
+                gt_v, [adj_of[u] for u in kernels.as_ids_array(gt_v).tolist()]
+            )
         self.aggregate(count)
         return False

@@ -6,11 +6,25 @@ from typing import Iterable, Sequence, Set
 
 import numpy as np
 
-from ..core.api import Trimmer
+from ..core.api import Task, Trimmer, VertexView
 from ..graph import kernels
 from ..graph.graph import adjacency_suffix_gt
 
-__all__ = ["GtTrimmer", "LabelTrimmer"]
+__all__ = ["GtTrimmer", "LabelTrimmer", "pull_next_hop"]
+
+
+def pull_next_hop(task: Task, frontier: Sequence[VertexView]) -> None:
+    """Pull every neighbor of ``frontier`` not yet materialized in
+    ``task.g`` (first-seen order, one ``pull_many``) — the hop-by-hop
+    ego-network growth of the quasi-clique and matching apps."""
+    seen: Set[int] = set(task.g.vertices())
+    fresh = []
+    for view in frontier:
+        for u in kernels.as_ids_array(view.adj).tolist():
+            if u not in seen:
+                seen.add(u)
+                fresh.append(u)
+    task.pull_many(fresh)
 
 
 class GtTrimmer(Trimmer):

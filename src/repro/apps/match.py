@@ -17,12 +17,12 @@ quasi-cliques — and then runs the serial backtracking matcher locally.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Optional, Sequence, Set
+from typing import Dict, Optional, Sequence
 
 from ..algorithms.matching import QueryGraph, match_subgraph
 from ..core.api import Comper, SumAggregator, Task, VertexView
 from ..graph.graph import Graph
-from .common import LabelTrimmer
+from .common import LabelTrimmer, pull_next_hop
 
 __all__ = ["SubgraphMatchComper", "query_radius"]
 
@@ -92,8 +92,7 @@ class SubgraphMatchComper(Comper):
         task = Task(context={"anchor": v.id, "depth": 0})
         task.g.add_vertex(v.id, v.adj, label=v.label)
         if self.radius >= 1:
-            for u in v.adj:
-                task.pull(u)
+            task.pull_many(v.adj)
         self.add_task(task)
 
     def compute(self, task: Task, frontier: Sequence[VertexView]) -> bool:
@@ -105,12 +104,7 @@ class SubgraphMatchComper(Comper):
         if ctx["depth"] < self.radius:
             # Pull the next hop: neighbors of the just-arrived frontier
             # that are not yet materialized.
-            seen: Set[int] = set(task.g.vertices())
-            for view in frontier:
-                for u in view.adj:
-                    if u not in seen:
-                        seen.add(u)
-                        task.pull(u)
+            pull_next_hop(task, frontier)
             if task.pending_pulls():
                 return True
         self._match(task)

@@ -89,8 +89,7 @@ class MaxCliqueComper(Comper):
         if self._cores is not None and self._cores.get(v.id, 0) + 1 <= best:
             return  # v's densest surrounding subgraph is already beaten
         task = Task(context=(v.id,))  # t.S = {v}
-        for u in v.adj:  # v.adj is Γ_>(v)
-            task.pull(u)
+        task.pull_many(v.adj)  # v.adj is Γ_>(v)
         self.add_task(task)
 
     def compute(self, task: Task, frontier: Sequence[VertexView]) -> bool:

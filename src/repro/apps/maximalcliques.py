@@ -76,8 +76,7 @@ class MaximalCliqueComper(Comper):
     def task_spawn(self, v: VertexView) -> None:
         task = Task(context=v.id)
         task.g.add_vertex(v.id, v.adj, label=v.label)
-        for u in v.adj:
-            task.pull(u)
+        task.pull_many(v.adj)
         self.add_task(task)
 
     def compute(self, task: Task, frontier: Sequence[VertexView]) -> bool:

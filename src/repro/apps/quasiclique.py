@@ -17,10 +17,11 @@ tasks is exactly the globally maximal quasi-cliques of size >=
 from __future__ import annotations
 
 import math
-from typing import Sequence, Set
+from typing import Sequence
 
 from ..algorithms.quasicliques import enumerate_quasi_cliques
 from ..core.api import Comper, SumAggregator, Task, VertexView
+from .common import pull_next_hop
 
 __all__ = ["QuasiCliqueComper"]
 
@@ -55,8 +56,7 @@ class QuasiCliqueComper(Comper):
             return
         task = Task(context={"root": v.id, "iteration": 0})
         task.g.add_vertex(v.id, v.adj, label=v.label)
-        for u in v.adj:
-            task.pull(u)
+        task.pull_many(v.adj)
         self.add_task(task)
 
     def compute(self, task: Task, frontier: Sequence[VertexView]) -> bool:
@@ -67,12 +67,7 @@ class QuasiCliqueComper(Comper):
                 task.g.add_vertex(view.id, view.adj, label=view.label)
         if ctx["iteration"] == 1:
             # Iteration 2 of the paper's description: pull the 2nd hop.
-            seen: Set[int] = set(task.g.vertices())
-            for view in frontier:
-                for u in view.adj:
-                    if u not in seen:
-                        seen.add(u)
-                        task.pull(u)
+            pull_next_hop(task, frontier)
             if task.pending_pulls():
                 return True
         self._mine(task)

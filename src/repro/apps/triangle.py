@@ -42,8 +42,7 @@ class TriangleCountComper(Comper):
         if len(v.adj) < 2:
             return
         task = Task(context=(v.id, v.adj))
-        for u in v.adj:
-            task.pull(u)
+        task.pull_many(v.adj)
         self.add_task(task)
 
     def compute(self, task: Task, frontier: Sequence[VertexView]) -> bool:

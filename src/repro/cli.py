@@ -35,7 +35,7 @@ from .apps import (
     TriangleCountComper,
 )
 from .core.config import GThinkerConfig
-from .core.job import resume_job, run_job
+from .core.session import Session
 from .core.runtime import available_runtimes
 from .graph import (
     DATASETS,
@@ -93,8 +93,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                      help="decomposition threshold (MCF)")
     run.add_argument("--output", help="write result records to this file")
     run.add_argument("--profile", action="store_true",
-                     help="run under cProfile and print the top 20 "
-                          "functions by cumulative time")
+                     help="run the job under cProfile and print the top 20 "
+                          "functions by cumulative time; profiles the thread "
+                          "that executes the job (serial, checked, --simulate; "
+                          "threaded: its master loop only) — process/cluster "
+                          "worker children are not profiled")
 
     ft = p.add_argument_group("fault tolerance")
     ft.add_argument("--checkpoint-dir",
@@ -533,21 +536,30 @@ def main(argv=None) -> int:
         import cProfile
 
         profiler = cProfile.Profile()
-        profiler.enable()
+    resume = getattr(args, "resume", False)
     if args.simulate:
+        # The DES runs on this thread.
+        if profiler is not None:
+            profiler.enable()
         result = run_simulated_job(factory, graph, config)
-    elif getattr(args, "resume", False):
-        result = resume_job(factory, graph, _checkpoint_file(args),
-                            config=config, runtime=args.runtime)
-    elif getattr(args, "checkpoint_dir", None):
-        result = run_job(factory, graph, config, runtime=args.runtime,
-                         checkpoint_path=_checkpoint_file(args))
+        if profiler is not None:
+            profiler.disable()
     else:
-        result = run_job(factory, graph, config, runtime=args.runtime)
+        # What run_job / resume_job do, spelled out so the profiler can
+        # ride along to the thread that executes the job.
+        checkpoint_file = (_checkpoint_file(args)
+                           if resume or getattr(args, "checkpoint_dir", None)
+                           else None)
+        with Session(graph, config=config, runtime=args.runtime) as session:
+            result = session.submit(
+                factory,
+                checkpoint_path=None if resume else checkpoint_file,
+                resume_from=checkpoint_file if resume else None,
+                profiler=profiler,
+            ).result()
     if profiler is not None:
         import pstats
 
-        profiler.disable()
         pstats.Stats(profiler).sort_stats("cumulative").print_stats(20)
 
     if args.simulate:

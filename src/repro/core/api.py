@@ -20,6 +20,8 @@ from __future__ import annotations
 import abc
 from typing import Any, Dict, Generic, Iterable, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
+import numpy as np
+
 from .subgraph import Subgraph
 
 __all__ = ["VertexView", "Task", "Comper", "Aggregator", "Trimmer", "MaxAggregator", "SumAggregator"]
@@ -52,13 +54,15 @@ class Task:
     """A unit of mining work: a subgraph ``g`` plus app-defined ``context``.
 
     ``pull(v)`` requests the adjacency list of ``v`` for the *next*
-    iteration (the paper's task-based vertex pulling).  Pulls are
+    iteration (the paper's task-based vertex pulling); ``pull_many(ids)``
+    requests a whole adjacency array in one call.  Pulls are
     deduplicated per iteration.  The pulled adjacency arrives in the
     next iteration's ``frontier`` as a :class:`VertexView` whose ``adj``
     is an int64 ndarray (see the VertexView immutability contract).
     """
 
-    __slots__ = ("g", "context", "_pulls", "_pull_set", "task_id", "pulls_in_flight")
+    __slots__ = ("g", "context", "_pulls", "_pull_set", "task_id",
+                 "pulls_in_flight", "remote_in_flight")
 
     def __init__(self, context: Any = None) -> None:
         self.g = Subgraph()
@@ -69,6 +73,11 @@ class Task:
         # Engine bookkeeping: the P(t) of the iteration in progress.
         # Remote entries hold locks in the vertex cache while non-empty.
         self.pulls_in_flight: List[int] = []
+        # The subset of ``pulls_in_flight`` the parking worker does not
+        # own, computed once per iteration.  Only meaningful on that
+        # worker: empty whenever the task sits in ``Q_task``, so it never
+        # travels through a yield, spill, steal or checkpoint.
+        self.remote_in_flight: Sequence[int] = ()
 
     def pull(self, v: int) -> None:
         """Request ``Gamma(v)`` to be available in the next iteration."""
@@ -76,6 +85,27 @@ class Task:
         if v not in self._pull_set:
             self._pull_set.add(v)
             self._pulls.append(v)
+
+    def pull_many(self, ids: Iterable[int]) -> None:
+        """``pull(v)`` for every ``v`` in ``ids``, in one call.
+
+        Same contract as the loop (per-iteration dedup, first-seen
+        order, ids stored as Python ``int``).  Prefer it when you hold
+        an adjacency array: a duplicate-free batch on a task with no
+        pulls yet — the spawn-time shape — costs one ``tolist()`` and
+        one ``set()`` instead of a call per neighbor.
+        """
+        if isinstance(ids, np.ndarray):
+            ids = ids.astype(np.int64, copy=False).tolist()
+        else:
+            ids = [int(v) for v in ids]
+        if not self._pulls:
+            seen = set(ids)
+            if len(seen) == len(ids):
+                self._pulls, self._pull_set = ids, seen
+                return
+        for v in ids:
+            self.pull(v)
 
     def take_pulls(self) -> List[int]:
         """Engine hook: drain the pulls requested during this iteration."""

@@ -64,29 +64,27 @@ class CommService:
 
     def queue_request(self, v: int) -> None:
         """Append a vertex pull for batched transmission (dedup'd)."""
-        dst = self.worker.owner_of(v)
-        with self._lock:
-            pending = self._outgoing_sets[dst]
-            if v in pending:
-                duplicate = True
-            else:
-                duplicate = False
-                pending.add(v)
-                self._outgoing[dst].append(v)
-        if duplicate:
-            self.worker.metrics.add("comm:requests_deduped")
-        else:
-            self.worker.metrics.add("comm:requests_queued")
+        self.queue_requests((v,))
 
     def queue_requests(self, vertices: Sequence[int]) -> None:
-        """Bulk :meth:`queue_request`: one lock acquisition per call."""
+        """Bulk :meth:`queue_request`: one lock acquisition per call.
+
+        Routing a miss is the only place the pull path evaluates the
+        partition hash: compers decide local-vs-remote by table
+        membership, so an id that hashes *here* and still missed is in
+        no table at all — the bad-pull check lives here.
+        """
         if not vertices:
             return
         queued = 0
         deduped = 0
+        owner_of = self.worker.owner_of
+        me = self.worker.worker_id
         with self._lock:
             for v in vertices:
-                dst = self.worker.owner_of(v)
+                dst = owner_of(v)
+                if dst == me:
+                    raise self.worker.unknown_vertex_error(v)
                 pending = self._outgoing_sets[dst]
                 if v in pending:
                     deduped += 1

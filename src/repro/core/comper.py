@@ -149,14 +149,18 @@ class ComperEngine:
         return True
 
     def _resolve_ready_frontier(self, task: Task) -> List[VertexView]:
-        frontier: List[VertexView] = []
-        for v in task.pulls_in_flight:
-            view = self.worker.local_view(v)
-            if view is None:
-                entry = self.worker.cache.get_locked(v, task.task_id)
-                view = VertexView(entry.vid, entry.label, entry.adj)
-            frontier.append(view)
-        return frontier
+        """Frontier of a task out of ``B_task``: its remote pulls from
+        the cache (locked at park time), the rest from ``T_local``."""
+        pulls = task.pulls_in_flight
+        get_locked = self.worker.cache.get_locked
+        views = {}
+        for v in task.remote_in_flight:
+            entry = get_locked(v, task.task_id)
+            views[v] = VertexView(entry.vid, entry.label, entry.adj)
+        if len(views) < len(pulls):
+            local = [v for v in pulls if v not in views]
+            views.update(zip(local, self.worker.local_views(local)))
+        return [views[v] for v in pulls]
 
     # -- pop: start new tasks --------------------------------------------------
 
@@ -200,31 +204,36 @@ class ComperEngine:
         """Resolve a task fresh from ``Q_task`` (no locks held yet)."""
         pulls = task.take_pulls()
         task.pulls_in_flight = pulls
-        if self._park_or_hit(task, pulls):
-            return  # parked (or routed to B_task); push() continues it
-        frontier = [self._must_local_view(v) for v in pulls]
-        self._process(task, frontier)
+        frontier = self._next_frontier(task, pulls)
+        if frontier is not None:
+            self._process(task, frontier)
 
-    def _must_local_view(self, v: int) -> VertexView:
-        view = self.worker.local_view(v)
-        if view is None:  # pragma: no cover - guarded by caller
-            raise TaskError(-1, f"vertex {v} expected local")
-        return view
+    def _next_frontier(
+        self, task: Task, pulls: Sequence[int]
+    ) -> Optional[List[VertexView]]:
+        """Resolve the pulls of ``task``'s next iteration, once.
 
-    def _park_or_hit(self, task: Task, pulls: Sequence[int]) -> bool:
-        """Request remote pulls; park the task if any are remote.
+        Splits them by table membership; if any are remote the task is
+        parked (push() continues it) and None is returned, otherwise
+        the all-local frontier.  The remote list is kept on the task
+        until the iteration's release, so no pull is classified twice.
+        """
+        remote = self.worker.remote_of(pulls)
+        if remote:
+            task.remote_in_flight = remote
+            self._park(task, remote)
+            return None
+        return self.worker.local_views(pulls)
+
+    def _park(self, task: Task, remote: List[int]) -> None:
+        """Park ``task`` in ``T_task`` and request its remote pulls.
 
         Park-first protocol: the task enters ``T_task`` *before* the
         cache requests are issued, so a response racing in from another
         thread always finds the pending entry.  Cache hits are
         self-notified; when the last notification lands (ours or the
         receiver's) the task moves to ``B_task``.
-
-        Returns True if the task was parked (caller must not continue).
         """
-        remote = [v for v in pulls if not self.worker.owns_vertex(v)]
-        if not remote:
-            return False
         if task.task_id == -1:
             task.task_id = make_task_id(self.global_id, self._seq)
             self._seq += 1
@@ -249,7 +258,6 @@ class ComperEngine:
                 elif outcome.status == RequestOutcome.MISS_SEND:
                     self.worker.comm.queue_request(v)
                 # MISS_DUPLICATE: the in-flight response will notify us.
-        return True
 
     def _notify_self(self, task_id: int) -> None:
         """Self-notification for a cache HIT during park (one per hit)."""
@@ -285,12 +293,11 @@ class ComperEngine:
             self.worker.metrics.add("tasks:iterations")
             # Release every remote vertex of the iteration just finished
             # ("a task always releases all its previously requested
-            # non-local vertices from T_cache after each iteration").
-            remote = [
-                v for v in task.pulls_in_flight
-                if not self.worker.owns_vertex(v)
-            ]
+            # non-local vertices from T_cache after each iteration"):
+            # the list park time computed.
+            remote = task.remote_in_flight
             if remote:
+                task.remote_in_flight = ()
                 if self.config.bulk_cache_ops:
                     cache.release_batch(remote, task.task_id)
                 else:
@@ -321,9 +328,9 @@ class ComperEngine:
                 self.add_task(task)
                 self.worker.metrics.add("comper:inline_yields")
                 return
-            if self._park_or_hit(task, pulls):
+            frontier = self._next_frontier(task, pulls)
+            if frontier is None:
                 return
-            frontier = [self._must_local_view(v) for v in pulls]
 
     # -- receiver-side hooks ------------------------------------------------------
 

@@ -123,6 +123,8 @@ def serialize_tasks(tasks: Sequence[Task]) -> bytes:
     insert the task into the new owner's ``T_task`` while the response
     receiver routes the arrival by ``comper_of_task_id`` to the original
     engine.  Every park on a new owner must mint a fresh local id.
+    The per-iteration remote list is dropped for the same reason: it is
+    relative to the worker that parked the task.
 
     The encoding is the flat int64 frame format (``GTTASK1`` magic): a
     task's pending pulls and its subgraph rows are packed as raw arrays,
@@ -135,6 +137,7 @@ def serialize_tasks(tasks: Sequence[Task]) -> bytes:
     tasks = list(tasks)
     for t in tasks:
         t.task_id = -1
+        t.remote_in_flight = ()
     try:
         if any(t.pulls_in_flight for t in tasks):
             raise ValueError("task with in-flight pulls")

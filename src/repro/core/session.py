@@ -267,6 +267,7 @@ class Session:
         checkpoint_path: Optional[str] = None,
         abort_after_rounds: Optional[int] = None,
         resume_from: Optional[str] = None,
+        profiler: Optional[Any] = None,
     ) -> LocalJobHandle:
         """Queue one job; returns its :class:`LocalJobHandle` immediately.
 
@@ -276,6 +277,14 @@ class Session:
         rather than a parallel entry point; validation (runtime name,
         worker-count match) happens here, synchronously, before any
         cluster is built.
+
+        ``profiler`` is a ``cProfile.Profile`` (anything with
+        ``enable()``/``disable()``) switched on around the job *on the
+        thread that executes it*: cProfile hooks one thread, so a
+        profiler enabled by the submitter records only the wait inside
+        ``result()``.  Read its stats after ``result()`` returns.  The
+        in-process runtimes run on that thread (``threaded`` only its
+        master loop); ``process``/``cluster`` children are not reached.
         """
         # Imported here, not at module top: job.py imports this module
         # lazily from run_job, and importing it back at top level would
@@ -317,13 +326,19 @@ class Session:
         abort = AbortToken() if spec.capabilities.cancellation else None
 
         def thunk():
-            return _dispatch(
-                runtime, app_factory, graph, config,
-                checkpoint_path=checkpoint_path,
-                abort_after_rounds=abort_after_rounds,
-                checkpoint=ckpt,
-                abort=abort,
-            )
+            if profiler is not None:
+                profiler.enable()
+            try:
+                return _dispatch(
+                    runtime, app_factory, graph, config,
+                    checkpoint_path=checkpoint_path,
+                    abort_after_rounds=abort_after_rounds,
+                    checkpoint=ckpt,
+                    abort=abort,
+                )
+            finally:
+                if profiler is not None:
+                    profiler.disable()
 
         with self._lock:
             if self._closed:

@@ -124,16 +124,22 @@ class Worker:
         self.metrics = metrics
         self.memory = WorkerMemoryModel(metrics, worker_id)
 
-        #: ``T_local``: vertex id -> (label, sorted read-only int64 adj
-        #: ndarray).  Rows faulted in from a SharedCSR are zero-copy
-        #: views into the shared ``indices`` block.
-        self._local: Dict[int, Tuple[int, np.ndarray]] = {}
+        #: ``T_local``: vertex id -> its :class:`VertexView` (id, label,
+        #: sorted read-only int64 adj ndarray), stored ready-made so a
+        #: local frontier is a plain lookup per pull.  Rows faulted in
+        #: from a SharedCSR are zero-copy views into the shared
+        #: ``indices`` block.
+        self._local: Dict[int, VertexView] = {}
         #: Shared-memory graph backing (process runtime): rows are
         #: materialized lazily from here into ``_local`` on first touch.
         self._shared = None
-        self._shared_owned = frozenset()
         #: Owned vertex id -> SharedCSR row position (lazy-fault index).
         self._shared_pos: Dict[int, int] = {}
+        #: The table whose keys are exactly the vertex ids this worker
+        #: owns: ``_local`` after :meth:`load_rows`, ``_shared_pos`` after
+        #: :meth:`load_shared`.  Ownership is membership here; the hash
+        #: is evaluated only to route a cache miss (``CommService``).
+        self._owned: Dict[int, Any] = self._local
         #: Bytes of lazily-faulted rows not yet folded into the memory
         #: model; committed by :meth:`update_memory_gauge`.
         self._lazy_local_bytes = 0
@@ -186,16 +192,18 @@ class Worker:
 
     def load_rows(self, rows) -> None:
         """Load ``(v, label, adj)`` rows into ``T_local`` (trimmed)."""
+        make_view = VertexView._make  # tuple.__new__: no per-row python frame
         for v, label, adj in rows:
             arr = kernels.as_ids_array(adj)
             if self._trimmer is not None:
                 arr = kernels.as_ids_array(self._trimmer.trim(v, label, arr))
             if arr.flags.writeable:
                 arr.flags.writeable = False
-            self._local[int(v)] = (int(label), arr)
+            v = int(v)
+            self._local[v] = make_view((v, int(label), arr))
         self._spawn_order = sorted(self._local)
         self.memory.set_local_table(
-            sum(24 + adj.nbytes for (_l, adj) in self._local.values())
+            sum(24 + adj.nbytes for (_v, _l, adj) in self._local.values())
         )
 
     def load_shared(self, csr) -> None:
@@ -219,23 +227,36 @@ class Worker:
         mask = owners == self.worker_id
         owned = csr.vertex_ids[mask].tolist()
         self._shared = csr
-        self._shared_owned = frozenset(owned)
         # Owned id -> CSR row position, precomputed in one vectorized
         # pass: faulting a row then costs a dict lookup instead of a
         # searchsorted per vertex.
         self._shared_pos = dict(zip(owned, np.nonzero(mask)[0].tolist()))
+        self._owned = self._shared_pos
         self._spawn_order = owned  # vertex_ids are sorted ascending
         self.memory.set_local_table(0)
 
     # -- vertex access ----------------------------------------------------------
 
     def owner_of(self, v: int) -> int:
+        """The worker ``v`` hashes to (miss routing; not the pull path)."""
         return hash_partition(v, self.num_workers)
 
     def owns_vertex(self, v: int) -> bool:
-        return self.owner_of(v) == self.worker_id
+        return v in self._owned
 
-    def _entry(self, v: int) -> Optional[Tuple[int, np.ndarray]]:
+    def remote_of(self, pulls: Sequence[int]) -> List[int]:
+        """The pulls this worker does not own, in pull order.
+
+        One membership probe per pull — no hash.  An id absent from the
+        whole graph counts as remote here and fails when its miss is
+        routed (or, on one worker, when the frontier is built).
+        """
+        if self.num_workers == 1:
+            return []
+        owned = self._owned
+        return [v for v in pulls if v not in owned]
+
+    def _entry(self, v: int) -> Optional[VertexView]:
         """``T_local`` row for ``v``, faulting from the shared CSR.
 
         The faulted adjacency is the SharedCSR row *view* (or a slice of
@@ -249,7 +270,7 @@ class Worker:
             label, adj = self._shared.entry_at(pos)
             if self._trimmer is not None:
                 adj = kernels.as_ids_array(self._trimmer.trim(v, label, adj))
-            entry = (label, adj)
+            entry = VertexView(v, label, adj)
             self._local[v] = entry
             # Gauge bytes accumulate locally and fold into the memory
             # model at the next sync (update_memory_gauge): the model
@@ -258,27 +279,40 @@ class Worker:
             self._lazy_local_bytes += 24 + adj.nbytes
         return entry
 
+    def unknown_vertex_error(self, v: int) -> KeyError:
+        return KeyError(
+            f"vertex {v} hashes to worker {self.worker_id} but is not "
+            f"in the local table (bad vertex id in a pull?)"
+        )
+
     def local_view(self, v: int) -> Optional[VertexView]:
         """A view of a locally stored vertex, or None if not local."""
-        entry = self._entry(v)
-        if entry is None:
-            if self.owns_vertex(v):
-                raise KeyError(
-                    f"vertex {v} hashes to worker {self.worker_id} but is not "
-                    f"in the local table (bad vertex id in a pull?)"
-                )
-            return None
-        label, adj = entry
-        return VertexView(v, label, adj)
+        view = self._entry(v)
+        if view is None and self.owner_of(v) == self.worker_id:
+            raise self.unknown_vertex_error(v)
+        return view
+
+    def local_views(self, pulls: Sequence[int]) -> List[VertexView]:
+        """The frontier of an all-local iteration, in pull order.
+
+        One lookup per pull in ``T_local``; a row not faulted in from
+        the shared CSR yet (or an id that is in no table) takes the
+        per-vertex path, which faults it or raises the contextual error.
+        """
+        local = self._local
+        try:
+            return [local[v] for v in pulls]
+        except KeyError:
+            return [self.local_view(v) for v in pulls]
 
     def local_entry(self, v: int) -> Tuple[int, np.ndarray]:
         """Serve a remote pull from ``T_local`` (raises on unknown ids)."""
-        entry = self._entry(v)
-        if entry is None:
+        view = self._entry(v)
+        if view is None:
             raise KeyError(
                 f"worker {self.worker_id} asked to serve vertex {v} it does not own"
             )
-        return entry
+        return view[1:]  # (label, adj)
 
     @property
     def num_local_vertices(self) -> int:
@@ -298,8 +332,7 @@ class Worker:
                     break
                 v = self._spawn_order[self._spawn_next]
                 self._spawn_next += 1
-            label, adj = self._entry(v)
-            engine.app.task_spawn(VertexView(v, label, adj))
+            engine.app.task_spawn(self._entry(v))
             spawned_from += 1
             self.note_progress()
         if exhausted and not engine.spawn_flushed:
@@ -321,8 +354,7 @@ class Worker:
                     break
                 v = self._spawn_order[self._spawn_next]
                 self._spawn_next += 1
-            label, adj = self._entry(v)
-            self._steal_app.task_spawn(VertexView(v, label, adj))
+            self._steal_app.task_spawn(self._entry(v))
             self.note_progress()
         if exhausted:
             # Bundling apps: ship the partial bundle rather than lose it.

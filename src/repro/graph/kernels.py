@@ -40,6 +40,12 @@ Strategy auto-selection inside ``intersect`` / ``intersect_count``:
   degree-skewed graphs where a low-degree frontier is intersected
   against a hub's adjacency.
 
+The fused frontier kernel ``intersect_count_many(a, rows)`` applies the
+same size rule per row, but batches everything under the cut: the
+numpy body flattens the non-hub rows and searches them into ``a`` in
+one segmented pass (see :func:`_np_intersect_count_many`); rows past
+the cut are probed ``a``-into-row.
+
 ``GALLOP_RATIO`` is re-derived per backend: the compiled linear merge is
 much faster than numpy's sort-based one, so the crossover to galloping
 moves out (8 for numpy, 32 for numba — re-measure with
@@ -68,6 +74,7 @@ __all__ = [
     "bitset_and_counts",
     "compiled_kernel",
     "current_backend",
+    "flatten_rows",
     "intersect",
     "intersect_count",
     "intersect_count_many",
@@ -128,14 +135,14 @@ def as_ids_array(adj: AdjLike) -> IdArray:
 def _gallop_mask(small: IdArray, large: IdArray) -> np.ndarray:
     """Boolean mask over ``small`` marking elements present in ``large``.
 
-    Both inputs must be sorted.  ``searchsorted`` finds each candidate's
-    insertion point in one vectorized pass; clipping the out-of-range
-    index to the last slot is safe because an element beyond ``large[-1]``
-    can never compare equal to it.
+    ``large`` must be sorted and non-empty; ``small`` need not be sorted
+    (the segmented frontier pass probes a concatenation of sorted rows).
+    ``searchsorted`` finds each candidate's insertion point in one
+    vectorized pass; taking with ``mode='clip'`` maps the out-of-range
+    index to the last slot, which is safe because an element beyond
+    ``large[-1]`` can never compare equal to it.
     """
-    idx = np.searchsorted(large, small)
-    idx_clipped = np.minimum(idx, large.size - 1)
-    return (large[idx_clipped] == small) & (idx < large.size)
+    return large.take(large.searchsorted(small), mode="clip") == small
 
 
 def _merge(a: IdArray, b: IdArray) -> IdArray:
@@ -239,29 +246,46 @@ def _np_intersect_many(arrays: Iterable[AdjLike]) -> IdArray:
     return acc
 
 
+def flatten_rows(rows: Sequence[AdjLike]) -> IdArray:
+    """The rows back to back in one fresh C-contiguous int64 buffer.
+
+    The one row-preparation step both backends share for a frontier —
+    they differ only in the loop that walks the buffer (the compiled
+    kernel also wants the row offsets; the segmented numpy pass needs no
+    boundaries at all).  Rows are normalized exactly like
+    :func:`as_ids_array` does (tuples/lists accepted, other integer
+    dtypes cast).
+    """
+    if not rows:
+        return _EMPTY
+    return np.concatenate(rows, dtype=np.int64, casting="unsafe")
+
+
 def _np_intersect_count_many(a: AdjLike, arrays: Iterable[AdjLike]) -> int:
     """Fused ``sum(intersect_count(a, b) for b in arrays)``.
 
-    The triangle-counting inner loop: one fixed row ``a`` intersected
-    against a frontier of rows, never materializing any intersection.
-    The ``a``-side normalization is hoisted out of the loop.
+    The triangle-counting inner loop: one fixed row ``a`` against a
+    whole frontier of rows, in O(1) numpy calls instead of one per row.
+    The frontier is flattened and every element is binary-searched into
+    ``a`` in a single segmented pass (``|b| log |a|`` per row — rows
+    need no boundaries, only the total matters).  That direction is the
+    wrong one for a *hub* row, so rows with ``|b| >= GALLOP_RATIO * |a|``
+    keep today's per-row choice and are probed ``a``-into-``b`` instead
+    (``|a| log |b|``): a 3-element ``a`` against 5000-element hubs never
+    searches the hubs' elements.  ``arrays`` is consumed exactly once.
     """
     a = as_ids_array(a)
-    if a.size == 0:
+    rows = list(arrays)
+    if a.size == 0 or not rows:
         return 0
     total = 0
-    for b in arrays:
-        b = as_ids_array(b)
-        if b.size == 0:
-            continue
-        small, large = (a, b) if a.size <= b.size else (b, a)
-        if large.size >= GALLOP_RATIO * small.size:
-            total += int(np.count_nonzero(_gallop_mask(small, large)))
-        else:
-            aux = np.concatenate((small, large))
-            aux.sort(kind="stable")
-            total += int(np.count_nonzero(aux[1:] == aux[:-1]))
-    return total
+    hub_size = GALLOP_RATIO * a.size
+    if max(map(len, rows)) >= hub_size:
+        hubs = [b for b in rows if len(b) >= hub_size]
+        rows = [b for b in rows if len(b) < hub_size]
+        for b in hubs:
+            total += int(np.count_nonzero(_gallop_mask(a, as_ids_array(b))))
+    return total + int(np.count_nonzero(_gallop_mask(flatten_rows(rows), a)))
 
 
 def _np_suffix_gt(adj: AdjLike, v: int) -> IdArray:

@@ -424,17 +424,12 @@ def make_backend() -> Tuple[Dict[str, Callable], Dict[str, Callable]]:
 
     def intersect_count_many(a, arrays):
         a = _contiguous_ids(a)
-        if a.size == 0:
-            return 0
-        rows = [_contiguous_ids(b) for b in arrays]
-        if not rows:
+        rows = list(arrays)
+        if a.size == 0 or not rows:
             return 0
         offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        for i, r in enumerate(rows):
-            offsets[i + 1] = offsets[i] + r.size
-        if offsets[-1] == 0:
-            return 0
-        flat = np.concatenate(rows) if len(rows) > 1 else rows[0]
+        np.cumsum([len(r) for r in rows], out=offsets[1:])
+        flat = _k.flatten_rows(rows)
         return int(c_count_many(a, flat, offsets, _k.GALLOP_RATIO))
 
     def suffix_gt(adj, v):

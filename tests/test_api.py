@@ -2,6 +2,7 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.api import (
@@ -34,6 +35,55 @@ class TestTask:
         for v in (9, 2, 7, 2, 9, 1):
             t.pull(v)
         assert t.take_pulls() == [9, 2, 7, 1]
+
+    @pytest.mark.parametrize("make", [
+        lambda xs: np.asarray(xs, dtype=np.int64),
+        lambda xs: np.asarray(xs, dtype=np.int32),
+        list,
+        tuple,
+        lambda xs: [np.int64(x) for x in xs],
+        lambda xs: (x for x in xs),
+    ], ids=["int64", "int32", "list", "tuple", "np-scalars", "generator"])
+    @pytest.mark.parametrize("ids", [
+        [9, 2, 7, 1],           # duplicate-free: the one-set fast path
+        [9, 2, 7, 2, 9, 1],     # duplicates inside the input
+        [],
+    ])
+    def test_pull_many_equals_repeated_pull(self, make, ids):
+        many, one = Task(), Task()
+        many.pull_many(make(ids))
+        for v in ids:
+            one.pull(v)
+        assert many.pending_pulls() == one.pending_pulls()
+        assert many._pull_set == one._pull_set
+        pulls = many.take_pulls()
+        assert all(type(v) is int for v in pulls)  # never np.int64
+        assert many.pending_pulls() == () and many._pull_set == set()
+
+    def test_pull_many_interleaves_with_pull(self):
+        many, one = Task(), Task()
+        script = [("one", 5), ("many", [3, 5, 8]), ("one", 8),
+                  ("many", np.array([1, 3])), ("many", [4, 4])]
+        for kind, arg in script:
+            if kind == "one":
+                many.pull(arg)
+                one.pull(arg)
+            else:
+                many.pull_many(arg)
+                for v in arg:
+                    one.pull(v)
+        assert many.pending_pulls() == one.pending_pulls() == (5, 3, 8, 1, 4)
+        # Dedup state stays live after a bulk call.
+        many.pull(3)
+        many.pull_many([8, 6])
+        assert many.take_pulls() == [5, 3, 8, 1, 4, 6]
+
+    def test_pull_many_does_not_alias_the_callers_list(self):
+        ids = [1, 2, 3]
+        t = Task()
+        t.pull_many(ids)
+        t.pull(4)
+        assert ids == [1, 2, 3]
 
     def test_context(self):
         t = Task(context={"S": (1, 2)})

@@ -158,3 +158,21 @@ def test_resume_rejects_simulate(edge_file, tmp_path):
     with pytest.raises(SystemExit, match="simulate"):
         main(["tc", "--graph", edge_file, "--resume", "--simulate",
               "--checkpoint-dir", str(tmp_path)])
+
+
+def test_profile_sees_the_thread_that_runs_the_job(edge_file, er_graph, capsys):
+    """``--profile`` was blind once jobs moved onto the Session thread
+    (eight ``lock.acquire`` rows): the table must show engine frames."""
+    assert main(["tc", "--graph", edge_file, "--workers", "2", "--profile"]) == 0
+    out = capsys.readouterr().out
+    assert "repro/core/comper.py" in out
+    assert "Ordered by: cumulative time" in out
+    assert f"aggregate    : {count_triangles(er_graph)}" in out
+
+
+def test_profile_with_simulate(capsys):
+    assert main(["mcf", "--dataset", "youtube", "--scale", "0.05",
+                 "--simulate", "--profile"]) == 0
+    out = capsys.readouterr().out
+    assert "repro/core/comper.py" in out
+    assert "virtual time" in out

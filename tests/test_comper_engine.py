@@ -1,11 +1,15 @@
 """Engine-level tests of the comper pop/push rounds, parking and refills."""
 
+import functools
+
 import pytest
 
+from repro.algorithms import count_triangles
+from repro.apps import TriangleCountComper
 from repro.core.api import Comper, Task, VertexView
 from repro.core.config import GThinkerConfig
 from repro.core.errors import TaskError
-from repro.core.job import build_cluster
+from repro.core.job import build_cluster, run_job
 from repro.core.runtime import SerialRuntime
 from repro.graph import Graph, erdos_renyi, hash_partition
 
@@ -151,3 +155,75 @@ def test_spill_and_refill_roundtrip():
     assert cluster.metrics.get("tasks:spilled") > 0
     assert cluster.metrics.get("tasks:refilled_from_disk") == \
         cluster.metrics.get("tasks:spilled")
+
+
+class PullBadId(Comper):
+    """The task spawned from ``src`` pulls ``bad``, an id in no table."""
+
+    def __init__(self, src: int, bad: int) -> None:
+        super().__init__()
+        self.src, self.bad = src, bad
+
+    def task_spawn(self, v: VertexView) -> None:
+        if v.id == self.src:
+            t = Task()
+            t.pull_many([self.bad])
+            self.add_task(t)
+
+    def compute(self, task, frontier):  # pragma: no cover - never reached
+        return False
+
+
+def _absent_id_hashing_to(worker_id: int, num_workers: int) -> int:
+    return next(v for v in range(10**6, 10**6 + 64)
+                if hash_partition(v, num_workers) == worker_id)
+
+
+@pytest.mark.parametrize("runtime", ["serial", "checked"])
+@pytest.mark.parametrize("bulk", [True, False])
+@pytest.mark.parametrize("num_workers,bad_owner", [(1, 0), (2, 0), (2, 1)])
+def test_pull_of_absent_vertex_fails_with_context(
+    graph, runtime, bulk, num_workers, bad_owner
+):
+    """Ownership is table membership, so an absent id looks remote on N
+    workers; it must still fail loudly — where its miss is routed (it
+    hashes to the puller), where it is served (it hashes elsewhere), or
+    where the frontier is built (one worker)."""
+    src = next(v for v in graph.vertices()
+               if hash_partition(v, num_workers) == 0)
+    bad = _absent_id_hashing_to(bad_owner, num_workers)
+    config = cfg(num_workers=num_workers, bulk_cache_ops=bulk)
+    with pytest.raises((KeyError, TaskError)) as err:
+        run_job(functools.partial(PullBadId, src, bad), graph, config,
+                runtime=runtime)
+    message = str(err.value)
+    assert str(bad) in message
+    if bad_owner == 0:
+        assert isinstance(err.value, KeyError)
+        assert "bad vertex id in a pull" in message
+    else:
+        assert "does not own" in message
+
+
+@pytest.mark.parametrize("runtime", ["serial", "checked"])
+def test_bulk_and_per_vertex_paths_report_the_same_counters(runtime):
+    """Both ``bulk_cache_ops`` branches consume the one per-iteration
+    remote list: a deterministic eviction-heavy TC job must pin the
+    same cache and comm counters either way."""
+    g = erdos_renyi(400, 0.03, seed=5)
+    pinned = ("cache:hits", "cache:miss_first", "cache:miss_duplicate",
+              "cache:evictions", "comm:requests_queued",
+              "tasks:created", "tasks:finished", "tasks:iterations")
+    seen = {}
+    for bulk in (True, False):
+        config = GThinkerConfig(
+            num_workers=2, compers_per_worker=1, task_batch_size=16,
+            cache_capacity=g.num_vertices // 20, cache_buckets=8,
+            bulk_cache_ops=bulk,
+        )
+        result = run_job(TriangleCountComper, g, config, runtime=runtime)
+        assert result.aggregate == count_triangles(g)
+        seen[bulk] = {k: result.metrics.get(k, 0) for k in pinned}
+    assert seen[True] == seen[False]
+    assert seen[True]["cache:evictions"] > 0
+    assert seen[True]["cache:miss_first"] > 0

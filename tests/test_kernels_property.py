@@ -126,6 +126,125 @@ def test_intersect_count_many_interpreted_matches_pairwise(a, rows):
 
 
 # ---------------------------------------------------------------------------
+# The segmented frontier kernel (dispatched intersect_count_many)
+# ---------------------------------------------------------------------------
+
+#: Ids just under 2**62: any float round-trip or int32 narrowing in the
+#: flatten / search path would collapse neighbouring values.
+_HUGE = 2**62
+
+
+@st.composite
+def frontier_ids(draw, max_size: int):
+    """A sorted duplicate-free row; sometimes shifted up to ~2**62."""
+    bound = draw(st.sampled_from((8, 50, 1_000)))
+    base = draw(st.sampled_from((0, _HUGE - 1_000)))
+    xs = draw(st.lists(st.integers(0, bound), max_size=max_size))
+    return np.unique(np.asarray(xs, dtype=np.int64)) + base
+
+
+@st.composite
+def skewed_frontier(draw):
+    """``(a, rows)`` on both sides of the ``GALLOP_RATIO`` cut: tiny
+    ``a`` x hub rows, hub ``a`` x tiny rows, and both kinds of row in one
+    call — plus the degenerate shapes (no rows, one row, all empty)."""
+    shape = draw(st.sampled_from(
+        ("tiny_a_hubs", "hub_a_tiny_rows", "mixed", "single", "all_empty")
+    ))
+    if shape == "tiny_a_hubs":
+        a = draw(frontier_ids(3))
+        rows = draw(st.lists(frontier_ids(400), min_size=1, max_size=4))
+    elif shape == "hub_a_tiny_rows":
+        a = draw(frontier_ids(400))
+        rows = draw(st.lists(frontier_ids(3), min_size=1, max_size=8))
+    elif shape == "mixed":
+        a = draw(frontier_ids(12))
+        rows = draw(st.lists(
+            st.one_of(frontier_ids(3), frontier_ids(12), frontier_ids(400)),
+            min_size=2, max_size=8,
+        ))
+    elif shape == "single":
+        a = draw(frontier_ids(48))
+        rows = [draw(frontier_ids(48))]
+    else:
+        a = draw(frontier_ids(12))
+        rows = [np.empty(0, dtype=np.int64)] * draw(st.integers(0, 4))
+    return a, rows
+
+
+class _OneShot:
+    """An iterable that fails the test if it is iterated twice."""
+
+    def __init__(self, rows):
+        self._rows = rows
+        self.iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        assert self.iterations == 1, "frontier iterated more than once"
+        return iter(self._rows)
+
+
+@settings(deadline=None, max_examples=150)
+@given(skewed_frontier())
+def test_segmented_count_many_matches_pairwise_oracle(case):
+    a, rows = case
+    expected = sum(
+        intersect_sorted_count(a.tolist(), r.tolist()) for r in rows
+    )
+    prior = kernels.current_backend()
+    try:
+        for backend in kernels.available_backends():
+            kernels.select_backend(backend)
+            assert kernels.intersect_count_many(a, rows) == expected
+            # A generator argument: consumed exactly once, same answer.
+            assert kernels.intersect_count_many(a, (r for r in rows)) == expected
+            once = _OneShot(rows)
+            assert kernels.intersect_count_many(a, once) == expected
+            assert once.iterations <= 1
+            # Legacy tuple rows take the same normalization.
+            assert kernels.intersect_count_many(
+                tuple(a.tolist()), [tuple(r.tolist()) for r in rows]
+            ) == expected
+    finally:
+        kernels.select_backend(prior)
+
+
+def test_segmented_count_many_hub_rows_are_probed_not_searched(monkeypatch):
+    """Rows past the GALLOP_RATIO cut keep the per-row direction: a
+    3-element ``a`` against 5000-element hubs must never binary-search
+    the hubs' 15 000 elements into ``a``."""
+    prior = kernels.current_backend()
+    kernels.select_backend("numpy")
+    try:
+        a = np.array([10, 2_000, 4_999], dtype=np.int64)
+        hubs = [np.arange(5_000, dtype=np.int64) for _ in range(3)]
+        tiny = [np.array([10, 11], dtype=np.int64)]
+        needles = []
+        real = kernels._gallop_mask
+
+        def spy(small, large):
+            needles.append(len(small))
+            return real(small, large)
+
+        monkeypatch.setattr(kernels, "_gallop_mask", spy)
+        assert kernels.intersect_count_many(a, hubs + tiny) == 3 * 3 + 1
+        assert max(needles) <= 3  # a into each hub; the tiny row into a
+        assert sum(needles) == 3 * 3 + 2
+    finally:
+        kernels.select_backend(prior)
+
+
+def test_flatten_rows_normalizes_like_as_ids_array():
+    rows = [np.array([1, 2], dtype=np.int32), (), [_HUGE - 1, _HUGE], (7,)]
+    flat = kernels.flatten_rows(rows)
+    assert flat.dtype == np.int64 and flat.flags.c_contiguous
+    assert flat.tolist() == [1, 2, _HUGE - 1, _HUGE, 7]
+    assert kernels.flatten_rows([]).size == 0
+    assert kernels.flatten_rows([(), ()]).dtype == np.int64
+
+
+# ---------------------------------------------------------------------------
 # Dispatched kernels under every importable backend
 # ---------------------------------------------------------------------------
 

@@ -175,6 +175,57 @@ def test_steal_reparks_task_under_thief_worker_id():
     assert len(c.b_task) == 1
 
 
+def test_remote_set_is_rederived_by_the_worker_that_restarts_the_task():
+    """yield -> spill -> steal -> refill on another worker: which pulls
+    are remote is relative to the worker, so the per-iteration remote
+    list must not travel with the task (same hazard as the stale id)."""
+    cluster, g = make_cluster()
+    w0, w1 = cluster.workers
+    a = w0.engines[0]
+    c = w1.engines[0]
+    v1, v2 = owned_by(g, 1)[:2]  # remote for w0, local for w1
+    u = owned_by(g, 0)[0]        # local for w0, remote for w1
+
+    task = Task(context=[[u, v2]])
+    task.pull(v1)
+    a.add_task(task)
+    assert a.step()  # park on w0
+    assert task.remote_in_flight == [v1]
+    pump_comm(cluster)
+    a.add_task(Task(context=[]))
+    a.add_task(Task(context=[]))
+    assert a._push()  # resume -> compute pulls [u, v2] -> inline yield
+    # Released with the iteration and not recomputed for the yield.
+    assert task.remote_in_flight == () and task.pulls_in_flight == []
+    assert task.pending_pulls() == (u, v2)
+
+    a.add_task(Task(context=[]))  # spill the yielded task
+    assert cluster.master._steal_one_batch(w0, thief_id=1, now=0.0) == 1
+    w1.comm.step()  # TaskBatchTransfer lands in w1's L_file
+    assert c.step()  # refill, pop, resolve pulls on w1
+    (entry,) = c.t_task._entries.values()
+    stolen = entry.task
+    assert stolen.pulls_in_flight == [u, v2]
+    assert stolen.remote_in_flight == [u]  # w0 would have said [v2]
+    assert w0.remote_of([u, v2]) == [v2]
+
+    pump_comm(cluster)
+    assert c._push()  # frontier: u from the cache, v2 from w1's T_local
+    assert stolen.remote_in_flight == ()
+    for w in cluster.workers:  # every cache lock was released
+        w.cache.check_invariants()
+        size = w.cache.exact_size()
+        assert w.cache.evict(10**9) == size
+
+
+def test_serialize_tasks_drops_the_remote_list():
+    t = Task(context=1)
+    t.pull(7)
+    t.remote_in_flight = [7]  # as if a park-time list had leaked
+    (out,) = deserialize_tasks(serialize_tasks([t]))
+    assert t.remote_in_flight == () and out.remote_in_flight == ()
+
+
 def test_misrouted_arrival_raises_contextual_task_error():
     """An arrival whose id resolves to no pending entry is a TaskError
     naming the message, vertex and task id — not a bare KeyError from a

@@ -42,6 +42,77 @@ def test_local_view_for_remote_vertex_is_none(cluster):
     assert w.local_view(remote) is None
 
 
+def _shared_workers(graph, num_workers, tmp_path):
+    """Workers attached to a SharedCSR (the process runtime's load path)."""
+    from repro.core.metrics import MetricsRegistry
+    from repro.core.worker import Worker
+    from repro.graph.csr import SharedCSR
+    from repro.net import Transport
+
+    csr = SharedCSR.from_graph(graph)
+    cfg = GThinkerConfig(num_workers=num_workers, compers_per_worker=1)
+    workers = [
+        Worker(worker_id=i, num_workers=num_workers, config=cfg,
+               app_factory=SpawnEverything, transport=Transport(num_workers),
+               metrics=MetricsRegistry(), spill_dir=tmp_path)
+        for i in range(num_workers)
+    ]
+    for w in workers:
+        w.load_shared(csr)
+    return csr, workers
+
+
+def _assert_ownership_is_the_hash_partition(workers, graph):
+    n = len(workers)
+    everything = list(graph.vertices())
+    for w in workers:
+        mine = [v for v in everything if hash_partition(v, n) == w.worker_id]
+        assert [v for v in everything if w.owns_vertex(v)] == mine
+        assert w.remote_of(everything) == [
+            v for v in everything if not w.owns_vertex(v)
+        ]
+        assert w.remote_of(mine) == []
+        # The bulk frontier is the per-vertex one, in order.
+        assert w.local_views(mine) == [w.local_view(v) for v in mine]
+        assert [view.id for view in w.local_views(mine)] == mine
+
+
+def test_remote_of_agrees_with_owns_vertex_after_load_rows(cluster, er_graph):
+    _assert_ownership_is_the_hash_partition(cluster.workers, er_graph)
+
+
+def test_remote_of_agrees_with_owns_vertex_after_load_shared(er_graph, tmp_path):
+    csr, workers = _shared_workers(er_graph, 3, tmp_path)
+    try:
+        # Nothing is faulted in yet: ownership must not depend on it.
+        assert all(not w._local for w in workers)
+        _assert_ownership_is_the_hash_partition(workers, er_graph)
+    finally:
+        csr.close()
+        csr.unlink()
+
+
+def test_remote_of_single_worker_is_empty_without_probing(er_graph):
+    one = build_cluster(
+        SpawnEverything, er_graph, GThinkerConfig(num_workers=1)
+    ).workers[0]
+    # Even an id in no table: with one worker nothing can be remote, and
+    # the frontier build is what rejects it.
+    assert one.remote_of([0, 1, 10**9]) == []
+    with pytest.raises(KeyError, match="bad vertex id in a pull"):
+        one.local_views([0, 10**9])
+
+
+def test_local_views_rejects_unknown_id_after_load_shared(er_graph, tmp_path):
+    csr, (w,) = _shared_workers(er_graph, 1, tmp_path)
+    try:
+        with pytest.raises(KeyError, match="bad vertex id in a pull"):
+            w.local_views([0, 10**9])
+    finally:
+        csr.close()
+        csr.unlink()
+
+
 def test_local_entry_unknown_vertex_raises(cluster):
     w = cluster.workers[0]
     with pytest.raises(KeyError):
