@@ -1,7 +1,7 @@
 """Micro + end-to-end benchmark of the numpy adjacency path
 (``BENCH_kernels.json``).
 
-Three sections:
+Two sections:
 
 * **kernels** — pure-Python ``intersect_sorted`` / ``intersect_sorted_count``
   vs the vectorized :mod:`repro.graph.kernels` at sizes {8, 64, 1k, 64k}
@@ -11,8 +11,6 @@ Three sections:
   ``bench_single_machine.py`` (er(160, 0.12, seed 13), 4x2, tau=12) on
   the serial / threaded / process runtimes, so the numbers are directly
   comparable against ``BENCH_process_runtime.json``.
-* **wire_format** — the process runtime run twice (binary vs pickle IPC
-  encoding), reporting the measured ``ipc:payload_bytes``.
 
 Run::
 
@@ -27,7 +25,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 if __name__ == "__main__":  # script mode: make src/ importable
@@ -143,39 +140,9 @@ def bench_mcf(quick: bool) -> dict:
     }
 
 
-def bench_wire_format(quick: bool) -> dict:
-    """Process-runtime IPC payload bytes: binary frames vs pickle."""
-    n, workers = (90, 2) if quick else (160, 4)
-    graph = erdos_renyi(n, 0.12, seed=13)
-    base = GThinkerConfig(
-        num_workers=workers,
-        compers_per_worker=2,
-        task_batch_size=8,
-        cache_capacity=4096,
-        cache_buckets=64,
-        decompose_threshold=12,
-        aggregator_sync_period_s=0.005,
-    )
-    out = {}
-    for fmt in ("binary", "pickle"):
-        config = replace(base, ipc_wire_format=fmt)
-        result = run_job(MaxCliqueComper, graph, config, runtime="process")
-        out[fmt] = {
-            "ipc_payload_bytes": int(result.metrics.get("ipc:payload_bytes", 0)),
-            "ipc_batches": int(result.metrics.get("ipc:batches", 0)),
-            "clique_size": len(result.aggregate or ()),
-        }
-    if out["pickle"]["ipc_payload_bytes"]:
-        out["binary_vs_pickle_ratio"] = round(
-            out["binary"]["ipc_payload_bytes"]
-            / out["pickle"]["ipc_payload_bytes"], 3
-        )
-    return out
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="numpy kernel + wire-format benchmark"
+        description="numpy kernel benchmark"
     )
     parser.add_argument("--quick", action="store_true",
                         help="fewer repeats / smaller end-to-end graph (CI)")
@@ -185,7 +152,6 @@ def main(argv=None) -> int:
 
     kernel_rows = bench_kernels(quick=args.quick)
     mcf = bench_mcf(quick=args.quick)
-    wire_fmt = bench_wire_format(quick=args.quick)
     report = {
         "benchmark": "numpy_adjacency_path",
         "quick": args.quick,
@@ -197,7 +163,6 @@ def main(argv=None) -> int:
         "speedup_valid": (os.cpu_count() or 1) >= 2,
         "kernels": kernel_rows,
         "mcf_end_to_end": mcf,
-        "wire_format": wire_fmt,
     }
     with open(args.output, "w", encoding="ascii") as f:
         json.dump(report, f, indent=2, sort_keys=True)
@@ -210,8 +175,6 @@ def main(argv=None) -> int:
     for name, run in mcf["runtimes"].items():
         print(f"mcf {name:9s} wall={run['wall_s']:.3f}s "
               f"clique={run['clique_size']}")
-    print(f"ipc payload bytes: binary={wire_fmt['binary']['ipc_payload_bytes']} "
-          f"pickle={wire_fmt['pickle']['ipc_payload_bytes']}")
     print(f"wrote {args.output}")
 
     ok = mcf["answers_equal"]

@@ -47,9 +47,10 @@ Two deployment modes, selected by ``GThinkerConfig.cluster_hosts``:
   shards, and the operator restarts the nodes and resumes from the
   shard (``resume_job`` / ``--resume-from``).
 
-Failure classification extends the process runtime's rule to the
-network: a node that *reports* :class:`~repro.core.errors.WireDecodeError`
-or :class:`~repro.net.tcp.PeerLostError` hit corrupted bytes or a dead
+Failure classification is :func:`~repro.core.controlplane.run_node`'s,
+the same on every backend: a node that *reports*
+:class:`~repro.core.errors.WireDecodeError` or
+:class:`~repro.net.tcp.PeerLostError` hit corrupted bytes or a dead
 peer — environment damage a rollback can clear — so its report carries
 ``recoverable=True``; any other reported exception is an app/framework
 bug that would recur and fails the job immediately.  A node that says
@@ -59,167 +60,38 @@ recoverable as always.
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import pickle
 import selectors
 import shutil
 import socket
 import tempfile
 import time
-import traceback
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
-from ..graph.graph import Graph
-from ..graph.io import ShardedGraphStore
 from ..net.tcp import (
     ChannelClosed,
     ControlChannel,
-    PeerLostError,
     TcpTransport,
     connect_with_retry,
     listen_socket,
 )
-from .aggregator import GlobalAggregator
-from .checkpoint import JobCheckpoint, restore_worker
+from .checkpoint import JobCheckpoint
 from .config import GThinkerConfig, parse_host_port
-from .controlplane import ControlPlaneMaster, FailureInjector, NodeSession
-from .errors import (
-    CheckpointError,
-    GThinkerError,
-    WireDecodeError,
-    WorkerProcessError,
+from .controlplane import (
+    ControlPlaneMaster,
+    mp_context,
+    prepare_job,
+    run_node,
 )
-from .metrics import MetricsRegistry
+from .errors import GThinkerError, WireDecodeError, WorkerProcessError
 from .runtime import JobRequest
-from .worker import Worker
 
 __all__ = ["ClusterExecutor", "serve_node"]
-
-
-def _default_start_method() -> str:
-    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
 # ---------------------------------------------------------------------------
 # Node side
 # ---------------------------------------------------------------------------
-
-
-def _node_serve(
-    node_id: int,
-    config: GThinkerConfig,
-    app_factory,
-    rows,
-    channel: ControlChannel,
-    bind_host: str,
-    spill_root: Optional[str],
-    snapshot,
-    global_value,
-    incarnation: int,
-) -> None:
-    """Finish the handshake, then serve control commands until ``stop``.
-
-    Mirrors ``procruntime._worker_main`` with TCP in place of queues and
-    pipes; errors travel up the control channel as
-    ``("error", node_id, type, traceback, recoverable)`` where
-    ``recoverable`` marks wire corruption / peer loss (rollback-safe)
-    as opposed to app bugs (final).
-    """
-    owns_spill = spill_root is None
-    if owns_spill:
-        spill_root = tempfile.mkdtemp(prefix=f"gthinker-spill-node{node_id}-")
-    worker = None
-    transport = None
-    try:
-        metrics = MetricsRegistry()
-        from .job import activate_kernel_backend
-
-        activate_kernel_backend(config, metrics)
-        transport = TcpTransport(
-            node_id,
-            config.num_workers,
-            bind_host=bind_host,
-            metrics=metrics,
-            max_batch_messages=config.ipc_batch_max_messages,
-            wire_format=config.ipc_wire_format,
-            connect_timeout_s=config.cluster_connect_timeout_s,
-        )
-        channel.send_obj(("ready", node_id, f"{bind_host}:{transport.data_port}"))
-        tag, peers = channel.recv_obj(timeout=config.control_reply_timeout_s)
-        if tag != "peers":
-            raise GThinkerError(f"expected the peer table, got {tag!r}")
-        transport.set_peers(peers)
-        channel.send_obj(("up", node_id))
-
-        worker = Worker(
-            worker_id=node_id,
-            num_workers=config.num_workers,
-            config=config,
-            app_factory=app_factory,
-            transport=transport,
-            metrics=metrics,
-            spill_dir=Path(spill_root),
-        )
-        worker.load_rows(rows)
-        if snapshot is not None:
-            restore_worker(worker, snapshot)
-            # Counters resume from the barrier's balanced values; the
-            # fresh sockets are empty, so sent==received still means
-            # "wire empty" to the termination detector.
-            transport.sent_count = snapshot.sent
-            transport.received_count = snapshot.received
-        if global_value is not None:
-            worker.aggregator.publish_global(global_value)
-        injector = FailureInjector(config.failure_plan, node_id, incarnation)
-        session = NodeSession(worker, transport, injector, metrics, config)
-
-        backoff = config.idle_sleep_s
-        while True:
-            worked = session.step()
-
-            while channel.poll(0):
-                reply = session.handle(channel.recv_obj())
-                channel.send_obj(reply)
-                if session.done:
-                    return
-
-            # Unsolicited notifications: the drained-edge ("wake", nid)
-            # in sweep mode, pushed status deltas in async mode.
-            for push in session.pending_pushes():
-                channel.send_obj(push)
-
-            if worked:
-                backoff = config.idle_sleep_s
-            else:
-                # Block until a control command or a data-plane frame
-                # arrives, up to backoff; the channel registers by its
-                # fileno alongside the transport's sockets.
-                transport.wait_for_activity(backoff, extra=(channel,))
-                backoff = min(backoff * 2, config.idle_backoff_max_s)
-    except ChannelClosed:
-        # The master went away (job torn down / rolled back); nothing to
-        # report and no one to report it to.
-        pass
-    except BaseException as exc:
-        recoverable = isinstance(exc, (WireDecodeError, PeerLostError))
-        try:
-            channel.send_obj((
-                "error", node_id, type(exc).__name__,
-                "".join(traceback.format_exception(type(exc), exc,
-                                                   exc.__traceback__)),
-                recoverable,
-            ))
-        except Exception:
-            pass
-    finally:
-        if worker is not None:
-            worker.cleanup()
-        if transport is not None:
-            transport.close()
-        if owns_spill:
-            shutil.rmtree(spill_root, ignore_errors=True)
-        channel.close()
 
 
 def serve_node(
@@ -232,19 +104,47 @@ def serve_node(
 
     The ``repro node`` CLI entry point for attach mode; localhost spawn
     mode runs the same function in child processes.  ``node_id=-1``
-    asks the master to assign the next free slot.
+    asks the master to assign the next free slot.  After ``hello`` /
+    ``init`` this is :func:`repro.core.controlplane.run_node` over
+    this backend's two real differences: the data plane is a
+    :class:`~repro.net.tcp.TcpTransport` (whose listener address is
+    exchanged in the ``ready`` / ``peers`` / ``up`` half of the
+    handshake), and the graph rows arrive in ``init``.
     """
     host, port = parse_host_port(master_addr)
     sock = connect_with_retry(host, port, connect_timeout_s, what="master")
     channel = ControlChannel(sock)
-    channel.send_obj(("hello", node_id))
-    msg = channel.recv_obj(timeout=connect_timeout_s)
+    channel.send(("hello", node_id))
+    msg = channel.recv(timeout=connect_timeout_s)
     if not (isinstance(msg, tuple) and msg and msg[0] == "init"):
         raise GThinkerError(f"expected init from the master, got {msg!r}")
-    (_tag, assigned_id, config, app_factory, rows, spill_root,
+    (_tag, node_id, config, app_factory, rows, spill_root,
      snapshot, global_value, incarnation) = msg
-    _node_serve(
-        assigned_id, config, app_factory, rows, channel, bind_host,
+
+    def make_transport(metrics):
+        transport = TcpTransport(
+            node_id,
+            config.num_workers,
+            bind_host=bind_host,
+            metrics=metrics,
+            max_batch_messages=config.ipc_batch_max_messages,
+            connect_timeout_s=config.cluster_connect_timeout_s,
+        )
+        try:
+            channel.send(("ready", node_id, f"{bind_host}:{transport.data_port}"))
+            tag, peers = channel.recv(timeout=config.control_reply_timeout_s)
+            if tag != "peers":
+                raise GThinkerError(f"expected the peer table, got {tag!r}")
+            transport.set_peers(peers)
+            channel.send(("up", node_id))
+        except BaseException:
+            transport.close()
+            raise
+        return transport
+
+    run_node(
+        node_id, config, app_factory, channel, make_transport,
+        lambda worker: worker.load_rows(rows),
         spill_root, snapshot, global_value, incarnation,
     )
 
@@ -280,8 +180,8 @@ class _ClusterMaster(ControlPlaneMaster):
     """TCP plumbing for :class:`ControlPlaneMaster`.
 
     Owns the control listener and (in localhost spawn mode) the node
-    processes, so recovery can tear the whole node set down and reboot
-    it from the last barrier snapshot.
+    processes, so the shared rollback can tear the whole node set down
+    and reboot it from the last barrier snapshot.
     """
 
     def __init__(
@@ -307,10 +207,7 @@ class _ClusterMaster(ControlPlaneMaster):
         bind_host, bind_port = parse_host_port(config.cluster_bind)
         self.listener = listen_socket(bind_host, bind_port)
         self.channels: List[Optional[ControlChannel]] = []
-        self.procs: List = []
-        self._ctx = mp.get_context(
-            config.process_start_method or _default_start_method()
-        )
+        self._ctx = mp_context(config)
 
     @property
     def control_addr(self) -> str:
@@ -322,12 +219,6 @@ class _ClusterMaster(ControlPlaneMaster):
         return len(self.channels)
 
     # -- node-set lifecycle -----------------------------------------------
-
-    def start(self, checkpoint: Optional[JobCheckpoint] = None) -> None:
-        self._last_checkpoint = checkpoint
-        if checkpoint is not None:
-            self._epoch = checkpoint.epoch
-        self._boot_nodes()
 
     def _boot_timeout(self) -> float:
         # Attached nodes are started by an operator; give them the
@@ -351,18 +242,9 @@ class _ClusterMaster(ControlPlaneMaster):
             self.listener.setblocking(False)
         return ControlChannel(conn)
 
-    def _boot_nodes(self) -> None:
+    def _boot(self, checkpoint: Optional[JobCheckpoint], global_value) -> None:
         config = self.config
         n = config.num_workers
-        ckpt = self._last_checkpoint
-        # The aggregator rolls back with the nodes: partials folded
-        # after the barrier belong to work that will be redone.
-        self.global_aggregator = GlobalAggregator(
-            self.app_factory().make_aggregator()
-        )
-        if ckpt is not None:
-            self.global_aggregator.set_value(ckpt.aggregator_global)
-        global_value = self.global_aggregator.value if ckpt is not None else None
 
         if not self.attached:
             self.procs = []
@@ -382,7 +264,7 @@ class _ClusterMaster(ControlPlaneMaster):
         unassigned = [nid for nid in range(n)]
         for _ in range(n):
             chan = self._accept_channel(deadline)
-            msg = chan.recv_obj(timeout=max(0.05, deadline - time.monotonic()))
+            msg = chan.recv(timeout=max(0.05, deadline - time.monotonic()))
             if not (isinstance(msg, tuple) and msg and msg[0] == "hello"):
                 raise GThinkerError(f"expected hello from a node, got {msg!r}")
             requested = msg[1]
@@ -396,9 +278,10 @@ class _ClusterMaster(ControlPlaneMaster):
                     f"or already taken"
                 )
             unassigned.remove(nid)
-            snap = ckpt.worker_snapshots[nid] if ckpt is not None else None
+            snap = (checkpoint.worker_snapshots[nid]
+                    if checkpoint is not None else None)
             spill = str(self.spill_root) if self.spill_root else None
-            chan.send_obj((
+            chan.send((
                 "init", nid, config, self.app_factory,
                 self.rows_per_node[nid], spill, snap, global_value,
                 self._incarnation,
@@ -407,23 +290,23 @@ class _ClusterMaster(ControlPlaneMaster):
 
         peers: List[Optional[str]] = [None] * n
         for nid in range(n):
-            msg = channels[nid].recv_obj(
+            msg = channels[nid].recv(
                 timeout=max(0.05, deadline - time.monotonic())
             )
             if not (isinstance(msg, tuple) and msg[0] == "ready"):
                 raise GThinkerError(f"expected ready from node {nid}, got {msg!r}")
             peers[msg[1]] = msg[2]
         for nid in range(n):
-            channels[nid].send_obj(("peers", peers))
+            channels[nid].send(("peers", peers))
         for nid in range(n):
-            msg = channels[nid].recv_obj(
+            msg = channels[nid].recv(
                 timeout=max(0.05, deadline - time.monotonic())
             )
             if not (isinstance(msg, tuple) and msg[0] == "up"):
                 raise GThinkerError(f"expected up from node {nid}, got {msg!r}")
         self.channels = channels
 
-    def _terminate_nodes(self) -> None:
+    def _terminate(self) -> None:
         for chan in self.channels:
             if chan is not None:
                 chan.close()
@@ -434,7 +317,6 @@ class _ClusterMaster(ControlPlaneMaster):
         self.channels, self.procs = [], []
 
     def _recover(self) -> None:
-        """Global rollback: reboot the node set from the last barrier."""
         if self.attached:
             # A foreign process cannot be respawned from here.  The last
             # checkpoint shard (if a checkpoint_path was given) is on
@@ -444,13 +326,10 @@ class _ClusterMaster(ControlPlaneMaster):
                 "started externally — restart them and resume from the "
                 "checkpoint shard (resume_job / --resume-from)"
             )
-        self._terminate_nodes()
-        self._incarnation += 1
-        self.metrics.add("ft:recoveries")
-        self._boot_nodes()
+        super()._recover()
 
     def shutdown(self) -> None:
-        self._terminate_nodes()
+        super().shutdown()
         try:
             self.listener.close()
         except OSError:  # pragma: no cover - teardown best effort
@@ -458,24 +337,16 @@ class _ClusterMaster(ControlPlaneMaster):
 
     # -- plumbing ---------------------------------------------------------
 
-    def _raise_from_report(self, msg) -> None:
-        """Raise when ``msg`` is a node's error report; else return."""
-        if isinstance(msg, tuple) and msg and msg[0] == "error":
-            _tag, nid, exc_type, tb, recoverable = msg
-            raise WorkerProcessError(
-                nid, f"{exc_type} raised:\n{tb}", recoverable=recoverable
-            )
-
     def _send(self, node_id: int, cmd) -> None:
         chan = self.channels[node_id]
         try:
-            chan.send_obj(cmd)
+            chan.send(cmd)
         except ChannelClosed as exc:
             # Drain buffered frames for an error report before labelling
             # this a silent machine loss.
             try:
                 while chan.poll(0.05):
-                    self._raise_from_report(chan.recv_obj())
+                    self._raise_from_report(chan.recv())
             except (ChannelClosed, WireDecodeError):
                 pass
             raise WorkerProcessError(
@@ -498,7 +369,7 @@ class _ClusterMaster(ControlPlaneMaster):
                             recoverable=True,
                         )
                     continue
-                msg = chan.recv_obj()
+                msg = chan.recv()
             except (ChannelClosed, WireDecodeError) as exc:
                 raise WorkerProcessError(
                     node_id, f"control channel lost: {exc}",
@@ -518,7 +389,7 @@ class _ClusterMaster(ControlPlaneMaster):
         Blocks up to ``timeout`` (in <=0.25s selector slices) for the
         first control frame, then consumes everything buffered on every
         channel via the non-blocking ``drain_nowait``.  Out-of-band
-        messages route through ``_note_oob``; error reports raise final,
+        messages route through ``_note_oob``; error reports raise,
         channel loss raises as a recoverable machine loss.
         """
         deadline = time.monotonic() + timeout
@@ -567,32 +438,10 @@ class ClusterExecutor:
         self.join_timeout_s = join_timeout_s
 
     def execute(self, request: JobRequest):
-        from .job import JobResult, _partition_rows  # deferred: job.py imports us lazily
+        from .job import _partition_rows  # deferred: job.py imports us lazily
 
         config = request.config
-        app_factory = request.app_factory
-        try:
-            pickle.dumps(app_factory)
-        except Exception as exc:
-            raise GThinkerError(
-                f"runtime='cluster' requires a picklable app_factory "
-                f"(a Comper class or functools.partial, not a lambda or "
-                f"closure): {exc!r}"
-            ) from exc
-
-        ckpt = request.checkpoint
-        if ckpt is not None and ckpt.num_workers != config.num_workers:
-            raise CheckpointError(
-                f"checkpoint was taken with {ckpt.num_workers} workers, "
-                f"job has {config.num_workers}"
-            )
-
-        graph = request.graph
-        if isinstance(graph, ShardedGraphStore):
-            graph = graph.load_full_graph()
-        if not isinstance(graph, Graph):
-            raise TypeError(f"unsupported graph source {type(request.graph)!r}")
-
+        graph = prepare_job(request, "cluster")
         started = time.perf_counter()
         rows_per_node = _partition_rows(graph, config.num_workers)
         # The master owns the spill root only in localhost spawn mode;
@@ -608,7 +457,7 @@ class ClusterExecutor:
             spill_root = Path(tempfile.mkdtemp(prefix="gthinker-spill-cluster-"))
         master = _ClusterMaster(
             config=config,
-            app_factory=app_factory,
+            app_factory=request.app_factory,
             rows_per_node=rows_per_node,
             spill_root=spill_root,
             join_timeout_s=self.join_timeout_s,
@@ -616,26 +465,7 @@ class ClusterExecutor:
             abort_after_rounds=request.abort_after_rounds,
         )
         try:
-            master.start(checkpoint=ckpt)
-            finals = master.run()
-
-            merged = MetricsRegistry()
-            merged.merge_from(master.metrics)
-            outputs: List[Any] = []
-            for final in sorted(finals, key=lambda f: f.worker_id):
-                merged.merge_from(MetricsRegistry.from_snapshot(final.metrics))
-                outputs.extend(final.outputs)
-            for proc in master.procs:
-                proc.join(timeout=10.0)
-            return JobResult(
-                aggregate=master.global_aggregator.value,
-                outputs=outputs,
-                metrics=merged.snapshot(),
-                elapsed_s=time.perf_counter() - started,
-                num_workers=config.num_workers,
-                compers_per_worker=config.compers_per_worker,
-            )
+            return master.run_job(request.checkpoint, started)
         finally:
-            master.shutdown()
             if owns_spill and spill_root is not None:
                 shutil.rmtree(spill_root, ignore_errors=True)

@@ -31,15 +31,11 @@ import time
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Set
 
-import numpy as np
-
 from ..net.message import Message, RequestBatch, ResponseBatch, TaskBatchTransfer
 from .containers import comper_of_task_id
 from .errors import GThinkerError, TaskError
 
 __all__ = ["CommService"]
-
-_EMPTY_ROW = np.empty(0, dtype=np.int64)
 
 
 class CommService:
@@ -58,21 +54,17 @@ class CommService:
         #: Cap on vertices per response batch so one huge request batch
         #: does not produce one giant message (MTU-ish chunking).
         self._response_chunk = cfg.response_chunk
-        self._bulk = cfg.bulk_cache_ops
 
     # -- comper-side -------------------------------------------------------
 
-    def queue_request(self, v: int) -> None:
-        """Append a vertex pull for batched transmission (dedup'd)."""
-        self.queue_requests((v,))
-
     def queue_requests(self, vertices: Sequence[int]) -> None:
-        """Bulk :meth:`queue_request`: one lock acquisition per call.
+        """Append vertex pulls for batched transmission (dedup'd).
 
-        Routing a miss is the only place the pull path evaluates the
-        partition hash: compers decide local-vs-remote by table
-        membership, so an id that hashes *here* and still missed is in
-        no table at all — the bad-pull check lives here.
+        One lock acquisition per call.  Routing a miss is the only
+        place the pull path evaluates the partition hash: compers decide
+        local-vs-remote by table membership, so an id that hashes *here*
+        and still missed is in no table at all — the bad-pull check
+        lives here.
         """
         if not vertices:
             return
@@ -161,10 +153,10 @@ class CommService:
 
         Duplicate vertex ids in the batch (possible when the requester
         ran without queue-side dedup, or mixed batches meet) are served
-        once.  The reply is built structure-of-arrays: one label/degree
-        gather plus a single ``np.concatenate`` over the T_local row
-        views — the GTWIRE1 encoder then ships it without touching the
-        rows again.
+        once.  The reply is built structure-of-arrays
+        (:meth:`ResponseBatch.from_rows`: one label/degree gather plus a
+        single ``np.concatenate`` over the T_local row views) — the
+        GTWIRE1 encoder then ships it without touching the rows again.
         """
         t0 = time.perf_counter()
         ids = msg.vertex_ids
@@ -174,30 +166,11 @@ class CommService:
             ids = unique
         local_entry = self.worker.local_entry
         chunk = self._response_chunk
+        me = self.worker.worker_id
         for start in range(0, len(ids), chunk):
-            part = ids[start:start + chunk]
-            rows = [local_entry(v) for v in part]
-            ids_arr = np.asarray(part, dtype=np.int64)
-            labels = np.fromiter(
-                (label for label, _adj in rows), dtype=np.int64, count=len(part)
-            )
-            offsets = np.zeros(len(part) + 1, dtype=np.int64)
-            np.cumsum(
-                np.fromiter((len(adj) for _label, adj in rows),
-                            dtype=np.int64, count=len(part)),
-                out=offsets[1:],
-            )
-            if int(offsets[-1]):
-                adj_concat = np.concatenate([adj for _label, adj in rows])
-            else:
-                adj_concat = _EMPTY_ROW
+            rows = [(v, *local_entry(v)) for v in ids[start:start + chunk]]
             self.worker.transport.send(
-                ResponseBatch.from_soa(
-                    self.worker.worker_id, msg.src,
-                    ids=ids_arr, labels=labels,
-                    adj_concat=adj_concat, offsets=offsets,
-                ),
-                now=now,
+                ResponseBatch.from_rows(me, msg.src, rows), now=now
             )
         self.worker.metrics.add("comm:requests_served", len(ids))
         self.worker.metrics.add("time:comm_serve_s", time.perf_counter() - t0)
@@ -205,13 +178,7 @@ class CommService:
     def _receive_responses(self, msg: ResponseBatch) -> None:
         """Insert arrived vertices into the cache and wake waiting tasks."""
         t0 = time.perf_counter()
-        if self._bulk:
-            landed = self.worker.cache.insert_responses(msg.iter_rows())
-        else:
-            landed = [
-                (v, self.worker.cache.insert_response(v, label, adj))
-                for v, label, adj in msg.iter_rows()
-            ]
+        landed = self.worker.cache.insert_responses(msg.iter_rows())
         for v, waiting in landed:
             for task_id in waiting:
                 try:

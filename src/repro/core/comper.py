@@ -31,7 +31,6 @@ from .containers import (
     make_task_id,
 )
 from .errors import TaskError
-from .vertex_cache import RequestOutcome
 
 __all__ = ["ComperEngine"]
 
@@ -240,24 +239,14 @@ class ComperEngine:
         if self.checker is not None:
             self.checker.on_parked(task, self.global_id)
         self.t_task.insert(task.task_id, task, req=len(remote))
-        cache = self.worker.cache
-        if self.config.bulk_cache_ops:
-            # Bulk OP1: one bucket-lock acquisition per touched bucket,
-            # one comm-lock acquisition for all MISS_SENDs.
-            batch = cache.request_batch(remote, task.task_id)
-            for _ in range(batch.hits):
-                self._notify_self(task.task_id)
-            if batch.to_send:
-                self.worker.comm.queue_requests(batch.to_send)
-            # duplicates: the in-flight responses will notify us.
-        else:
-            for v in remote:
-                outcome = cache.request(v, task.task_id)
-                if outcome.status == RequestOutcome.HIT:
-                    self._notify_self(task.task_id)
-                elif outcome.status == RequestOutcome.MISS_SEND:
-                    self.worker.comm.queue_request(v)
-                # MISS_DUPLICATE: the in-flight response will notify us.
+        # Bulk OP1: one bucket-lock acquisition per touched bucket, one
+        # comm-lock acquisition for all first misses.
+        batch = self.worker.cache.request_batch(remote, task.task_id)
+        for _ in range(batch.hits):
+            self._notify_self(task.task_id)
+        if batch.to_send:
+            self.worker.comm.queue_requests(batch.to_send)
+        # duplicates: the in-flight responses will notify us.
 
     def _notify_self(self, task_id: int) -> None:
         """Self-notification for a cache HIT during park (one per hit)."""
@@ -298,11 +287,7 @@ class ComperEngine:
             remote = task.remote_in_flight
             if remote:
                 task.remote_in_flight = ()
-                if self.config.bulk_cache_ops:
-                    cache.release_batch(remote, task.task_id)
-                else:
-                    for v in remote:
-                        cache.release(v, task.task_id)
+                cache.release_batch(remote, task.task_id)
             pulls = task.take_pulls()
             task.pulls_in_flight = pulls
             if not more:

@@ -202,13 +202,6 @@ class GThinkerConfig:
         work (or an explicit wake) arrives, then resets.  The threaded
         and process masters use the same backoff between sweeps instead
         of a fixed ``aggregator_sync_period_s`` sleep.
-    bulk_cache_ops:
-        Route the pull path through the bulk cache operations
-        (``request_batch`` / ``insert_responses`` / ``release_batch``
-        — one bucket-lock acquisition per touched bucket per batch) and
-        the bulk ``CommService.queue_requests``.  Default on; switching
-        it off restores the per-vertex OP1/OP2/OP3 calls, which is what
-        the A/B lock-acquisition regression test measures against.
     response_chunk:
         Cap on vertices per :class:`~repro.net.message.ResponseBatch`
         so one huge request batch does not produce one giant message
@@ -267,13 +260,6 @@ class GThinkerConfig:
         per destination before forcing a queue put (the IPC analogue of
         the paper's batched sending; buffers also drain every comm-service
         step).
-    ipc_wire_format:
-        ``runtime="process"`` only: how IPC batches are encoded.
-        ``"binary"`` (default) uses the :mod:`repro.net.wire` frame
-        format — adjacency lists cross the process boundary as raw
-        ``int64`` buffers and are decoded as zero-copy ``np.frombuffer``
-        views; ``"pickle"`` keeps the one-pickle-per-batch encoding
-        (useful for A/B-measuring payload sizes).
     cluster_hosts:
         ``runtime="cluster"`` only: one ``"host:port"`` data-plane
         address per node (= per worker).  ``None`` (the default) selects
@@ -313,7 +299,6 @@ class GThinkerConfig:
     steal_batches: int = 4
     idle_sleep_s: float = 0.0005
     idle_backoff_max_s: float = 0.02
-    bulk_cache_ops: bool = True
     response_chunk: int = 4096
     checkpoint_every_syncs: int = 0
     checkpoint_dir: Optional[str] = None
@@ -327,7 +312,6 @@ class GThinkerConfig:
     kernel_backend: str = "auto"
     process_start_method: Optional[str] = None
     ipc_batch_max_messages: int = 64
-    ipc_wire_format: str = "binary"
     cluster_hosts: Optional[Tuple[str, ...]] = None
     cluster_bind: str = "127.0.0.1:0"
     cluster_connect_timeout_s: float = 10.0
@@ -390,11 +374,6 @@ class GThinkerConfig:
             raise ValueError(
                 f"kernel_backend must be 'auto', 'numpy' or 'numba', "
                 f"got {self.kernel_backend!r}"
-            )
-        if self.ipc_wire_format not in ("binary", "pickle"):
-            raise ValueError(
-                f"ipc_wire_format must be 'binary' or 'pickle', "
-                f"got {self.ipc_wire_format!r}"
             )
         if self.process_start_method not in (None, "fork", "spawn", "forkserver"):
             raise ValueError(

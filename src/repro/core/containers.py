@@ -32,6 +32,7 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..net import wire
 from .api import Task
 from .metrics import MetricsRegistry
 
@@ -70,27 +71,17 @@ _CTX_INT = 1
 _CTX_INT_TUPLE = 2
 _CTX_PICKLE = 3
 
-_PAD = b"\x00" * 7
-
-
-def _ints(*values: int) -> bytes:
-    return np.array(values, dtype="<i8").tobytes()
-
-
-def _padded(raw: bytes) -> bytes:
-    rem = len(raw) % 8
-    return raw if rem == 0 else raw + _PAD[: 8 - rem]
-
 
 def _encode_task(task: Task, chunks: List[bytes]) -> None:
+    ints, padded = wire.ints, wire.padded
     pulls = task.pending_pulls()
-    chunks.append(_ints(len(pulls)))
+    chunks.append(ints(len(pulls)))
     chunks.append(np.asarray(pulls, dtype="<i8").tobytes())
     adj = task.g.adjacency()
     vids = sorted(adj)
     n = len(vids)
     degrees = np.fromiter((len(adj[v]) for v in vids), dtype="<i8", count=n)
-    chunks.append(_ints(n))
+    chunks.append(ints(n))
     chunks.append(np.asarray(vids, dtype="<i8").tobytes())
     chunks.append(
         np.fromiter((task.g.label(v) for v in vids), dtype="<i8",
@@ -101,16 +92,16 @@ def _encode_task(task: Task, chunks: List[bytes]) -> None:
         chunks.append(np.asarray(adj[v], dtype="<i8").tobytes())
     ctx = task.context
     if ctx is None:
-        chunks.append(_ints(_CTX_NONE))
+        chunks.append(ints(_CTX_NONE))
     elif type(ctx) is int:
-        chunks.append(_ints(_CTX_INT, ctx))
+        chunks.append(ints(_CTX_INT, ctx))
     elif type(ctx) is tuple and all(type(x) is int for x in ctx):
-        chunks.append(_ints(_CTX_INT_TUPLE, len(ctx)))
+        chunks.append(ints(_CTX_INT_TUPLE, len(ctx)))
         chunks.append(np.asarray(ctx, dtype="<i8").tobytes())
     else:
         raw = pickle.dumps(ctx, protocol=pickle.HIGHEST_PROTOCOL)
-        chunks.append(_ints(_CTX_PICKLE, len(raw)))
-        chunks.append(_padded(raw))
+        chunks.append(ints(_CTX_PICKLE, len(raw)))
+        chunks.append(padded(raw))
 
 
 def serialize_tasks(tasks: Sequence[Task]) -> bytes:
@@ -129,79 +120,76 @@ def serialize_tasks(tasks: Sequence[Task]) -> bytes:
     The encoding is the flat int64 frame format (``GTTASK1`` magic): a
     task's pending pulls and its subgraph rows are packed as raw arrays,
     and the context as ``None`` / int / int-tuple frames with pickle for
-    anything richer.  Tasks that cannot be represented — e.g. ones with
-    in-flight pulls, which only an engine-internal park can produce —
-    fall back to pickling the whole batch; :func:`deserialize_tasks`
-    sniffs the magic to tell the two apart.
+    anything richer.  A task with in-flight pulls has no representation
+    and raises ``ValueError``: the engine clears ``pulls_in_flight``
+    before a task re-enters ``Q_task``, so nothing that reaches a spill
+    file or a steal batch carries any.
     """
     tasks = list(tasks)
     for t in tasks:
         t.task_id = -1
         t.remote_in_flight = ()
-    try:
-        if any(t.pulls_in_flight for t in tasks):
-            raise ValueError("task with in-flight pulls")
-        chunks: List[bytes] = [_TASK_MAGIC, _ints(len(tasks))]
-        for t in tasks:
-            _encode_task(t, chunks)
-        return b"".join(chunks)
-    except Exception:
-        return pickle.dumps(tasks, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-class _TaskCursor:
-    __slots__ = ("buf", "pos")
-
-    def __init__(self, buf: bytes, pos: int) -> None:
-        self.buf = buf
-        self.pos = pos
-
-    def read_ints(self, count: int) -> np.ndarray:
-        out = np.frombuffer(self.buf, dtype="<i8", count=count, offset=self.pos)
-        self.pos += 8 * count
-        return out
-
-    def read_bytes(self, length: int) -> bytes:
-        raw = self.buf[self.pos : self.pos + length]
-        self.pos += length + (-length % 8)
-        return raw
+    if any(t.pulls_in_flight for t in tasks):
+        raise ValueError("cannot serialize a task with in-flight pulls")
+    chunks: List[bytes] = [_TASK_MAGIC, wire.ints(len(tasks))]
+    for t in tasks:
+        _encode_task(t, chunks)
+    return b"".join(chunks)
 
 
 def deserialize_tasks(payload: bytes) -> List[Task]:
+    """Decode a ``GTTASK1`` payload; anything else is a ``WireDecodeError``.
+
+    The payload comes off a spill file or out of a steal frame, so every
+    read goes through the bounds-checked :class:`repro.net.wire.Cursor`:
+    a truncated or corrupt payload raises :class:`WireDecodeError`, never
+    a raw numpy error or a silently short array.
+    """
     if payload[:8] != _TASK_MAGIC:
-        return pickle.loads(payload)
-    cur = _TaskCursor(payload, 8)
-    (count,) = cur.read_ints(1)
+        raise wire.WireDecodeError(
+            f"task payload does not start with the GTTASK1 magic "
+            f"(got {payload[:8]!r})"
+        )
+    cur = wire.Cursor(payload, 8)
     tasks: List[Task] = []
-    for _ in range(int(count)):
+    for _ in range(cur.read_count("task count")):
         task = Task()
-        (n_pulls,) = cur.read_ints(1)
-        pulls = cur.read_ints(int(n_pulls)).tolist()
+        pulls = cur.read_ints(cur.read_count("pull count"), "pulls").tolist()
         task._pulls = pulls
         task._pull_set = set(pulls)
-        (n,) = cur.read_ints(1)
-        n = int(n)
-        vids = cur.read_ints(n)
-        labels = cur.read_ints(n)
-        degrees = cur.read_ints(n)
+        n = cur.read_count("subgraph vertex count")
+        vids = cur.read_ints(n, "subgraph vertex ids")
+        labels = cur.read_ints(n, "subgraph labels")
+        degrees = cur.read_ints(n, "subgraph degrees")
         adj = task.g._adj
         lbl = task.g._labels
         for i in range(n):
-            row = cur.read_ints(int(degrees[i]))
+            row = cur.read_ints(degrees[i], "subgraph adjacency row")
             adj[int(vids[i])] = tuple(row.tolist())
             if labels[i]:
                 lbl[int(vids[i])] = int(labels[i])
-        (kind,) = cur.read_ints(1)
+        kind = cur.read_int("task context kind")
         if kind == _CTX_INT:
-            task.context = int(cur.read_ints(1)[0])
+            task.context = cur.read_int("int context")
         elif kind == _CTX_INT_TUPLE:
-            (length,) = cur.read_ints(1)
-            task.context = tuple(cur.read_ints(int(length)).tolist())
+            task.context = tuple(
+                cur.read_ints(cur.read_count("context tuple length"),
+                              "context tuple").tolist()
+            )
         elif kind == _CTX_PICKLE:
-            (length,) = cur.read_ints(1)
-            task.context = pickle.loads(cur.read_bytes(int(length)))
+            raw = cur.read_bytes(cur.read_count("pickled context length"),
+                                 "pickled context")
+            try:
+                task.context = pickle.loads(raw)
+            except Exception as exc:
+                # pickle raises UnpicklingError, EOFError, ValueError,
+                # AttributeError, ... depending on where the bytes go
+                # wrong; normalize them all to the typed decode error.
+                raise wire.WireDecodeError(
+                    f"cannot unpickle task context: {exc!r}"
+                ) from exc
         elif kind != _CTX_NONE:
-            raise ValueError(f"unknown task context kind {kind}")
+            raise wire.WireDecodeError(f"unknown task context kind {kind}")
         tasks.append(task)
     return tasks
 

@@ -35,29 +35,55 @@ Two coordination modes, selected by ``GThinkerConfig.control_plane``:
   snapshot), so the termination proof is identical in both modes.
   Checkpoints keep the synchronous quiesce/settle barrier unchanged.
 
-This module holds that protocol once, in
+This module holds that protocol once: the master side in
 :class:`ControlPlaneMaster`, parameterised over a tiny plumbing surface
-the backends implement (``num_nodes``, ``_send``, ``_recv``,
-``_wait_for_wake``, ``_recover``) — and the matching node-side command
-machine, :class:`NodeSession`, shared by the process worker loop and
-the cluster node loop.  The wire representation of every command and
-reply is identical across backends, which is what lets a checkpoint
-shard taken under one runtime resume under another.
+the backends implement (``num_nodes``, ``_boot``, ``_terminate``,
+``_send``, ``_recv``, ``_drain_events``); the node side in
+:class:`NodeSession` (the command machine) and :func:`run_node` (the
+one serve loop every node process runs, whatever its transport and
+however its graph rows arrived); and the executor prologue/epilogue in
+:func:`prepare_job` / :meth:`ControlPlaneMaster.run_job`.  The wire representation of
+every command and reply is identical across backends, which is what
+lets a checkpoint shard taken under one runtime resume under another.
 """
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
+import pickle
 import random
+import shutil
+import tempfile
 import time
+import traceback
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Optional
 
+from ..graph.graph import Graph
+from ..graph.io import ShardedGraphStore
+from ..net.message import TaskBatchTransfer
+from ..net.tcp import PeerLostError
 from .aggregator import GlobalAggregator
-from .checkpoint import JobCheckpoint, WorkerSnapshot, snapshot_worker
+from .checkpoint import (
+    JobCheckpoint,
+    WorkerSnapshot,
+    restore_worker,
+    snapshot_worker,
+)
 from .config import FailurePlanConfig, GThinkerConfig
-from .errors import GThinkerError, JobAbortedError, WorkerProcessError
+from .errors import (
+    CheckpointError,
+    GThinkerError,
+    JobAbortedError,
+    WireDecodeError,
+    WorkerProcessError,
+)
+from .master import plan_steals
 from .metrics import MetricsRegistry
+from .runtime import JobRequest
+from .worker import Worker
 
 __all__ = [
     "ENGINE_BURST_STEPS",
@@ -66,6 +92,9 @@ __all__ = [
     "NodeSession",
     "NodeStatus",
     "NodeFinal",
+    "mp_context",
+    "prepare_job",
+    "run_node",
 ]
 
 #: Engine steps a node runs between control-plane/inbox polls.  Bounds
@@ -320,14 +349,30 @@ class NodeSession:
             return []
         return [("status", self._build_status())]
 
+    def _ship_batch(self, thief_id: int, max_tasks: int) -> int:
+        """Send one task batch (spilled first, else fresh spawns) to
+        ``thief_id`` over the data transport; returns the tasks moved."""
+        worker = self.worker
+        self.injector.fire("steal")
+        payload_info = worker.l_file.take_payload()
+        if payload_info is None:
+            payload_info = worker.spawn_batch_payload(max_tasks)
+        if payload_info is None:
+            return 0
+        payload, moved = payload_info
+        self.transport.send(TaskBatchTransfer(
+            src=worker.worker_id, dst=thief_id,
+            payload=payload, num_tasks=moved,
+        ))
+        self.transport.flush_outgoing()
+        return moved
+
     def handle(self, cmd):
         """Execute one control command; returns the reply to send back.
 
         ``stop`` additionally sets :attr:`done` — the serve loop sends
         the :class:`NodeFinal` reply and exits.
         """
-        from ..net.message import TaskBatchTransfer
-
         worker = self.worker
         transport = self.transport
         tag = cmd[0]
@@ -347,39 +392,16 @@ class NodeSession:
             return ("status", self._build_status())
         if tag == "dsteal":
             # Master-bypass steal: ship the batch straight to the thief
-            # over the data transport (no master round-trip), then push
-            # a status so the master's plan table self-corrects.
-            self.injector.fire("steal")
-            _tag, thief_id, max_tasks = cmd
-            payload_info = worker.l_file.take_payload()
-            if payload_info is None:
-                payload_info = worker.spawn_batch_payload(max_tasks)
-            if payload_info is not None:
-                payload, moved = payload_info
-                transport.send(TaskBatchTransfer(
-                    src=worker.worker_id, dst=thief_id,
-                    payload=payload, num_tasks=moved,
-                ))
-                transport.flush_outgoing()
+            # (no master round-trip), then push a status so the master's
+            # plan table self-corrects.
+            moved = self._ship_batch(cmd[1], cmd[2])
+            if moved:
                 self.metrics.add("steal:direct_batches")
                 self.metrics.add("steal:batches")
                 self.metrics.add("steal:tasks", moved)
             return ("status", self._build_status())
         if tag == "steal":
-            self.injector.fire("steal")
-            _tag, thief_id, max_tasks = cmd
-            payload_info = worker.l_file.take_payload()
-            if payload_info is None:
-                payload_info = worker.spawn_batch_payload(max_tasks)
-            moved = 0
-            if payload_info is not None:
-                payload, moved = payload_info
-                transport.send(TaskBatchTransfer(
-                    src=worker.worker_id, dst=thief_id,
-                    payload=payload, num_tasks=moved,
-                ))
-                transport.flush_outgoing()
-            return ("stolen", moved)
+            return ("stolen", self._ship_batch(cmd[1], cmd[2]))
         if tag == "quiesce":
             self.quiesced = True
             return ("quiesced", worker.worker_id)
@@ -413,6 +435,121 @@ class NodeSession:
         raise GThinkerError(f"unknown control command {tag!r}")
 
 
+def run_node(
+    node_id: int,
+    config: GThinkerConfig,
+    app_factory,
+    control,
+    make_transport: Callable[[MetricsRegistry], Any],
+    load_graph: Callable[[Worker], None],
+    spill_root: Optional[str],
+    snapshot: Optional[WorkerSnapshot] = None,
+    global_value: Any = None,
+    incarnation: int = 0,
+) -> None:
+    """The whole life of one node process, on any backend.
+
+    Builds the worker, then steps its components (comm service, comper
+    engines, GC) round-robin — the per-machine layout of the serial
+    runtime, but with every machine on its own core — and answers the
+    master's commands between rounds through :class:`NodeSession`.  A
+    backend supplies only what really differs:
+
+    * ``control`` — the master's end of this node's control channel,
+      anything with ``poll(timeout)`` / ``recv()`` / ``send(obj)`` /
+      ``close()`` (a ``multiprocessing`` pipe end or a
+      :class:`~repro.net.tcp.ControlChannel`);
+    * ``make_transport(metrics)`` — the data plane (mp queues or TCP),
+      returned ready to send, with ``wait_for_activity`` and ``close``;
+    * ``load_graph(worker)`` — how this node's rows arrive
+      (``worker.load_shared(csr)`` or ``worker.load_rows(rows)``);
+    * ``spill_root`` — a master-owned directory, or ``None`` for a node
+      on a machine of its own (it makes and removes a temp dir).
+
+    Anything raised is reported up the control channel as ``("error",
+    node_id, type, traceback, recoverable)``; ``recoverable`` marks wire
+    corruption and peer loss — environment damage a rollback can clear —
+    as opposed to app/framework bugs that would recur.  When the master
+    itself is gone the report has nowhere to go and is dropped.
+    """
+    owns_spill = spill_root is None
+    if owns_spill:
+        spill_root = tempfile.mkdtemp(prefix=f"gthinker-spill-node{node_id}-")
+    worker = None
+    transport = None
+    try:
+        metrics = MetricsRegistry()
+        # Honor kernel_backend in the child even under 'spawn' (where the
+        # parent's import-time selection is not inherited).
+        from .job import activate_kernel_backend
+
+        activate_kernel_backend(config, metrics)
+        transport = make_transport(metrics)
+        worker = Worker(
+            worker_id=node_id,
+            num_workers=config.num_workers,
+            config=config,
+            app_factory=app_factory,
+            transport=transport,
+            metrics=metrics,
+            spill_dir=Path(spill_root),
+        )
+        load_graph(worker)
+        if snapshot is not None:
+            restore_worker(worker, snapshot)
+            # Counters resume from the barrier's balanced values; the
+            # fresh queues/sockets are empty, so sent==received still
+            # means "wire empty" to the termination detector.
+            transport.sent_count = snapshot.sent
+            transport.received_count = snapshot.received
+        if global_value is not None:
+            worker.aggregator.publish_global(global_value)
+        injector = FailureInjector(config.failure_plan, node_id, incarnation)
+        session = NodeSession(worker, transport, injector, metrics, config)
+
+        # Adaptive idle wait: back off exponentially while nothing
+        # happens, waking promptly on either a control command or an
+        # incoming data-plane batch (the transport selects on both).
+        backoff = config.idle_sleep_s
+        while True:
+            worked = session.step()
+
+            while control.poll(0):
+                control.send(session.handle(control.recv()))
+                if session.done:
+                    return
+
+            # Unsolicited notifications: the drained-edge ("wake", id)
+            # in sweep mode, pushed status deltas in async mode.
+            for push in session.pending_pushes():
+                control.send(push)
+
+            if worked:
+                backoff = config.idle_sleep_s
+            else:
+                transport.wait_for_activity(backoff, extra=(control,))
+                backoff = min(backoff * 2, config.idle_backoff_max_s)
+    except BaseException as exc:
+        recoverable = isinstance(exc, (WireDecodeError, PeerLostError))
+        try:
+            control.send((
+                "error", node_id, type(exc).__name__,
+                "".join(traceback.format_exception(type(exc), exc,
+                                                   exc.__traceback__)),
+                recoverable,
+            ))
+        except Exception:
+            pass
+    finally:
+        if worker is not None:
+            worker.cleanup()
+        if transport is not None:
+            transport.close()
+        if owns_spill:
+            shutil.rmtree(spill_root, ignore_errors=True)
+        control.close()
+
+
 # ---------------------------------------------------------------------------
 # Master side: the shared protocol driver
 # ---------------------------------------------------------------------------
@@ -424,15 +561,17 @@ class ControlPlaneMaster:
     Subclasses provide the plumbing:
 
     * ``num_nodes`` — how many nodes are attached;
+    * ``_boot(checkpoint, global_value)`` — bring up one incarnation of
+      the node set, each node seeded with its snapshot and the global
+      aggregate (both ``None`` on a cold start);
+    * ``_terminate()`` — tear the node set down;
     * ``_send(node_id, cmd)`` — deliver one command, raising
       :class:`WorkerProcessError` on a dead node (``recoverable=True``
-      for silent losses, ``False`` when the node reported an app error);
+      for silent losses; a node's own error report decides otherwise,
+      see :meth:`_raise_from_report`);
     * ``_recv(node_id, timeout=None)`` — one reply, same error contract,
-      skipping unsolicited ``("wake", nid)`` notifications;
-    * ``_wait_for_wake(timeout)`` — idle until a wake/timeout;
-    * ``_recover()`` — tear the node set down and respawn it from
-      ``self._last_checkpoint`` (bumping ``self._incarnation`` and the
-      ``ft:recoveries`` metric).
+      skipping unsolicited notifications via :meth:`_note_oob`;
+    * ``_drain_events(timeout)`` — the multiplexed idle wait.
     """
 
     def __init__(
@@ -450,6 +589,8 @@ class ControlPlaneMaster:
         self.abort_after_rounds = abort_after_rounds
         self.metrics = MetricsRegistry()
         self.global_aggregator = GlobalAggregator(app_factory().make_aggregator())
+        #: Node processes this master started itself (none when attached).
+        self.procs: List = []
         #: Cooperative-cancellation token (``AbortToken`` or None), set
         #: by the executor before :meth:`run`.  Checked once per sweep —
         #: the sweep cadence is bounded by ``aggregator_sync_period_s``,
@@ -469,11 +610,18 @@ class ControlPlaneMaster:
         self._status_heard: Optional[List[float]] = None
         self._status_dirty = False
         self._last_steal_key = None
+        self._last_steal_pairs = frozenset()
 
     # -- plumbing the backend must provide --------------------------------
 
     @property
     def num_nodes(self) -> int:
+        raise NotImplementedError
+
+    def _boot(self, checkpoint: Optional[JobCheckpoint], global_value) -> None:
+        raise NotImplementedError
+
+    def _terminate(self) -> None:
         raise NotImplementedError
 
     def _send(self, node_id: int, cmd) -> None:
@@ -492,10 +640,51 @@ class ControlPlaneMaster:
         """
         raise NotImplementedError
 
+    # -- node-set lifecycle -----------------------------------------------
+
+    def start(self, checkpoint: Optional[JobCheckpoint] = None) -> None:
+        """Boot the initial node set, optionally seeded from a shard."""
+        self._last_checkpoint = checkpoint
+        if checkpoint is not None:
+            self._epoch = checkpoint.epoch
+        self._boot_from_last_checkpoint()
+
+    def _boot_from_last_checkpoint(self) -> None:
+        ckpt = self._last_checkpoint
+        # The aggregator rolls back with the nodes: partials folded
+        # after the barrier belong to work that will be redone.
+        self.global_aggregator = GlobalAggregator(
+            self.app_factory().make_aggregator()
+        )
+        if ckpt is not None:
+            self.global_aggregator.set_value(ckpt.aggregator_global)
+        self._boot(ckpt, self.global_aggregator.value if ckpt is not None else None)
+
     def _recover(self) -> None:
-        raise NotImplementedError
+        """Global rollback: reboot the node set from the last barrier."""
+        self._terminate()
+        self._incarnation += 1
+        self.metrics.add("ft:recoveries")
+        self._boot_from_last_checkpoint()
+
+    def shutdown(self) -> None:
+        self._terminate()
 
     # -- shared event handling --------------------------------------------
+
+    @staticmethod
+    def _raise_from_report(msg) -> None:
+        """Raise when ``msg`` is a node's error report; else return.
+
+        The node classified its own failure: wire damage and peer loss
+        are recoverable (roll back and redo), anything else its code
+        raised would fail identically after a rollback, so it is final.
+        """
+        if isinstance(msg, tuple) and msg and msg[0] == "error":
+            _tag, nid, exc_type, tb, recoverable = msg
+            raise WorkerProcessError(
+                nid, f"{exc_type} raised:\n{tb}", recoverable=recoverable
+            )
 
     def _note_oob(self, node_id: int, msg) -> bool:
         """Consume one out-of-band (unsolicited) control message.
@@ -564,50 +753,56 @@ class ControlPlaneMaster:
         self.metrics.add("time:master_sweep_s", time.perf_counter() - t0)
         return statuses
 
-    def _plan_steals(self, statuses: List[NodeStatus]) -> None:
-        """Workload-proportional steal plan with ping-pong hysteresis.
+    def _plan_steals(
+        self,
+        statuses: List[NodeStatus],
+        move: Callable[[int, int, int], int],
+    ) -> None:
+        """Run :func:`~repro.core.master.plan_steals` over ``statuses``.
 
-        Mirrors :meth:`repro.core.master.Master._plan_and_execute_steals`:
-        the per-pair transfer is ``max(batch, gap // 4)`` capped at
-        ``steal_batches`` batches (halving the gap without overshoot),
-        and a pair that moved work one way in the previous sweep is not
-        reversed in this one.
+        Memoized on the (worker, workload) view: when nothing changed
+        since the last round the sorted plan is identical, so the whole
+        sort/pair loop is skipped and the skip counted.
         """
         if not self.config.steal_enabled or len(statuses) < 2:
             return
-        # Memoize on the (worker, workload) view: when nothing changed
-        # since the last round the sorted plan is identical, so skip the
-        # whole sort/pair loop and count the skip.
         key = tuple(sorted((s.worker_id, s.workload) for s in statuses))
         if key == self._last_steal_key:
             self.metrics.add("control:steal_plan_skipped")
             return
         self._last_steal_key = key
-        estimates = [[s.workload, s.worker_id] for s in statuses]
-        batch = self.config.task_batch_size
-        cap = self.config.steal_batches * batch
-        prev_pairs = getattr(self, "_last_steal_pairs", frozenset())
-        pairs = set()
-        for _ in range(self.config.steal_batches):
-            estimates.sort()
-            low, high = estimates[0], estimates[-1]
-            gap = high[0] - low[0]
-            if gap <= 2 * batch:
-                break
-            if (low[1], high[1]) in prev_pairs:
-                break
-            amount = max(batch, min(gap // 4, cap))
-            self._send(high[1], ("steal", low[1], amount))
-            reply = self._recv(high[1])
-            moved = reply[1] if isinstance(reply, tuple) else 0
-            if moved == 0:
-                break
-            pairs.add((high[1], low[1]))
-            low[0] += moved
-            high[0] -= moved
+        self._last_steal_pairs = plan_steals(
+            [(s.workload, s.worker_id) for s in statuses],
+            self.config.task_batch_size,
+            self.config.steal_batches,
+            self._last_steal_pairs,
+            move,
+        )
+
+    def _steal_via_master(self, victim: int, thief: int, amount: int) -> int:
+        """Sweep-mode move: one ``steal`` request-reply with the victim."""
+        self._send(victim, ("steal", thief, amount))
+        reply = self._recv(victim)
+        moved = reply[1] if isinstance(reply, tuple) else 0
+        if moved:
             self.metrics.add("steal:batches")
             self.metrics.add("steal:tasks", moved)
-        self._last_steal_pairs = frozenset(pairs)
+        return moved
+
+    def _steal_direct(self, victim: int, thief: int, amount: int) -> int:
+        """Async-mode move: a fire-and-forget ``dsteal``.
+
+        The victim ships the batch straight to the thief over the data
+        transport and pushes a corrective status; the master never
+        waits.  Meanwhile assume the full amount moves, so a stale table
+        does not replan the same transfer every drain.  The node counts
+        ``steal:batches`` / ``steal:tasks`` when the batch actually
+        moves, so the metrics stay honest.
+        """
+        self._send(victim, ("dsteal", thief, amount))
+        status = self._status_table[victim]
+        status.workload = max(0, status.workload - amount)
+        return amount
 
     def _checkpoint(self) -> None:
         """The sync-barrier checkpoint protocol.
@@ -718,7 +913,7 @@ class ControlPlaneMaster:
                 self.abort.raise_if_set()
             statuses = self._sweep()
             sweeps += 1
-            self._plan_steals(statuses)
+            self._plan_steals(statuses, self._steal_via_master)
             every = self.config.checkpoint_every_syncs
             if every > 0 and sweeps % every == 0:
                 self._checkpoint()
@@ -756,50 +951,6 @@ class ControlPlaneMaster:
         return self._finalize()
 
     # -- async (event-driven) protocol ------------------------------------
-
-    def _plan_steals_async(self) -> None:
-        """Publish the steal plan as fire-and-forget ``dsteal`` commands.
-
-        Same proportional math and hysteresis as :meth:`_plan_steals`,
-        but the master never waits for a reply: the victim ships the
-        batch straight to the thief over the data transport and pushes a
-        corrective status.  The local table is updated optimistically so
-        a stale view does not replan the same transfer every drain.
-        """
-        statuses = [s for s in self._status_table if s is not None]
-        if not self.config.steal_enabled or len(statuses) < 2:
-            return
-        key = tuple(sorted((s.worker_id, s.workload) for s in statuses))
-        if key == self._last_steal_key:
-            self.metrics.add("control:steal_plan_skipped")
-            return
-        self._last_steal_key = key
-        estimates = [[s.workload, s.worker_id] for s in statuses]
-        batch = self.config.task_batch_size
-        cap = self.config.steal_batches * batch
-        prev_pairs = getattr(self, "_last_steal_pairs", frozenset())
-        pairs = set()
-        by_id = {s.worker_id: s for s in statuses}
-        for _ in range(self.config.steal_batches):
-            estimates.sort()
-            low, high = estimates[0], estimates[-1]
-            gap = high[0] - low[0]
-            if gap <= 2 * batch:
-                break
-            if (low[1], high[1]) in prev_pairs:
-                break
-            amount = max(batch, min(gap // 4, cap))
-            self._send(high[1], ("dsteal", low[1], amount))
-            pairs.add((high[1], low[1]))
-            # Optimistic accounting: assume the full amount moves.  The
-            # victim's corrective status push overwrites this shortly;
-            # meanwhile it keeps a stale table from replanning the same
-            # pair.  The node counts steal:batches/tasks when the batch
-            # actually moves, so master-side metrics stay honest.
-            low[0] += amount
-            high[0] -= amount
-            by_id[high[1]].workload = max(0, by_id[high[1]].workload - amount)
-        self._last_steal_pairs = frozenset(pairs)
 
     def _termination_hint(self) -> bool:
         """True when the pushed table *suggests* global quiescence.
@@ -876,7 +1027,10 @@ class ControlPlaneMaster:
                 self._pending_wake = False
                 if self._status_dirty:
                     self._status_dirty = False
-                    self._plan_steals_async()
+                    self._plan_steals(
+                        [st for st in self._status_table if st is not None],
+                        self._steal_direct,
+                    )
                     if self._termination_hint():
                         # Confirm with the authoritative synchronous
                         # double snapshot; pushed statuses interleaved
@@ -914,3 +1068,77 @@ class ControlPlaneMaster:
                 if delay > 0:
                     time.sleep(delay)
                 self._recover()
+
+    def run_job(self, checkpoint: Optional[JobCheckpoint], started: float):
+        """Boot, :meth:`run`, and fold the nodes' final reports into the
+        ``JobResult``; the node set is shut down on every way out."""
+        from .job import JobResult  # deferred: job.py imports the backends lazily
+
+        try:
+            self.start(checkpoint)
+            finals = self.run()
+            for proc in self.procs:
+                proc.join(timeout=10.0)
+            merged = MetricsRegistry()
+            merged.merge_from(self.metrics)
+            outputs: List[Any] = []
+            for final in sorted(finals, key=lambda f: f.worker_id):
+                merged.merge_from(MetricsRegistry.from_snapshot(final.metrics))
+                outputs.extend(final.outputs)
+            return JobResult(
+                aggregate=self.global_aggregator.value,
+                outputs=outputs,
+                metrics=merged.snapshot(),
+                elapsed_s=time.perf_counter() - started,
+                num_workers=self.config.num_workers,
+                compers_per_worker=self.config.compers_per_worker,
+            )
+        finally:
+            self.shutdown()
+
+
+# ---------------------------------------------------------------------------
+# Executor side: what every multi-process backend does around the master
+# ---------------------------------------------------------------------------
+
+
+def _default_start_method() -> str:
+    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+
+
+def mp_context(config: GThinkerConfig):
+    """The ``multiprocessing`` context node processes are started from
+    (``process_start_method``, else fork where available)."""
+    return mp.get_context(
+        config.process_start_method or _default_start_method()
+    )
+
+
+def prepare_job(request: JobRequest, runtime: str) -> Graph:
+    """Validate ``request`` for a multi-process backend; returns its graph.
+
+    The app factory must pickle (it crosses a process or machine
+    boundary), a resume checkpoint must match the worker count, and a
+    sharded store is loaded whole — the backend then shares or ships
+    the rows.
+    """
+    try:
+        pickle.dumps(request.app_factory)
+    except Exception as exc:
+        raise GThinkerError(
+            f"runtime={runtime!r} requires a picklable app_factory "
+            f"(a Comper class or functools.partial, not a lambda or "
+            f"closure): {exc!r}"
+        ) from exc
+    ckpt = request.checkpoint
+    if ckpt is not None and ckpt.num_workers != request.config.num_workers:
+        raise CheckpointError(
+            f"checkpoint was taken with {ckpt.num_workers} workers, "
+            f"job has {request.config.num_workers}"
+        )
+    graph = request.graph
+    if isinstance(graph, ShardedGraphStore):
+        graph = graph.load_full_graph()
+    if not isinstance(graph, Graph):
+        raise TypeError(f"unsupported graph source {type(request.graph)!r}")
+    return graph

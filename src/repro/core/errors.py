@@ -26,10 +26,10 @@ class GThinkerError(Exception):
 class WireDecodeError(GThinkerError, ValueError):
     """A wire payload could not be decoded.
 
-    Raised by :mod:`repro.net.wire` (and the TCP framing layer) for
-    truncated frames, frame lengths pointing past the end of the buffer,
-    negative counts, unknown frame kinds, and non-GTWIRE payloads that
-    also fail the pickle fallback.  A ``ValueError`` subclass so callers
+    Raised by :mod:`repro.net.wire`, the task codec and the TCP framing
+    layer for payloads without their magic, truncated frames, frame
+    lengths pointing past the end of the buffer, negative counts and
+    unknown frame kinds.  A ``ValueError`` subclass so callers
     that guarded the old raw errors keep working, but typed so transports
     receiving bytes from a network can distinguish "corrupt payload"
     (drop/rollback) from a framework bug.

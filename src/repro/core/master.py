@@ -14,13 +14,53 @@ task being mid-flight between containers during the first snapshot.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..net.message import TaskBatchTransfer
 from .aggregator import GlobalAggregator
 from .worker import Worker
 
-__all__ = ["Master"]
+__all__ = ["Master", "plan_steals"]
+
+
+def plan_steals(
+    workloads: Iterable[Tuple[int, int]],
+    batch: int,
+    steal_batches: int,
+    prev_pairs: FrozenSet[Tuple[int, int]],
+    move: Callable[[int, int, int], int],
+) -> FrozenSet[Tuple[int, int]]:
+    """Workload-proportional stealing with ping-pong hysteresis.
+
+    The one steal policy of every runtime.  ``workloads`` is
+    ``(estimate, worker_id)`` per worker; up to ``steal_batches`` times
+    the most loaded worker (victim) gives to the least loaded (thief)
+    through ``move(victim, thief, amount) -> moved``.  The amount is
+    about a quarter of the gap (moving ``m`` tasks shrinks the gap by
+    ``2m``, so ``gap // 4`` halves it without overshooting), at least
+    one batch, capped at ``steal_batches`` batches.  Planning stops when
+    the gap is within two batches, when ``move`` reports nothing moved,
+    or when the pair moved work the other way in the previous plan
+    (``prev_pairs``) — so near-balanced workers stop trading the same
+    batch back and forth.  Returns this plan's ``(victim, thief)``
+    pairs, the next call's ``prev_pairs``.
+    """
+    estimates = [[estimate, wid] for estimate, wid in workloads]
+    cap = steal_batches * batch
+    pairs = set()
+    for _ in range(steal_batches):
+        estimates.sort()
+        low, high = estimates[0], estimates[-1]
+        gap = high[0] - low[0]
+        if gap <= 2 * batch or (low[1], high[1]) in prev_pairs:
+            break
+        moved = move(high[1], low[1], max(batch, min(gap // 4, cap)))
+        if moved == 0:
+            break
+        pairs.add((high[1], low[1]))
+        low[0] += moved
+        high[0] -= moved
+    return frozenset(pairs)
 
 
 class Master:
@@ -36,6 +76,7 @@ class Master:
         self._prev_idle = False
         self._prev_progress = -1
         self._sync_count = 0
+        self._last_steal_pairs = frozenset()
         self.checkpoint_hook = None  # set by the job when checkpointing is on
         #: Cooperative-cancellation token (``AbortToken`` or None), set
         #: by the executor before driving.  Checked at the top of every
@@ -85,42 +126,25 @@ class Master:
     # -- work stealing --------------------------------------------------------
 
     def _plan_and_execute_steals(self, now: float) -> None:
-        """Workload-proportional stealing with ping-pong hysteresis.
+        """Run :func:`plan_steals` over the workers' current estimates."""
 
-        The transfer amount is about a quarter of the victim/thief gap
-        (moving ``m`` tasks shrinks the gap by ``2m``, so ``gap // 4``
-        halves it without overshooting), at least one batch, capped at
-        ``steal_batches`` batches.  A pair that moved work one way in
-        the previous sync is not reversed in this one, so near-balanced
-        workers stop trading the same batch back and forth.
-        """
-        estimates = [(w.remaining_workload_estimate(), w.worker_id) for w in self.workers]
-        batch = self.config.task_batch_size
-        cap = self.config.steal_batches * batch
-        prev_pairs = getattr(self, "_last_steal_pairs", frozenset())
-        pairs = set()
-        for _ in range(self.config.steal_batches):
-            estimates.sort()
-            low_est, low_id = estimates[0]
-            high_est, high_id = estimates[-1]
-            gap = high_est - low_est
-            if gap <= 2 * batch:
-                break
-            if (low_id, high_id) in prev_pairs:
-                # Hysteresis: last sync moved work low_id -> high_id;
-                # shipping it straight back would ping-pong.
-                break
-            amount = max(batch, min(gap // 4, cap))
-            victim = self.workers[high_id]
-            moved = self._steal_one_batch(victim, low_id, now, amount)
-            if moved == 0:
-                break
-            pairs.add((high_id, low_id))
-            estimates[0] = (low_est + moved, low_id)
-            estimates[-1] = (high_est - moved, high_id)
-            self.metrics.add("steal:batches")
-            self.metrics.add("steal:tasks", moved)
-        self._last_steal_pairs = frozenset(pairs)
+        def move(victim_id: int, thief_id: int, amount: int) -> int:
+            moved = self._steal_one_batch(
+                self.workers[victim_id], thief_id, now, amount
+            )
+            if moved:
+                self.metrics.add("steal:batches")
+                self.metrics.add("steal:tasks", moved)
+            return moved
+
+        self._last_steal_pairs = plan_steals(
+            [(w.remaining_workload_estimate(), w.worker_id)
+             for w in self.workers],
+            self.config.task_batch_size,
+            self.config.steal_batches,
+            self._last_steal_pairs,
+            move,
+        )
 
     def _steal_one_batch(
         self, victim: Worker, thief_id: int, now: float,

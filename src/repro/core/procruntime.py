@@ -63,7 +63,11 @@ to the dead worker and the survivors' unanswered pulls are unrecoverable
 (``worker_restart_backoff_s`` doubling per consecutive restart); a
 worker that *reported* an exception (an app/framework bug that would
 recur) raises :class:`~repro.core.errors.WorkerProcessError` with
-``recoverable=False`` and the original traceback chained, immediately.
+``recoverable=False`` and the original traceback chained, immediately
+— unless what it reported is wire damage
+(:class:`~repro.core.errors.WireDecodeError`), which a rollback clears
+and the report therefore marks recoverable, exactly as on the cluster
+runtime.
 
 *Failure injection* is driven by
 :class:`~repro.core.config.FailurePlanConfig`: the selected worker
@@ -76,49 +80,30 @@ unless ``rearm=True``.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import multiprocessing.connection as mp_connection
-import pickle
 import shutil
 import tempfile
 import time
-import traceback
 from pathlib import Path
-from typing import Any, List, Optional
+from typing import List, Optional
 
 from ..graph.csr import SharedCSR
-from ..graph.graph import Graph
-from ..graph.io import ShardedGraphStore
 from ..net.transport import ProcessTransport
-from .aggregator import GlobalAggregator
-from .checkpoint import JobCheckpoint, restore_worker
+from .checkpoint import JobCheckpoint
 from .config import GThinkerConfig
 from .controlplane import (
     ControlPlaneMaster,
-    FailureInjector,
-    NodeFinal,
-    NodeSession,
-    NodeStatus,
+    mp_context,
+    prepare_job,
+    run_node,
 )
-from .errors import CheckpointError, GThinkerError, WorkerProcessError
-from .metrics import MetricsRegistry
+from .errors import WorkerProcessError
 from .runtime import JobRequest
-from .worker import Worker
 
 __all__ = ["ProcessExecutor"]
 
-# Backwards-compatible aliases: the protocol types moved to
-# controlplane.py when runtime="cluster" started sharing them.
-_Status = NodeStatus
-_Final = NodeFinal
-_FailureInjector = FailureInjector
-
 #: How long `_send` drains a broken pipe looking for the error report.
 _ERROR_DRAIN_S = 1.0
-
-
-def _default_start_method() -> str:
-    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
 # ---------------------------------------------------------------------------
@@ -140,92 +125,35 @@ def _worker_main(
 ):
     """Entry point of one worker process.
 
-    Steps its worker's components (comm service, comper engines, GC)
-    round-robin — the per-machine layout of the serial runtime, but with
-    every machine on its own core — and answers control commands from
-    the parent between rounds, both via the shared
-    :class:`~repro.core.controlplane.NodeSession` machine.  The spill
+    :func:`~repro.core.controlplane.run_node` over this backend's two
+    real differences: the data plane is a
+    :class:`~repro.net.transport.ProcessTransport` on the inherited
+    queues, and the graph is mapped from shared memory.  The spill
     directory lives under a parent-owned root, so a ``terminate()``
     during recovery cannot leak it.
     """
-    csr = None
-    worker = None
-    try:
-        csr = SharedCSR.attach(csr_meta)
-        metrics = MetricsRegistry()
-        # Honor kernel_backend in the child even under 'spawn' (where the
-        # parent's import-time selection is not inherited).
-        from .job import activate_kernel_backend
+    attached: List[SharedCSR] = []
 
-        activate_kernel_backend(config, metrics)
-        transport = ProcessTransport(
+    def make_transport(metrics):
+        return ProcessTransport(
             worker_id,
             data_queues,
             metrics=metrics,
             max_batch_messages=config.ipc_batch_max_messages,
-            wire_format=config.ipc_wire_format,
         )
-        worker = Worker(
-            worker_id=worker_id,
-            num_workers=config.num_workers,
-            config=config,
-            app_factory=app_factory,
-            transport=transport,
-            metrics=metrics,
-            spill_dir=Path(spill_root),
+
+    def load_graph(worker):
+        attached.append(SharedCSR.attach(csr_meta))
+        worker.load_shared(attached[0])
+
+    try:
+        run_node(
+            worker_id, config, app_factory, conn, make_transport, load_graph,
+            spill_root, snapshot, global_value, incarnation,
         )
-        worker.load_shared(csr)
-        if snapshot is not None:
-            restore_worker(worker, snapshot)
-            # Counters resume from the barrier's balanced values; the
-            # fresh queues are empty, so sent==received still means
-            # "wire empty" to the termination detector.
-            transport.sent_count = snapshot.sent
-            transport.received_count = snapshot.received
-        if global_value is not None:
-            worker.aggregator.publish_global(global_value)
-        injector = FailureInjector(config.failure_plan, worker_id, incarnation)
-        session = NodeSession(worker, transport, injector, metrics, config)
-
-        # Adaptive idle wait: back off exponentially while nothing
-        # happens, waking promptly on either a control command or an
-        # incoming data-queue message (selected together via
-        # multiprocessing.connection.wait).  Unsolicited notifications —
-        # the drained-edge ("wake", wid) in sweep mode, pushed status
-        # deltas in async mode — come from session.pending_pushes().
-        backoff = config.idle_sleep_s
-
-        while True:
-            worked = session.step()
-
-            while conn.poll(0):
-                reply = session.handle(conn.recv())
-                conn.send(reply)
-                if session.done:
-                    return
-
-            for push in session.pending_pushes():
-                conn.send(push)
-
-            if worked:
-                backoff = config.idle_sleep_s
-            else:
-                # Block until a command or data arrives, up to backoff.
-                transport.wait_for_activity(backoff, extra=(conn,))
-                backoff = min(backoff * 2, config.idle_backoff_max_s)
-    except BaseException as exc:
-        try:
-            conn.send(("error", worker_id, type(exc).__name__,
-                       "".join(traceback.format_exception(type(exc), exc,
-                                                          exc.__traceback__))))
-        except Exception:
-            pass
     finally:
-        if worker is not None:
-            worker.cleanup()
-        if csr is not None:
+        for csr in attached:
             csr.close()
-        conn.close()
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +164,13 @@ def _worker_main(
 class _ProcessMaster(ControlPlaneMaster):
     """Pipe/queue plumbing for :class:`ControlPlaneMaster`.
 
-    Owns the worker set (queues, pipes, processes) so it can tear the
-    whole set down and respawn it from the last barrier snapshot when a
-    worker is lost.
+    Owns the worker set (queues, pipes, processes) so the shared
+    rollback can tear the whole set down and respawn it from the last
+    barrier snapshot when a worker is lost.
     """
 
     def __init__(
         self,
-        ctx,
         config: GThinkerConfig,
         app_factory,
         csr_meta,
@@ -259,10 +186,9 @@ class _ProcessMaster(ControlPlaneMaster):
             checkpoint_path=checkpoint_path,
             abort_after_rounds=abort_after_rounds,
         )
-        self.ctx = ctx
+        self.ctx = mp_context(config)
         self.csr_meta = csr_meta
         self.spill_root = spill_root
-        self.procs: List = []
         self.conns: List = []
         self.data_queues: List = []
 
@@ -272,31 +198,16 @@ class _ProcessMaster(ControlPlaneMaster):
     def num_nodes(self) -> int:
         return len(self.conns)
 
-    def start(self, checkpoint: Optional[JobCheckpoint] = None) -> None:
-        """Spawn the initial worker set, optionally seeded from a shard."""
-        self._last_checkpoint = checkpoint
-        if checkpoint is not None:
-            self._epoch = checkpoint.epoch
-        self._spawn_workers()
-
-    def _spawn_workers(self) -> None:
+    def _boot(self, checkpoint: Optional[JobCheckpoint], global_value) -> None:
         config = self.config
-        ckpt = self._last_checkpoint
-        # The aggregator rolls back with the workers: partials folded
-        # after the barrier belong to work that will be redone.
-        self.global_aggregator = GlobalAggregator(
-            self.app_factory().make_aggregator()
-        )
-        if ckpt is not None:
-            self.global_aggregator.set_value(ckpt.aggregator_global)
-        global_value = self.global_aggregator.value if ckpt is not None else None
         # Fresh queues every incarnation: batches sent before the loss
         # belong to the rolled-back epoch and must not be delivered.
         self.data_queues = [self.ctx.Queue() for _ in range(config.num_workers)]
         self.procs, self.conns = [], []
         for wid in range(config.num_workers):
             parent_conn, child_conn = self.ctx.Pipe()
-            snap = ckpt.worker_snapshots[wid] if ckpt is not None else None
+            snap = (checkpoint.worker_snapshots[wid]
+                    if checkpoint is not None else None)
             proc = self.ctx.Process(
                 target=_worker_main,
                 args=(wid, config, self.app_factory, self.csr_meta,
@@ -310,7 +221,7 @@ class _ProcessMaster(ControlPlaneMaster):
             self.procs.append(proc)
             self.conns.append(parent_conn)
 
-    def _terminate_workers(self) -> None:
+    def _terminate(self) -> None:
         for conn in self.conns:
             try:
                 conn.close()
@@ -328,17 +239,15 @@ class _ProcessMaster(ControlPlaneMaster):
                 pass
         self.procs, self.conns, self.data_queues = [], [], []
 
-    def _recover(self) -> None:
-        """Global rollback: respawn everything from the last barrier."""
-        self._terminate_workers()
-        self._incarnation += 1
-        self.metrics.add("ft:recoveries")
-        self._spawn_workers()
-
-    def shutdown(self) -> None:
-        self._terminate_workers()
-
     # -- plumbing ---------------------------------------------------------
+
+    def _died(self, worker_id: int) -> WorkerProcessError:
+        return WorkerProcessError(
+            worker_id,
+            f"died with exit code {self.procs[worker_id].exitcode} "
+            f"without reporting an error",
+            recoverable=True,
+        )
 
     def _recv(self, worker_id: int, timeout: Optional[float] = None):
         if timeout is None:
@@ -354,12 +263,7 @@ class _ProcessMaster(ControlPlaneMaster):
                 # Exit may have raced a final message into the pipe.
                 if conn.poll(0.25):
                     break
-                raise WorkerProcessError(
-                    worker_id,
-                    f"died with exit code {self.procs[worker_id].exitcode} "
-                    f"without reporting an error",
-                    recoverable=True,
-                )
+                raise self._died(worker_id)
             if time.monotonic() > deadline:
                 raise WorkerProcessError(
                     worker_id,
@@ -373,13 +277,7 @@ class _ProcessMaster(ControlPlaneMaster):
                 worker_id, "control pipe closed while receiving",
                 recoverable=True,
             ) from exc
-        if isinstance(msg, tuple) and msg and msg[0] == "error":
-            _tag, wid, exc_type, tb = msg
-            # The worker's own code raised: rolling back and redoing the
-            # same work would fail identically, so this is final.
-            raise WorkerProcessError(
-                wid, f"{exc_type} raised:\n{tb}", recoverable=False
-            )
+        self._raise_from_report(msg)
         if self._note_oob(worker_id, msg):
             # Unsolicited notification (wake or pushed status) racing a
             # request-reply exchange; the reply we are waiting for is
@@ -392,7 +290,7 @@ class _ProcessMaster(ControlPlaneMaster):
             self.conns[worker_id].send(cmd)
         except (BrokenPipeError, OSError) as exc:
             # The worker died.  Drain its pipe looking for the error
-            # report — a late _Status or other stale reply must not
+            # report — a late NodeStatus or other stale reply must not
             # shadow the real traceback — and chain the pipe error.
             conn = self.conns[worker_id]
             deadline = time.monotonic() + _ERROR_DRAIN_S
@@ -403,11 +301,10 @@ class _ProcessMaster(ControlPlaneMaster):
                     msg = conn.recv()
                 except (EOFError, OSError):
                     break
-                if isinstance(msg, tuple) and msg and msg[0] == "error":
-                    _tag, wid, exc_type, tb = msg
-                    raise WorkerProcessError(
-                        wid, f"{exc_type} raised:\n{tb}", recoverable=False
-                    ) from exc
+                try:
+                    self._raise_from_report(msg)
+                except WorkerProcessError as report:
+                    raise report from exc
                 # else: a stale pre-death reply; keep draining.
             raise WorkerProcessError(
                 worker_id, "control pipe closed unexpectedly",
@@ -420,10 +317,9 @@ class _ProcessMaster(ControlPlaneMaster):
         Blocks up to ``timeout`` for the *first* message, then consumes
         everything already buffered.  Out-of-band messages (wakes,
         pushed statuses) route through ``_note_oob``; anything else is
-        an error report (raised final) or a pipe closure/dead process
-        (raised as a recoverable loss).  Real protocol replies cannot
-        appear: the control plane is strictly request-reply outside
-        this window.
+        an error report or a pipe closure/dead process (raised as a
+        recoverable loss).  Real protocol replies cannot appear: the
+        control plane is strictly request-reply outside this window.
         """
         try:
             ready = mp_connection.wait(self.conns, timeout=timeout)
@@ -433,12 +329,7 @@ class _ProcessMaster(ControlPlaneMaster):
         for conn in ready:
             wid = self.conns.index(conn)
             if not self.procs[wid].is_alive() and not conn.poll(0):
-                raise WorkerProcessError(
-                    wid,
-                    f"died with exit code {self.procs[wid].exitcode} "
-                    f"without reporting an error",
-                    recoverable=True,
-                )
+                raise self._died(wid)
             while conn.poll(0):
                 try:
                     msg = conn.recv()
@@ -447,11 +338,7 @@ class _ProcessMaster(ControlPlaneMaster):
                         wid, "control pipe closed while idle",
                         recoverable=True,
                     ) from exc
-                if isinstance(msg, tuple) and msg and msg[0] == "error":
-                    _tag, ewid, exc_type, tb = msg
-                    raise WorkerProcessError(
-                        ewid, f"{exc_type} raised:\n{tb}", recoverable=False
-                    )
+                self._raise_from_report(msg)
                 if not self._note_oob(wid, msg):
                     raise WorkerProcessError(
                         wid,
@@ -472,35 +359,8 @@ class ProcessExecutor:
         self.join_timeout_s = join_timeout_s
 
     def execute(self, request: JobRequest):
-        from .job import JobResult  # deferred: job.py imports us lazily
-
         config = request.config
-        app_factory = request.app_factory
-        try:
-            pickle.dumps(app_factory)
-        except Exception as exc:
-            raise GThinkerError(
-                f"runtime='process' requires a picklable app_factory "
-                f"(a Comper class or functools.partial, not a lambda or "
-                f"closure): {exc!r}"
-            ) from exc
-
-        ckpt = request.checkpoint
-        if ckpt is not None and ckpt.num_workers != config.num_workers:
-            raise CheckpointError(
-                f"checkpoint was taken with {ckpt.num_workers} workers, "
-                f"job has {config.num_workers}"
-            )
-
-        graph = request.graph
-        if isinstance(graph, ShardedGraphStore):
-            graph = graph.load_full_graph()
-        if not isinstance(graph, Graph):
-            raise TypeError(f"unsupported graph source {type(request.graph)!r}")
-
-        ctx = mp.get_context(
-            config.process_start_method or _default_start_method()
-        )
+        graph = prepare_job(request, "process")
         started = time.perf_counter()
         csr = SharedCSR.from_graph(graph)
         # The parent owns the spill root: worker processes can be
@@ -510,9 +370,8 @@ class ProcessExecutor:
             tempfile.mkdtemp(prefix="gthinker-spill-proc-")
         )
         master = _ProcessMaster(
-            ctx=ctx,
             config=config,
-            app_factory=app_factory,
+            app_factory=request.app_factory,
             csr_meta=csr.meta,
             spill_root=spill_root,
             join_timeout_s=self.join_timeout_s,
@@ -520,31 +379,12 @@ class ProcessExecutor:
             abort_after_rounds=request.abort_after_rounds,
         )
         # Cooperative cancel: the sweep loop raises JobCancelledError,
-        # which unwinds through the ``finally`` below — shutdown()
-        # terminates every worker process, so quota is really free.
+        # which unwinds through run_job's shutdown() — every worker
+        # process is terminated, so quota is really free.
         master.abort = request.abort
         try:
-            master.start(checkpoint=ckpt)
-            finals = master.run()
-
-            merged = MetricsRegistry()
-            merged.merge_from(master.metrics)
-            outputs: List[Any] = []
-            for final in sorted(finals, key=lambda f: f.worker_id):
-                merged.merge_from(MetricsRegistry.from_snapshot(final.metrics))
-                outputs.extend(final.outputs)
-            for proc in master.procs:
-                proc.join(timeout=10.0)
-            return JobResult(
-                aggregate=master.global_aggregator.value,
-                outputs=outputs,
-                metrics=merged.snapshot(),
-                elapsed_s=time.perf_counter() - started,
-                num_workers=config.num_workers,
-                compers_per_worker=config.compers_per_worker,
-            )
+            return master.run_job(request.checkpoint, started)
         finally:
-            master.shutdown()
             if owns_spill:
                 shutil.rmtree(spill_root, ignore_errors=True)
             csr.close()

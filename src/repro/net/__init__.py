@@ -6,7 +6,6 @@ from .message import (
     RequestBatch,
     ResponseBatch,
     TaskBatchTransfer,
-    estimate_adj_bytes,
 )
 from .transport import Transport
 
@@ -15,7 +14,6 @@ __all__ = [
     "RequestBatch",
     "ResponseBatch",
     "TaskBatchTransfer",
-    "estimate_adj_bytes",
     "Transport",
     "wire",
 ]

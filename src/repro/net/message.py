@@ -11,7 +11,7 @@ testbed would see it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -20,14 +20,10 @@ __all__ = [
     "RequestBatch",
     "ResponseBatch",
     "TaskBatchTransfer",
-    "estimate_adj_bytes",
 ]
 
 _HEADER_BYTES = 24
-
-
-def estimate_adj_bytes(adj: Sequence[int]) -> int:
-    return 8 * len(adj)
+_EMPTY_ROW = np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -52,52 +48,35 @@ class RequestBatch(Message):
 
 
 class ResponseBatch(Message):
-    """A batch of ``(v, label, Γ(v))`` replies.
+    """A batch of ``(v, label, Γ(v))`` replies, structure-of-arrays.
 
-    Two storage forms, one interface:
-
-    * **structure-of-arrays** (the fast path): ``ids``, ``labels``,
-      ``offsets`` int64 arrays plus ``adj_concat``, the concatenation of
-      all adjacency rows (row ``i`` is ``adj_concat[offsets[i]:offsets[i+1]]``).
-      Built by the vectorized server and by the GTWIRE1 decoder without
-      any per-vertex Python loop.
-    * **legacy row list** via the ``vertices`` keyword — a list of
-      ``(v, label, adj)`` tuples, still accepted everywhere.
-
-    ``iter_rows()`` and the lazily-materialized ``vertices`` property
-    read either form; SoA batches only pay for tuple construction if a
-    caller actually asks for ``vertices``.
+    ``ids``, ``labels`` and ``offsets`` are int64 arrays and
+    ``adj_concat`` is the concatenation of all adjacency rows (row ``i``
+    is ``adj_concat[offsets[i]:offsets[i+1]]``).  This is also the
+    GTWIRE1 frame layout, so the server builds it, the encoder dumps it
+    and the decoder rebuilds it without a per-vertex Python loop;
+    :meth:`iter_rows` yields the rows as zero-copy slices.
     """
 
     def __init__(
         self,
         src: int,
         dst: int,
-        vertices: Optional[List[Tuple[int, int, Sequence[int]]]] = None,
-        *,
-        ids: Optional[np.ndarray] = None,
-        labels: Optional[np.ndarray] = None,
-        adj_concat: Optional[np.ndarray] = None,
-        offsets: Optional[np.ndarray] = None,
+        ids: np.ndarray,
+        labels: np.ndarray,
+        adj_concat: np.ndarray,
+        offsets: np.ndarray,
     ) -> None:
         super().__init__(src, dst)
-        if ids is not None:
-            if vertices is not None:
-                raise ValueError("pass either vertices or the SoA arrays, not both")
-            if labels is None or adj_concat is None or offsets is None:
-                raise ValueError(
-                    "SoA form needs ids, labels, adj_concat and offsets"
-                )
-            if len(offsets) != len(ids) + 1:
-                raise ValueError(
-                    f"offsets must have len(ids)+1 entries, got "
-                    f"{len(offsets)} for {len(ids)} ids"
-                )
+        if len(offsets) != len(ids) + 1:
+            raise ValueError(
+                f"offsets must have len(ids)+1 entries, got "
+                f"{len(offsets)} for {len(ids)} ids"
+            )
         self.ids = ids
         self.labels = labels
         self.adj_concat = adj_concat
         self.offsets = offsets
-        self._vertices = list(vertices) if vertices is not None else None
 
     @classmethod
     def from_soa(
@@ -109,25 +88,35 @@ class ResponseBatch(Message):
         adj_concat: np.ndarray,
         offsets: np.ndarray,
     ) -> "ResponseBatch":
-        return cls(src, dst, ids=ids, labels=labels,
-                   adj_concat=adj_concat, offsets=offsets)
+        return cls(src, dst, ids, labels, adj_concat, offsets)
 
-    @property
-    def is_soa(self) -> bool:
-        return self.ids is not None
+    @classmethod
+    def from_rows(
+        cls, src: int, dst: int, rows: Sequence[Tuple[int, int, Sequence[int]]]
+    ) -> "ResponseBatch":
+        """Pack ``(v, label, adj)`` rows: one transpose, one concatenate."""
+        n = len(rows)
+        ids, labels, adjs = zip(*rows) if n else ((), (), ())
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, adjs), dtype=np.int64, count=n),
+                  out=offsets[1:])
+        if int(offsets[-1]):
+            # ``unsafe`` only so that an empty tuple row (which numpy
+            # types float64) may sit beside int64 rows.
+            adj_concat = np.concatenate(adjs, dtype=np.int64, casting="unsafe")
+        else:
+            adj_concat = _EMPTY_ROW
+        return cls(
+            src, dst,
+            np.array(ids, dtype=np.int64), np.array(labels, dtype=np.int64),
+            adj_concat, offsets,
+        )
 
     def __len__(self) -> int:
-        if self.ids is not None:
-            return len(self.ids)
-        return len(self._vertices or ())
+        return len(self.ids)
 
-    def iter_rows(self) -> Iterator[Tuple[int, int, Sequence[int]]]:
-        """Yield ``(v, label, adj)`` rows; SoA rows are zero-copy slices."""
-        if self._vertices is not None:
-            yield from self._vertices
-            return
-        if self.ids is None:
-            return
+    def iter_rows(self) -> Iterator[Tuple[int, int, np.ndarray]]:
+        """Yield ``(v, label, adj)`` rows; ``adj`` is a zero-copy slice."""
         ids, labels = self.ids, self.labels
         adj_concat, offsets = self.adj_concat, self.offsets
         for i in range(len(ids)):
@@ -137,24 +126,11 @@ class ResponseBatch(Message):
                 adj_concat[int(offsets[i]):int(offsets[i + 1])],
             )
 
-    @property
-    def vertices(self) -> List[Tuple[int, int, Sequence[int]]]:
-        if self._vertices is None:
-            self._vertices = list(self.iter_rows())
-        return self._vertices
-
     def size_bytes(self) -> int:
-        if self.ids is not None:
-            return _HEADER_BYTES + 16 * len(self.ids) + 8 * len(self.adj_concat)
-        return _HEADER_BYTES + sum(
-            16 + estimate_adj_bytes(adj) for (_v, _label, adj) in self.vertices
-        )
+        return _HEADER_BYTES + 16 * len(self.ids) + 8 * len(self.adj_concat)
 
     def __repr__(self) -> str:  # dataclass-style, for test failure output
-        return (
-            f"ResponseBatch(src={self.src}, dst={self.dst}, "
-            f"n={len(self)}, soa={self.is_soa})"
-        )
+        return f"ResponseBatch(src={self.src}, dst={self.dst}, n={len(self)})"
 
 
 @dataclass

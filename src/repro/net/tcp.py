@@ -16,13 +16,12 @@ little-endian unsigned payload length followed by the payload bytes):
   double-snapshot termination arithmetic reads).  Outgoing messages
   buffer per destination and drain as **one frame per batch** whose
   payload is byte-for-byte the :func:`repro.net.wire.encode_batch`
-  GTWIRE1 encoding (or one pickle per batch with
-  ``wire_format="pickle"``) over a persistent socket per peer.  Receive
-  buffers are bounded by :data:`MAX_FRAME_BYTES` — a garbage length
-  prefix cannot make a node allocate without limit — and every malformed
-  payload raises ``WireDecodeError`` instead of a raw ``struct``/pickle
-  error (HUGE's bounded-receive-buffer discipline, applied to our
-  frames).
+  GTWIRE1 encoding over a persistent socket per peer — the data plane
+  never unpickles bytes from a peer.  Receive buffers are bounded by
+  :data:`MAX_FRAME_BYTES` — a garbage length prefix cannot make a node
+  allocate without limit — and every malformed payload raises
+  ``WireDecodeError`` instead of a raw ``struct``/numpy error (HUGE's
+  bounded-receive-buffer discipline, applied to our frames).
 
 Self-addressed messages never touch a socket: they are encoded and
 decoded through the same codec (so the bytes metric stays honest) via an
@@ -177,7 +176,7 @@ class ControlChannel:
 
     # -- sending ----------------------------------------------------------
 
-    def send_obj(self, obj) -> None:
+    def send(self, obj) -> None:
         payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         data = memoryview(_frame_header(len(payload)) + payload)
         deadline = time.monotonic() + self._send_timeout_s
@@ -251,7 +250,7 @@ class ControlChannel:
             if time.monotonic() >= deadline:
                 return bool(self._frames)
 
-    def recv_obj(self, timeout: Optional[float] = None):
+    def recv(self, timeout: Optional[float] = None):
         """Receive one object; raises ``TimeoutError`` when none arrives."""
         if timeout is not None and not self.poll(timeout):
             raise TimeoutError(f"no control frame within {timeout}s")
@@ -316,18 +315,14 @@ class TcpTransport:
         bind_port: int = 0,
         metrics: Optional[MetricsRegistry] = None,
         max_batch_messages: int = 64,
-        wire_format: str = "binary",
         connect_timeout_s: float = 10.0,
     ) -> None:
         if not 0 <= node_id < num_nodes:
             raise ValueError(f"node_id {node_id} out of range for {num_nodes}")
-        if wire_format not in ("binary", "pickle"):
-            raise ValueError(f"unknown wire_format {wire_format!r}")
         self._node_id = node_id
         self._num_nodes = num_nodes
         self._metrics = metrics or MetricsRegistry()
         self._max_batch = max(1, max_batch_messages)
-        self._wire_format = wire_format
         self._connect_timeout_s = connect_timeout_s
         self._bind_host = bind_host
         self._listener = listen_socket(bind_host, bind_port)
@@ -412,10 +407,7 @@ class TcpTransport:
         if not buf:
             return
         self._buffers[dst] = []
-        if self._wire_format == "binary":
-            payload = wire.encode_batch(buf)
-        else:
-            payload = pickle.dumps(buf, protocol=pickle.HIGHEST_PROTOCOL)
+        payload = wire.encode_batch(buf)
         self._metrics.add("tcp:frames")
         self._metrics.add("tcp:batched_messages", len(buf))
         self._metrics.add("tcp:payload_bytes", len(payload))

@@ -16,16 +16,14 @@ Two implementations of one polling contract (``send`` / ``poll`` /
   destination through ``multiprocessing`` queues — the paper's batched
   sending, applied to IPC: many small vertex pulls cost one queue
   round-trip, not many.  Batches are encoded by this transport itself
-  (``wire_format="binary"`` → :mod:`repro.net.wire` frames with raw
-  ``int64`` adjacency payloads; ``"pickle"`` → one pickle per batch) so
-  the exact bytes crossing the process boundary are measured under the
-  ``ipc:payload_bytes`` metric.
+  (:mod:`repro.net.wire` GTWIRE1 frames with raw ``int64`` adjacency
+  payloads) so the exact bytes crossing the process boundary are
+  measured under the ``ipc:payload_bytes`` metric.
 """
 
 from __future__ import annotations
 
 import multiprocessing.connection as mp_connection
-import pickle
 import queue as queue_mod
 import threading
 from collections import deque
@@ -160,7 +158,7 @@ class ProcessTransport:
 
     Every worker process holds the full list of data queues (one inbox
     per worker) plus its own id.  ``send`` buffers per destination;
-    buffers drain as a single ``queue.put`` (one pickle per batch) when
+    buffers drain as a single ``queue.put`` (one GTWIRE1 payload) when
     they reach ``max_batch_messages``, on :meth:`flush_outgoing`, or on
     the next :meth:`poll`.  Termination detection cannot observe a
     cross-process in-flight count directly, so the transport keeps
@@ -176,17 +174,13 @@ class ProcessTransport:
         queues: Sequence,
         metrics: Optional[MetricsRegistry] = None,
         max_batch_messages: int = 64,
-        wire_format: str = "binary",
     ) -> None:
         if not 0 <= worker_id < len(queues):
             raise ValueError(f"worker_id {worker_id} out of range")
-        if wire_format not in ("binary", "pickle"):
-            raise ValueError(f"unknown wire_format {wire_format!r}")
         self._worker_id = worker_id
         self._queues = list(queues)
         self._metrics = metrics or MetricsRegistry()
         self._max_batch = max(1, max_batch_messages)
-        self._wire_format = wire_format
         self._buffers: List[List[Message]] = [[] for _ in queues]
         #: Messages decoded from an inbox batch but beyond a caller's
         #: ``limit`` — returned first by the next :meth:`poll`.  They do
@@ -218,10 +212,7 @@ class ProcessTransport:
         buf = self._buffers[dst]
         if buf:
             self._buffers[dst] = []
-            if self._wire_format == "binary":
-                payload = wire.encode_batch(buf)
-            else:
-                payload = pickle.dumps(buf, protocol=pickle.HIGHEST_PROTOCOL)
+            payload = wire.encode_batch(buf)
             self._queues[dst].put(payload)
             self._metrics.add("ipc:batches")
             self._metrics.add("ipc:batched_messages", len(buf))
@@ -277,11 +268,7 @@ class ProcessTransport:
                 batch = inbox.get_nowait()
             except queue_mod.Empty:
                 break
-            if isinstance(batch, (bytes, bytearray)):
-                # Magic-sniffing decode: binary frames or a pickled batch.
-                decoded = wire.decode_batch(bytes(batch))
-            else:
-                decoded = list(batch)  # legacy raw-list payload
+            decoded = wire.decode_batch(batch)
             if limit:
                 # A decoded batch may overshoot ``limit`` (batches are
                 # sender-sized); park the excess for the next poll so
@@ -294,3 +281,6 @@ class ProcessTransport:
                 out.extend(decoded)
         self.received_count += len(out)
         return out
+
+    def close(self) -> None:
+        """Nothing to release: the queues belong to the parent process."""

@@ -130,8 +130,8 @@ class ServiceClient:
         wait = self._request_timeout_s if timeout is None else timeout + 5.0
         with self._lock:
             try:
-                self._chan.send_obj((op, payload))
-                status, body = self._chan.recv_obj(timeout=wait)
+                self._chan.send((op, payload))
+                status, body = self._chan.recv(timeout=wait)
             except ChannelClosed as exc:
                 raise ServiceError(
                     f"job service at {self.address[0]}:{self.address[1]} "

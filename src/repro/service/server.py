@@ -744,7 +744,7 @@ class GraphService:
         try:
             while not self._shutdown.is_set():
                 try:
-                    request = chan.recv_obj(timeout=0.25)
+                    request = chan.recv(timeout=0.25)
                 except TimeoutError:
                     continue
                 except (ChannelClosed, WireDecodeError, OSError):
@@ -760,14 +760,14 @@ class GraphService:
                         "message": f"{type(exc).__name__}: {exc}",
                     })
                 try:
-                    chan.send_obj(reply)
+                    chan.send(reply)
                 except (ChannelClosed, OSError):
                     return
                 except Exception as exc:
                     # e.g. an unpicklable payload; the frame was never
-                    # started (send_obj serializes before writing), so
+                    # started (send serializes before writing), so
                     # the channel is still coherent.
-                    chan.send_obj(("error", {
+                    chan.send(("error", {
                         "kind": "internal",
                         "message": f"reply serialization failed: "
                                    f"{type(exc).__name__}: {exc}",

@@ -71,26 +71,26 @@ def _channel_pair():
 class TestControlChannel:
     def test_object_roundtrip(self):
         a, b = _channel_pair()
-        a.send_obj(("sync", {"value": 3}))
-        a.send_obj(("steal", 1, 8))
-        assert b.recv_obj(timeout=5.0) == ("sync", {"value": 3})
-        assert b.recv_obj(timeout=5.0) == ("steal", 1, 8)
+        a.send(("sync", {"value": 3}))
+        a.send(("steal", 1, 8))
+        assert b.recv(timeout=5.0) == ("sync", {"value": 3})
+        assert b.recv(timeout=5.0) == ("steal", 1, 8)
 
     def test_clean_close_raises_channel_closed(self):
         a, b = _channel_pair()
         a.close()
         with pytest.raises(ChannelClosed):
-            b.recv_obj(timeout=5.0)
+            b.recv(timeout=5.0)
 
     def test_buffered_frames_survive_peer_close(self):
         # A node sends its final report and exits immediately; the FIN
         # racing the read must not eat the report.
         a, b = _channel_pair()
-        a.send_obj(("final", [1, 2, 3]))
+        a.send(("final", [1, 2, 3]))
         a.close()
-        assert b.recv_obj(timeout=5.0) == ("final", [1, 2, 3])
+        assert b.recv(timeout=5.0) == ("final", [1, 2, 3])
         with pytest.raises(ChannelClosed):
-            b.recv_obj(timeout=5.0)
+            b.recv(timeout=5.0)
 
     def test_close_mid_frame_is_decode_error(self):
         a, b = _channel_pair()
@@ -99,20 +99,20 @@ class TestControlChannel:
         a._sock.sendall(len(payload).to_bytes(8, "little") + payload[:3])
         a.close()
         with pytest.raises(WireDecodeError):
-            b.recv_obj(timeout=5.0)
+            b.recv(timeout=5.0)
 
     def test_insane_length_prefix_is_decode_error(self):
         a, b = _channel_pair()
         a._sock.sendall((MAX_FRAME_BYTES + 1).to_bytes(8, "little"))
         with pytest.raises(WireDecodeError):
-            b.recv_obj(timeout=5.0)
+            b.recv(timeout=5.0)
 
     def test_garbage_payload_is_decode_error(self):
         a, b = _channel_pair()
         junk = b"\x00not a pickle at all"
         a._sock.sendall(len(junk).to_bytes(8, "little") + junk)
         with pytest.raises(WireDecodeError):
-            b.recv_obj(timeout=5.0)
+            b.recv(timeout=5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +143,8 @@ class TestTcpTransport:
         t0, t1 = _transport_pair()
         try:
             t0.send(RequestBatch(src=0, dst=1, vertex_ids=[3, 5, 7]))
-            t0.send(ResponseBatch(
-                src=0, dst=1, vertices=[(3, 1, [4, 5]), (5, 0, [])]
+            t0.send(ResponseBatch.from_rows(
+                0, 1, [(3, 1, [4, 5]), (5, 0, [])]
             ))
             t0.flush_outgoing()
             got = _poll_until(t1, 2)

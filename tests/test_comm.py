@@ -37,8 +37,8 @@ def test_queue_and_flush_batches():
     (cluster, g) = make_cluster()
     w0 = cluster.workers[0]
     v = remote_vertex_of(w0, g)
-    w0.comm.queue_request(v)
-    w0.comm.queue_request(v)  # second pull of the same vertex is deduped
+    w0.comm.queue_requests([v])
+    w0.comm.queue_requests([v])  # second pull of the same vertex is deduped
     assert w0.comm.pending_outgoing() == 1
     assert cluster.metrics.get("comm:requests_deduped") == 1
     assert cluster.metrics.get("comm:requests_queued") == 1
@@ -60,7 +60,7 @@ def test_queue_requests_bulk_dedups_across_destinations():
     # The dedup window resets at flush: a re-request after the batch is
     # on the wire queues again (the R-table suppresses real duplicates).
     w0.comm.step()
-    w0.comm.queue_request(remote[0])
+    w0.comm.queue_requests(remote[:1])
     assert w0.comm.pending_outgoing() == 1
 
 
@@ -72,7 +72,7 @@ def test_request_served_from_local_table():
     w1.comm.step()  # serves the request
     responses = cluster.transport.poll(0)
     assert len(responses) == 1
-    (vid, label, adj) = responses[0].vertices[0]
+    ((vid, label, adj),) = responses[0].iter_rows()
     assert vid == v
     assert tuple(adj) == g.neighbors(v)
 
@@ -86,8 +86,8 @@ def test_response_chunking():
     w1.comm.step()
     responses = cluster.transport.poll(0)
     assert len(responses) >= 2
-    assert sum(len(r.vertices) for r in responses) == len(owned)
-    served = [vid for r in responses for (vid, _l, _a) in r.vertices]
+    assert sum(len(r) for r in responses) == len(owned)
+    served = [vid for r in responses for (vid, _l, _a) in r.iter_rows()]
     assert served == owned
 
 
@@ -100,7 +100,7 @@ def test_serve_dedups_duplicate_ids_in_batch():
     )
     w1.comm.step()
     responses = cluster.transport.poll(0)
-    served = [vid for r in responses for (vid, _l, _a) in r.vertices]
+    served = [vid for r in responses for (vid, _l, _a) in r.iter_rows()]
     assert served == owned  # each unique vertex answered exactly once
     assert cluster.metrics.get("comm:requests_served") == len(owned)
     assert cluster.metrics.get("comm:requests_deduped") == len(owned)

@@ -180,19 +180,20 @@ def _absent_id_hashing_to(worker_id: int, num_workers: int) -> int:
 
 
 @pytest.mark.parametrize("runtime", ["serial", "checked"])
-@pytest.mark.parametrize("bulk", [True, False])
+@pytest.mark.parametrize("check_protocols", [True, False])
 @pytest.mark.parametrize("num_workers,bad_owner", [(1, 0), (2, 0), (2, 1)])
 def test_pull_of_absent_vertex_fails_with_context(
-    graph, runtime, bulk, num_workers, bad_owner
+    graph, runtime, check_protocols, num_workers, bad_owner
 ):
     """Ownership is table membership, so an absent id looks remote on N
     workers; it must still fail loudly — where its miss is routed (it
     hashes to the puller), where it is served (it hashes elsewhere), or
-    where the frontier is built (one worker)."""
+    where the frontier is built (one worker) — through the bulk cache
+    ops and through their checked per-vertex decomposition alike."""
     src = next(v for v in graph.vertices()
                if hash_partition(v, num_workers) == 0)
     bad = _absent_id_hashing_to(bad_owner, num_workers)
-    config = cfg(num_workers=num_workers, bulk_cache_ops=bulk)
+    config = cfg(num_workers=num_workers, check_protocols=check_protocols)
     with pytest.raises((KeyError, TaskError)) as err:
         run_job(functools.partial(PullBadId, src, bad), graph, config,
                 runtime=runtime)
@@ -207,23 +208,31 @@ def test_pull_of_absent_vertex_fails_with_context(
 
 @pytest.mark.parametrize("runtime", ["serial", "checked"])
 def test_bulk_and_per_vertex_paths_report_the_same_counters(runtime):
-    """Both ``bulk_cache_ops`` branches consume the one per-iteration
-    remote list: a deterministic eviction-heavy TC job must pin the
-    same cache and comm counters either way."""
+    """The bulk cache ops and their per-vertex decomposition
+    (``CheckedVertexCache``, switched on by ``check_protocols``) consume
+    the one per-iteration remote list: at one schedule a deterministic
+    eviction-heavy TC job must pin the same cache and comm counters
+    either way.  (The ``checked`` runtime always decomposes, so there
+    the two runs also pin its seeded schedule as repeatable.)"""
     g = erdos_renyi(400, 0.03, seed=5)
     pinned = ("cache:hits", "cache:miss_first", "cache:miss_duplicate",
               "cache:evictions", "comm:requests_queued",
               "tasks:created", "tasks:finished", "tasks:iterations")
-    seen = {}
-    for bulk in (True, False):
+    seen, locks = {}, {}
+    for decomposed in (False, True):
         config = GThinkerConfig(
             num_workers=2, compers_per_worker=1, task_batch_size=16,
             cache_capacity=g.num_vertices // 20, cache_buckets=8,
-            bulk_cache_ops=bulk,
+            check_protocols=decomposed,
         )
         result = run_job(TriangleCountComper, g, config, runtime=runtime)
         assert result.aggregate == count_triangles(g)
-        seen[bulk] = {k: result.metrics.get(k, 0) for k in pinned}
-    assert seen[True] == seen[False]
-    assert seen[True]["cache:evictions"] > 0
-    assert seen[True]["cache:miss_first"] > 0
+        seen[decomposed] = {k: result.metrics.get(k, 0) for k in pinned}
+        locks[decomposed] = result.metrics.get("cache:bucket_lock_acquisitions")
+    assert seen[False] == seen[True]
+    assert seen[False]["cache:evictions"] > 0
+    assert seen[False]["cache:miss_first"] > 0
+    if runtime == "checked" or GThinkerConfig().check_enabled:
+        assert locks[False] == locks[True]  # both runs decomposed
+    else:
+        assert locks[False] < locks[True]

@@ -361,17 +361,17 @@ def _statuses(workloads):
 def test_plan_steals_memoizes_unchanged_statuses():
     config = cfg(task_batch_size=4, steal_batches=2)
     master = _RecordingMaster(config, replies=lambda cmd: ("stolen", cmd[2]))
-    master._plan_steals(_statuses([0, 100]))
+    master._plan_steals(_statuses([0, 100]), master._steal_via_master)
     first_round = len(master.sent)
     assert first_round > 0
     assert all(cmd[0] == "steal" for _nid, cmd in master.sent)
     # Identical (fresh) statuses: the sorted view is unchanged, so the
     # whole plan is skipped and counted.
-    master._plan_steals(_statuses([0, 100]))
+    master._plan_steals(_statuses([0, 100]), master._steal_via_master)
     assert len(master.sent) == first_round
     assert master.metrics.get("control:steal_plan_skipped") == 1
     # A changed estimate recomputes.
-    master._plan_steals(_statuses([0, 300]))
+    master._plan_steals(_statuses([0, 300]), master._steal_via_master)
     assert len(master.sent) > first_round
     assert master.metrics.get("control:steal_plan_skipped") == 1
 
@@ -382,14 +382,14 @@ def test_plan_steals_async_memoizes_and_fires_and_forgets():
     # Inside the hysteresis band: nothing to send, but the key is
     # recorded so the next identical table skips the plan entirely.
     master._status_table = _statuses([10, 12])
-    master._plan_steals_async()
+    master._plan_steals(master._status_table, master._steal_direct)
     assert master.sent == []
-    master._plan_steals_async()
+    master._plan_steals(master._status_table, master._steal_direct)
     assert master.metrics.get("control:steal_plan_skipped") == 1
     # A real gap publishes dsteal commands without any _recv round-trip
     # and optimistically discounts the victim's workload.
     master._status_table = _statuses([0, 100])
-    master._plan_steals_async()
+    master._plan_steals(master._status_table, master._steal_direct)
     assert master.sent and all(cmd[0] == "dsteal"
                                for _nid, cmd in master.sent)
     assert master._status_table[1].workload < 100

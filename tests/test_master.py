@@ -5,6 +5,7 @@ import pytest
 from repro.core.api import Comper, Task, VertexView
 from repro.core.config import GThinkerConfig
 from repro.core.job import build_cluster
+from repro.core.master import plan_steals
 from repro.core.runtime import SerialRuntime
 from repro.graph import erdos_renyi
 
@@ -154,3 +155,68 @@ def test_aggregator_final_sync_before_done(graph):
     cluster = build_cluster(LateAggregator, graph, cfg())
     SerialRuntime().run(cluster)
     assert cluster.master.global_aggregator.value == graph.num_vertices
+
+
+# -- the steal planner: one policy, every runtime --------------------------
+#
+# ``plan_steals`` is the arithmetic behind Master.sync (in-process
+# runtimes) and ControlPlaneMaster's sweep and async plans; its memo on
+# an unchanged view lives in the control plane and is pinned by
+# test_controlplane_async.  Each row: per-worker workloads, batch size
+# ``C``, ``steal_batches``, the previous plan's (victim, thief) pairs,
+# what ``move`` reports per call (None = everything asked for), and the
+# expected (victim, thief, amount) calls and returned pairs.
+
+_PLAN_CASES = {
+    # gap 100 -> min(gap // 4, steal_batches * C) = 8 per move, twice.
+    "amount_is_a_quarter_of_the_gap_capped":
+        ([0, 100], 4, 2, set(), None, [(1, 0, 8), (1, 0, 8)], {(1, 0)}),
+    # gap 40 -> 10 (< cap 16), gap 20 -> 5, gap 10 -> one batch, gap 2.
+    "amount_follows_the_shrinking_gap":
+        ([0, 40], 4, 4, set(), None,
+         [(1, 0, 10), (1, 0, 5), (1, 0, 4)], {(1, 0)}),
+    # gap 12 > 2C but gap // 4 == 3 < C: floor at one batch.
+    "at_least_one_batch":
+        ([0, 12], 4, 2, set(), None, [(1, 0, 4)], {(1, 0)}),
+    "gap_within_two_batches_moves_nothing":
+        ([10, 18], 4, 2, set(), None, [], set()),
+    "gap_just_over_two_batches_moves":
+        ([10, 19], 4, 2, set(), None, [(1, 0, 4)], {(1, 0)}),
+    # Last plan moved 1 -> 0; the imbalance flipped, but shipping the
+    # work straight back would ping-pong.
+    "pair_not_reversed_next_plan":
+        ([100, 0], 4, 2, {(1, 0)}, None, [], set()),
+    # ...and the plan after that (empty prev_pairs) is free again.
+    "reversal_allowed_one_plan_later":
+        ([100, 0], 4, 2, set(), None, [(0, 1, 8), (0, 1, 8)], {(0, 1)}),
+    "same_direction_not_blocked":
+        ([0, 100], 4, 1, {(1, 0)}, None, [(1, 0, 4)], {(1, 0)}),
+    "victim_with_nothing_to_give_stops_the_plan":
+        ([0, 100], 4, 3, set(), [0], [(1, 0, 12)], set()),
+    "short_move_is_accounted_as_moved":
+        ([0, 100], 4, 2, set(), [2, 8], [(1, 0, 8), (1, 0, 8)], {(1, 0)}),
+    # The extremes are re-picked after every move.
+    "three_workers_pick_extremes_each_round":
+        ([0, 30, 100], 4, 2, set(), None,
+         [(2, 0, 8), (2, 0, 8)], {(2, 0)}),
+    "single_worker_never_steals":
+        ([50], 4, 2, set(), None, [], set()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PLAN_CASES))
+def test_plan_steals(case):
+    workloads, batch, steal_batches, prev, replies, calls, pairs = (
+        _PLAN_CASES[case])
+    seen = []
+
+    def move(victim, thief, amount):
+        seen.append((victim, thief, amount))
+        return amount if replies is None else replies[len(seen) - 1]
+
+    got = plan_steals(
+        [(w, wid) for wid, w in enumerate(workloads)],
+        batch, steal_batches, frozenset(prev), move,
+    )
+    assert seen == calls
+    assert got == frozenset(pairs)

@@ -25,6 +25,7 @@ from repro.core import (
 from repro.core.procruntime import _ProcessMaster
 from repro.graph import Graph, erdos_renyi
 from repro.graph.partition import hash_partition
+from repro.net.transport import ProcessTransport
 
 
 def cfg(**kw):
@@ -53,6 +54,25 @@ class ExplodingComper(TriangleCountComper):
 
     def compute(self, task, frontier):
         raise RuntimeError("boom at compute")
+
+
+class CorruptingComper(TriangleCountComper):
+    """App whose worker 0 drops one garbage payload on worker 1's
+    data-plane inbox — mp queue or TCP socket, whichever the runtime
+    built — before spawning its first task."""
+
+    def task_spawn(self, v):
+        worker = self._engine.worker
+        if worker.worker_id == 0 and not getattr(worker, "_corrupted", False):
+            worker._corrupted = True
+            junk = b"\x93neither GTWIRE1 nor anything else"
+            transport = worker.transport
+            if isinstance(transport, ProcessTransport):
+                transport._queues[1].put(junk)
+            else:
+                transport._connect(1).sendall(
+                    len(junk).to_bytes(8, "little") + junk)
+        super().task_spawn(v)
 
 
 def _assert_is_max_clique(graph, clique):
@@ -163,6 +183,25 @@ def test_app_error_is_not_recoverable(graph):
     assert "boom at compute" in str(ei.value)
 
 
+@pytest.mark.parametrize("runtime", ["process", "cluster"])
+def test_reported_errors_are_classified_alike_on_both_runtimes(graph, runtime):
+    """Every node runs the one serve loop, so its error report carries
+    the same classification on ``process`` and ``cluster``: a corrupt
+    data-plane payload is environment damage a rollback clears
+    (recoverable), an app exception would recur (final)."""
+    with pytest.raises(WorkerProcessError) as ei:
+        run_job(CorruptingComper, graph, cfg(max_worker_restarts=0),
+                runtime=runtime)
+    assert ei.value.recoverable is True
+    assert ei.value.worker_id == 1
+    assert "WireDecodeError" in str(ei.value)
+
+    with pytest.raises(WorkerProcessError) as ei:
+        run_job(ExplodingComper, graph, cfg(), runtime=runtime)
+    assert ei.value.recoverable is False
+    assert "boom at compute" in str(ei.value)
+
+
 # -- S3: the _send error path (unit level, stubbed pipes) ----------------
 
 
@@ -197,7 +236,8 @@ def test_send_surfaces_error_report_behind_stale_replies():
     mislabelling an app bug as a recoverable machine loss."""
     conn = _BrokenConn([
         ("stolen", 2),  # a stale steal reply sent before the death
-        ("error", 0, "ValueError", "Traceback (most recent call last): boom"),
+        ("error", 0, "ValueError", "Traceback (most recent call last): boom",
+         False),
     ])
     with pytest.raises(WorkerProcessError) as ei:
         _master_with_conn(conn)._send(0, ("sync", None))

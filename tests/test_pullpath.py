@@ -1,10 +1,12 @@
 """Pull-path regressions: lock-acquisition counts, message counts, and
-the adaptive scheduling knobs (idle backoff, proportional steals).
+the adaptive scheduling knobs (idle backoff).
 
 These are the metrics-backed guarantees behind ``bench_pullpath.py``:
-the bulk pull path must do the *same work* as the per-vertex path with
-strictly fewer bucket-lock acquisitions, and request/serve dedup must
-put strictly fewer messages on the wire.
+the bulk pull path (the only engine path) must do the *same work* as
+its per-vertex OP1–OP3 decomposition — what ``CheckedVertexCache``
+turns every bulk call into — with strictly fewer bucket-lock
+acquisitions, and request/serve dedup must put strictly fewer messages
+on the wire.
 """
 
 import pytest
@@ -13,10 +15,8 @@ from repro.algorithms import count_triangles
 from repro.apps import TriangleCountComper
 from repro.core import GThinkerConfig, run_job
 from repro.core.job import build_cluster
-from repro.core.master import Master
 from repro.graph import erdos_renyi
 from repro.net import RequestBatch
-from repro.net.transport import Transport
 
 
 def cfg(**kw):
@@ -30,24 +30,28 @@ def cfg(**kw):
 
 
 def test_bulk_path_takes_strictly_fewer_bucket_locks():
+    """Same serial schedule twice: plain ``VertexCache`` (bulk ops) vs
+    ``CheckedVertexCache``, which decomposes every bulk call into the
+    reference per-vertex ``request`` / ``insert_response`` /
+    ``release`` — that decomposition *is* the equivalence contract."""
     g = erdos_renyi(80, 0.15, seed=21)
     expected = count_triangles(g)
-    bulk = run_job(TriangleCountComper, g, cfg(bulk_cache_ops=True))
-    per_vertex = run_job(TriangleCountComper, g, cfg(bulk_cache_ops=False))
+    bulk = run_job(TriangleCountComper, g, cfg(), runtime="serial")
+    per_vertex = run_job(TriangleCountComper, g, cfg(check_protocols=True),
+                         runtime="serial")
     assert bulk.aggregate == per_vertex.aggregate == expected
     a = bulk.metrics.get("cache:bucket_lock_acquisitions")
     b = per_vertex.metrics.get("cache:bucket_lock_acquisitions")
     assert a and b, "lock metric missing from job results"
     if cfg().check_enabled:
-        # CheckedVertexCache decomposes every bulk call into the checked
-        # per-vertex ops — that decomposition *is* the equivalence
-        # contract — so under REPRO_CHECK=1 the counts match exactly.
+        # REPRO_CHECK=1 turns the checker on for both runs.
         assert a == b, f"checked bulk path took {a} lock acquisitions vs {b}"
     else:
         assert a < b, f"bulk path took {a} lock acquisitions vs {b} per-vertex"
     # Same protocol traffic either way: the batching is invisible to the
     # OP1/OP2/OP3 ledger.
-    for key in ("cache:hits", "cache:miss_first", "cache:responses"):
+    for key in ("cache:hits", "cache:miss_first", "cache:miss_duplicate",
+                "cache:evictions", "cache:responses"):
         assert bulk.metrics.get(key) == per_vertex.metrics.get(key), key
 
 
@@ -78,7 +82,7 @@ def test_serve_dedup_sends_fewer_response_messages():
     responses = cluster.transport.poll(0)
     baseline_msgs = -(-len(requested) // 2)  # ceil(12/2) without dedup
     assert len(responses) == 2 < baseline_msgs  # ceil(3/2)
-    served = [v for r in responses for (v, _l, _a) in r.vertices]
+    served = [v for r in responses for (v, _l, _a) in r.iter_rows()]
     assert served == owned
     assert cluster.metrics.get("comm:requests_served") == len(owned)
 
@@ -95,92 +99,6 @@ def test_queue_dedup_sends_fewer_request_ids():
     msgs = cluster.transport.poll(dst)
     assert sum(len(m.vertex_ids) for m in msgs) <= len(remote)
     assert cluster.metrics.get("comm:requests_deduped") == 2 * len(remote)
-
-
-# -- adaptive scheduling: proportional steals with hysteresis -----------------
-
-
-class StubLFile:
-    def take_payload(self):
-        return None
-
-
-class StubWorker:
-    """Just enough Worker surface for Master's steal planner."""
-
-    def __init__(self, worker_id, workload):
-        self.worker_id = worker_id
-        self.workload = workload
-        self.l_file = StubLFile()
-        self.spawn_requests = []
-
-    def remaining_workload_estimate(self):
-        return self.workload
-
-    def spawn_batch_payload(self, max_tasks):
-        self.spawn_requests.append(max_tasks)
-        return (b"x" * max_tasks, max_tasks)
-
-
-def make_master(workloads, config, last_pairs=None):
-    workers = [StubWorker(i, wl) for i, wl in enumerate(workloads)]
-    transport = Transport(num_workers=len(workers))
-    master = Master.__new__(Master)
-    master.workers = workers
-    master.transport = transport
-    master.config = config
-    master.metrics = transport._metrics
-    if last_pairs is not None:
-        master._last_steal_pairs = frozenset(last_pairs)
-    return master, workers, transport
-
-
-def test_steal_amount_proportional_to_gap():
-    config = cfg(task_batch_size=4, steal_batches=2)
-    master, workers, transport = make_master([0, 100], config)
-    master._plan_and_execute_steals(now=0.0)
-    # gap 100 -> amount min(gap // 4, steal_batches * batch) = 8 per move.
-    assert workers[1].spawn_requests == [8, 8]
-    assert master.metrics.get("steal:tasks") == 16
-    assert len(transport.poll(0)) == 2  # both batches shipped to worker 0
-
-
-def test_steal_at_least_one_batch_for_small_gaps():
-    config = cfg(task_batch_size=4, steal_batches=2)
-    master, workers, _t = make_master([0, 12], config)
-    master._plan_and_execute_steals(now=0.0)
-    # gap 12 > 2 * batch, but gap // 4 == 3 < batch: floor at one batch.
-    assert workers[1].spawn_requests[0] == 4
-
-
-def test_no_steal_when_gap_within_hysteresis_band():
-    config = cfg(task_batch_size=4, steal_batches=2)
-    master, workers, _t = make_master([10, 16], config)
-    master._plan_and_execute_steals(now=0.0)
-    assert workers[1].spawn_requests == []  # gap 6 <= 2 * batch
-
-
-def test_steal_pair_not_reversed_next_sweep():
-    """A pair that moved work 1 -> 0 last sweep must not ship it straight
-    back 0 -> 1 this sweep, even if the imbalance flipped."""
-    config = cfg(task_batch_size=4, steal_batches=2)
-    master, workers, _t = make_master(
-        [100, 0], config, last_pairs={(1, 0)}  # last sweep: victim 1, thief 0
-    )
-    master._plan_and_execute_steals(now=0.0)
-    assert workers[0].spawn_requests == []
-    # The sweep after that is free to steal again.
-    master._plan_and_execute_steals(now=0.0)
-    assert workers[0].spawn_requests == [8, 8]
-
-
-def test_steal_pair_same_direction_not_blocked():
-    config = cfg(task_batch_size=4, steal_batches=1)
-    master, workers, _t = make_master(
-        [0, 100], config, last_pairs={(1, 0)}  # same direction as now
-    )
-    master._plan_and_execute_steals(now=0.0)
-    assert workers[1].spawn_requests == [4]  # capped at steal_batches * batch
 
 
 # -- config knobs -------------------------------------------------------------
@@ -203,6 +121,5 @@ def test_response_chunk_must_be_positive():
 
 def test_pull_path_defaults():
     c = cfg()
-    assert c.bulk_cache_ops is True
     assert c.response_chunk == 4096
     assert c.idle_backoff_max_s >= c.idle_sleep_s > 0

@@ -392,16 +392,16 @@ class TestWire:
         host, port = service.address
         chan = ControlChannel(connect_with_retry(host, port, 10.0))
         try:
-            chan.send_obj(("no-such-op", {}))
-            status, body = chan.recv_obj(timeout=10)
+            chan.send(("no-such-op", {}))
+            status, body = chan.recv(timeout=10)
             assert status == "error" and body["kind"] == "bad-request"
-            chan.send_obj("not even a tuple")
-            status, body = chan.recv_obj(timeout=10)
+            chan.send("not even a tuple")
+            status, body = chan.recv(timeout=10)
             assert status == "error" and body["kind"] == "bad-request"
             # The connection survives garbage: a well-formed request
             # afterwards still answers.
-            chan.send_obj(("stats", {}))
-            status, body = chan.recv_obj(timeout=10)
+            chan.send(("stats", {}))
+            status, body = chan.recv(timeout=10)
             assert status == "ok"
         finally:
             chan.close()
@@ -720,11 +720,11 @@ class TestServiceBugfixes:
         try:
             # A payload that explodes inside the handler (dict("...")
             # raises ValueError) must cost one request, not the socket.
-            chan.send_obj(("submit", {"app": "tc", "params": "notadict"}))
-            status, body = chan.recv_obj(timeout=10)
+            chan.send(("submit", {"app": "tc", "params": "notadict"}))
+            status, body = chan.recv(timeout=10)
             assert status == "error" and body["kind"] == "internal"
-            chan.send_obj(("stats", {}))
-            status, _body = chan.recv_obj(timeout=10)
+            chan.send(("stats", {}))
+            status, _body = chan.recv(timeout=10)
             assert status == "ok"
         finally:
             chan.close()

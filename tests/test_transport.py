@@ -37,14 +37,14 @@ def test_byte_accounting():
     m = MetricsRegistry()
     t = Transport(2, metrics=m)
     t.send(RequestBatch(src=0, dst=1, vertex_ids=[1, 2]))
-    t.send(ResponseBatch(src=1, dst=0, vertices=[(1, 0, (5, 6, 7))]))
+    t.send(ResponseBatch.from_rows(1, 0, [(1, 0, (5, 6, 7))]))
     assert t.total_messages == 2
     assert t.total_bytes > 8 * 2 + 8 * 3
 
 
 def test_message_sizes_scale_with_content():
-    small = ResponseBatch(src=0, dst=1, vertices=[(1, 0, ())])
-    big = ResponseBatch(src=0, dst=1, vertices=[(1, 0, tuple(range(100)))])
+    small = ResponseBatch.from_rows(0, 1, [(1, 0, ())])
+    big = ResponseBatch.from_rows(0, 1, [(1, 0, tuple(range(100)))])
     assert big.size_bytes() > small.size_bytes() + 700
 
 
@@ -79,7 +79,7 @@ class TestTimedDelivery:
         """Two big messages to one worker cannot arrive simultaneously."""
         net = NetworkModel(latency_s=0.0, bandwidth_bytes_per_s=100.0)
         t = Transport(2, network=net, timed=True)
-        big = ResponseBatch(src=0, dst=1, vertices=[(1, 0, tuple(range(50)))])
+        big = ResponseBatch.from_rows(0, 1, [(1, 0, tuple(range(50)))])
         arrive1 = t.send(big, now=0.0)
         arrive2 = t.send(big, now=0.0)
         assert arrive2 >= 2 * arrive1 - 1e-9

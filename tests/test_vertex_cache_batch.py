@@ -292,16 +292,17 @@ class TestCheckedBulkOps:
 
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_fuzz_bulk_matches_per_vertex_answers(self, seed):
-        """Seeded CheckedRuntime interleavings: the bulk pull path and
-        the per-vertex path must produce identical answers with every
-        cache-protocol checker enabled."""
+        """The bulk pull path (serial runtime, plain cache) and its
+        per-vertex decomposition under seeded CheckedRuntime
+        interleavings, every cache-protocol checker enabled, must
+        produce identical answers."""
         g = erdos_renyi(36, 0.15, seed=17)
         expected = hop_sum_oracle(g)
-        for bulk in (True, False):
+        for runtime in ("serial", "checked"):
             cfg = GThinkerConfig(
                 num_workers=2, compers_per_worker=2, task_batch_size=2,
                 cache_capacity=48, cache_buckets=8, decompose_threshold=16,
-                check_protocols=True, seed=seed, bulk_cache_ops=bulk,
+                seed=seed,
             )
-            result = run_job(HopSumComper, g, cfg, runtime="checked")
-            assert result.aggregate == expected, f"bulk={bulk}"
+            result = run_job(HopSumComper, g, cfg, runtime=runtime)
+            assert result.aggregate == expected, runtime

@@ -28,33 +28,32 @@ def test_request_batch_roundtrip():
 
 
 def test_response_batch_roundtrip_mixed_row_types():
-    msg = ResponseBatch(src=0, dst=1, vertices=[
+    msg = ResponseBatch.from_rows(0, 1, [
         (5, 0, np.array([1, 2, 3], dtype=np.int64)),
         (7, 4, ()),                     # empty tuple row
         (9, 0, (2, 4, 6)),              # tuple row
         (11, 2, np.empty(0, dtype=np.int64)),
     ])
     (out,) = _roundtrip([msg])
-    rows = {v: (label, adj) for v, label, adj in out.vertices}
+    rows = {v: (label, adj) for v, label, adj in out.iter_rows()}
     assert rows[5][1].tolist() == [1, 2, 3]
     assert rows[7][0] == 4 and rows[7][1].size == 0
     assert rows[9][1].tolist() == [2, 4, 6]
     assert rows[11][0] == 2 and rows[11][1].size == 0
     # ids/labels come back as python ints, adjacency as read-only int64
-    for v, label, adj in out.vertices:
+    for v, label, adj in out.iter_rows():
         assert type(v) is int and type(label) is int
         assert isinstance(adj, np.ndarray) and adj.dtype == np.int64
         assert not adj.flags.writeable
 
 
 def test_decoded_rows_are_views_into_one_buffer():
-    msg = ResponseBatch(src=0, dst=1, vertices=[
+    msg = ResponseBatch.from_rows(0, 1, [
         (1, 0, np.arange(10, dtype=np.int64)),
         (2, 0, np.arange(20, dtype=np.int64)),
     ])
     (out,) = _roundtrip([msg])
-    a = out.vertices[0][2]
-    b = out.vertices[1][2]
+    (_v, _l, a), (_v, _l, b) = out.iter_rows()
     assert a.base is not None and b.base is not None  # zero-copy frombuffer
 
 
@@ -66,26 +65,40 @@ def test_task_transfer_roundtrip_unaligned_payload():
         assert out.num_tasks == 3
 
 
-def test_unknown_message_type_falls_back_to_pickle_frame():
-    (out,) = _roundtrip([Message(src=3, dst=4)])
-    assert type(out) is Message and (out.src, out.dst) == (3, 4)
+def test_message_type_without_a_frame_is_refused_at_encode():
+    """There is no pickled sub-frame to fall back to: only the three
+    data-plane message types have a GTWIRE1 frame."""
+    with pytest.raises(TypeError, match="no GTWIRE1 frame"):
+        wire.encode_batch([Message(src=3, dst=4)])
 
 
 def test_mixed_batch_preserves_order():
     msgs = [
         RequestBatch(src=0, dst=1, vertex_ids=[1]),
-        ResponseBatch(src=1, dst=0, vertices=[(1, 0, (2,))]),
+        ResponseBatch.from_rows(1, 0, [(1, 0, (2,))]),
         TaskBatchTransfer(src=0, dst=1, payload=b"abc", num_tasks=1),
     ]
     out = _roundtrip(msgs)
     assert [type(m) for m in out] == [type(m) for m in msgs]
 
 
-def test_decode_sniffs_pickled_payloads():
+@pytest.fixture
+def no_unpickling(monkeypatch):
+    """Any ``pickle.loads`` during the test is a failure: the data
+    plane must refuse foreign bytes *before* handing them to pickle."""
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("pickle.loads called on a data-plane payload")
+
+    monkeypatch.setattr(pickle, "loads", refuse)
+
+
+def test_pickled_message_list_is_refused_without_unpickling(no_unpickling):
+    """A *valid* pickle of a message list — what the old pickle wire
+    format put on the queue — is not a GTWIRE1 payload."""
     msgs = [RequestBatch(src=0, dst=1, vertex_ids=[4, 5])]
     payload = pickle.dumps(msgs, protocol=pickle.HIGHEST_PROTOCOL)
-    out = wire.decode_batch(payload)
-    assert out[0].vertex_ids == [4, 5]
+    with pytest.raises(wire.WireDecodeError, match="GTWIRE1 magic"):
+        wire.decode_batch(payload)
 
 
 def test_binary_response_payload_smaller_than_pickle():
@@ -95,7 +108,7 @@ def test_binary_response_payload_smaller_than_pickle():
         (int(v), 0, np.unique(rng.integers(0, 10**6, size=30)))
         for v in range(64)
     ]
-    msgs = [ResponseBatch(src=0, dst=1, vertices=vertices)]
+    msgs = [ResponseBatch.from_rows(0, 1, vertices)]
     binary = wire.encode_batch(msgs)
     pickled = pickle.dumps(msgs, protocol=pickle.HIGHEST_PROTOCOL)
     assert len(binary) < len(pickled)
@@ -136,20 +149,21 @@ def test_task_codec_invalidates_task_ids():
     assert t.task_id == -1  # invalidated in place, as before
 
 
-def test_task_codec_pickle_fallback_for_inflight_pulls():
+def test_task_codec_refuses_inflight_pulls():
+    """The engine clears ``pulls_in_flight`` before a task re-enters
+    ``Q_task``; one that still carries any has no GTTASK1 form and must
+    not be smuggled through a whole-batch pickle."""
     t = Task(context=1)
     t.pulls_in_flight = [42]
-    payload = serialize_tasks([t])
-    assert payload[:8] != b"GTTASK1\x00"
-    (out,) = deserialize_tasks(payload)
-    assert out.pulls_in_flight == [42]
+    with pytest.raises(ValueError, match="in-flight pulls"):
+        serialize_tasks([t])
 
 
-def test_task_codec_legacy_pickle_payload_decodes():
+def test_pickled_task_list_is_refused_without_unpickling(no_unpickling):
     t = Task(context=9)
     legacy = pickle.dumps([t], protocol=pickle.HIGHEST_PROTOCOL)
-    (out,) = deserialize_tasks(legacy)
-    assert out.context == 9
+    with pytest.raises(wire.WireDecodeError, match="GTTASK1 magic"):
+        deserialize_tasks(legacy)
 
 
 # ---------------------------------------------------------------------------
@@ -165,37 +179,60 @@ def _messages_equal(a, b):
                                                       list(b.vertex_ids))
     if isinstance(a, ResponseBatch):
         return (a.src, a.dst) == (b.src, b.dst) and [
-            (v, l, adj.tolist()) for v, l, adj in a.vertices
-        ] == [(v, l, adj.tolist()) for v, l, adj in b.vertices]
+            (v, l, adj.tolist()) for v, l, adj in a.iter_rows()
+        ] == [(v, l, adj.tolist()) for v, l, adj in b.iter_rows()]
     if isinstance(a, TaskBatchTransfer):
         return (a.src, a.dst, a.num_tasks, bytes(a.payload)) == (
             b.src, b.dst, b.num_tasks, bytes(b.payload))
-    return a.src == b.src and a.dst == b.dst
+    return False
 
 
-class _OddMessage(Message):
-    """A message type without a dedicated frame (pickle fallback)."""
+def _tasks_equal(a, b):
+    return (a.context, a.pending_pulls(), a.g.adjacency(),
+            [a.g.label(v) for v in sorted(a.g.adjacency())]) == (
+            b.context, b.pending_pulls(), b.g.adjacency(),
+            [b.g.label(v) for v in sorted(b.g.adjacency())])
 
-    def __init__(self, src, dst, blob):
-        super().__init__(src=src, dst=dst)
-        self.blob = blob
+
+def _sample_task(context):
+    t = Task(context=context)
+    t.pull(10)
+    t.pull(11)
+    t.g.add_vertex(1, (2, 3), label=7)
+    t.g.add_vertex(2, np.array([1, 3], dtype=np.int64))
+    t.g.add_vertex(3, ())
+    return t
 
 
+def _message_case(messages):
+    return wire.encode_batch(messages), wire.decode_batch, _messages_equal
+
+
+def _task_case(tasks):
+    return serialize_tasks(tasks), deserialize_tasks, _tasks_equal
+
+
+# kind -> (payload, decoder, element equality)
 _FRAME_CASES = {
-    "request": [RequestBatch(src=0, dst=1, vertex_ids=[9, 1, 9])],
-    "response": [ResponseBatch(src=0, dst=1, vertices=[
+    "request": _message_case(
+        [RequestBatch(src=0, dst=1, vertex_ids=[9, 1, 9])]),
+    "response": _message_case([ResponseBatch.from_rows(0, 1, [
         (5, 0, np.array([1, 2, 3], dtype=np.int64)),
         (7, 4, ()),
-    ])],
-    "tasks": [TaskBatchTransfer(src=1, dst=0, payload=b"abcde", num_tasks=2)],
-    "pickle": [_OddMessage(src=0, dst=1, blob={"k": [1, 2]})],
-    "mixed": [
+    ])]),
+    "tasks": _message_case(
+        [TaskBatchTransfer(src=1, dst=0, payload=b"abcde", num_tasks=2)]),
+    "mixed": _message_case([
         RequestBatch(src=0, dst=1, vertex_ids=[4]),
-        ResponseBatch(src=1, dst=0, vertices=[(4, 0, np.array([5],
-                                                             dtype=np.int64))]),
+        ResponseBatch.from_rows(1, 0, [(4, 0, np.array([5], dtype=np.int64))]),
         TaskBatchTransfer(src=1, dst=0, payload=b"xyz", num_tasks=1),
-        _OddMessage(src=0, dst=1, blob=None),
-    ],
+    ]),
+    # GTTASK1, as it comes off a spill file or out of a steal frame.
+    "task_payload": _task_case(
+        [_sample_task(None), _sample_task(5), _sample_task((1, 2))]),
+    # The one place pickle survives on the wire: a rich task context.
+    "pickle": _task_case(
+        [_sample_task({"rich": [1]}), _sample_task((1, "mixed"))]),
 }
 
 
@@ -204,22 +241,31 @@ def test_truncation_at_every_boundary_raises_or_decodes_whole(kind):
     """Cutting the payload at *every* byte offset must either raise the
     typed WireDecodeError or — when the cut only removed trailing
     alignment padding — decode to the identical batch.  No raw
-    struct/numpy/pickle errors may escape."""
-    msgs = _FRAME_CASES[kind]
-    payload = wire.encode_batch(msgs)
-    full = wire.decode_batch(payload)
+    struct/numpy/pickle errors may escape, and no short array may be
+    returned silently."""
+    payload, decode, equal = _FRAME_CASES[kind]
+    full = decode(payload)
     clean_decodes = 0
     for cut in range(len(payload)):
         try:
-            decoded = wire.decode_batch(payload[:cut])
+            decoded = decode(payload[:cut])
         except wire.WireDecodeError:
             continue
         clean_decodes += 1
         assert len(decoded) == len(full)
-        assert all(_messages_equal(x, y) for x, y in zip(decoded, full))
+        assert all(equal(x, y) for x, y in zip(decoded, full))
     # Only padding-only cuts may decode; there are at most 7 pad bytes
-    # per variable-length frame, so clean decodes are rare.
-    assert clean_decodes <= 7 * len(msgs)
+    # after the final variable-length frame.
+    assert clean_decodes <= 7
+
+
+def test_corrupt_pickled_task_context_raises_wire_decode_error():
+    context = {"rich": [1]}
+    blob = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
+    payload = serialize_tasks([Task(context=context)])
+    assert blob in payload
+    with pytest.raises(wire.WireDecodeError, match="task context"):
+        deserialize_tasks(payload.replace(blob, b"\xff" * len(blob)))
 
 
 def test_wire_decode_error_is_value_error():
@@ -229,16 +275,16 @@ def test_wire_decode_error_is_value_error():
         )[:12])
 
 
-def test_corrupt_magic_with_unpicklable_tail_raises():
+def test_corrupt_magic_with_unpicklable_tail_raises(no_unpickling):
     payload = bytearray(wire.encode_batch(
         [RequestBatch(src=0, dst=1, vertex_ids=[1])]
     ))
-    payload[0] ^= 0xFF  # not MAGIC, not a valid pickle either
+    payload[0] ^= 0xFF  # not MAGIC
     with pytest.raises(wire.WireDecodeError):
         wire.decode_batch(bytes(payload))
 
 
-def test_pickled_non_list_payload_raises():
+def test_pickled_non_list_payload_raises(no_unpickling):
     with pytest.raises(wire.WireDecodeError):
         wire.decode_batch(pickle.dumps({"not": "a batch"}))
 
