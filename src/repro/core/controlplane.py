@@ -83,7 +83,7 @@ from .errors import (
 from .master import plan_steals
 from .metrics import MetricsRegistry
 from .runtime import JobRequest
-from .worker import Worker
+from .worker import ENGINE_BURST_STEPS, Worker
 
 __all__ = [
     "ENGINE_BURST_STEPS",
@@ -96,12 +96,6 @@ __all__ = [
     "prepare_job",
     "run_node",
 ]
-
-#: Engine steps a node runs between control-plane/inbox polls.  Bounds
-#: the extra latency of answering a sync or serving a pull at one burst
-#: (engine steps end early when no engine has work); big enough that the
-#: per-round polling overhead is noise next to the mining work.
-ENGINE_BURST_STEPS = 32
 
 
 @dataclass
@@ -237,46 +231,23 @@ class NodeSession:
         )
 
     def step(self) -> bool:
-        """One comm step plus (unless quiesced) a burst of engine steps.
+        """One :meth:`Worker.step_round`; while quiesced, its comm step only.
 
-        The burst amortizes the fixed cost of the caller's inbox/control
-        polls over many cheap task iterations and lets parked tasks'
-        requests accumulate into fewer, larger flush batches; it ends
-        early the moment no engine makes progress, so pull latency only
-        grows while there is local work to overlap it with.  While
-        quiesced (checkpoint barrier) only the comm service steps: pulls
-        keep being served and responses delivered, but no new work
-        starts, so the wire drains to a provably empty state.
+        Quiesced (checkpoint barrier), no engine round runs, so the wire
+        drains to a provably empty state.  The failure injector observes
+        every engine round of the burst.
         """
-        worker = self.worker
-        worked = worker.comm.step()
-        if self.quiesced:
-            return worked
-        for _ in range(ENGINE_BURST_STEPS):
-            stepped = False
-            for engine in worker.engines:
-                stepped = engine.step() or stepped
-            # GC and the failure injector keep per-step (not per-burst)
-            # granularity: spill pressure must be relieved as it builds,
-            # and injection triggers count scheduler rounds *observing*
-            # a transient condition (mid-spawn cursor, fresh spill) that
-            # can appear and clear within one burst.
-            stepped = worker.gc_step() or stepped
-            self.injector.observe_round(worker)
-            worked = worked or stepped
-            if not stepped:
-                break
+        worked, _ = self.worker.step_round(
+            0 if self.quiesced else ENGINE_BURST_STEPS,
+            self.injector.observe_round,
+        )
         return worked
 
     def drained(self) -> bool:
         """True when this node has nothing runnable and nothing buffered."""
-        worker = self.worker
         return (
             not self.quiesced
-            and worker.tasks_in_memory() == 0
-            and len(worker.l_file) == 0
-            and worker.unspawned_count() == 0
-            and worker.comm.pending_outgoing() == 0
+            and self.worker.drained()
             and self.transport.pending_unflushed() == 0
         )
 

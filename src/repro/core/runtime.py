@@ -3,11 +3,13 @@
 Low-level cluster steppers (both drive the same components — comm
 services, comper engines, GC, master — only the interleaving differs):
 
-* :class:`SerialRuntime` — steps every component round-robin in one
-  thread.  Deterministic; the default for tests and the substrate the
-  checkpointing support relies on (components are quiescent between
-  steps).  The process backend reaches the same quiescent state across
-  process boundaries with its sync-barrier checkpoint protocol (see
+* :class:`SerialRuntime` — gives every worker one burst round
+  (:meth:`Worker.step_round`, the node round of the process and cluster
+  backends) in turn, in one thread.  Deterministic; the default for
+  tests and the substrate the checkpointing support relies on
+  (components are quiescent between rounds).  The process backend
+  reaches the same quiescent state across process boundaries with its
+  sync-barrier checkpoint protocol (see
   :mod:`repro.core.procruntime`), so checkpointing, failure injection
   and resume are available on both.
 * :class:`ThreadedRuntime` — one OS thread per comper plus one comm/GC
@@ -59,7 +61,7 @@ from .errors import (
 )
 from .master import Master
 from .metrics import MetricsRegistry
-from .worker import Worker
+from .worker import ENGINE_BURST_STEPS, Worker
 
 __all__ = [
     "AbortToken",
@@ -266,7 +268,16 @@ def capability_matrix() -> Dict[str, Dict[str, bool]]:
 
 
 class SerialRuntime:
-    """Deterministic round-robin scheduler."""
+    """Deterministic round-robin scheduler, one burst round per worker.
+
+    Every pass gives each worker one :meth:`Worker.step_round` — the
+    same comm step + engine burst a process or cluster node runs — so
+    parked tasks' pulls travel in real batches.  ``sync_every_rounds``,
+    ``abort_after_rounds`` and ``max_rounds`` count *engine* rounds: a
+    burst is clipped at the next sync or abort boundary, which keeps the
+    ``Master.sync`` cadence (aggregator, steals, checkpoints) what it
+    was when a pass was a single engine round.
+    """
 
     def __init__(self, max_rounds: int = 50_000_000) -> None:
         self.max_rounds = max_rounds
@@ -278,19 +289,22 @@ class SerialRuntime:
         (fault-tolerance tests): the job stops with
         :class:`JobAbortedError` leaving the last checkpoint on disk.
         """
-        cfg = cluster.config
+        sync_every = cluster.config.sync_every_rounds
         rounds = 0
         while True:
+            budget = min(ENGINE_BURST_STEPS, sync_every - rounds % sync_every)
+            if abort_after_rounds is not None:
+                budget = min(budget, abort_after_rounds - rounds)
             worked = False
+            ran = 0
             for w in cluster.workers:
-                worked = w.comm.step() or worked
-                for engine in w.engines:
-                    worked = engine.step() or worked
-                worked = w.gc_step() or worked
-            rounds += 1
+                w_worked, w_ran = w.step_round(budget)
+                worked = worked or w_worked
+                ran = max(ran, w_ran)
+            rounds += ran
             if abort_after_rounds is not None and rounds >= abort_after_rounds:
                 raise JobAbortedError(f"injected failure after {rounds} rounds")
-            if rounds % cfg.sync_every_rounds == 0 or not worked:
+            if rounds % sync_every == 0 or not worked:
                 if cluster.master.sync():
                     return
             if rounds > self.max_rounds:
@@ -352,12 +366,7 @@ class ThreadedRuntime:
                         backoff = cfg.idle_sleep_s
                         was_drained = False
                         continue
-                    drained = (
-                        worker.tasks_in_memory() == 0
-                        and len(worker.l_file) == 0
-                        and worker.unspawned_count() == 0
-                        and worker.comm.pending_outgoing() == 0
-                    )
+                    drained = worker.drained()
                     if drained and not was_drained:
                         # Locally out of work: nudge the master so the
                         # two termination sweeps run now, not after the

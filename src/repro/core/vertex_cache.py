@@ -175,6 +175,9 @@ class VertexCache:
         self._gc_cursor = 0
         self._gc_lock = threading.Lock()
 
+        #: Acquisition total already published by commit_lock_metrics.
+        self._lock_metrics_committed = 0
+
     # -- bucket addressing ------------------------------------------------
 
     def _bucket(self, v: int) -> _Bucket:
@@ -518,7 +521,7 @@ class VertexCache:
         end.
         """
         total = self.bucket_lock_acquisitions()
-        delta = total - getattr(self, "_lock_metrics_committed", 0)
+        delta = total - self._lock_metrics_committed
         if delta:
             self._metrics.add("cache:bucket_lock_acquisitions", delta)
             self._lock_metrics_committed = total

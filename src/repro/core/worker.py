@@ -30,7 +30,14 @@ from .containers import TaskFileList, serialize_tasks
 from .metrics import MetricsRegistry, WorkerMemoryModel
 from .vertex_cache import VertexCache
 
-__all__ = ["Worker", "AtomicCounter"]
+__all__ = ["Worker", "AtomicCounter", "ENGINE_BURST_STEPS"]
+
+#: Engine rounds a worker runs between two comm steps (and, on a node,
+#: between control-plane polls).  Bounds the extra latency of answering
+#: a sync or serving a pull at one burst (the burst ends early when no
+#: engine has work); big enough that the per-round flush/poll overhead
+#: is noise next to the mining work.
+ENGINE_BURST_STEPS = 32
 
 
 class AtomicCounter:
@@ -187,6 +194,8 @@ class Worker:
         self._outputs_lock = threading.Lock()
         self.progress = AtomicCounter()
         self.cost_meter = CostMeter()
+        #: Task-pool bytes last folded into the memory model.
+        self._last_task_bytes = 0
 
     # -- graph loading ------------------------------------------------------
 
@@ -407,12 +416,62 @@ class Worker:
     def tasks_in_memory(self) -> int:
         return sum(e.tasks_in_memory() for e in self.engines)
 
+    def drained(self) -> bool:
+        """No task in memory or on disk, nothing unspawned, no pull queued."""
+        return (
+            self.tasks_in_memory() == 0
+            and len(self.l_file) == 0
+            and self.unspawned_count() == 0
+            and self.comm.pending_outgoing() == 0
+        )
+
     def gc_step(self) -> bool:
         """The GC thread's body: lazy eviction on overflow (paper §V-A)."""
         if self.cache.overflowed():
             evicted = self.cache.evict()
             return evicted > 0
         return False
+
+    def step_round(
+        self,
+        max_engine_rounds: int = ENGINE_BURST_STEPS,
+        on_engine_round: Optional[Callable[["Worker"], None]] = None,
+    ) -> Tuple[bool, int]:
+        """One scheduling round: a comm step, then a burst of engine rounds.
+
+        An engine round steps every comper once and then the GC; the
+        burst runs at most ``max_engine_rounds`` of them and ends on the
+        first that makes no progress, so pull latency only grows while
+        there is local work to overlap it with.  Bursting amortises the
+        fixed cost of a flush and an inbox poll over many cheap task
+        iterations and lets parked tasks' requests accumulate into
+        fewer, larger batches (desirability 5).  With a budget of 0
+        only the comm service steps: pulls keep being served and
+        responses delivered, but no new work starts.
+
+        ``on_engine_round(worker)`` runs after every engine round — GC
+        and the failure injector keep per-round (not per-burst)
+        granularity, because spill pressure must be relieved as it
+        builds and injection triggers observe transient conditions
+        (mid-spawn cursor, fresh spill) that can appear and clear
+        within one burst.
+
+        Returns ``(worked, engine_rounds_run)``.
+        """
+        worked = self.comm.step()
+        rounds = 0
+        while rounds < max_engine_rounds:
+            stepped = False
+            for engine in self.engines:
+                stepped = engine.step() or stepped
+            stepped = self.gc_step() or stepped
+            rounds += 1
+            if on_engine_round is not None:
+                on_engine_round(self)
+            if not stepped:
+                break
+            worked = True
+        return worked, rounds
 
     def update_memory_gauge(self) -> None:
         """Refresh the modeled task-pool footprint (called at sync points)."""
@@ -428,7 +487,7 @@ class Worker:
         # the cache bytes anyway.
         pending = sum(e.pending_load() for e in self.engines)
         task_bytes += 128 * pending
-        self.memory.add_tasks(task_bytes - getattr(self, "_last_task_bytes", 0))
+        self.memory.add_tasks(task_bytes - self._last_task_bytes)
         self._last_task_bytes = task_bytes
 
     def remaining_workload_estimate(self) -> int:

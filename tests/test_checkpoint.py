@@ -195,6 +195,24 @@ class TestFailureRecovery:
                     abort_after_rounds=3)
         assert not ck.exists()
 
+    def test_abort_round_picks_the_checkpoint_left_on_disk(self, graph, tmp_path):
+        """``abort_after_rounds`` counts engine rounds, not bursts: the
+        shard on disk is the one of the last sync *before* round k.
+        Syncs fall on rounds 8 and 16 here (the abort is checked before
+        the sync of its own round)."""
+        def cursors_after_abort(k):
+            ck = str(tmp_path / f"abort{k}.ckpt")
+            with pytest.raises(JobAbortedError, match=f"after {k} rounds"):
+                run_job(TriangleCountComper, graph, cfg(), runtime="serial",
+                        checkpoint_path=ck, abort_after_rounds=k)
+            return [w.spawn_cursor
+                    for w in JobCheckpoint.load(ck).worker_snapshots]
+
+        at_sync_8 = cursors_after_abort(9)
+        assert cursors_after_abort(13) == at_sync_8
+        assert cursors_after_abort(16) == at_sync_8
+        assert cursors_after_abort(17) != at_sync_8
+
     def test_resume_worker_count_mismatch(self, graph, tmp_path):
         ck = str(tmp_path / "job.ckpt")
         with pytest.raises(JobAbortedError):

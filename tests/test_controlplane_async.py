@@ -411,3 +411,26 @@ def test_master_timers_reported_on_both_modes(graph, control_plane):
         assert stats.status_pushes > 0
     else:
         assert stats.status_pushes == 0
+
+
+def test_async_master_protocol_time_at_most_the_sweeps():
+    """The gate the retired ``bench_pullpath.py`` carried: on one fixed
+    process job (MCF, cache holding the working set) the async master
+    spends no more time on protocol work than the probing sweep master,
+    which blocks on every node's reply each round.  Measured ~50x apart,
+    so scheduler jitter cannot flip it."""
+    n = 1500
+    g = erdos_renyi(n, 40 / (n - 1), seed=42)
+    sweep_s = {}
+    for mode in ("sweep", "async"):
+        res = run_job(
+            MaxCliqueComper, g,
+            GThinkerConfig(num_workers=2, compers_per_worker=1,
+                           task_batch_size=64, cache_capacity=4 * n,
+                           cache_buckets=64, decompose_threshold=100,
+                           control_plane=mode),
+            runtime="process",
+        )
+        assert len(res.aggregate) == len(max_clique_reference(g))
+        sweep_s[mode] = res.control_plane_stats.master_sweep_s
+    assert 0.0 < sweep_s["async"] <= sweep_s["sweep"], sweep_s

@@ -1,8 +1,8 @@
 """Pull-path regressions: lock-acquisition counts, message counts, and
 the adaptive scheduling knobs (idle backoff).
 
-These are the metrics-backed guarantees behind ``bench_pullpath.py``:
-the bulk pull path (the only engine path) must do the *same work* as
+The metrics-backed guarantees of the batched pull path: the bulk pull
+path (the only engine path) must do the *same work* as
 its per-vertex OP1–OP3 decomposition — what ``CheckedVertexCache``
 turns every bulk call into — with strictly fewer bucket-lock
 acquisitions, and request/serve dedup must put strictly fewer messages
@@ -99,6 +99,27 @@ def test_queue_dedup_sends_fewer_request_ids():
     msgs = cluster.transport.poll(dst)
     assert sum(len(m.vertex_ids) for m in msgs) <= len(remote)
     assert cluster.metrics.get("comm:requests_deduped") == 2 * len(remote)
+
+
+# -- batching: pulls travel in real batches on every runtime ------------------
+
+
+def test_serial_pulls_travel_in_batches():
+    """The serial loop runs the same burst round as a node, so a flush
+    carries the pulls of a whole burst of parked tasks.  With the cache
+    far below the working set nearly every pull is a wire request; one
+    task per comm step put roughly one message on the wire per 1.5
+    pulls."""
+    n = 1500
+    g = erdos_renyi(n, 10 / (n - 1), seed=9)
+    res = run_job(TriangleCountComper, g,
+                  GThinkerConfig(num_workers=2, compers_per_worker=1,
+                                 cache_capacity=n // 20),
+                  runtime="serial")
+    assert res.aggregate == count_triangles(g)
+    pulls = res.metrics.get("comm:requests_queued")
+    assert res.metrics.get("cache:evictions") > res.metrics.get("cache:hits")
+    assert res.metrics.get("net:messages") <= pulls / 8
 
 
 # -- config knobs -------------------------------------------------------------

@@ -225,3 +225,108 @@ def test_cost_meter_drain():
 def test_gc_step_only_on_overflow(cluster):
     w = cluster.workers[0]
     assert w.gc_step() is False  # empty cache: nothing to do
+
+
+# -- step_round: the one scheduling round ------------------------------------
+
+
+class _ScriptedEngine:
+    """Stands in for a ComperEngine: ``step()`` replays a result script."""
+
+    def __init__(self, script):
+        self._script = iter(script)
+        self.steps = 0
+
+    def step(self):
+        self.steps += 1
+        return next(self._script, False)
+
+
+def _scripted_worker(cluster, script):
+    """Worker 0 with a counted comm step and one scripted engine."""
+    w = cluster.workers[0]
+    w.engines = [_ScriptedEngine(script)]
+    w.comm_steps = 0
+    real_comm_step = w.comm.step
+
+    def comm_step():
+        w.comm_steps += 1
+        return real_comm_step()
+
+    w.comm.step = comm_step
+    return w
+
+
+def test_step_round_steps_comm_exactly_once(cluster):
+    w = _scripted_worker(cluster, [True] * 100)
+    w.step_round(7)
+    assert w.comm_steps == 1
+    assert w.engines[0].steps == 7
+
+
+def test_step_round_ends_on_first_round_without_progress(cluster):
+    w = _scripted_worker(cluster, [True, True, True, False, True])
+    worked, rounds = w.step_round(10)
+    assert worked is True
+    # Three productive rounds and the idle one that ended the burst.
+    assert rounds == w.engines[0].steps == 4
+
+
+def test_step_round_reports_idle_round(cluster):
+    w = _scripted_worker(cluster, [])
+    assert w.step_round(10) == (False, 1)
+
+
+def test_step_round_never_exceeds_its_budget(cluster):
+    from repro.core.worker import ENGINE_BURST_STEPS
+
+    w = _scripted_worker(cluster, [True] * 1000)
+    for budget in (0, 1, 5):
+        before = w.engines[0].steps
+        assert w.step_round(budget) == (budget > 0, budget)
+        assert w.engines[0].steps - before == budget
+    assert w.step_round() == (True, ENGINE_BURST_STEPS)
+
+
+def test_step_round_callback_fires_once_per_engine_round(cluster):
+    w = _scripted_worker(cluster, [True, True, False])
+    seen = []
+    _, rounds = w.step_round(10, seen.append)
+    assert seen == [w] * rounds == [w] * 3
+
+
+def test_node_session_step_is_one_worker_round(cluster):
+    """Quiesced: comm only.  Otherwise one burst, the injector observing
+    every engine round of it."""
+    from repro.core.controlplane import FailureInjector, NodeSession
+
+    class CountingInjector(FailureInjector):
+        rounds_observed = 0
+
+        def observe_round(self, worker):
+            self.rounds_observed += 1
+
+    w = _scripted_worker(cluster, [True, True, False])
+    injector = CountingInjector(None, w.worker_id, 0)
+    session = NodeSession(w, w.transport, injector, w.metrics)
+
+    session.quiesced = True
+    session.step()
+    assert (w.comm_steps, w.engines[0].steps) == (1, 0)
+    assert injector.rounds_observed == 0
+
+    session.quiesced = False
+    assert session.step() is True
+    assert (w.comm_steps, w.engines[0].steps) == (2, 3)
+    assert injector.rounds_observed == 3
+
+
+def test_drained_tracks_every_source_of_work(cluster):
+    w = cluster.workers[0]
+    assert not w.drained()  # unspawned vertices
+    w.set_spawn_cursor(w.num_local_vertices)
+    assert w.drained()
+    w.comm.queue_requests([next(
+        v for v in range(1000) if not w.owns_vertex(v)
+    )])
+    assert not w.drained()  # a queued pull
