@@ -29,6 +29,7 @@ __all__ = [
     "max_clique",
     "max_clique_reference",
     "enumerate_maximal_cliques",
+    "bron_kerbosch",
     "greedy_coloring_bound",
     "AdjMap",
 ]
@@ -99,6 +100,44 @@ def greedy_coloring_bound(vertices: Sequence[int], adj: AdjMap) -> int:
 _BITSET_MAX = 128
 
 
+def _bitset_color_bound(rows: List[int], cand: int) -> int:
+    """Greedy coloring: peel one independent set (color class) per
+    round; the number of rounds bounds the clique size."""
+    ncol = 0
+    while cand:
+        ncol += 1
+        q = cand
+        while q:
+            b = q & -q
+            q &= ~rows[b.bit_length() - 1]
+            q ^= b
+            cand ^= b
+    return ncol
+
+
+def _bitset_expand(rows: List[int], members: List[int], cand: int,
+                   incumbent: List) -> None:
+    """One branch of the bitmask search; ``incumbent`` is the mutable
+    ``[size to beat, best members]`` pair shared by the whole search."""
+    if not cand:
+        if len(members) > incumbent[0]:
+            incumbent[0] = len(members)
+            incumbent[1] = members.copy()
+        return
+    if len(members) + cand.bit_count() <= incumbent[0]:
+        return
+    if len(members) + _bitset_color_bound(rows, cand) <= incumbent[0]:
+        return
+    while cand:
+        if len(members) + cand.bit_count() <= incumbent[0]:
+            break
+        p = cand.bit_length() - 1
+        cand ^= 1 << p
+        members.append(p)
+        _bitset_expand(rows, members, cand & rows[p], incumbent)
+        members.pop()
+
+
 def _max_clique_bitset(rows: List[int], n: int, lower_bound: int) -> List[int]:
     """Branch-and-bound over bitmask candidate sets (positions 0..n-1).
 
@@ -106,45 +145,39 @@ def _max_clique_bitset(rows: List[int], n: int, lower_bound: int) -> List[int]:
     position first so the remaining mask is exactly ``candidates[:i]``,
     with the same popcount and greedy-coloring bounds.
     """
-    best: List[int] = []
-    best_size = max(lower_bound, 0)
+    incumbent = [max(lower_bound, 0), []]
+    _bitset_expand(rows, [], (1 << n) - 1, incumbent)
+    return incumbent[1]
 
-    def bound(cand: int) -> int:
-        # Greedy coloring: peel one independent set (color class) per
-        # round; the number of rounds bounds the clique size.
-        ncol = 0
-        while cand:
-            ncol += 1
-            q = cand
-            while q:
-                b = q & -q
-                q &= ~rows[b.bit_length() - 1]
-                q ^= b
-                cand ^= b
-        return ncol
 
-    def expand(members: List[int], cand: int) -> None:
-        nonlocal best, best_size
-        if not cand:
-            if len(members) > best_size:
-                best_size = len(members)
-                best = members.copy()
-            return
-        if len(members) + cand.bit_count() <= best_size:
-            return
-        if len(members) + bound(cand) <= best_size:
-            return
-        while cand:
-            if len(members) + cand.bit_count() <= best_size:
-                break
-            p = cand.bit_length() - 1
-            cand ^= 1 << p
-            members.append(p)
-            expand(members, cand & rows[p])
-            members.pop()
-
-    expand([], (1 << n) - 1)
-    return best
+def _array_expand(search: Tuple, clique: List[int], candidates: np.ndarray,
+                  incumbent: List) -> None:
+    """One branch of the ndarray search over ``search = (rows,
+    full_degs, color_scratch)``; ``incumbent`` as in
+    :func:`_bitset_expand`."""
+    if candidates.size == 0:
+        if len(clique) > incumbent[0]:
+            incumbent[0] = len(clique)
+            incumbent[1] = list(clique)
+        return
+    if len(clique) + candidates.size <= incumbent[0]:
+        return
+    rows, full_degs, color_scratch = search
+    # Greedy-coloring upper bound on the candidates' induced graph,
+    # reusing the shared scratch array (reset inside).
+    corder = candidates[np.argsort(-full_degs[candidates], kind="stable")]
+    if len(clique) + _color_positions(corder, rows, color_scratch) <= incumbent[0]:
+        return
+    # Iterate candidates in reverse outer order so the candidate set
+    # shrinks monotonically (set-enumeration style, Fig. 1).
+    for i in range(candidates.size - 1, -1, -1):
+        if len(clique) + i + 1 <= incumbent[0]:
+            break
+        p = int(candidates[i])
+        clique.append(p)
+        _array_expand(search, clique,
+                      kernels.intersect(candidates[:i], rows[p]), incumbent)
+        clique.pop()
 
 
 def max_clique(
@@ -224,39 +257,28 @@ def max_clique(
     full_degs = np.fromiter((len(adj[v]) for v in order), dtype=np.int64,
                             count=n)
     color_scratch = np.full(n, -1, dtype=np.int64)
-
-    def bound(candidates: np.ndarray) -> int:
-        # Greedy-coloring upper bound on the candidates' induced graph,
-        # reusing the shared scratch array (reset inside).
-        corder = candidates[np.argsort(-full_degs[candidates],
-                                       kind="stable")]
-        return _color_positions(corder, rows, color_scratch)
-
-    def expand(clique: List[int], candidates: np.ndarray) -> None:
-        nonlocal best, best_size
-        if candidates.size == 0:
-            if len(clique) > best_size:
-                best_size = len(clique)
-                best = list(clique)
-            return
-        if len(clique) + candidates.size <= best_size:
-            return
-        if len(clique) + bound(candidates) <= best_size:
-            return
-        # Iterate candidates in reverse outer order so the candidate set
-        # shrinks monotonically (set-enumeration style, Fig. 1).
-        for i in range(candidates.size - 1, -1, -1):
-            if len(clique) + i + 1 <= best_size:
-                break
-            p = int(candidates[i])
-            clique.append(p)
-            expand(clique, kernels.intersect(candidates[:i], rows[p]))
-            clique.pop()
-
-    expand([], np.arange(n, dtype=np.int64))
+    incumbent = [best_size, best]
+    _array_expand((rows, full_degs, color_scratch), [],
+                  np.arange(n, dtype=np.int64), incumbent)
+    best_size, best = incumbent
     if best_size > max(lower_bound, 0) or (lower_bound <= 0 and best):
         return tuple(sorted(int(order[p]) for p in best))
     return ()
+
+
+def bron_kerbosch(adj: Dict[int, Set[int]], r: Set[int], p: Set[int],
+                  x: Set[int]) -> Iterator[Tuple[int, ...]]:
+    """Bron–Kerbosch with pivoting from the state ``(R, P, X)``: every
+    maximal clique that extends ``r`` by vertices of ``p`` and cannot be
+    extended by one of ``x``.  Consumes ``p`` and ``x``."""
+    if not p and not x:
+        yield tuple(sorted(r))
+        return
+    pivot = max(p | x, key=lambda u: len(adj[u] & p))
+    for v in list(p - adj[pivot]):
+        yield from bron_kerbosch(adj, r | {v}, p & adj[v], x & adj[v])
+        p.remove(v)
+        x.add(v)
 
 
 def enumerate_maximal_cliques(g) -> Iterator[Tuple[int, ...]]:
@@ -267,19 +289,7 @@ def enumerate_maximal_cliques(g) -> Iterator[Tuple[int, ...]]:
     degeneracy, fine for our test sizes.
     """
     adj = {v: set(a) for v, a in _as_adj(g).items()}
-
-    def bk(r: Set[int], p: Set[int], x: Set[int]) -> Iterator[Tuple[int, ...]]:
-        if not p and not x:
-            yield tuple(sorted(r))
-            return
-        pivot_pool = p | x
-        pivot = max(pivot_pool, key=lambda u: len(adj[u] & p))
-        for v in list(p - adj[pivot]):
-            yield from bk(r | {v}, p & adj[v], x & adj[v])
-            p.remove(v)
-            x.add(v)
-
-    yield from bk(set(), set(adj), set())
+    yield from bron_kerbosch(adj, set(), set(adj), set())
 
 
 def max_clique_reference(g) -> Tuple[int, ...]:

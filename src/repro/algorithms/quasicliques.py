@@ -107,27 +107,35 @@ def _enumerate_bitset(
     )
     qualifying: Set[FrozenSet[int]] = set()
 
-    def expand(members: List[int], members_mask: np.ndarray,
-               cand: np.ndarray) -> None:
-        # Candidate pruning to a fixpoint (see prune_candidates in the
-        # set-based search for the soundness argument).
-        while True:
-            total_mask = members_mask | kernels.pack_mask(cand, n)
-            floor_size = max(len(members) + 1, min_size)
-            need_min = _required_degree(gamma, floor_size)
-            counts = kernels.bitset_and_counts(rows[cand], total_mask)
-            kept = cand[counts >= need_min]
-            if kept.size == cand.size:
-                break
-            cand = kept
-        if members:
+    # Per root, depth-first over an explicit stack of (members, their
+    # mask, candidates) branches; children are pushed in reverse so
+    # they pop in candidate order.
+    empty_mask = np.zeros(kernels.bitset_words(n), dtype=np.uint64)
+    stack = []
+    for v_pos in range(n):
+        v_mask = empty_mask.copy()
+        v_mask[v_pos >> 6] |= np.uint64(1) << np.uint64(v_pos & 63)
+        stack.append(([v_pos], v_mask, np.arange(v_pos + 1, n, dtype=np.int64)))
+        while stack:
+            members, members_mask, cand = stack.pop()
+            # Candidate pruning to a fixpoint (see prune_candidates in the
+            # set-based search for the soundness argument).
+            while True:
+                total_mask = members_mask | kernels.pack_mask(cand, n)
+                floor_size = max(len(members) + 1, min_size)
+                need_min = _required_degree(gamma, floor_size)
+                counts = kernels.bitset_and_counts(rows[cand], total_mask)
+                kept = cand[counts >= need_min]
+                if kept.size == cand.size:
+                    break
+                cand = kept
             members_arr = np.asarray(members, dtype=np.int64)
             total_mask = members_mask | kernels.pack_mask(cand, n)
             floor_size = max(len(members), min_size)
             need_min = _required_degree(gamma, floor_size)
             mcounts = kernels.bitset_and_counts(rows[members_arr], total_mask)
             if not bool((mcounts >= need_min).all()):
-                return
+                continue
             if len(members) >= min_size:
                 need = _required_degree(gamma, len(members))
                 in_counts = kernels.bitset_and_counts(rows[members_arr],
@@ -136,18 +144,11 @@ def _enumerate_bitset(
                     qualifying.add(
                         frozenset(all_vertices[p] for p in members)
                     )
-        for i in range(cand.size):
-            u = int(cand[i])
-            u_mask = members_mask.copy()
-            u_mask[u >> 6] |= np.uint64(1) << np.uint64(u & 63)
-            expand(members + [u], u_mask, cand[i + 1:])
-
-    empty_mask = np.zeros(kernels.bitset_words(n), dtype=np.uint64)
-    for v_pos in range(n):
-        v_mask = empty_mask.copy()
-        v_mask[v_pos >> 6] |= np.uint64(1) << np.uint64(v_pos & 63)
-        expand([v_pos], v_mask,
-               np.arange(v_pos + 1, n, dtype=np.int64))
+            for i in range(cand.size - 1, -1, -1):
+                u = int(cand[i])
+                u_mask = members_mask.copy()
+                u_mask[u >> 6] |= np.uint64(1) << np.uint64(u & 63)
+                stack.append((members + [u], u_mask, cand[i + 1:]))
     return qualifying
 
 
@@ -222,15 +223,6 @@ def enumerate_quasi_cliques(
         need_min = _required_degree(gamma, floor_size)
         return all(in_degree(v, total) >= need_min for v in members)
 
-    def expand(members: Set[int], cand: List[int]) -> None:
-        cand = prune_candidates(members, cand)
-        if not branch_alive(members, cand):
-            return
-        if len(members) >= min_size and qualifies(members):
-            qualifying.add(frozenset(members))
-        for i, u in enumerate(cand):
-            expand(members | {u}, cand[i + 1:])
-
     # Quasi-cliques are not hereditary, so maximality must be judged
     # against *all* qualifying sets, including those whose minimum vertex
     # is smaller than a reported set's minimum.  We therefore always
@@ -244,8 +236,20 @@ def enumerate_quasi_cliques(
     if use_bitset and all_vertices:
         qualifying = _enumerate_bitset(adj, all_vertices, gamma, min_size)
     else:
-        for v in all_vertices:
-            expand({v}, [u for u in all_vertices if u > v])
+        # Per root, depth-first over an explicit stack of (members,
+        # candidates) branches; children are pushed in reverse so they
+        # pop in candidate order.
+        for i, v in enumerate(all_vertices):
+            stack = [({v}, all_vertices[i + 1:])]
+            while stack:
+                members, cand = stack.pop()
+                cand = prune_candidates(members, cand)
+                if not branch_alive(members, cand):
+                    continue
+                if len(members) >= min_size and qualifies(members):
+                    qualifying.add(frozenset(members))
+                stack.extend((members | {u}, cand[j + 1:])
+                             for j, u in reversed(list(enumerate(cand))))
 
     by_size: Dict[int, List[FrozenSet[int]]] = {}
     for q in qualifying:

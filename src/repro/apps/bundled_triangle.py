@@ -23,25 +23,21 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from ..core.api import Comper, SumAggregator, Task, VertexView
+from ..core.api import SumAggregator, Task, VertexView
 from ..graph import kernels
-from .common import GtTrimmer
+from .common import BundlingComper, GtTrimmer
 
 __all__ = ["BundledTriangleCountComper"]
 
 
-class BundledTriangleCountComper(Comper):
+class BundledTriangleCountComper(BundlingComper):
     """TC with low-degree vertices bundled into shared tasks."""
 
     def __init__(self, bundle_size: int = 32, heavy_threshold: int = 16) -> None:
-        super().__init__()
-        if bundle_size < 1:
-            raise ValueError("bundle_size must be >= 1")
+        super().__init__(bundle_size)
         if heavy_threshold < 2:
             raise ValueError("heavy_threshold must be >= 2")
-        self.bundle_size = bundle_size
         self.heavy_threshold = heavy_threshold
-        self._bundle: List[Tuple[int, Tuple[int, ...]]] = []
 
     def make_aggregator(self) -> SumAggregator:
         return SumAggregator()
@@ -54,20 +50,9 @@ class BundledTriangleCountComper(Comper):
     def task_spawn(self, v: VertexView) -> None:
         if len(v.adj) < 2:
             return  # no triangle has v as its smallest vertex
-        if len(v.adj) >= self.heavy_threshold:
-            self._emit([(v.id, v.adj)])
-            return
-        self._bundle.append((v.id, v.adj))
-        if len(self._bundle) >= self.bundle_size:
-            bundle, self._bundle = self._bundle, []
-            self._emit(bundle)
+        self.spawn_member((v.id, v.adj), len(v.adj) >= self.heavy_threshold)
 
-    def spawn_flush(self) -> None:
-        if self._bundle:
-            bundle, self._bundle = self._bundle, []
-            self._emit(bundle)
-
-    def _emit(self, members: List[Tuple[int, Tuple[int, ...]]]) -> None:
+    def emit_bundle(self, members: List[Tuple[int, Tuple[int, ...]]]) -> None:
         task = Task(context=members)
         for _v, gt in members:
             task.pull_many(gt)  # dedupes across bundle members

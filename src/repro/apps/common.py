@@ -2,29 +2,66 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Set
+import abc
+from typing import Any, Iterable, List, Sequence, Set
 
 import numpy as np
 
-from ..core.api import Task, Trimmer, VertexView
+from ..core.api import Comper, Task, Trimmer, VertexView
 from ..graph import kernels
 from ..graph.graph import adjacency_suffix_gt
 
-__all__ = ["GtTrimmer", "LabelTrimmer", "pull_next_hop"]
+__all__ = ["BundlingComper", "GtTrimmer", "LabelTrimmer", "pull_next_hop"]
+
+
+class BundlingComper(Comper):
+    """A comper that mines many low-degree spawn vertices per task.
+
+    The paper's §VI: "tasks spawned from many low-degree vertices do not
+    generate large enough subgraphs to hide IO cost in the computation";
+    its follow-up bundles them into bigger tasks.  ``task_spawn`` hands
+    each spawn vertex to :meth:`spawn_member`: a heavy one gets a task
+    of its own, the rest are buffered and leave ``bundle_size`` at a
+    time through :meth:`emit_bundle` — the last, partial bundle on
+    ``spawn_flush``.  Members wait only in this buffer, never across a
+    steal payload or a checkpoint (the worker flushes before both).
+    """
+
+    def __init__(self, bundle_size: int) -> None:
+        super().__init__()
+        if bundle_size < 1:
+            raise ValueError("bundle_size must be >= 1")
+        self.bundle_size = bundle_size
+        self._bundle: List[Any] = []
+
+    def spawn_member(self, member: Any, heavy: bool) -> None:
+        if heavy:
+            self.emit_bundle([member])
+            return
+        self._bundle.append(member)
+        if len(self._bundle) >= self.bundle_size:
+            self.spawn_flush()
+
+    def spawn_flush(self) -> None:
+        if self._bundle:
+            bundle, self._bundle = self._bundle, []
+            self.emit_bundle(bundle)
+
+    @abc.abstractmethod
+    def emit_bundle(self, members: List[Any]) -> None:
+        """Create (``add_task``) the one task that mines ``members``."""
 
 
 def pull_next_hop(task: Task, frontier: Sequence[VertexView]) -> None:
     """Pull every neighbor of ``frontier`` not yet materialized in
     ``task.g`` (first-seen order, one ``pull_many``) — the hop-by-hop
     ego-network growth of the quasi-clique and matching apps."""
-    seen: Set[int] = set(task.g.vertices())
-    fresh = []
-    for view in frontier:
-        for u in kernels.as_ids_array(view.adj).tolist():
-            if u not in seen:
-                seen.add(u)
-                fresh.append(u)
-    task.pull_many(fresh)
+    if not frontier:
+        return
+    neighbors = kernels.flatten_rows([view.adj for view in frontier]).tolist()
+    materialized = task.g.adjacency()
+    task.pull_many([u for u in dict.fromkeys(neighbors)
+                    if u not in materialized])
 
 
 class GtTrimmer(Trimmer):

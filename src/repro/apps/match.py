@@ -8,21 +8,27 @@ its anchor.  Query automorphisms are killed by the symmetry-breaking
 order constraints inside :mod:`repro.algorithms.matching`, so the union
 over tasks counts every embedding exactly once.
 
-A task materializes the anchor's ``r``-hop neighborhood (``r`` = the
-eccentricity of ``q0`` in the query) by iterative pulling — one pull
-round per hop, the multi-iteration pattern the paper illustrates with
-quasi-cliques — and then runs the serial backtracking matcher locally.
+Low-degree anchors are *bundled* (the paper's §VI future-work item):
+one task owns up to ``BUNDLE_SIZE`` anchors, materializes the union of
+their ``r``-hop neighborhoods (``r`` = the eccentricity of ``q0`` in the
+query) by iterative pulling — one pull round per hop for the whole
+bundle, the multi-iteration pattern the paper illustrates with
+quasi-cliques — and runs the level-wise matcher once with all its
+anchors as the first column.  That is exact: the subgraph induced on
+the union contains every anchor's ``r``-hop ball and only real edges,
+and an embedding anchored at ``a`` never leaves ``a``'s ball.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from ..algorithms.matching import QueryGraph, match_subgraph
-from ..core.api import Comper, SumAggregator, Task, VertexView
-from ..graph.graph import Graph
-from .common import LabelTrimmer, pull_next_hop
+from ..algorithms.matching import (
+    CompactCSR, QueryGraph, embeddings, run_plan,
+)
+from ..core.api import SumAggregator, Task, VertexView
+from .common import BundlingComper, LabelTrimmer, pull_next_hop
 
 __all__ = ["SubgraphMatchComper", "query_radius"]
 
@@ -44,7 +50,7 @@ def query_radius(query: QueryGraph) -> int:
     return max(dist.values())
 
 
-class SubgraphMatchComper(Comper):
+class SubgraphMatchComper(BundlingComper):
     """Counts (and optionally emits) embeddings of a labeled query.
 
     Parameters
@@ -56,8 +62,18 @@ class SubgraphMatchComper(Comper):
         (the trimmer sees one vertex at a time but must judge its
         neighbors' labels).  Pass ``None`` to skip trimming.
     collect_embeddings:
-        Emit each embedding dict via ``output()`` (small graphs only).
+        Emit each embedding as a ``{query vertex: data vertex}`` dict
+        of plain ints via ``output()`` (small graphs only); their order
+        is unspecified.
     """
+
+    #: Anchors per task; 1 is the paper's one-task-per-vertex shape.
+    BUNDLE_SIZE = 32
+    #: An anchor whose ``r``-hop ball is estimated (``degree ** r``) at
+    #: this many vertices or more gets a task of its own: that ball
+    #: alone hides the pull round-trip, and a bundle's union stays
+    #: within ``BUNDLE_SIZE`` such balls whatever the query's radius.
+    HEAVY_BALL = 64
 
     def __init__(
         self,
@@ -65,12 +81,15 @@ class SubgraphMatchComper(Comper):
         data_labels: Optional[Dict[int, int]] = None,
         collect_embeddings: bool = False,
     ) -> None:
-        super().__init__()
+        super().__init__(self.BUNDLE_SIZE)
         self.query = query
         self.radius = query_radius(query)
         self._labels = data_labels
         self._collect = collect_embeddings
         self._query_labels = set(query.labels.values())
+        q0 = query.order[0]
+        self._anchor_label = query.labels[q0]
+        self._anchor_degree = query.graph.degree(q0)
 
     def make_aggregator(self) -> SumAggregator:
         return SumAggregator()
@@ -84,45 +103,56 @@ class SubgraphMatchComper(Comper):
     # -- UDFs ----------------------------------------------------------------
 
     def task_spawn(self, v: VertexView) -> None:
-        q0 = self.query.order[0]
-        if self.query.labels[q0] != v.label:
+        if v.label != self._anchor_label:
             return
-        if len(v.adj) < self.query.graph.degree(q0):
+        if len(v.adj) < self._anchor_degree:
             return  # cannot host the anchor's degree
-        task = Task(context={"anchor": v.id, "depth": 0})
-        task.g.add_vertex(v.id, v.adj, label=v.label)
-        if self.radius >= 1:
-            task.pull_many(v.adj)
+        self.spawn_member(v, len(v.adj) ** self.radius >= self.HEAVY_BALL)
+
+    def emit_bundle(self, members: List[VertexView]) -> None:
+        # context = (hops materialized, *anchors): an int tuple, so the
+        # task spills and travels as a flat frame.
+        task = Task(context=(0, *(v.id for v in members)))
+        for v in members:
+            task.g.add_vertex(v.id, v.adj, label=v.label)
+        pull_next_hop(task, members)
         self.add_task(task)
 
     def compute(self, task: Task, frontier: Sequence[VertexView]) -> bool:
-        ctx = task.context
-        ctx["depth"] += 1
-        for view in frontier:
-            if view.id not in task.g:
-                task.g.add_vertex(view.id, view.adj, label=view.label)
-        if ctx["depth"] < self.radius:
-            # Pull the next hop: neighbors of the just-arrived frontier
-            # that are not yet materialized.
-            pull_next_hop(task, frontier)
+        depth, *anchors = task.context
+        depth += 1
+        task.context = (depth, *anchors)
+        g = task.g
+        fresh = [view for view in frontier if view.id not in g]
+        if depth < self.radius:
+            # Another hop to go: the arrived rows must outlive this
+            # iteration, so they move into the (spillable) subgraph.
+            for view in fresh:
+                g.add_vertex(view.id, view.adj, label=view.label)
+            pull_next_hop(task, fresh)
             if task.pending_pulls():
                 return True
-        self._match(task)
+            fresh = []
+        self._match(g, fresh, anchors)
         return False
 
     # -- local matching -------------------------------------------------------
 
-    def _match(self, task: Task) -> None:
-        materialized = set(task.g.vertices())
-        data = Graph(
-            {v: [u for u in task.g.neighbors(v) if u in materialized]
-             for v in materialized},
-            labels={v: task.g.label(v) for v in materialized if task.g.label(v)},
-        )
-        anchor = (self.query.order[0], task.context["anchor"])
+    def _match(self, g, fresh: List[VertexView], anchors: List[int]) -> None:
+        """Match every anchor on the subgraph induced on ``g``'s rows
+        plus the last hop's ``fresh`` views, which are read in place."""
+        adjacency = g.adjacency()
+        # zip(*views) transposes the (id, label, adj) triples in C.
+        ids, labels, rows = zip(*fresh) if fresh else ((), (), ())
+        ids = [*adjacency, *ids]
+        rows = [*adjacency.values(), *rows]
+        labels = [*map(g.label, adjacency), *labels]
+        csr = CompactCSR.from_rows(ids, rows, labels)
+        if not self._collect:
+            self.aggregate(sum(run_plan(csr, self.query.plan, anchors)))
+            return
         count = 0
-        for embedding in match_subgraph(data, self.query, anchor=anchor):
+        for embedding in embeddings(csr, self.query, anchors):
+            self.output(embedding)
             count += 1
-            if self._collect:
-                self.output(dict(embedding))
         self.aggregate(count)

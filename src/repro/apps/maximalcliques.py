@@ -25,6 +25,7 @@ from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..algorithms.cliques import bron_kerbosch
 from ..core.api import Comper, SumAggregator, Task, VertexView
 
 __all__ = ["MaximalCliqueComper", "maximal_cliques_containing_min"]
@@ -39,21 +40,9 @@ def maximal_cliques_containing_min(
     and every neighbor, each row filtered to that neighborhood).
     """
     nbrs = adjacency[v]
-
-    def bk(r: Set[int], p: Set[int], x: Set[int]) -> Iterator[Tuple[int, ...]]:
-        if not p and not x:
-            yield tuple(sorted(r))
-            return
-        pivot_pool = p | x
-        pivot = max(pivot_pool, key=lambda u: len(adjacency[u] & p))
-        for u in list(p - adjacency[pivot]):
-            yield from bk(r | {u}, p & adjacency[u], x & adjacency[u])
-            p.remove(u)
-            x.add(u)
-
     p = {u for u in nbrs if u > v}
     x = {u for u in nbrs if u < v}
-    yield from bk({v}, p, x)
+    yield from bron_kerbosch(adjacency, {v}, p, x)
 
 
 class MaximalCliqueComper(Comper):

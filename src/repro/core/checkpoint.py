@@ -134,10 +134,14 @@ def snapshot_worker(worker) -> WorkerSnapshot:
     ``B_task`` (a non-destructive ``get_batch``/``put`` round-trip that
     preserves order), ``T_task`` (entries keep their pull sets so they
     re-request on restore), and the spilled batch files of ``L_file``
-    (read without consuming).
+    (read without consuming).  Members a bundling app still buffers
+    sit behind the spawn cursor and in no task, so each app is flushed
+    first: its partial bundle becomes a (smaller) queued task the
+    snapshot owns.
     """
     tasks: List[TaskSnapshot] = []
     for engine in worker.engines:
+        engine.app.spawn_flush()
         for t in list(engine.q_task._q):
             tasks.append(snapshot_task(t))
         # B_task and T_task entries: saved with pulls so they re-pull.

@@ -194,6 +194,7 @@ def _teardown(cluster: Cluster) -> None:
     """Release worker resources; remove the spill root iff we made it."""
     for w in cluster.workers:
         w.cleanup()
+    cluster.master.checkpoint_hook = None  # closes over the cluster
     if cluster.owns_spill_root and cluster.spill_root is not None:
         shutil.rmtree(cluster.spill_root, ignore_errors=True)
 

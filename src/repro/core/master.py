@@ -107,14 +107,17 @@ class Master:
             w.cache.flush_local_counter()
             w.cache.commit_lock_metrics()
             w.update_memory_gauge()
-        if self.config.steal_enabled and len(self.workers) > 1:
-            self._plan_and_execute_steals(now)
+        # Checkpoint before stealing: a batch stolen in this sync is on
+        # the wire until the thief's next comm step, where no snapshot
+        # would see it.
         if (
             self.checkpoint_hook is not None
             and self.config.checkpoint_every_syncs > 0
             and self._sync_count % self.config.checkpoint_every_syncs == 0
         ):
             self.checkpoint_hook()
+        if self.config.steal_enabled and len(self.workers) > 1:
+            self._plan_and_execute_steals(now)
         if self._check_termination():
             # Final aggregator synchronization before the job terminates
             # ("another synchronization is performed to make sure data

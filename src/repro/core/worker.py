@@ -355,19 +355,18 @@ class Worker:
         """Produce a serialized batch of fresh tasks for work stealing."""
         collector = _CollectorEngine(self)
         self._steal_app.bind_engine(collector)
-        exhausted = False
         while len(collector.collected) < max_tasks:
             with self._spawn_lock:
                 if self._spawn_next >= len(self._spawn_order):
-                    exhausted = True
                     break
                 v = self._spawn_order[self._spawn_next]
                 self._spawn_next += 1
             self._steal_app.task_spawn(self._entry(v))
             self.note_progress()
-        if exhausted:
-            # Bundling apps: ship the partial bundle rather than lose it.
-            self._steal_app.spawn_flush()
+        # Bundling apps: the cursor is already past the members of the
+        # partial bundle and no later payload is promised, so it ships
+        # with this one (the batch may run one task over ``max_tasks``).
+        self._steal_app.spawn_flush()
         if not collector.collected:
             return None
         return serialize_tasks(collector.collected), len(collector.collected)
@@ -507,4 +506,17 @@ class Worker:
         self.update_memory_gauge()
 
     def cleanup(self) -> None:
+        """Job teardown: delete spill files and unhook the components.
+
+        Engines, the comm service and the apps all point back at their
+        worker; left in place those cycles keep a finished job's whole
+        heap (cache, task pools, T_local views) alive until the next
+        full garbage collection.  Outputs, the aggregator and the
+        metrics stay readable.
+        """
         self.l_file.cleanup()
+        for engine in self.engines:
+            engine.app.bind_engine(None)
+            engine.worker = None
+        self._steal_app.bind_engine(None)
+        self.comm.worker = None

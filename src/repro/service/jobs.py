@@ -29,11 +29,13 @@ from ..apps import (
     QuasiCliqueComper,
     SubgraphMatchComper,
     TriangleCountComper,
+    query_radius,
 )
 from ..core.errors import JobRejectedError
 
 __all__ = [
     "JobSpec",
+    "admit",
     "available_apps",
     "build_app_factory",
     "cache_key",
@@ -110,7 +112,11 @@ def _build_gm(params: Dict[str, Any]):
     if p["query_labels"]:
         # JSON object keys arrive as strings; normalize to int vertex ids.
         labels = {int(k): int(v) for k, v in dict(p["query_labels"]).items()}
-    query = QueryGraph(edge_list, labels=labels)
+    try:
+        query = QueryGraph(edge_list, labels=labels)
+        query_radius(query)  # the app needs a connected query
+    except ValueError as exc:
+        raise _reject("gm", str(exc)) from None
     return functools.partial(SubgraphMatchComper, query)
 
 
@@ -181,6 +187,17 @@ def build_app_factory(app: str, params: Optional[Dict[str, Any]] = None):
     return builder(dict(params or {}))
 
 
+def _canonical_json(app: str, params: Optional[Dict[str, Any]]) -> str:
+    merged = dict(_entry(app)[2])
+    merged.update(params or {})
+    return json.dumps(merged, sort_keys=True, default=str)
+
+
+def _key(graph_digest: str, app: str, canonical: str) -> str:
+    blob = f"{graph_digest}|{app}|{canonical}"
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def canonical_params(app: str, params: Optional[Dict[str, Any]] = None) -> str:
     """The params dict as canonical JSON (defaults filled, keys sorted).
 
@@ -188,15 +205,20 @@ def canonical_params(app: str, params: Optional[Dict[str, Any]] = None) -> str:
     a canonical form; defaults are merged in so ``{"gamma": 0.8}`` and
     an explicit ``{"gamma": 0.8, "min_size": 4}`` canonicalize alike.
     """
-    builder, _desc, defaults = _entry(app)
-    builder(dict(params or {}))  # validate / reject early
-    merged = dict(defaults)
-    merged.update(params or {})
-    return json.dumps(merged, sort_keys=True, default=str)
+    build_app_factory(app, params)  # validate / reject early
+    return _canonical_json(app, params)
 
 
 def cache_key(graph_digest: str, app: str,
               params: Optional[Dict[str, Any]] = None) -> str:
     """The result-cache key for ``(graph, app, params)``."""
-    blob = f"{graph_digest}|{app}|{canonical_params(app, params)}"
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _key(graph_digest, app, canonical_params(app, params))
+
+
+def admit(graph_digest: str, app: str,
+          params: Optional[Dict[str, Any]] = None) -> Tuple[Any, str]:
+    """``(build_app_factory(...), cache_key(...))`` from one builder
+    run — admission's path, so a spec is validated (and a ``gm`` query
+    compiled) once per submit."""
+    factory = build_app_factory(app, params)
+    return factory, _key(graph_digest, app, _canonical_json(app, params))

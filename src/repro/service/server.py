@@ -81,7 +81,7 @@ from ..core.session import (
 from ..graph.digest import graph_digest
 from ..net.tcp import ChannelClosed, ControlChannel, listen_socket
 from .cache import ResultCache
-from .jobs import JobSpec, available_apps, build_app_factory, cache_key
+from .jobs import JobSpec, admit, available_apps
 
 __all__ = ["GraphService"]
 
@@ -93,6 +93,10 @@ _OPS = ("hello", "submit", "status", "result", "cancel", "jobs", "stats",
 _TERMINAL = (JOB_DONE, JOB_FAILED, JOB_CANCELLED)
 #: Record states a cancel can still act on.
 _LIVE = (JOB_QUEUED, JOB_RUNNING)
+#: Finished job records the service keeps for ``status`` / ``result``
+#: (newest first to stay); older ones are forgotten, so a long-lived
+#: server's memory does not grow with the number of jobs it has run.
+MAX_FINISHED_RECORDS = 128
 
 
 class _Execution:
@@ -267,6 +271,8 @@ class GraphService:
         self._lock = threading.RLock()
         self._closed = False
         self._records: Dict[str, _JobRecord] = {}
+        #: Ids of the terminal records in ``_records``, oldest first.
+        self._finished_ids: deque = deque()
         self._queues: Dict[str, deque] = {}  # tenant -> deque[_Execution]
         self._queued_count = 0
         self._tenant_pass: Dict[str, float] = {}
@@ -318,7 +324,7 @@ class GraphService:
         (``deduped: True``) instead of mining twice.
         """
         try:
-            factory = build_app_factory(spec.app, spec.params)
+            factory, key = admit(self.digest, spec.app, spec.params)
             requested = (spec.num_workers if spec.num_workers is not None
                          else self._base_config.num_workers)
             if requested < 1:
@@ -328,12 +334,15 @@ class GraphService:
             with self._lock:
                 self._stats["rejected"] += 1
             raise
-        key = cache_key(self.digest, spec.app, spec.params)
         quota = min(requested, self._max_workers_per_job)
         with self._lock:
             if self._closed:
                 raise ServiceError("service is shut down")
             self._stats["submitted"] += 1
+            # Make room for this job's record among the finished ones;
+            # queued and running records are never dropped.
+            while len(self._finished_ids) >= MAX_FINISHED_RECORDS:
+                del self._records[self._finished_ids.popleft()]
             record = _JobRecord(f"job-{next(self._seq)}", spec, quota, key)
             self._records[record.job_id] = record
             cached = self._cache.get(key)
@@ -343,7 +352,7 @@ class GraphService:
                 record.result = cached
                 record.status = JOB_DONE
                 record.started_at = record.finished_at = time.time()
-                record.done_seq = next(self._done_seq)
+                self._settle_locked(record)
                 record.event.set()
                 return record.to_wire()
             running = self._inflight.get(key)
@@ -439,6 +448,12 @@ class GraphService:
             handle.add_done_callback(
                 functools.partial(self._on_job_done, execution))
 
+    def _settle_locked(self, record: _JobRecord) -> None:
+        """Bookkeeping of a record's (one) transition to a terminal state."""
+        record.done_seq = next(self._done_seq)
+        record.execution = None  # only cancel() of a live record reads it
+        self._finished_ids.append(record.job_id)
+
     def _fail_execution_locked(self, execution: _Execution,
                                error: str) -> None:
         """Settle every live subscriber of a never-ran execution as failed."""
@@ -450,7 +465,7 @@ class GraphService:
             record.status = JOB_FAILED
             record.error = error
             record.finished_at = now
-            record.done_seq = next(self._done_seq)
+            self._settle_locked(record)
             self._stats["failed"] += 1
             record.event.set()
 
@@ -501,7 +516,7 @@ class GraphService:
                 if record.status in _TERMINAL:
                     continue  # e.g. a subscriber cancelled individually
                 record.finished_at = now
-                record.done_seq = next(self._done_seq)
+                self._settle_locked(record)
                 record.status = status
                 if status == JOB_DONE:
                     record.result = result
@@ -581,7 +596,7 @@ class GraphService:
                 return False
             record.status = JOB_CANCELLED
             record.finished_at = time.time()
-            record.done_seq = next(self._done_seq)
+            self._settle_locked(record)
             self._stats["cancelled"] += 1
             if not others_live:
                 # Last live subscriber gone: take the execution down.

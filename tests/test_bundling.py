@@ -68,6 +68,46 @@ def test_bundling_under_stealing():
     assert res.aggregate == count_triangles(g)
 
 
+def test_steal_payload_ships_its_partial_bundle(tmp_path):
+    """``spawn_batch_payload`` stops at ``max_tasks`` with the cursor
+    already past the members buffered in the steal app's bundle; they
+    must leave with that payload, not wait for a later one."""
+    from repro.core.containers import deserialize_tasks
+    from repro.core.job import build_cluster
+
+    # Vertices 0-2 are light (buffered), 3 is heavy: its singleton task
+    # fills a one-task payload while the bundle still holds 0, 1, 2.
+    g = Graph.from_edges(
+        [(0, 10), (0, 11), (1, 10), (1, 11), (1, 12), (2, 11), (2, 12)]
+        + [(3, u) for u in range(10, 20)] + [(4, 10), (4, 11), (5, 12), (5, 13)])
+    factory = lambda: BundledTriangleCountComper(bundle_size=8,  # noqa: E731
+                                                 heavy_threshold=6)
+    cluster = build_cluster(factory, g, cfg(num_workers=1,
+                                            spill_dir=str(tmp_path)))
+    worker = cluster.workers[0]
+    payload, count = worker.spawn_batch_payload(1)
+    assert worker.spawn_cursor() == 4
+    assert worker._steal_app._bundle == []
+    shipped = sorted(v for task in deserialize_tasks(payload)
+                     for v, _gt in task.context)
+    assert shipped == [0, 1, 2, 3]
+    assert count == 2  # the heavy singleton and the flushed bundle
+    worker.cleanup()
+
+
+def test_bundled_tc_under_steal_spawns():
+    """A 2-worker job whose steals are fresh spawn batches (this
+    configuration undercounted before the payload flush fix)."""
+    g = barabasi_albert(200, m=3, seed=2)
+    res = run_job(
+        lambda: BundledTriangleCountComper(bundle_size=8, heavy_threshold=6),
+        g, cfg(num_workers=2, compers_per_worker=1, task_batch_size=2,
+               cache_capacity=64, steal_batches=8, sync_every_rounds=4),
+    )
+    assert res.metrics.get("steal:tasks", 0) > 0
+    assert res.aggregate == count_triangles(g)
+
+
 def test_bundling_threaded(graph):
     res = run_job(
         lambda: BundledTriangleCountComper(bundle_size=16, heavy_threshold=8),

@@ -1,9 +1,23 @@
 """Fault-tolerance tests: checkpoint, injected failure, recovery."""
 
+import functools
+
 import pytest
 
-from repro.algorithms import count_triangles, enumerate_quasi_cliques, max_clique_reference
-from repro.apps import MaxCliqueComper, QuasiCliqueComper, TriangleCountComper
+from repro.algorithms import (
+    count_matches,
+    count_triangles,
+    enumerate_quasi_cliques,
+    max_clique_reference,
+    path_query,
+)
+from repro.apps import (
+    BundledTriangleCountComper,
+    MaxCliqueComper,
+    QuasiCliqueComper,
+    SubgraphMatchComper,
+    TriangleCountComper,
+)
 from repro.core import GThinkerConfig, resume_job, run_job
 from repro.core.checkpoint import (
     JobCheckpoint,
@@ -185,6 +199,24 @@ class TestFailureRecovery:
             lambda: QuasiCliqueComper(gamma=0.6, min_size=4), g, tmp_path, rounds=12
         )
         assert set(res.outputs) == set(enumerate_quasi_cliques(g, 0.6, min_size=4))
+
+    @pytest.mark.parametrize("rounds", [4, 6, 8])
+    def test_bundling_apps_recover_buffered_members(self, graph, tmp_path,
+                                                    rounds):
+        """Neither a bundle still buffered in an app nor a batch stolen
+        in the checkpointing sync may fall between cursor and snapshot."""
+        tc = functools.partial(BundledTriangleCountComper, bundle_size=16,
+                               heavy_threshold=8)
+        gm = functools.partial(SubgraphMatchComper, path_query(2))
+        for factory, want in ((tc, count_triangles(graph)),
+                              (gm, count_matches(graph, path_query(2)))):
+            ck = str(tmp_path / f"job-{want}.ckpt")
+            with pytest.raises(JobAbortedError):
+                run_job(factory, graph, cfg(sync_every_rounds=2),
+                        runtime="serial", checkpoint_path=ck,
+                        abort_after_rounds=rounds)
+            res = resume_job(factory, graph, ck, cfg(checkpoint_every_syncs=0))
+            assert res.aggregate == want
 
     def test_abort_before_any_checkpoint(self, graph, tmp_path):
         """Failing before the first sync leaves no checkpoint file."""

@@ -22,6 +22,7 @@ from repro.apps import TriangleCountComper
 from repro.core.api import Comper, SumAggregator, Task
 from repro.core.errors import JobCancelledError, JobRejectedError, ServiceError
 from repro.graph import erdos_renyi, graph_digest, with_random_labels
+from repro.service import jobs as jobs_module
 from repro.service import (
     GraphService,
     JobSpec,
@@ -758,3 +759,75 @@ class TestServiceBugfixes:
             # not keep one entry per tenant that ever submitted.
             assert svc.stats()["tracked_tenants"] == 0
             assert svc.stats()["queued"] == 0
+
+    def test_finished_records_are_bounded(self, graph, oracles):
+        """Only the newest finished records are kept; live ones always."""
+        from repro.service.server import MAX_FINISHED_RECORDS as KEEP
+
+        with GraphService(graph, config=cfg(num_workers=1, compers_per_worker=1),
+                          worker_budget=2) as svc:
+            host, port = svc.address
+            with ServiceClient(f"{host}:{port}") as c:
+                first = c.submit("tc")
+                assert first.result(timeout=120).aggregate == oracles["tc"]
+                handles = [c.submit("tc") for _ in range(KEEP + 40)]  # cache hits
+                assert len(c.jobs()) <= KEEP
+                # The newest results are still there ...
+                for h in handles[-KEEP + 1:]:
+                    assert h.result(timeout=120).aggregate == oracles["tc"]
+                assert c.status(handles[-1].job_id)["status"] == "done"
+                # ... the oldest answer exactly like an id never issued.
+                for gone in (first.job_id, handles[0].job_id):
+                    with pytest.raises(ServiceError, match="no such job"):
+                        c.status(gone)
+                    with pytest.raises(ServiceError, match="no such job"):
+                        c.result(gone, timeout=1)
+
+    def test_live_records_survive_eviction(self, graph, gate):
+        from repro.service.server import MAX_FINISHED_RECORDS as KEEP
+
+        wait_started, release = gate
+        with GraphService(graph, config=cfg(), worker_budget=4) as svc:
+            blocked = svc.submit(JobSpec("block", {"id": 1}, num_workers=1))
+            assert wait_started()
+            warm = svc.submit(JobSpec("tc", num_workers=1))
+            svc.wait_result(warm["job_id"], timeout=120)
+            for _ in range(KEEP + 5):
+                svc.submit(JobSpec("tc", num_workers=1))  # cache hits
+            assert svc.status(blocked["job_id"])["status"] == "running"
+            release()
+            assert svc.wait_result(blocked["job_id"], timeout=120) is not None
+            assert len(svc.jobs()) <= KEEP + 1
+
+    def test_gm_query_is_built_once_per_submit(self, service, monkeypatch):
+        from repro.service import jobs
+
+        built = []
+        real = jobs.QueryGraph
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(jobs, "QueryGraph", counting)
+        record = service.submit(JobSpec("gm", {"query_edges": TRIANGLE_EDGES}))
+        assert built == [1]
+        service.wait_result(record["job_id"], timeout=120)
+
+    @pytest.mark.parametrize("edges", [
+        [[i, i + 1] for i in range(11)],                         # 12-path
+        [[a, b] for a in range(12) for b in range(a + 1, 12)],   # K12
+    ])
+    def test_twelve_vertex_query_admission_is_fast(self, service, edges):
+        """Admission runs on the connection thread: a big query must
+        not stall it (the permutation walk took minutes at 12)."""
+        t0 = time.perf_counter()
+        assert jobs_module.admit(service.digest, "gm",
+                                 {"query_edges": edges})[0] is not None
+        assert time.perf_counter() - t0 < 0.5
+
+    def test_unmatchable_gm_queries_reject_at_admission(self, service):
+        with pytest.raises(JobRejectedError, match="connected"):
+            service.submit(JobSpec("gm", {"query_edges": [[0, 1], [2, 3]]}))
+        with pytest.raises(JobRejectedError, match="empty"):
+            service.submit(JobSpec("gm", {"query_edges": [[4, 4]]}))
