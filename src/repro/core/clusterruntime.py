@@ -376,10 +376,9 @@ class _ClusterMaster(ControlPlaneMaster):
                     recoverable=True,
                 ) from exc
             self._raise_from_report(msg)
-            if self._note_oob(node_id, msg):
-                # Unsolicited notification (wake or pushed status)
-                # racing a request-reply exchange; the reply we are
-                # waiting for is behind it.
+            if self._note_oob(msg):
+                # A wake racing a request-reply exchange; the reply we
+                # are waiting for is behind it.
                 continue
             return msg
 
@@ -399,7 +398,7 @@ class _ClusterMaster(ControlPlaneMaster):
                 try:
                     for msg in chan.drain_nowait():
                         self._raise_from_report(msg)
-                        if not self._note_oob(nid, msg):
+                        if not self._note_oob(msg):
                             raise WorkerProcessError(
                                 nid,
                                 "unexpected out-of-band control message "

@@ -170,23 +170,6 @@ class GThinkerConfig:
     aggregator_sync_period_s:
         How often worker aggregators synchronize (paper default 1 s);
         the serial runtime interprets this as "every N scheduler rounds".
-    control_plane:
-        How the process/cluster master coordinates its nodes.
-        ``'sweep'`` (the default for one release, the legacy oracle) is
-        the synchronous protocol: the master probes every node with a
-        round-robin ``sync`` request-reply sweep each period, then plans
-        and executes steals through itself.  ``'async'`` is event-driven:
-        nodes push compact status deltas when their state changes
-        materially, the master consumes them from a single multiplexed
-        queue, steal *plans* are published as fire-and-forget
-        ``dsteal`` commands whose ``B_task`` batch moves worker-to-worker
-        over the data transport (no master round-trips), and the
-        aggregator broadcast overlaps with compute — the master only
-        quiesces into synchronous confirming sweeps when Safra
-        double-snapshot termination is about to fire.  Answers, the
-        checkpoint/rollback protocol and cancellation semantics are
-        identical in both modes.  Ignored by the serial/threaded/DES
-        runtimes (they have no remote control plane).
     steal_enabled / steal_batches:
         Master-coordinated work stealing: when the gap between the most-
         and least-loaded workers exceeds one batch, move up to
@@ -294,7 +277,6 @@ class GThinkerConfig:
     decompose_threshold: int = 64
     aggregator_sync_period_s: float = 0.05
     sync_every_rounds: int = 64
-    control_plane: str = "sweep"
     steal_enabled: bool = True
     steal_batches: int = 4
     idle_sleep_s: float = 0.0005
@@ -365,11 +347,6 @@ class GThinkerConfig:
             )
         if self.response_chunk < 1:
             raise ValueError("response_chunk must be >= 1")
-        if self.control_plane not in ("sweep", "async"):
-            raise ValueError(
-                f"control_plane must be 'sweep' or 'async', "
-                f"got {self.control_plane!r}"
-            )
         if self.kernel_backend not in ("auto", "numpy", "numba"):
             raise ValueError(
                 f"kernel_backend must be 'auto', 'numpy' or 'numba', "

@@ -16,24 +16,12 @@ plane, many machines) drive the *same* protocol:
   settled state → snapshot every node → resume with the folded global;
 * bounded-restart **global rollback** recovery in :meth:`run`.
 
-Two coordination modes, selected by ``GThinkerConfig.control_plane``:
-
-* ``'sweep'`` (legacy, the oracle): the master drives a serial
-  round-robin request-reply ``sync`` probe over every node each period
-  and blocks on each reply — sweep cost is O(nodes) per round and
-  includes every node's burst latency.
-* ``'async'``: nodes *push* compact :class:`NodeStatus` deltas over the
-  control channel when their state changes materially (and in reply to
-  a fire-and-forget ``asweep`` aggregator broadcast); the master
-  consumes them from a single multiplexed event drain
-  (``_drain_events``) so per-round cost is O(active changes).  Steal
-  plans are published as fire-and-forget ``dsteal`` commands — the
-  ``B_task`` batch travels victim→thief directly over the data
-  transport, removing the two master round-trips per steal — and
-  termination is only *hinted* by the pushed table: the hint is always
-  confirmed by two legacy synchronous sweeps (the same Safra double
-  snapshot), so the termination proof is identical in both modes.
-  Checkpoints keep the synchronous quiesce/settle barrier unchanged.
+The master's one run loop is the sweep: a round-robin request-reply
+``sync`` probe over every node; between sweeps the master idles,
+backing off from ``idle_sleep_s`` up to ``aggregator_sync_period_s``.
+A node that goes busy→drained sends one unsolicited ``("wake", id)``
+so the master runs its next sweep at once instead of waiting out the
+backoff.
 
 This module holds that protocol once: the master side in
 :class:`ControlPlaneMaster`, parameterised over a tiny plumbing surface
@@ -201,7 +189,7 @@ class NodeSession:
     and delegates the rest here: :meth:`step` runs one scheduling round
     (an engine burst unless quiesced), :meth:`handle` executes one
     control command and returns the reply object to send, and
-    :meth:`drained` is the idle predicate behind the unsolicited
+    :meth:`wake_edge` says when to send the unsolicited
     ``("wake", node_id)`` notification.
     """
 
@@ -211,7 +199,6 @@ class NodeSession:
         transport,
         injector: FailureInjector,
         metrics: MetricsRegistry,
-        config: Optional[GThinkerConfig] = None,
     ) -> None:
         self.worker = worker
         self.transport = transport
@@ -219,16 +206,7 @@ class NodeSession:
         self.metrics = metrics
         self.quiesced = False
         self.done = False
-        self.async_mode = config is not None and config.control_plane == "async"
-        # Push-based status state (async mode): deltas go out when the
-        # signature changes materially, rate-limited to a fraction of
-        # the sync period so a busy node cannot flood the control pipe.
         self._was_drained = False
-        self._last_push_sig = None
-        self._last_push_t = 0.0
-        self._push_interval = (
-            config.aggregator_sync_period_s / 4 if config is not None else 0.0
-        )
 
     def step(self) -> bool:
         """One :meth:`Worker.step_round`; while quiesced, its comm step only.
@@ -262,7 +240,7 @@ class NodeSession:
         transport = self.transport
         worker.flush_for_status()
         transport.flush_outgoing()
-        status = NodeStatus(
+        return NodeStatus(
             worker_id=worker.worker_id,
             tasks_in_memory=worker.tasks_in_memory(),
             tasks_on_disk=len(worker.l_file),
@@ -275,50 +253,15 @@ class NodeSession:
             workload=worker.remaining_workload_estimate(),
             partial=worker.aggregator.take_partial(),
         )
-        self._last_push_sig = self._status_signature()
-        self._last_push_t = time.monotonic()
-        return status
 
-    def _status_signature(self):
-        """Compact view of the state the master plans from.
-
-        A push goes out only when this changes: the components are the
-        drain predicate's inputs plus the workload estimate quantised to
-        batch granularity (so per-task progress does not look material).
-        """
-        worker = self.worker
-        batch = max(1, worker.config.task_batch_size)
-        return (
-            self.drained(),
-            worker.tasks_in_memory() == 0,
-            len(worker.l_file),
-            worker.unspawned_count() == 0,
-            worker.remaining_workload_estimate() // batch,
-        )
-
-    def pending_pushes(self) -> List[Any]:
-        """Unsolicited messages the serve loop should send now.
-
-        Sweep mode keeps the legacy behaviour — one ``("wake", id)`` on
-        the busy→drained edge so the master runs its confirming sweep
-        early.  Async mode sends a full status delta whenever the
-        signature changed and either the drain edge fired or the
-        rate-limit interval elapsed; the master folds the carried
-        partial and updates its status table without ever probing.
-        """
+    def wake_edge(self) -> bool:
+        """True once per busy→drained edge: the serve loop then sends an
+        unsolicited ``("wake", id)`` so the master runs its confirming
+        sweep at once."""
         drained = self.drained()
         edge = drained and not self._was_drained
         self._was_drained = drained
-        if not self.async_mode:
-            return [("wake", self.worker.worker_id)] if edge else []
-        if self.quiesced:
-            return []
-        sig = self._status_signature()
-        if sig == self._last_push_sig:
-            return []
-        if not edge and time.monotonic() - self._last_push_t < self._push_interval:
-            return []
-        return [("status", self._build_status())]
+        return edge
 
     def _ship_batch(self, thief_id: int, max_tasks: int) -> int:
         """Send one task batch (spilled first, else fresh spawns) to
@@ -353,24 +296,6 @@ class NodeSession:
             self.injector.fire("sync")
             worker.aggregator.publish_global(cmd[1])
             return self._build_status()
-        if tag == "asweep":
-            # The async-mode aggregator broadcast: same wire effects as
-            # "sync" (including the injector event, so the kill matrix
-            # carries over), but the reply is tagged so the master's
-            # multiplexed drain routes it like any other push.
-            self.injector.fire("sync")
-            worker.aggregator.publish_global(cmd[1])
-            return ("status", self._build_status())
-        if tag == "dsteal":
-            # Master-bypass steal: ship the batch straight to the thief
-            # (no master round-trip), then push a status so the master's
-            # plan table self-corrects.
-            moved = self._ship_batch(cmd[1], cmd[2])
-            if moved:
-                self.metrics.add("steal:direct_batches")
-                self.metrics.add("steal:batches")
-                self.metrics.add("steal:tasks", moved)
-            return ("status", self._build_status())
         if tag == "steal":
             return ("stolen", self._ship_batch(cmd[1], cmd[2]))
         if tag == "quiesce":
@@ -476,7 +401,7 @@ def run_node(
         if global_value is not None:
             worker.aggregator.publish_global(global_value)
         injector = FailureInjector(config.failure_plan, node_id, incarnation)
-        session = NodeSession(worker, transport, injector, metrics, config)
+        session = NodeSession(worker, transport, injector, metrics)
 
         # Adaptive idle wait: back off exponentially while nothing
         # happens, waking promptly on either a control command or an
@@ -490,10 +415,8 @@ def run_node(
                 if session.done:
                     return
 
-            # Unsolicited notifications: the drained-edge ("wake", id)
-            # in sweep mode, pushed status deltas in async mode.
-            for push in session.pending_pushes():
-                control.send(push)
+            if session.wake_edge():
+                control.send(("wake", node_id))
 
             if worked:
                 backoff = config.idle_sleep_s
@@ -529,7 +452,10 @@ def run_node(
 class ControlPlaneMaster:
     """Backend-agnostic master: syncs, steals, checkpoints, rollback.
 
-    Subclasses provide the plumbing:
+    :meth:`_run_to_completion` is the one run loop (sweep, plan and
+    execute steals, checkpoint on cadence, double-snapshot termination,
+    idle until a wake or the backoff expires); :meth:`run` wraps it in
+    rollback recovery.  Subclasses provide the plumbing:
 
     * ``num_nodes`` — how many nodes are attached;
     * ``_boot(checkpoint, global_value)`` — bring up one incarnation of
@@ -576,10 +502,6 @@ class ControlPlaneMaster:
         #: :meth:`_wait_for_wake` returns immediately while it is set,
         #: so a wake that arrived mid-sweep is never slept through.
         self._pending_wake = False
-        #: Async-mode pushed-status table (``None`` while inactive).
-        self._status_table: Optional[List[Optional[NodeStatus]]] = None
-        self._status_heard: Optional[List[float]] = None
-        self._status_dirty = False
         self._last_steal_key = None
         self._last_steal_pairs = frozenset()
 
@@ -657,35 +579,12 @@ class ControlPlaneMaster:
                 nid, f"{exc_type} raised:\n{tb}", recoverable=recoverable
             )
 
-    def _note_oob(self, node_id: int, msg) -> bool:
-        """Consume one out-of-band (unsolicited) control message.
-
-        Returns True when ``msg`` was an OOB notification — a ``wake``
-        or a pushed ``status`` — and False when it is a synchronous
-        reply the caller was waiting for.  Pushed partials are folded
-        here exactly once (the node's ``take_partial`` swapped them out,
-        so they exist nowhere else) and then cleared before the status
-        is stored, so a later re-read cannot double-fold.
-        """
-        if not (isinstance(msg, tuple) and msg):
-            return False
-        tag = msg[0]
-        if tag == "wake":
+    def _note_oob(self, msg) -> bool:
+        """Consume one out-of-band control message, the node's
+        ``("wake", id)``; False means ``msg`` is the synchronous reply the
+        caller was waiting for."""
+        if isinstance(msg, tuple) and msg and msg[0] == "wake":
             self._pending_wake = True
-            if self._status_heard is not None:
-                self._status_heard[node_id] = time.monotonic()
-            return True
-        if tag == "status":
-            status = msg[1]
-            self._pending_wake = True
-            self.global_aggregator.fold(status.partial)
-            status.partial = None
-            self.metrics.add("control:status_pushes")
-            if self._status_table is not None:
-                self._status_table[status.worker_id] = status
-                self._status_dirty = True
-            if self._status_heard is not None:
-                self._status_heard[node_id] = time.monotonic()
             return True
         return False
 
@@ -724,11 +623,7 @@ class ControlPlaneMaster:
         self.metrics.add("time:master_sweep_s", time.perf_counter() - t0)
         return statuses
 
-    def _plan_steals(
-        self,
-        statuses: List[NodeStatus],
-        move: Callable[[int, int, int], int],
-    ) -> None:
+    def _plan_steals(self, statuses: List[NodeStatus]) -> None:
         """Run :func:`~repro.core.master.plan_steals` over ``statuses``.
 
         Memoized on the (worker, workload) view: when nothing changed
@@ -747,11 +642,12 @@ class ControlPlaneMaster:
             self.config.task_batch_size,
             self.config.steal_batches,
             self._last_steal_pairs,
-            move,
+            self._steal_via_master,
         )
 
     def _steal_via_master(self, victim: int, thief: int, amount: int) -> int:
-        """Sweep-mode move: one ``steal`` request-reply with the victim."""
+        """One move: a ``steal`` request-reply with the victim, which
+        ships the batch to the thief over the data transport."""
         self._send(victim, ("steal", thief, amount))
         reply = self._recv(victim)
         moved = reply[1] if isinstance(reply, tuple) else 0
@@ -759,21 +655,6 @@ class ControlPlaneMaster:
             self.metrics.add("steal:batches")
             self.metrics.add("steal:tasks", moved)
         return moved
-
-    def _steal_direct(self, victim: int, thief: int, amount: int) -> int:
-        """Async-mode move: a fire-and-forget ``dsteal``.
-
-        The victim ships the batch straight to the thief over the data
-        transport and pushes a corrective status; the master never
-        waits.  Meanwhile assume the full amount moves, so a stale table
-        does not replan the same transfer every drain.  The node counts
-        ``steal:batches`` / ``steal:tasks`` when the batch actually
-        moves, so the metrics stay honest.
-        """
-        self._send(victim, ("dsteal", thief, amount))
-        status = self._status_table[victim]
-        status.workload = max(0, status.workload - amount)
-        return amount
 
     def _checkpoint(self) -> None:
         """The sync-barrier checkpoint protocol.
@@ -884,7 +765,7 @@ class ControlPlaneMaster:
                 self.abort.raise_if_set()
             statuses = self._sweep()
             sweeps += 1
-            self._plan_steals(statuses, self._steal_via_master)
+            self._plan_steals(statuses)
             every = self.config.checkpoint_every_syncs
             if every > 0 and sweeps % every == 0:
                 self._checkpoint()
@@ -921,116 +802,13 @@ class ControlPlaneMaster:
 
         return self._finalize()
 
-    # -- async (event-driven) protocol ------------------------------------
-
-    def _termination_hint(self) -> bool:
-        """True when the pushed table *suggests* global quiescence.
-
-        Only a hint: pushed statuses are from different instants, so the
-        caller always confirms with two synchronous legacy sweeps (the
-        authoritative Safra double snapshot) before stopping.
-        """
-        table = self._status_table
-        if table is None or any(s is None for s in table):
-            return False
-        return self._statuses_idle([s for s in table if s is not None])
-
-    def _run_async(self) -> List[NodeFinal]:
-        """Event-driven master loop (``control_plane='async'``).
-
-        Per iteration: drain pushed events (blocking only until the
-        first message or the next broadcast deadline), replan steals
-        when the table changed, broadcast the aggregate at the sync
-        cadence without waiting for replies, and — only when the pushed
-        table hints at quiescence — run the legacy double-sweep
-        termination proof.  Checkpoints reuse the synchronous barrier
-        verbatim.
-        """
-        period = self.config.aggregator_sync_period_s
-        n = self.num_nodes
-        self._status_table = [None] * n
-        self._status_heard = [time.monotonic()] * n
-        self._status_dirty = False
-        self._pending_wake = False
-        self._last_steal_key = None
-        sweeps = 0
-        next_sync = time.monotonic()  # first broadcast immediately
-        try:
-            while True:
-                if self.abort is not None:
-                    self.abort.raise_if_set()
-                now = time.monotonic()
-                if now > self._deadline:
-                    raise GThinkerError(f"job exceeded {self.join_timeout_s}s")
-                if now >= next_sync:
-                    t0 = time.perf_counter()
-                    value = self.global_aggregator.value
-                    for nid in range(n):
-                        self._send(nid, ("asweep", value))
-                    self.metrics.add("time:master_sweep_s",
-                                     time.perf_counter() - t0)
-                    sweeps += 1
-                    next_sync = now + period
-                    every = self.config.checkpoint_every_syncs
-                    if every > 0 and sweeps % every == 0:
-                        self._checkpoint()
-                    if (self.abort_after_rounds is not None
-                            and sweeps >= self.abort_after_rounds):
-                        raise JobAbortedError(
-                            f"job aborted after {sweeps} sync sweeps"
-                        )
-                # Every asweep elicits a status reply, so a node that
-                # stays silent for a full reply timeout is dead or hung.
-                stale = time.monotonic() - self.config.control_reply_timeout_s
-                for nid in range(n):
-                    if self._status_heard[nid] < stale:
-                        raise WorkerProcessError(
-                            nid,
-                            "no status heard for "
-                            f"{self.config.control_reply_timeout_s}s",
-                            recoverable=True,
-                        )
-                wait = max(0.0, min(next_sync - time.monotonic(), 0.25))
-                t0 = time.perf_counter()
-                self._drain_events(wait)
-                self.metrics.add("time:control_idle_s",
-                                 time.perf_counter() - t0)
-                self._pending_wake = False
-                if self._status_dirty:
-                    self._status_dirty = False
-                    self._plan_steals(
-                        [st for st in self._status_table if st is not None],
-                        self._steal_direct,
-                    )
-                    if self._termination_hint():
-                        # Confirm with the authoritative synchronous
-                        # double snapshot; pushed statuses interleaved
-                        # with the sweep replies are routed by _recv.
-                        first = self._sweep()
-                        if self._statuses_idle(first):
-                            second = self._sweep()
-                            if (self._statuses_idle(second)
-                                    and sum(s.progress for s in first)
-                                    == sum(s.progress for s in second)):
-                                break
-                        self._last_steal_key = None
-        finally:
-            self._status_table = None
-            self._status_heard = None
-        return self._finalize()
-
     def run(self) -> List[NodeFinal]:
         """Drive the job to completion, recovering lost nodes."""
         self._deadline = time.monotonic() + self.join_timeout_s
-        runner = (
-            self._run_async
-            if self.config.control_plane == "async"
-            else self._run_to_completion
-        )
         attempts = 0
         while True:
             try:
-                return runner()
+                return self._run_to_completion()
             except WorkerProcessError as exc:
                 attempts += 1
                 if not exc.recoverable or attempts > self.config.max_worker_restarts:

@@ -253,44 +253,45 @@ class _ProcessMaster(ControlPlaneMaster):
         if timeout is None:
             timeout = self.config.control_reply_timeout_s
         conn = self.conns[worker_id]
+        # One deadline for the whole call: a wake ahead of the reply
+        # does not restart the clock.
         deadline = time.monotonic() + timeout
         poll_s = 0.002
-        while not conn.poll(poll_s):
-            # Exponential backoff on the control plane: spin tightly for
-            # prompt replies, back off towards 100ms for slow ones.
-            poll_s = min(poll_s * 2, 0.1)
-            if not self.procs[worker_id].is_alive():
-                # Exit may have raced a final message into the pipe.
-                if conn.poll(0.25):
-                    break
-                raise self._died(worker_id)
-            if time.monotonic() > deadline:
+        while True:
+            while not conn.poll(poll_s):
+                # Exponential backoff on the control plane: spin tightly
+                # for prompt replies, back off towards 100ms for slow ones.
+                poll_s = min(poll_s * 2, 0.1)
+                if not self.procs[worker_id].is_alive():
+                    # Exit may have raced a final message into the pipe.
+                    if conn.poll(0.25):
+                        break
+                    raise self._died(worker_id)
+                if time.monotonic() > deadline:
+                    raise WorkerProcessError(
+                        worker_id,
+                        f"no control-plane reply within {timeout}s",
+                        recoverable=True,
+                    )
+            try:
+                msg = conn.recv()
+            except (EOFError, OSError) as exc:
                 raise WorkerProcessError(
-                    worker_id,
-                    f"no control-plane reply within {timeout}s",
+                    worker_id, "control pipe closed while receiving",
                     recoverable=True,
-                )
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError) as exc:
-            raise WorkerProcessError(
-                worker_id, "control pipe closed while receiving",
-                recoverable=True,
-            ) from exc
-        self._raise_from_report(msg)
-        if self._note_oob(worker_id, msg):
-            # Unsolicited notification (wake or pushed status) racing a
-            # request-reply exchange; the reply we are waiting for is
-            # still behind it.
-            return self._recv(worker_id, timeout)
-        return msg
+                ) from exc
+            self._raise_from_report(msg)
+            if not self._note_oob(msg):
+                return msg
+            # A wake racing a request-reply exchange; the reply we are
+            # waiting for is still behind it.
 
     def _send(self, worker_id: int, cmd) -> None:
         try:
             self.conns[worker_id].send(cmd)
         except (BrokenPipeError, OSError) as exc:
             # The worker died.  Drain its pipe looking for the error
-            # report — a late NodeStatus or other stale reply must not
+            # report — a wake or a reply sent before the death must not
             # shadow the real traceback — and chain the pipe error.
             conn = self.conns[worker_id]
             deadline = time.monotonic() + _ERROR_DRAIN_S
@@ -315,8 +316,8 @@ class _ProcessMaster(ControlPlaneMaster):
         """Multiplexed control-event drain over every worker's pipe.
 
         Blocks up to ``timeout`` for the *first* message, then consumes
-        everything already buffered.  Out-of-band messages (wakes,
-        pushed statuses) route through ``_note_oob``; anything else is
+        everything already buffered.  Wakes route through
+        ``_note_oob``; anything else is
         an error report or a pipe closure/dead process (raised as a
         recoverable loss).  Real protocol replies cannot appear: the
         control plane is strictly request-reply outside this window.
@@ -339,7 +340,7 @@ class _ProcessMaster(ControlPlaneMaster):
                         recoverable=True,
                     ) from exc
                 self._raise_from_report(msg)
-                if not self._note_oob(wid, msg):
+                if not self._note_oob(msg):
                     raise WorkerProcessError(
                         wid,
                         "unexpected out-of-band control message "

@@ -160,9 +160,9 @@ def test_aggregator_final_sync_before_done(graph):
 # -- the steal planner: one policy, every runtime --------------------------
 #
 # ``plan_steals`` is the arithmetic behind Master.sync (in-process
-# runtimes) and ControlPlaneMaster's sweep and async plans; its memo on
-# an unchanged view lives in the control plane and is pinned by
-# test_controlplane_async.  Each row: per-worker workloads, batch size
+# runtimes) and of ControlPlaneMaster's sweep; its memo on an unchanged
+# view lives in the control plane and is pinned by test_controlplane.
+# Each row: per-worker workloads, batch size
 # ``C``, ``steal_batches``, the previous plan's (victim, thief) pairs,
 # what ``move`` reports per call (None = everything asked for), and the
 # expected (victim, thief, amount) calls and returned pairs.
