@@ -75,6 +75,8 @@ class GtTrimmer(Trimmer):
     trimming a ``SharedCSR`` row stays zero-copy.
     """
 
+    stateless = True
+
     def trim(self, v: int, label: int, adj: Sequence[int]) -> Sequence[int]:
         if isinstance(adj, np.ndarray):
             return kernels.suffix_gt(adj, v)

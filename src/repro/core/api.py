@@ -18,7 +18,7 @@ vertex with its adjacency list), :class:`Task` (owns a
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Generic, Iterable, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
+from typing import Any, ClassVar, Dict, Generic, Iterable, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -197,7 +197,16 @@ class Trimmer:
     zero-copy ``SharedCSR`` view); implementations should return the
     same kind they were given — returning an ndarray *slice* keeps the
     trim zero-copy.
+
+    ``stateless`` declares that :meth:`trim` depends on nothing but its
+    arguments, so every instance of the class trims alike and a
+    :class:`~repro.core.session.Session` may build the trimmed local
+    tables once and share them across jobs.  A trimmer that closes over
+    per-job data (a query's labels, a caller's lookup) must leave it
+    False: its tables are then rebuilt for every job.
     """
+
+    stateless: ClassVar[bool] = False
 
     def trim(self, v: int, label: int, adj: Sequence[int]) -> Sequence[int]:
         return adj

@@ -17,18 +17,24 @@ Workers additionally share:
 
 * :class:`TaskFileList` (``L_file``) — a concurrent list of spilled task
   batch files, shared by all compers of a machine; stolen task batches
-  also land here.
+  also land here.  Its directory (and, for an in-process job, the
+  job's :class:`SpillRoot`) is made on the first spill, so a job that
+  never spills never touches the filesystem.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import shutil
+import tempfile
 import threading
 import uuid
 from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -43,6 +49,7 @@ __all__ = [
     "ReadyBuffer",
     "PendingTable",
     "PendingEntry",
+    "SpillRoot",
     "TaskFileList",
     "serialize_tasks",
     "deserialize_tasks",
@@ -356,17 +363,51 @@ class PendingTable:
         return tasks
 
 
+class SpillRoot:
+    """The directory a job's workers spill under, made on first use.
+
+    With no ``path`` the first :meth:`path` call makes a private
+    ``mkdtemp`` directory and :meth:`remove` deletes it; a caller's
+    ``path`` is never removed.  ``root / name`` is the zero-argument
+    callable :class:`TaskFileList` resolves on its first spill.
+    """
+
+    def __init__(self, path: Optional[str] = None) -> None:
+        self._path = Path(path) if path else None
+        self._owned = path is None
+        self._lock = threading.Lock()
+
+    def path(self) -> Path:
+        with self._lock:
+            if self._path is None:
+                self._path = Path(tempfile.mkdtemp(prefix="gthinker-spill-"))
+            return self._path
+
+    def __truediv__(self, name: str) -> Callable[[], Path]:
+        return lambda: self.path() / name
+
+    def remove(self) -> None:
+        """Delete the directory iff this root made it."""
+        with self._lock:
+            path = self._path if self._owned else None
+        if path is not None:
+            shutil.rmtree(path, ignore_errors=True)
+
+
 class TaskFileList:
     """``L_file``: the machine-wide concurrent list of spilled batch files.
 
     Files are appended at the tail (spills, stolen batches) and consumed
     from the head (refills prioritize the earliest spilled work, the
     paper's rule for keeping disk-resident task volume minimal).
+    ``spill_dir`` is a path or a zero-argument callable returning one;
+    either way the directory is made when the first file is written.
     """
 
-    def __init__(self, spill_dir: Path, metrics: Optional[MetricsRegistry] = None) -> None:
-        self.spill_dir = Path(spill_dir)
-        self.spill_dir.mkdir(parents=True, exist_ok=True)
+    def __init__(self, spill_dir: Union[Path, Callable[[], Path]],
+                 metrics: Optional[MetricsRegistry] = None) -> None:
+        self._spill_dir = spill_dir
+        self._dir: Optional[Path] = None
         self._lock = threading.Lock()
         self._files: Deque[Tuple[Path, int]] = deque()  # (path, num_tasks)
         self._metrics = metrics or MetricsRegistry()
@@ -374,10 +415,18 @@ class TaskFileList:
         # DES runtime): called with the number of bytes read/written.
         self.on_io = None
 
+    def _new_file(self, kind: str) -> Path:
+        with self._lock:
+            if self._dir is None:
+                spill_dir = self._spill_dir
+                self._dir = Path(spill_dir() if callable(spill_dir) else spill_dir)
+                self._dir.mkdir(parents=True, exist_ok=True)
+            return self._dir / f"{kind}-{uuid.uuid4().hex}.tasks"
+
     def spill(self, tasks: Sequence[Task]) -> Path:
         """Write a task batch to a new file and register it."""
         payload = serialize_tasks(tasks)
-        path = self.spill_dir / f"batch-{uuid.uuid4().hex}.tasks"
+        path = self._new_file("batch")
         with open(path, "wb") as f:
             f.write(payload)
         with self._lock:
@@ -390,7 +439,7 @@ class TaskFileList:
 
     def add_payload(self, payload: bytes, num_tasks: int) -> Path:
         """Register an already-serialized batch (stolen tasks)."""
-        path = self.spill_dir / f"stolen-{uuid.uuid4().hex}.tasks"
+        path = self._new_file("stolen")
         with open(path, "wb") as f:
             f.write(payload)
         with self._lock:

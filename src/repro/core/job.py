@@ -24,11 +24,8 @@ runtimes: ``serial``, ``threaded``, ``checked`` and ``process``.
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..graph.graph import Graph
@@ -38,6 +35,7 @@ from ..net.transport import Transport
 from .api import Comper
 from .checkpoint import JobCheckpoint, capture, restore_worker
 from .config import GThinkerConfig
+from .containers import SpillRoot
 from .errors import UnsupportedRuntimeFeature
 from .master import Master
 from .metrics import MetricsAccessors, MetricsRegistry
@@ -50,7 +48,7 @@ from .runtime import (
     get_runtime,
     register_runtime,
 )
-from .worker import Worker
+from .worker import LocalTableMemo, Worker
 
 __all__ = [
     "JobResult", "activate_kernel_backend", "build_cluster", "run_job",
@@ -121,8 +119,13 @@ def build_cluster(
     transport: Optional[Transport] = None,
     metrics: Optional[MetricsRegistry] = None,
     timed_transport: bool = False,
+    local_tables: Optional[LocalTableMemo] = None,
 ) -> Cluster:
-    """Construct workers, load the graph, and wire the master."""
+    """Construct workers, load the graph, and wire the master.
+
+    ``local_tables`` is the owning Session's memo: shareable tables of
+    an in-memory graph are attached from it, or built and stored there.
+    """
     metrics = metrics or MetricsRegistry()
     activate_kernel_backend(config, metrics)
     transport = transport or Transport(
@@ -131,10 +134,7 @@ def build_cluster(
         network=config.network,
         timed=timed_transport,
     )
-    owns_spill_root = config.spill_dir is None
-    spill_root = Path(config.spill_dir) if config.spill_dir else Path(
-        tempfile.mkdtemp(prefix="gthinker-spill-")
-    )
+    spill_root = SpillRoot(config.spill_dir)
     workers = [
         Worker(
             worker_id=i,
@@ -147,19 +147,30 @@ def build_cluster(
         )
         for i in range(config.num_workers)
     ]
-    _load_graph(workers, graph, config)
+    _load_graph(workers, graph, config, local_tables)
     master = Master(workers, transport, config, metrics)
     return Cluster(
         workers=workers, master=master, transport=transport,
-        metrics=metrics, config=config,
-        spill_root=spill_root, owns_spill_root=owns_spill_root,
+        metrics=metrics, config=config, spill_root=spill_root,
     )
 
 
-def _load_graph(workers: List[Worker], graph: GraphSource, config: GThinkerConfig) -> None:
+def _load_graph(workers: List[Worker], graph: GraphSource,
+                config: GThinkerConfig,
+                local_tables: Optional[LocalTableMemo] = None) -> None:
     if isinstance(graph, Graph):
+        key = None
+        if local_tables is not None:
+            key = LocalTableMemo.key(workers[0].trimmer, config.num_workers)
+        tables = local_tables.get(key) if key is not None else None
+        if tables is not None:
+            for w, table in zip(workers, tables):
+                w.attach_table(table)
+            return
         for w, rows in zip(workers, _partition_rows(graph, config.num_workers)):
             w.load_rows(rows)
+        if key is not None:
+            local_tables.put(key, [w.table for w in workers])
         return
     if isinstance(graph, ShardedGraphStore):
         if graph.num_shards == config.num_workers:
@@ -195,8 +206,8 @@ def _teardown(cluster: Cluster) -> None:
     for w in cluster.workers:
         w.cleanup()
     cluster.master.checkpoint_hook = None  # closes over the cluster
-    if cluster.owns_spill_root and cluster.spill_root is not None:
-        shutil.rmtree(cluster.spill_root, ignore_errors=True)
+    if cluster.spill_root is not None:
+        cluster.spill_root.remove()
 
 
 def _finish(cluster: Cluster, started: float) -> JobResult:
@@ -240,7 +251,8 @@ class ClusterRuntimeExecutor:
                 "config.failure_plan (worker-kill injection) requires "
                 "runtime='process' or runtime='cluster'"
             )
-        cluster = build_cluster(request.app_factory, request.graph, config)
+        cluster = build_cluster(request.app_factory, request.graph, config,
+                                local_tables=request.local_tables)
         cluster.master.abort = request.abort
         if request.checkpoint is not None:
             _seed_from_checkpoint(cluster, request.checkpoint)
@@ -356,6 +368,7 @@ def _dispatch(
     abort_after_rounds: Optional[int] = None,
     checkpoint: Optional[JobCheckpoint] = None,
     abort=None,
+    local_tables: Optional[LocalTableMemo] = None,
 ) -> JobResult:
     """The single dispatch path shared by run_job and resume_job."""
     spec = get_runtime(runtime)
@@ -376,6 +389,7 @@ def _dispatch(
         abort_after_rounds=abort_after_rounds,
         checkpoint=checkpoint,
         abort=abort,
+        local_tables=local_tables,
     ))
 
 

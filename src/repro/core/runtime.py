@@ -48,10 +48,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .config import GThinkerConfig
+from .containers import SpillRoot
 from .errors import (
     GThinkerError,
     JobAbortedError,
@@ -61,7 +61,7 @@ from .errors import (
 )
 from .master import Master
 from .metrics import MetricsRegistry
-from .worker import ENGINE_BURST_STEPS, Worker
+from .worker import ENGINE_BURST_STEPS, LocalTableMemo, Worker
 
 __all__ = [
     "AbortToken",
@@ -87,11 +87,10 @@ class Cluster:
     transport: object
     metrics: MetricsRegistry
     config: GThinkerConfig
-    #: Root directory the workers spill task batches under.  When the
-    #: job created it (no ``config.spill_dir``), ``owns_spill_root`` is
-    #: True and teardown removes the whole tree.
-    spill_root: Optional[Path] = None
-    owns_spill_root: bool = False
+    #: Where the workers spill task batches, made on the first spill.
+    #: When the job made it (no ``config.spill_dir``) teardown removes
+    #: the whole tree.
+    spill_root: Optional[SpillRoot] = None
 
 
 class AbortToken:
@@ -163,6 +162,10 @@ class JobRequest:
     #: Cooperative-cancellation token (an :class:`AbortToken`), or None
     #: when the caller never cancels / the runtime declines cancellation.
     abort: Any = None
+    #: The submitting Session's resident local tables (None outside a
+    #: Session).  The in-process executors attach them; ``process`` and
+    #: ``cluster`` children cannot share the parent's objects.
+    local_tables: Optional[LocalTableMemo] = None
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 A :class:`Session` holds one graph resident and runs any number of jobs
 against it.  The first job pays the load/flatten cost; every later job
-reuses the memoized CSR arrays (:meth:`repro.graph.Graph.csr_arrays`),
-which is what makes a long-lived job server economical — see
-:mod:`repro.service` for the multi-tenant server built on top.
+reuses the memoized CSR arrays (:meth:`repro.graph.Graph.csr_arrays`)
+and, on the in-process runtimes, the partitioned and trimmed local
+tables (:class:`~repro.core.worker.LocalTable`), which is what makes a
+long-lived job server economical — see :mod:`repro.service` for the
+multi-tenant server built on top.
 
 Submission is asynchronous: :meth:`Session.submit` returns a
 :class:`JobHandle` immediately with ``.result(timeout=)``, ``.status()``
@@ -43,6 +45,7 @@ from typing import Any, Callable, List, Optional, Set
 from .config import GThinkerConfig
 from .errors import JobCancelledError
 from .runtime import AbortToken, get_runtime
+from .worker import LocalTableMemo
 
 __all__ = [
     "JOB_QUEUED",
@@ -201,7 +204,12 @@ class Session:
         :class:`repro.graph.ShardedGraphStore`.  Held for the life of
         the session; in-memory graphs get their CSR arrays warmed once
         when the session's runtime wants them (``process`` / ``cluster``),
-        so repeat jobs skip the flatten entirely.
+        so repeat jobs skip the flatten entirely.  The serial, threaded
+        and checked runtimes partition and trim an in-memory graph once
+        per ``(num_workers, trimmer class)`` and every later job attaches
+        the same immutable tables (apps whose trimmer is not
+        :attr:`~repro.core.api.Trimmer.stateless` still build per job);
+        :meth:`close` drops them.
     config:
         Default :class:`GThinkerConfig` for submitted jobs
         (per-``submit`` override available).  ``None`` keeps the classic
@@ -241,6 +249,7 @@ class Session:
         self._threads: Set[threading.Thread] = set()
         self._closed = False
         self._seq = itertools.count(1)
+        self._local_tables = LocalTableMemo()
         self._warmed = False
         if runtime in self._CSR_RUNTIMES:
             self._warm()
@@ -319,6 +328,7 @@ class Session:
             self._warm()
 
         graph = self.graph
+        local_tables = self._local_tables
         ckpt = checkpoint
         # Runtimes with the ``cancellation`` capability get an abort
         # token threaded down to their control plane; others run exactly
@@ -335,6 +345,7 @@ class Session:
                     abort_after_rounds=abort_after_rounds,
                     checkpoint=ckpt,
                     abort=abort,
+                    local_tables=local_tables,
                 )
             finally:
                 if profiler is not None:
@@ -413,7 +424,9 @@ class Session:
 
         ``wait=False`` cancels everything still queued and returns
         without joining running jobs (they finish on their daemon
-        threads; their handles stay valid).
+        threads; their handles stay valid).  Either way the resident
+        local tables are dropped: a job still running keeps only the
+        ones its workers attached.
         """
         with self._lock:
             if self._closed and not self._threads:
@@ -430,6 +443,7 @@ class Session:
         if wait:
             for t in threads:
                 t.join()
+        self._local_tables.close()
 
     def __enter__(self) -> "Session":
         return self

@@ -3,7 +3,8 @@
 A worker owns:
 
 * the local vertex table ``T_local`` (its hash partition of the graph,
-  trimmed at load time if the app provides a Trimmer);
+  trimmed at load time if the app provides a Trimmer) — an immutable
+  :class:`LocalTable` that a Session's later jobs attach again;
 * the shared remote-vertex cache ``T_cache``;
 * the spilled-task file list ``L_file`` and its spill directory;
 * one :class:`~repro.core.comper.ComperEngine` per mining thread;
@@ -14,23 +15,29 @@ A worker owns:
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
 from ..graph import kernels
 from ..graph.partition import hash_partition, hash_partition_array
 from .aggregator import AggregatorService
-from .api import Comper, Task, VertexView
+from .api import Comper, Task, Trimmer, VertexView
 from .comm import CommService
 from .comper import ComperEngine
 from .config import GThinkerConfig
-from .containers import TaskFileList, serialize_tasks
+from .containers import SpillRoot, TaskFileList, serialize_tasks
 from .metrics import MetricsRegistry, WorkerMemoryModel
 from .vertex_cache import VertexCache
 
-__all__ = ["Worker", "AtomicCounter", "ENGINE_BURST_STEPS"]
+__all__ = [
+    "Worker", "AtomicCounter", "ENGINE_BURST_STEPS", "LocalTable",
+    "LocalTableMemo", "build_local_table",
+]
 
 #: Engine rounds a worker runs between two comm steps (and, on a node,
 #: between control-plane polls).  Bounds the extra latency of answering
@@ -58,6 +65,78 @@ class AtomicCounter:
     def value(self) -> int:
         with self._lock:
             return self._value
+
+
+@dataclass(frozen=True, eq=False)
+class LocalTable:
+    """One worker's ``T_local``, immutable once built.
+
+    ``views`` maps each owned vertex id to its :class:`VertexView`
+    (trimmed, read-only int64 adjacency), ``spawn_order`` is the owned
+    ids ascending (the spawn cursor walks it) and ``nbytes`` the
+    modeled footprint the memory gauge charges.  Nothing writes to a
+    table after :func:`build_local_table` returns, so any number of
+    workers — of one job or of concurrent jobs — may attach the same one.
+    """
+
+    views: Dict[int, VertexView]
+    spawn_order: Tuple[int, ...]
+    nbytes: int
+
+
+def build_local_table(rows, trimmer: Optional[Trimmer]) -> LocalTable:
+    """Build a :class:`LocalTable` from ``(v, label, adj)`` rows."""
+    make_view = VertexView._make  # tuple.__new__: no per-row python frame
+    views: Dict[int, VertexView] = {}
+    for v, label, adj in rows:
+        arr = kernels.as_ids_array(adj)
+        if trimmer is not None:
+            arr = kernels.as_ids_array(trimmer.trim(v, label, arr))
+        if arr.flags.writeable:
+            arr.flags.writeable = False
+        v = int(v)
+        views[v] = make_view((v, int(label), arr))
+    return LocalTable(
+        views=views,
+        spawn_order=tuple(sorted(views)),
+        nbytes=sum(24 + view.adj.nbytes for view in views.values()),
+    )
+
+
+class LocalTableMemo:
+    """A Session's resident local tables: one per-worker list per key.
+
+    The key is ``(num_workers, trimmer class)`` and exists only when the
+    trimmer is None or its class declares :attr:`Trimmer.stateless`, so
+    the keys are bounded by the worker counts and trimmer classes jobs
+    use.  Entries are filled under the lock, the first write winning
+    when two jobs built the same one; :meth:`close` drops them all and
+    stops storing.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._tables: Optional[Dict[Hashable, List[LocalTable]]] = {}
+
+    @staticmethod
+    def key(trimmer: Optional[Trimmer], num_workers: int) -> Optional[Hashable]:
+        """The memo key for these tables, or None if they must not be shared."""
+        if trimmer is not None and not getattr(type(trimmer), "stateless", False):
+            return None
+        return (num_workers, type(trimmer))
+
+    def get(self, key: Hashable) -> Optional[List[LocalTable]]:
+        with self._lock:
+            return None if self._tables is None else self._tables.get(key)
+
+    def put(self, key: Hashable, tables: List[LocalTable]) -> None:
+        with self._lock:
+            if self._tables is not None:
+                self._tables.setdefault(key, tables)
+
+    def close(self) -> None:
+        with self._lock:
+            self._tables = None
 
 
 class CostMeter:
@@ -122,7 +201,7 @@ class Worker:
         app_factory: Callable[[], Comper],
         transport,
         metrics: MetricsRegistry,
-        spill_dir: Path,
+        spill_dir: Union[Path, SpillRoot],
     ) -> None:
         self.worker_id = worker_id
         self.num_workers = num_workers
@@ -131,11 +210,14 @@ class Worker:
         self.metrics = metrics
         self.memory = WorkerMemoryModel(metrics, worker_id)
 
+        #: The attached :class:`LocalTable` (None on the shared-CSR path).
+        self.table: Optional[LocalTable] = None
         #: ``T_local``: vertex id -> its :class:`VertexView` (id, label,
         #: sorted read-only int64 adj ndarray), stored ready-made so a
-        #: local frontier is a plain lookup per pull.  Rows faulted in
-        #: from a SharedCSR are zero-copy views into the shared
-        #: ``indices`` block.
+        #: local frontier is a plain lookup per pull.  After
+        #: :meth:`attach_table` it is the table's (read-only) dict; on
+        #: the shared-CSR path a per-worker dict of rows faulted in as
+        #: zero-copy views into the shared ``indices`` block.
         self._local: Dict[int, VertexView] = {}
         #: Shared-memory graph backing (process runtime): rows are
         #: materialized lazily from here into ``_local`` on first touch.
@@ -143,14 +225,14 @@ class Worker:
         #: Owned vertex id -> SharedCSR row position (lazy-fault index).
         self._shared_pos: Dict[int, int] = {}
         #: The table whose keys are exactly the vertex ids this worker
-        #: owns: ``_local`` after :meth:`load_rows`, ``_shared_pos`` after
-        #: :meth:`load_shared`.  Ownership is membership here; the hash
-        #: is evaluated only to route a cache miss (``CommService``).
+        #: owns: ``_local`` after :meth:`attach_table`, ``_shared_pos``
+        #: after :meth:`load_shared`.  Ownership is membership here; the
+        #: hash is evaluated only to route a cache miss (``CommService``).
         self._owned: Dict[int, Any] = self._local
         #: Bytes of lazily-faulted rows not yet folded into the memory
         #: model; committed by :meth:`update_memory_gauge`.
         self._lazy_local_bytes = 0
-        self._spawn_order: List[int] = []
+        self._spawn_order: Sequence[int] = ()
         self._spawn_next = 0
         self._spawn_lock = threading.Lock()
 
@@ -181,7 +263,7 @@ class Worker:
 
         prototype = app_factory()
         self.aggregator = AggregatorService(prototype.make_aggregator())
-        self._trimmer = prototype.make_trimmer()
+        self.trimmer = prototype.make_trimmer()
 
         self.engines: List[ComperEngine] = []
         base = worker_id * config.compers_per_worker
@@ -200,20 +282,16 @@ class Worker:
     # -- graph loading ------------------------------------------------------
 
     def load_rows(self, rows) -> None:
-        """Load ``(v, label, adj)`` rows into ``T_local`` (trimmed)."""
-        make_view = VertexView._make  # tuple.__new__: no per-row python frame
-        for v, label, adj in rows:
-            arr = kernels.as_ids_array(adj)
-            if self._trimmer is not None:
-                arr = kernels.as_ids_array(self._trimmer.trim(v, label, arr))
-            if arr.flags.writeable:
-                arr.flags.writeable = False
-            v = int(v)
-            self._local[v] = make_view((v, int(label), arr))
-        self._spawn_order = sorted(self._local)
-        self.memory.set_local_table(
-            sum(24 + adj.nbytes for (_v, _l, adj) in self._local.values())
-        )
+        """Build ``T_local`` from ``(v, label, adj)`` rows (trimmed) and
+        attach it."""
+        self.attach_table(build_local_table(rows, self.trimmer))
+
+    def attach_table(self, table: LocalTable) -> None:
+        """Use ``table`` as ``T_local``; it is read, never written."""
+        self.table = table
+        self._local = self._owned = table.views
+        self._spawn_order = table.spawn_order
+        self.memory.set_local_table(table.nbytes)
 
     def load_shared(self, csr) -> None:
         """Attach a :class:`~repro.graph.csr.SharedCSR` as ``T_local``.
@@ -240,6 +318,8 @@ class Worker:
         # pass: faulting a row then costs a dict lookup instead of a
         # searchsorted per vertex.
         self._shared_pos = dict(zip(owned, np.nonzero(mask)[0].tolist()))
+        self.table = None
+        self._local = {}  # this worker's own: _entry faults rows into it
         self._owned = self._shared_pos
         self._spawn_order = owned  # vertex_ids are sorted ascending
         self.memory.set_local_table(0)
@@ -277,8 +357,8 @@ class Worker:
             if pos is None:
                 return None
             label, adj = self._shared.entry_at(pos)
-            if self._trimmer is not None:
-                adj = kernels.as_ids_array(self._trimmer.trim(v, label, adj))
+            if self.trimmer is not None:
+                adj = kernels.as_ids_array(self.trimmer.trim(v, label, adj))
             entry = VertexView(v, label, adj)
             self._local[v] = entry
             # Gauge bytes accumulate locally and fold into the memory

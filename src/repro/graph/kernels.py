@@ -60,6 +60,7 @@ against them on randomized inputs under every available backend, and
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
@@ -404,7 +405,10 @@ suffix_gt = _np_suffix_gt
 bitset_and_counts = _np_bitset_and_counts
 
 
+@functools.lru_cache(maxsize=None)
 def _numba_importable() -> bool:
+    # Probed once per process: find_spec walks sys.path, and every job
+    # start selects its backend.
     try:
         import importlib.util
 

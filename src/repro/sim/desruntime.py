@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..core.config import GThinkerConfig
 from ..core.errors import GThinkerError
-from ..core.job import GraphSource, JobResult, build_cluster
+from ..core.job import GraphSource, JobResult, _teardown, build_cluster
 from ..core.metrics import MetricsAccessors
 from ..core.runtime import Cluster
 from .events import EventQueue
@@ -292,8 +292,7 @@ def run_simulated_job(
     wall0 = time.perf_counter()
     virtual = sim.run(cluster)
     wall = time.perf_counter() - wall0
-    for w in cluster.workers:
-        w.cleanup()
+    _teardown(cluster)
     comper_entities = [
         ce for group in sim._comper_entities.values() for ce in group
     ]

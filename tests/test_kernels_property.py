@@ -375,6 +375,27 @@ def test_explicit_numba_raises_when_missing():
     assert kernels.select_backend("auto") == "numpy"
 
 
+def test_numba_probe_runs_once_per_process(monkeypatch):
+    import importlib.util
+
+    calls = []
+    real_find_spec = importlib.util.find_spec
+
+    def counting_find_spec(name, *args, **kwargs):
+        calls.append(name)
+        return real_find_spec(name, *args, **kwargs)
+
+    prior = kernels.current_backend()
+    monkeypatch.setattr(importlib.util, "find_spec", counting_find_spec)
+    kernels._numba_importable.cache_clear()
+    try:
+        kernels.select_backend("auto")
+        kernels.select_backend("auto")
+    finally:
+        kernels.select_backend(prior)
+    assert calls.count("numba") == 1
+
+
 def test_gallop_ratio_follows_backend():
     prior = kernels.current_backend()
     try:

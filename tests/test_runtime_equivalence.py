@@ -19,7 +19,7 @@ from repro.apps import (
     SubgraphMatchComper,
     TriangleCountComper,
 )
-from repro.core import GThinkerConfig, run_job
+from repro.core import GThinkerConfig, Session, run_job
 from repro.graph import erdos_renyi
 from repro.sim import run_simulated_job
 
@@ -154,15 +154,18 @@ def test_process_local_table_bytes_match_serial(graph):
     """S4 regression: the process runtime faults T_local rows in lazily,
     but by job end every owned row has been materialized, so each
     worker's trimmed local-table footprint must equal the serial
-    runtime's (which loads eagerly)."""
-    serial = run_job(MaxCliqueComper, graph, cfg(num_workers=2),
-                     runtime="serial")
+    runtime's (which loads eagerly) — also on a serial job that attaches
+    its Session's resident tables instead of building them."""
+    with Session(graph, cfg(num_workers=2), runtime="serial") as session:
+        serial, memo_hit = [session.submit(MaxCliqueComper).result(timeout=60)
+                            for _ in range(2)]
     process = run_job(MaxCliqueComper, graph, cfg(num_workers=2),
                       runtime="process")
     for wid in range(2):
         key = f"max:worker{wid}:local_table_bytes"
         assert serial.metrics.get(key, 0) > 0
         assert process.metrics.get(key) == serial.metrics.get(key), key
+        assert memo_hit.metrics.get(key) == serial.metrics.get(key), key
 
 
 def test_process_merges_per_worker_metrics(graph):

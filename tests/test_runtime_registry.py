@@ -210,6 +210,45 @@ def test_no_spill_dir_leak_on_failure(private_tmpdir, graph):
     assert _spill_dirs(private_tmpdir) == []
 
 
+@pytest.fixture
+def spill_roots_made(private_tmpdir, monkeypatch):
+    """Paths of the ``gthinker-spill`` directories mkdtemp makes."""
+    made = []
+    mkdtemp = tempfile.mkdtemp
+
+    def recording(*args, **kwargs):
+        path = mkdtemp(*args, **kwargs)
+        if kwargs.get("prefix", "").startswith("gthinker-spill"):
+            made.append(path)
+        return path
+
+    monkeypatch.setattr(tempfile, "mkdtemp", recording)
+    return made
+
+
+def test_non_spilling_job_makes_no_spill_dir(private_tmpdir, spill_roots_made,
+                                             graph):
+    res = run_job(TriangleCountComper, graph, cfg(), runtime="serial")
+    assert res.metrics.get("tasks:spilled", 0) == 0
+    assert spill_roots_made == []
+    assert _spill_dirs(private_tmpdir) == []
+
+
+def test_spilling_job_leaves_no_spill_dir(private_tmpdir, spill_roots_made):
+    from repro.algorithms import max_clique_reference
+    from repro.apps import MaxCliqueComper
+
+    g = erdos_renyi(60, 0.18, seed=5)
+    # Batch size 1 caps Q_task at 3: one decomposition overflows it.
+    res = run_job(MaxCliqueComper, g,
+                  cfg(task_batch_size=1, decompose_threshold=4),
+                  runtime="serial")
+    assert len(res.aggregate) == len(max_clique_reference(g))
+    assert res.metrics["tasks:spilled"] > 0
+    assert len(spill_roots_made) == 1
+    assert _spill_dirs(private_tmpdir) == []
+
+
 def test_explicit_spill_dir_is_preserved(tmp_path, graph):
     spill = tmp_path / "my-spills"
     spill.mkdir()
