@@ -382,6 +382,15 @@ class _ClusterMaster(ControlPlaneMaster):
                 continue
             return msg
 
+    def _poll_message(self, node_id: int, timeout: float):
+        chan = self.channels[node_id]
+        try:
+            return chan.recv() if chan.poll(timeout) else None
+        except (ChannelClosed, WireDecodeError) as exc:
+            raise WorkerProcessError(
+                node_id, f"control channel lost: {exc}", recoverable=True,
+            ) from exc
+
     def _drain_events(self, timeout: float) -> None:
         """Multiplexed control-event drain over every node's channel.
 

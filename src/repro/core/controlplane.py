@@ -448,6 +448,21 @@ def run_node(
 # Master side: the shared protocol driver
 # ---------------------------------------------------------------------------
 
+#: How long the master drains nodes for an error report: behind a
+#: broken pipe (``_send``) or behind another node's peer-loss echo.
+ERROR_DRAIN_S = 1.0
+
+
+def _is_report(msg) -> bool:
+    return isinstance(msg, tuple) and bool(msg) and msg[0] == "error"
+
+
+def _report_error(msg) -> WorkerProcessError:
+    _tag, nid, exc_type, tb, recoverable = msg
+    return WorkerProcessError(
+        nid, f"{exc_type} raised:\n{tb}", recoverable=recoverable
+    )
+
 
 class ControlPlaneMaster:
     """Backend-agnostic master: syncs, steals, checkpoints, rollback.
@@ -468,6 +483,8 @@ class ControlPlaneMaster:
       see :meth:`_raise_from_report`);
     * ``_recv(node_id, timeout=None)`` — one reply, same error contract,
       skipping unsolicited notifications via :meth:`_note_oob`;
+    * ``_poll_message(node_id, timeout)`` — one raw message or None,
+      raising :class:`WorkerProcessError` once the channel is gone;
     * ``_drain_events(timeout)`` — the multiplexed idle wait.
     """
 
@@ -523,6 +540,12 @@ class ControlPlaneMaster:
     def _recv(self, node_id: int, timeout: Optional[float] = None):
         raise NotImplementedError
 
+    def _poll_message(self, node_id: int, timeout: float):
+        """One message from ``node_id`` within ``timeout``, else None;
+        raises :class:`WorkerProcessError` when its channel is gone.
+        Nothing is interpreted: :meth:`_root_cause` reads reports raw."""
+        raise NotImplementedError
+
     def _drain_events(self, timeout: float) -> None:
         """Block up to ``timeout`` for control traffic, then drain it all.
 
@@ -565,19 +588,54 @@ class ControlPlaneMaster:
 
     # -- shared event handling --------------------------------------------
 
-    @staticmethod
-    def _raise_from_report(msg) -> None:
+    def _raise_from_report(self, msg) -> None:
         """Raise when ``msg`` is a node's error report; else return.
 
         The node classified its own failure: wire damage and peer loss
         are recoverable (roll back and redo), anything else its code
         raised would fail identically after a rollback, so it is final.
+        A peer-loss report is usually the echo of another node's
+        failure, so :meth:`_root_cause` looks for that node's report
+        first and raises it, chained from the echo.
         """
-        if isinstance(msg, tuple) and msg and msg[0] == "error":
-            _tag, nid, exc_type, tb, recoverable = msg
-            raise WorkerProcessError(
-                nid, f"{exc_type} raised:\n{tb}", recoverable=recoverable
-            )
+        if not _is_report(msg):
+            return
+        report = _report_error(msg)
+        if msg[2] == PeerLostError.__name__:
+            root = self._root_cause(reporter=msg[1])
+            if root is not None:
+                raise root from report
+        raise report
+
+    def _root_cause(self, reporter: int) -> Optional[WorkerProcessError]:
+        """The first non-peer-loss report another node sends within
+        ``ERROR_DRAIN_S``, or None.
+
+        A node that dies of its own error reports it and exits; its
+        peers' data channels break and they report ``PeerLostError``,
+        which can reach the master first.  Every other node is drained
+        (replies and wakes are dropped: the job is failing).  A node
+        that also lost a peer is done; one whose channel closes with no
+        report died silently, so the peer loss *is* the root cause.
+        """
+        deadline = time.monotonic() + ERROR_DRAIN_S
+        waiting = [nid for nid in range(self.num_nodes) if nid != reporter]
+        while waiting:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return None
+            for nid in list(waiting):
+                try:
+                    msg = self._poll_message(
+                        nid, min(remaining, 0.05) / len(waiting)
+                    )
+                except WorkerProcessError:
+                    return None
+                if _is_report(msg):
+                    if msg[2] != PeerLostError.__name__:
+                        return _report_error(msg)
+                    waiting.remove(nid)
+        return None
 
     def _note_oob(self, msg) -> bool:
         """Consume one out-of-band control message, the node's

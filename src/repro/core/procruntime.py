@@ -92,6 +92,7 @@ from ..net.transport import ProcessTransport
 from .checkpoint import JobCheckpoint
 from .config import GThinkerConfig
 from .controlplane import (
+    ERROR_DRAIN_S,
     ControlPlaneMaster,
     mp_context,
     prepare_job,
@@ -101,10 +102,6 @@ from .errors import WorkerProcessError
 from .runtime import JobRequest
 
 __all__ = ["ProcessExecutor"]
-
-#: How long `_send` drains a broken pipe looking for the error report.
-_ERROR_DRAIN_S = 1.0
-
 
 # ---------------------------------------------------------------------------
 # Worker process
@@ -293,14 +290,11 @@ class _ProcessMaster(ControlPlaneMaster):
             # The worker died.  Drain its pipe looking for the error
             # report — a wake or a reply sent before the death must not
             # shadow the real traceback — and chain the pipe error.
-            conn = self.conns[worker_id]
-            deadline = time.monotonic() + _ERROR_DRAIN_S
+            deadline = time.monotonic() + ERROR_DRAIN_S
             while time.monotonic() < deadline:
                 try:
-                    if not conn.poll(0.05):
-                        continue
-                    msg = conn.recv()
-                except (EOFError, OSError):
+                    msg = self._poll_message(worker_id, 0.05)
+                except WorkerProcessError:
                     break
                 try:
                     self._raise_from_report(msg)
@@ -310,6 +304,15 @@ class _ProcessMaster(ControlPlaneMaster):
             raise WorkerProcessError(
                 worker_id, "control pipe closed unexpectedly",
                 recoverable=True,
+            ) from exc
+
+    def _poll_message(self, worker_id: int, timeout: float):
+        conn = self.conns[worker_id]
+        try:
+            return conn.recv() if conn.poll(timeout) else None
+        except (EOFError, OSError) as exc:
+            raise WorkerProcessError(
+                worker_id, "control pipe closed", recoverable=True,
             ) from exc
 
     def _drain_events(self, timeout: float) -> None:

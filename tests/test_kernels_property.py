@@ -235,6 +235,96 @@ def test_segmented_count_many_hub_rows_are_probed_not_searched(monkeypatch):
         kernels.select_backend(prior)
 
 
+#: Bases for the bitmap strategy: zero, the ~2**62 shift, and the two
+#: ends of int64 (the bitmap offset ``x - (a[0] - 1)`` wraps there).
+_BITMAP_BASES = (0, _HUGE - 1_000, 2**63 - 400, -(2**63))
+
+
+@st.composite
+def dense_frontier(draw):
+    """``(a, rows)`` where ``a`` is dense over a small id range, so the
+    flattened rows usually outnumber it and the bitmap path is taken.
+    Rows lie wholly below, wholly above or straddling ``[a[0], a[-1]]``;
+    ``a`` is sometimes a single id."""
+    base = draw(st.sampled_from(_BITMAP_BASES))
+    width = draw(st.sampled_from((1, 6, 40)))
+    lo = draw(st.integers(base + 100, base + 140))
+    ids = draw(st.lists(st.integers(lo, lo + width - 1), min_size=1,
+                        max_size=width))
+    a = np.unique(np.asarray(ids, dtype=np.int64))
+    first, last = min(ids), max(ids)
+    where = st.sampled_from((
+        (base, first - 1),                           # wholly below
+        (last + 1, min(last + 150, 2**63 - 1)),      # wholly above
+        (first - 30, min(last + 30, 2**63 - 1)),     # straddling
+    ))
+    rows = []
+    for lo_r, hi_r in draw(st.lists(where, min_size=1, max_size=5)):
+        xs = draw(st.lists(st.integers(lo_r, hi_r), min_size=1, max_size=60))
+        rows.append(np.unique(np.asarray(xs, dtype=np.int64)))
+    return a, rows
+
+
+@settings(deadline=None, max_examples=200)
+@given(dense_frontier())
+def test_bitmap_path_matches_pairwise_oracle(case):
+    a, rows = case
+    expected = sum(
+        intersect_sorted_count(a.tolist(), r.tolist()) for r in rows
+    )
+    assert kernels._np_intersect_count_many(a, rows) == expected
+    flat = kernels.flatten_rows(rows)
+    assert np.count_nonzero(kernels._bitmap_mask(flat, a)) == (
+        np.count_nonzero(kernels._gallop_mask(flat, a))
+    )
+
+
+def test_bitmap_offsets_never_wrap_into_range():
+    """Ids a full int64 away from ``a`` wrap in the offset subtraction
+    and must still clip onto a ``False`` slot."""
+    top = np.iinfo(np.int64).max
+    bottom = np.iinfo(np.int64).min
+    low_a = np.arange(bottom + 1, bottom + 11, dtype=np.int64)
+    high_a = np.arange(top - 10, top, dtype=np.int64)
+    far = np.array([bottom, bottom + 11, 0, top - 11, top], dtype=np.int64)
+    assert kernels._bitmap_mask(far, low_a).tolist() == [False] * 5
+    assert kernels._bitmap_mask(far, high_a).tolist() == [False] * 5
+    assert kernels._bitmap_mask(low_a, low_a).all()
+    assert kernels._bitmap_mask(high_a, high_a).all()
+    # a[0] == int64 min has no left slot: the search path answers.
+    edge = np.array([bottom, bottom + 1], dtype=np.int64)
+    assert kernels._np_intersect_count_many(edge, [edge] * 4) == 8
+
+
+def test_segmented_count_many_picks_bitmap_by_span(monkeypatch):
+    """The flattened rows go through the bitmap exactly when ``a``'s id
+    span is at most 4 slots per flattened element: a sparse ``a`` never
+    builds a mark array, a dense one never binary-searches the rows."""
+    prior = kernels.current_backend()
+    kernels.select_backend("numpy")
+    try:
+        calls = []
+        for name in ("_gallop_mask", "_bitmap_mask"):
+            real = getattr(kernels, name)
+
+            def spy(small, large, _name=name, _real=real):
+                calls.append((_name, len(small)))
+                return _real(small, large)
+
+            monkeypatch.setattr(kernels, name, spy)
+        rows = [np.arange(0, 40, 2, dtype=np.int64) for _ in range(5)]
+        # 100 flattened elements: span 400 is the last bitmap span.
+        dense = np.array([0, 7, 399], dtype=np.int64)
+        sparse = np.array([0, 7, 400], dtype=np.int64)
+        assert kernels.intersect_count_many(dense, rows) == 5
+        assert calls == [("_bitmap_mask", 100)]
+        calls.clear()
+        assert kernels.intersect_count_many(sparse, rows) == 5
+        assert calls == [("_gallop_mask", 100)]
+    finally:
+        kernels.select_backend(prior)
+
+
 def test_flatten_rows_normalizes_like_as_ids_array():
     rows = [np.array([1, 2], dtype=np.int32), (), [_HUGE - 1, _HUGE], (7,)]
     flat = kernels.flatten_rows(rows)

@@ -225,9 +225,9 @@ class _BrokenConn:
         return self._replies.pop(0)
 
 
-def _master_with_conn(conn):
+def _master_with_conn(*conns):
     master = object.__new__(_ProcessMaster)
-    master.conns = [conn]
+    master.conns = list(conns)
     return master
 
 
@@ -255,6 +255,48 @@ def test_send_to_silently_dead_worker_is_recoverable():
         _master_with_conn(_BrokenConn([]))._send(0, ("quiesce",))
     assert ei.value.recoverable
     assert isinstance(ei.value.__cause__, BrokenPipeError)
+
+
+def _report(node_id, exc_type, recoverable=True):
+    return ("error", node_id, exc_type,
+            f"Traceback (most recent call last): {exc_type}", recoverable)
+
+
+def test_peer_loss_echo_yields_to_the_root_cause_report():
+    """Node 1 dies of a corrupt payload; node 0's data channel to it
+    breaks, and node 0's ``PeerLostError`` report reaches the master
+    first.  The master must surface node 1's ``WireDecodeError``,
+    chained from the echo, not blame node 0."""
+    master = _master_with_conn(
+        _BrokenConn([_report(0, "PeerLostError")]),
+        _BrokenConn([("wake", 1), _report(1, "WireDecodeError")]),
+    )
+    master.config = cfg()
+    master.procs = [_LiveProc(), _LiveProc()]
+    with pytest.raises(WorkerProcessError) as ei:
+        master._recv(0)
+    assert ei.value.worker_id == 1
+    assert ei.value.recoverable
+    assert "WireDecodeError" in str(ei.value)
+    assert ei.value.__cause__.worker_id == 0
+    assert "PeerLostError" in str(ei.value.__cause__)
+
+
+def test_peer_loss_after_a_silent_death_is_reported_as_is():
+    """No other node has a report — its pipe just closes — so the peer
+    loss is the root cause and is raised without waiting out the
+    drain."""
+    master = _master_with_conn(
+        _BrokenConn([_report(0, "PeerLostError")]), _BrokenConn([]),
+    )
+    master.config = cfg()
+    master.procs = [_LiveProc(), _LiveProc()]
+    t0 = time.monotonic()
+    with pytest.raises(WorkerProcessError) as ei:
+        master._recv(0)
+    assert ei.value.worker_id == 0
+    assert "PeerLostError" in str(ei.value)
+    assert time.monotonic() - t0 < 0.5
 
 
 class _LateWakeConn:
