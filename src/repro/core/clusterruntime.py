@@ -60,10 +60,7 @@ recoverable as always.
 
 from __future__ import annotations
 
-import selectors
-import shutil
 import socket
-import tempfile
 import time
 from pathlib import Path
 from typing import List, Optional
@@ -76,14 +73,14 @@ from ..net.tcp import (
     listen_socket,
 )
 from .checkpoint import JobCheckpoint
-from .config import GThinkerConfig, parse_host_port
+from .config import parse_host_port
 from .controlplane import (
     ControlPlaneMaster,
+    execute_on_nodes,
     mp_context,
-    prepare_job,
     run_node,
 )
-from .errors import GThinkerError, WireDecodeError, WorkerProcessError
+from .errors import GThinkerError
 from .runtime import JobRequest
 
 __all__ = ["ClusterExecutor", "serve_node"]
@@ -177,46 +174,31 @@ def _spawned_node_main(
 
 
 class _ClusterMaster(ControlPlaneMaster):
-    """TCP plumbing for :class:`ControlPlaneMaster`.
+    """Boots the node set for :class:`ControlPlaneMaster` over TCP.
 
-    Owns the control listener and (in localhost spawn mode) the node
-    processes, so the shared rollback can tear the whole node set down
-    and reboot it from the last barrier snapshot.
+    Its control endpoints are :class:`~repro.net.tcp.ControlChannel`\\ s
+    accepted on its listener; in localhost spawn mode it also starts the
+    node processes, so the shared rollback can tear the whole node set
+    down and reboot it from the last barrier snapshot.
     """
 
     def __init__(
-        self,
-        config: GThinkerConfig,
-        app_factory,
-        rows_per_node: List[List],
-        spill_root: Optional[Path],
-        join_timeout_s: float,
-        checkpoint_path: Optional[str] = None,
-        abort_after_rounds: Optional[int] = None,
+        self, rows_per_node: List[List], spill_root: Optional[Path],
+        **master_args,
     ) -> None:
-        super().__init__(
-            config=config,
-            app_factory=app_factory,
-            join_timeout_s=join_timeout_s,
-            checkpoint_path=checkpoint_path,
-            abort_after_rounds=abort_after_rounds,
-        )
+        super().__init__(**master_args)
+        config = self.config
         self.rows_per_node = rows_per_node
         self.spill_root = spill_root
         self.attached = config.cluster_hosts is not None
         bind_host, bind_port = parse_host_port(config.cluster_bind)
         self.listener = listen_socket(bind_host, bind_port)
-        self.channels: List[Optional[ControlChannel]] = []
         self._ctx = mp_context(config)
 
     @property
     def control_addr(self) -> str:
         host, port = self.listener.getsockname()[:2]
         return f"{host}:{port}"
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.channels)
 
     # -- node-set lifecycle -----------------------------------------------
 
@@ -306,16 +288,6 @@ class _ClusterMaster(ControlPlaneMaster):
                 raise GThinkerError(f"expected up from node {nid}, got {msg!r}")
         self.channels = channels
 
-    def _terminate(self) -> None:
-        for chan in self.channels:
-            if chan is not None:
-                chan.close()
-        for proc in self.procs:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
-        self.channels, self.procs = [], []
-
     def _recover(self) -> None:
         if self.attached:
             # A foreign process cannot be respawned from here.  The last
@@ -335,104 +307,6 @@ class _ClusterMaster(ControlPlaneMaster):
         except OSError:  # pragma: no cover - teardown best effort
             pass
 
-    # -- plumbing ---------------------------------------------------------
-
-    def _send(self, node_id: int, cmd) -> None:
-        chan = self.channels[node_id]
-        try:
-            chan.send(cmd)
-        except ChannelClosed as exc:
-            # Drain buffered frames for an error report before labelling
-            # this a silent machine loss.
-            try:
-                while chan.poll(0.05):
-                    self._raise_from_report(chan.recv())
-            except (ChannelClosed, WireDecodeError):
-                pass
-            raise WorkerProcessError(
-                node_id, "control channel closed unexpectedly",
-                recoverable=True,
-            ) from exc
-
-    def _recv(self, node_id: int, timeout: Optional[float] = None):
-        if timeout is None:
-            timeout = self.config.control_reply_timeout_s
-        chan = self.channels[node_id]
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                if not chan.poll(min(0.1, max(0.0, deadline - time.monotonic()))):
-                    if time.monotonic() >= deadline:
-                        raise WorkerProcessError(
-                            node_id,
-                            f"no control-plane reply within {timeout}s",
-                            recoverable=True,
-                        )
-                    continue
-                msg = chan.recv()
-            except (ChannelClosed, WireDecodeError) as exc:
-                raise WorkerProcessError(
-                    node_id, f"control channel lost: {exc}",
-                    recoverable=True,
-                ) from exc
-            self._raise_from_report(msg)
-            if self._note_oob(msg):
-                # A wake racing a request-reply exchange; the reply we
-                # are waiting for is behind it.
-                continue
-            return msg
-
-    def _poll_message(self, node_id: int, timeout: float):
-        chan = self.channels[node_id]
-        try:
-            return chan.recv() if chan.poll(timeout) else None
-        except (ChannelClosed, WireDecodeError) as exc:
-            raise WorkerProcessError(
-                node_id, f"control channel lost: {exc}", recoverable=True,
-            ) from exc
-
-    def _drain_events(self, timeout: float) -> None:
-        """Multiplexed control-event drain over every node's channel.
-
-        Blocks up to ``timeout`` (in <=0.25s selector slices) for the
-        first control frame, then consumes everything buffered on every
-        channel via the non-blocking ``drain_nowait``.  Out-of-band
-        messages route through ``_note_oob``; error reports raise,
-        channel loss raises as a recoverable machine loss.
-        """
-        deadline = time.monotonic() + timeout
-        while True:
-            got = False
-            for nid, chan in enumerate(self.channels):
-                try:
-                    for msg in chan.drain_nowait():
-                        self._raise_from_report(msg)
-                        if not self._note_oob(msg):
-                            raise WorkerProcessError(
-                                nid,
-                                "unexpected out-of-band control message "
-                                f"{type(msg).__name__}",
-                            )
-                        got = True
-                except (ChannelClosed, WireDecodeError) as exc:
-                    raise WorkerProcessError(
-                        nid, f"control channel lost while idle: {exc}",
-                        recoverable=True,
-                    ) from exc
-            remaining = deadline - time.monotonic()
-            if got or remaining <= 0:
-                return
-            with selectors.DefaultSelector() as sel:
-                for chan in self.channels:
-                    try:
-                        sel.register(chan, selectors.EVENT_READ)
-                    except (KeyError, ValueError, OSError):
-                        # A dead fd; surface it as a wake so the next
-                        # protocol op reports the loss.
-                        self._pending_wake = True
-                        return
-                sel.select(min(remaining, 0.25))
-
 
 # ---------------------------------------------------------------------------
 # The executor registered as runtime="cluster"
@@ -448,32 +322,17 @@ class ClusterExecutor:
     def execute(self, request: JobRequest):
         from .job import _partition_rows  # deferred: job.py imports us lazily
 
-        config = request.config
-        graph = prepare_job(request, "cluster")
-        started = time.perf_counter()
-        rows_per_node = _partition_rows(graph, config.num_workers)
-        # The master owns the spill root only in localhost spawn mode;
-        # attached nodes are (possibly) on other machines and make their
-        # own temp dirs.
-        attached = config.cluster_hosts is not None
-        owns_spill = not attached and config.spill_dir is None
-        if attached:
-            spill_root = None
-        elif config.spill_dir:
-            spill_root = Path(config.spill_dir)
-        else:
-            spill_root = Path(tempfile.mkdtemp(prefix="gthinker-spill-cluster-"))
-        master = _ClusterMaster(
-            config=config,
-            app_factory=request.app_factory,
-            rows_per_node=rows_per_node,
-            spill_root=spill_root,
-            join_timeout_s=self.join_timeout_s,
-            checkpoint_path=request.checkpoint_path,
-            abort_after_rounds=request.abort_after_rounds,
+        num_nodes = request.config.num_workers
+
+        def build_master(graph, spill_root, cleanup, **master_args):
+            # The graph is handed over as each node's partition rows,
+            # shipped in the boot handshake.
+            return _ClusterMaster(_partition_rows(graph, num_nodes),
+                                  spill_root, **master_args)
+
+        # Attached nodes are (possibly) on other machines and make their
+        # own spill dirs; a localhost node set spills under the parent's.
+        return execute_on_nodes(
+            request, "cluster", self.join_timeout_s, build_master,
+            parent_spill=request.config.cluster_hosts is None,
         )
-        try:
-            return master.run_job(request.checkpoint, started)
-        finally:
-            if owns_spill and spill_root is not None:
-                shutil.rmtree(spill_root, ignore_errors=True)

@@ -24,20 +24,21 @@ so the master runs its next sweep at once instead of waiting out the
 backoff.
 
 This module holds that protocol once: the master side in
-:class:`ControlPlaneMaster`, parameterised over a tiny plumbing surface
-the backends implement (``num_nodes``, ``_boot``, ``_terminate``,
-``_send``, ``_recv``, ``_drain_events``); the node side in
-:class:`NodeSession` (the command machine) and :func:`run_node` (the
-one serve loop every node process runs, whatever its transport and
-however its graph rows arrived); and the executor prologue/epilogue in
-:func:`prepare_job` / :meth:`ControlPlaneMaster.run_job`.  The wire representation of
+:class:`ControlPlaneMaster`, parameterised over the one thing a backend
+really does differently (``_boot``, plus the ``channels`` / ``procs``
+it fills); the node side in :class:`NodeSession` (the command machine)
+and :func:`run_node` (the one serve loop every node process runs,
+whatever its transport and however its graph rows arrived); and the
+executor path in :func:`execute_on_nodes`.  The wire representation of
 every command and reply is identical across backends, which is what
 lets a checkpoint shard taken under one runtime resume under another.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing as mp
+import multiprocessing.connection as mp_connection
 import os
 import pickle
 import random
@@ -52,7 +53,7 @@ from typing import Any, Callable, Dict, List, Optional
 from ..graph.graph import Graph
 from ..graph.io import ShardedGraphStore
 from ..net.message import TaskBatchTransfer
-from ..net.tcp import PeerLostError
+from ..net.tcp import ChannelClosed, PeerLostError
 from .aggregator import GlobalAggregator
 from .checkpoint import (
     JobCheckpoint,
@@ -80,6 +81,7 @@ __all__ = [
     "NodeSession",
     "NodeStatus",
     "NodeFinal",
+    "execute_on_nodes",
     "mp_context",
     "prepare_job",
     "run_node",
@@ -452,6 +454,10 @@ def run_node(
 #: broken pipe (``_send``) or behind another node's peer-loss echo.
 ERROR_DRAIN_S = 1.0
 
+#: What a control endpoint raises once its node is gone: a pipe's EOF
+#: or broken pipe, a channel's close, a frame cut short by the loss.
+PEER_LOST = (EOFError, OSError, ChannelClosed, WireDecodeError)
+
 
 def _is_report(msg) -> bool:
     return isinstance(msg, tuple) and bool(msg) and msg[0] == "error"
@@ -470,22 +476,19 @@ class ControlPlaneMaster:
     :meth:`_run_to_completion` is the one run loop (sweep, plan and
     execute steals, checkpoint on cadence, double-snapshot termination,
     idle until a wake or the backoff expires); :meth:`run` wraps it in
-    rollback recovery.  Subclasses provide the plumbing:
+    rollback recovery.  The master talks to node ``i`` through
+    ``channels[i]``, a control endpoint with ``poll(timeout)`` /
+    ``recv()`` / ``send(obj)`` / ``close()`` / ``fileno()`` (an mp pipe
+    end or a :class:`~repro.net.tcp.ControlChannel`), and watches
+    ``procs`` — the node processes it started itself, if any.  A
+    backend provides only ``_boot(checkpoint, global_value)``: bring up
+    one incarnation of the node set, each node seeded with its snapshot
+    and the global aggregate (both ``None`` on a cold start), and fill
+    ``channels`` / ``procs``.
 
-    * ``num_nodes`` — how many nodes are attached;
-    * ``_boot(checkpoint, global_value)`` — bring up one incarnation of
-      the node set, each node seeded with its snapshot and the global
-      aggregate (both ``None`` on a cold start);
-    * ``_terminate()`` — tear the node set down;
-    * ``_send(node_id, cmd)`` — deliver one command, raising
-      :class:`WorkerProcessError` on a dead node (``recoverable=True``
-      for silent losses; a node's own error report decides otherwise,
-      see :meth:`_raise_from_report`);
-    * ``_recv(node_id, timeout=None)`` — one reply, same error contract,
-      skipping unsolicited notifications via :meth:`_note_oob`;
-    * ``_poll_message(node_id, timeout)`` — one raw message or None,
-      raising :class:`WorkerProcessError` once the channel is gone;
-    * ``_drain_events(timeout)`` — the multiplexed idle wait.
+    Whatever an endpoint raises once its node is gone (:data:`PEER_LOST`)
+    becomes a recoverable :class:`WorkerProcessError`; a node's own
+    error report decides otherwise (see :meth:`_raise_from_report`).
     """
 
     def __init__(
@@ -503,6 +506,8 @@ class ControlPlaneMaster:
         self.abort_after_rounds = abort_after_rounds
         self.metrics = MetricsRegistry()
         self.global_aggregator = GlobalAggregator(app_factory().make_aggregator())
+        #: One control endpoint per node, indexed by node id.
+        self.channels: List = []
         #: Node processes this master started itself (none when attached).
         self.procs: List = []
         #: Cooperative-cancellation token (``AbortToken`` or None), set
@@ -522,39 +527,136 @@ class ControlPlaneMaster:
         self._last_steal_key = None
         self._last_steal_pairs = frozenset()
 
-    # -- plumbing the backend must provide --------------------------------
-
-    @property
-    def num_nodes(self) -> int:
-        raise NotImplementedError
+    # -- the one thing the backend provides --------------------------------
 
     def _boot(self, checkpoint: Optional[JobCheckpoint], global_value) -> None:
         raise NotImplementedError
 
-    def _terminate(self) -> None:
-        raise NotImplementedError
+    # -- control endpoints --------------------------------------------------
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.channels)
 
     def _send(self, node_id: int, cmd) -> None:
-        raise NotImplementedError
+        """Deliver one command; a dead node raises :class:`WorkerProcessError`."""
+        try:
+            self.channels[node_id].send(cmd)
+        except PEER_LOST as exc:
+            # The node died.  Drain its channel looking for the error
+            # report — a wake or a reply sent before the death must not
+            # shadow the real traceback — and chain the endpoint error.
+            deadline = time.monotonic() + ERROR_DRAIN_S
+            while time.monotonic() < deadline:
+                try:
+                    msg = self._poll_message(node_id, 0.05)
+                except WorkerProcessError:
+                    break
+                try:
+                    self._raise_from_report(msg)
+                except WorkerProcessError as report:
+                    raise report from exc
+                # else: a stale pre-death reply; keep draining.
+            raise WorkerProcessError(
+                node_id, "control channel closed unexpectedly",
+                recoverable=True,
+            ) from exc
 
     def _recv(self, node_id: int, timeout: Optional[float] = None):
-        raise NotImplementedError
+        """One reply from ``node_id``, skipping wakes via :meth:`_note_oob`.
+
+        ``poll`` returns as soon as bytes arrive, so its 100 ms slice only
+        sets how often a node this master started is checked for life.
+        """
+        if timeout is None:
+            timeout = self.config.control_reply_timeout_s
+        # One deadline for the whole call: a wake ahead of the reply
+        # does not restart the clock.
+        deadline = time.monotonic() + timeout
+        while True:
+            remaining = deadline - time.monotonic()
+            msg = self._poll_message(node_id, min(0.1, max(0.0, remaining)))
+            if msg is None:
+                if time.monotonic() >= deadline:
+                    raise WorkerProcessError(
+                        node_id, f"no control-plane reply within {timeout}s",
+                        recoverable=True,
+                    )
+                if not self.procs or self.procs[node_id].is_alive():
+                    continue
+                # Exit may have raced a final message into the channel.
+                msg = self._poll_message(node_id, 0.25)
+                if msg is None:
+                    raise WorkerProcessError(
+                        node_id,
+                        f"died with exit code {self.procs[node_id].exitcode} "
+                        f"without reporting an error",
+                        recoverable=True,
+                    )
+            self._raise_from_report(msg)
+            if not self._note_oob(msg):
+                return msg
 
     def _poll_message(self, node_id: int, timeout: float):
         """One message from ``node_id`` within ``timeout``, else None;
         raises :class:`WorkerProcessError` when its channel is gone.
         Nothing is interpreted: :meth:`_root_cause` reads reports raw."""
-        raise NotImplementedError
+        chan = self.channels[node_id]
+        try:
+            return chan.recv() if chan.poll(timeout) else None
+        except PEER_LOST as exc:
+            raise WorkerProcessError(
+                node_id, f"control channel lost: {exc!r}", recoverable=True,
+            ) from exc
+
+    def _drain_buffered(self) -> bool:
+        """Consume every message already waiting on any channel; True if
+        there was one.  Only wakes are legal here: the control plane is
+        strictly request-reply outside a sweep."""
+        got = False
+        for nid in range(self.num_nodes):
+            while (msg := self._poll_message(nid, 0)) is not None:
+                self._raise_from_report(msg)
+                if not self._note_oob(msg):
+                    raise WorkerProcessError(
+                        nid,
+                        "unexpected out-of-band control message "
+                        f"{type(msg).__name__}",
+                    )
+                got = True
+        return got
 
     def _drain_events(self, timeout: float) -> None:
         """Block up to ``timeout`` for control traffic, then drain it all.
 
-        The backend multiplexes every node's control channel (pipes via
-        a selector wait, sockets via the channel's non-blocking drain),
-        routing each message through :meth:`_note_oob` and raising
-        :class:`WorkerProcessError` for error reports or dead nodes.
+        A channel can hold whole frames its socket no longer signals, so
+        what is buffered is drained first; only then does one
+        ``connection.wait`` over every endpoint block for the *first*
+        new message.  A closed peer raises a recoverable
+        :class:`WorkerProcessError` from the drain that reads its EOF.
         """
-        raise NotImplementedError
+        if self._drain_buffered():
+            return
+        try:
+            mp_connection.wait(self.channels, timeout=timeout)
+        except (OSError, ValueError):
+            # An endpoint died mid-wait; the next protocol op reports it.
+            self._pending_wake = True
+            return
+        self._drain_buffered()
+
+    def _terminate(self) -> None:
+        """Close every channel, then stop the node processes still alive."""
+        for chan in self.channels:
+            try:
+                chan.close()
+            except Exception:  # pragma: no cover - teardown best effort
+                pass
+        for proc in self.procs:
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=5.0)
+        self.channels, self.procs = [], []
 
     # -- node-set lifecycle -----------------------------------------------
 
@@ -949,3 +1051,54 @@ def prepare_job(request: JobRequest, runtime: str) -> Graph:
     if not isinstance(graph, Graph):
         raise TypeError(f"unsupported graph source {type(request.graph)!r}")
     return graph
+
+
+def execute_on_nodes(
+    request: JobRequest,
+    runtime: str,
+    join_timeout_s: float,
+    build_master: Callable[..., ControlPlaneMaster],
+    parent_spill: bool = True,
+):
+    """Run ``request`` on a master-driven node set; returns its ``JobResult``.
+
+    The executor path every node-set backend shares: :func:`prepare_job`,
+    then one cleanup scope that holds the spill root and everything the
+    backend registers on it.  ``build_master(graph, spill_root, cleanup,
+    **master_args)`` hands the graph over its own way (shared memory,
+    partition rows) and returns the master built with ``master_args``
+    (the :class:`ControlPlaneMaster` arguments); since it runs inside
+    the scope, a master that fails to build (say, a control port already
+    taken) leaks nothing.
+
+    The parent owns the spill root — node processes can be
+    ``terminate()``\\ d mid-recovery, so they must not own temp dirs —
+    unless ``parent_spill`` is False (nodes on other machines make their
+    own), in which case ``spill_root`` is None.
+    """
+    config = request.config
+    graph = prepare_job(request, runtime)
+    started = time.perf_counter()
+    with contextlib.ExitStack() as cleanup:
+        spill_root = None
+        if parent_spill and config.spill_dir:
+            spill_root = Path(config.spill_dir)
+        elif parent_spill:
+            spill_root = Path(
+                tempfile.mkdtemp(prefix=f"gthinker-spill-{runtime}-")
+            )
+            cleanup.callback(shutil.rmtree, spill_root, ignore_errors=True)
+        master = build_master(
+            graph, spill_root, cleanup,
+            config=config,
+            app_factory=request.app_factory,
+            join_timeout_s=join_timeout_s,
+            checkpoint_path=request.checkpoint_path,
+            abort_after_rounds=request.abort_after_rounds,
+        )
+        # Cooperative cancel: the sweep loop raises JobCancelledError,
+        # which unwinds through run_job's shutdown() — every node this
+        # master started is terminated and every channel closed, so
+        # attached nodes see the close and exit too.
+        master.abort = request.abort
+        return master.run_job(request.checkpoint, started)

@@ -347,13 +347,12 @@ register_runtime(
     # global-rollback recovery, and shard resume all work (recovery by
     # respawn only in localhost spawn mode — attach mode raises with
     # resume guidance).  Protocol checking runs node-local like the
-    # process runtime's.  Running-job cancellation is declined: a
-    # cancelled multi-host job would strand remote attach-mode nodes
-    # mid-epoch, so ``LocalJobHandle.cancel()`` on a running cluster
-    # job returns False instead of half-killing the fleet.
+    # process runtime's.  Cancellation is the process runtime's, from
+    # the same master: the sweep raises, shutdown closes every control
+    # channel, and attached nodes see the close and exit.
     RuntimeCapabilities(
         checkpointing=True, failure_injection=True,
-        protocol_checking=True, resume=True,
+        protocol_checking=True, resume=True, cancellation=True,
     ),
     replace=True,
 )

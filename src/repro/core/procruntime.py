@@ -80,25 +80,18 @@ unless ``rearm=True``.
 
 from __future__ import annotations
 
-import multiprocessing.connection as mp_connection
-import shutil
-import tempfile
-import time
 from pathlib import Path
 from typing import List, Optional
 
 from ..graph.csr import SharedCSR
 from ..net.transport import ProcessTransport
 from .checkpoint import JobCheckpoint
-from .config import GThinkerConfig
 from .controlplane import (
-    ERROR_DRAIN_S,
     ControlPlaneMaster,
+    execute_on_nodes,
     mp_context,
-    prepare_job,
     run_node,
 )
-from .errors import WorkerProcessError
 from .runtime import JobRequest
 
 __all__ = ["ProcessExecutor"]
@@ -159,48 +152,26 @@ def _worker_main(
 
 
 class _ProcessMaster(ControlPlaneMaster):
-    """Pipe/queue plumbing for :class:`ControlPlaneMaster`.
+    """Forks the worker set for :class:`ControlPlaneMaster`.
 
-    Owns the worker set (queues, pipes, processes) so the shared
-    rollback can tear the whole set down and respawn it from the last
-    barrier snapshot when a worker is lost.
+    Its control endpoints are pipe ends; beyond them it owns only the
+    data queues, fresh every incarnation, which the shared rollback
+    closes with the rest of the set.
     """
 
-    def __init__(
-        self,
-        config: GThinkerConfig,
-        app_factory,
-        csr_meta,
-        spill_root: Path,
-        join_timeout_s: float,
-        checkpoint_path: Optional[str] = None,
-        abort_after_rounds: Optional[int] = None,
-    ) -> None:
-        super().__init__(
-            config=config,
-            app_factory=app_factory,
-            join_timeout_s=join_timeout_s,
-            checkpoint_path=checkpoint_path,
-            abort_after_rounds=abort_after_rounds,
-        )
-        self.ctx = mp_context(config)
+    def __init__(self, csr_meta, spill_root: Path, **master_args) -> None:
+        super().__init__(**master_args)
+        self.ctx = mp_context(self.config)
         self.csr_meta = csr_meta
         self.spill_root = spill_root
-        self.conns: List = []
         self.data_queues: List = []
-
-    # -- worker-set lifecycle ---------------------------------------------
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.conns)
 
     def _boot(self, checkpoint: Optional[JobCheckpoint], global_value) -> None:
         config = self.config
         # Fresh queues every incarnation: batches sent before the loss
         # belong to the rolled-back epoch and must not be delivered.
         self.data_queues = [self.ctx.Queue() for _ in range(config.num_workers)]
-        self.procs, self.conns = [], []
+        self.procs, self.channels = [], []
         for wid in range(config.num_workers):
             parent_conn, child_conn = self.ctx.Pipe()
             snap = (checkpoint.worker_snapshots[wid]
@@ -216,139 +187,17 @@ class _ProcessMaster(ControlPlaneMaster):
             proc.start()
             child_conn.close()
             self.procs.append(proc)
-            self.conns.append(parent_conn)
+            self.channels.append(parent_conn)
 
     def _terminate(self) -> None:
-        for conn in self.conns:
-            try:
-                conn.close()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
-        for proc in self.procs:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
+        super()._terminate()
         for q in self.data_queues:
             try:
                 q.cancel_join_thread()
                 q.close()
             except Exception:  # pragma: no cover - teardown best effort
                 pass
-        self.procs, self.conns, self.data_queues = [], [], []
-
-    # -- plumbing ---------------------------------------------------------
-
-    def _died(self, worker_id: int) -> WorkerProcessError:
-        return WorkerProcessError(
-            worker_id,
-            f"died with exit code {self.procs[worker_id].exitcode} "
-            f"without reporting an error",
-            recoverable=True,
-        )
-
-    def _recv(self, worker_id: int, timeout: Optional[float] = None):
-        if timeout is None:
-            timeout = self.config.control_reply_timeout_s
-        conn = self.conns[worker_id]
-        # One deadline for the whole call: a wake ahead of the reply
-        # does not restart the clock.
-        deadline = time.monotonic() + timeout
-        poll_s = 0.002
-        while True:
-            while not conn.poll(poll_s):
-                # Exponential backoff on the control plane: spin tightly
-                # for prompt replies, back off towards 100ms for slow ones.
-                poll_s = min(poll_s * 2, 0.1)
-                if not self.procs[worker_id].is_alive():
-                    # Exit may have raced a final message into the pipe.
-                    if conn.poll(0.25):
-                        break
-                    raise self._died(worker_id)
-                if time.monotonic() > deadline:
-                    raise WorkerProcessError(
-                        worker_id,
-                        f"no control-plane reply within {timeout}s",
-                        recoverable=True,
-                    )
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError) as exc:
-                raise WorkerProcessError(
-                    worker_id, "control pipe closed while receiving",
-                    recoverable=True,
-                ) from exc
-            self._raise_from_report(msg)
-            if not self._note_oob(msg):
-                return msg
-            # A wake racing a request-reply exchange; the reply we are
-            # waiting for is still behind it.
-
-    def _send(self, worker_id: int, cmd) -> None:
-        try:
-            self.conns[worker_id].send(cmd)
-        except (BrokenPipeError, OSError) as exc:
-            # The worker died.  Drain its pipe looking for the error
-            # report — a wake or a reply sent before the death must not
-            # shadow the real traceback — and chain the pipe error.
-            deadline = time.monotonic() + ERROR_DRAIN_S
-            while time.monotonic() < deadline:
-                try:
-                    msg = self._poll_message(worker_id, 0.05)
-                except WorkerProcessError:
-                    break
-                try:
-                    self._raise_from_report(msg)
-                except WorkerProcessError as report:
-                    raise report from exc
-                # else: a stale pre-death reply; keep draining.
-            raise WorkerProcessError(
-                worker_id, "control pipe closed unexpectedly",
-                recoverable=True,
-            ) from exc
-
-    def _poll_message(self, worker_id: int, timeout: float):
-        conn = self.conns[worker_id]
-        try:
-            return conn.recv() if conn.poll(timeout) else None
-        except (EOFError, OSError) as exc:
-            raise WorkerProcessError(
-                worker_id, "control pipe closed", recoverable=True,
-            ) from exc
-
-    def _drain_events(self, timeout: float) -> None:
-        """Multiplexed control-event drain over every worker's pipe.
-
-        Blocks up to ``timeout`` for the *first* message, then consumes
-        everything already buffered.  Wakes route through
-        ``_note_oob``; anything else is
-        an error report or a pipe closure/dead process (raised as a
-        recoverable loss).  Real protocol replies cannot appear: the
-        control plane is strictly request-reply outside this window.
-        """
-        try:
-            ready = mp_connection.wait(self.conns, timeout=timeout)
-        except OSError:  # a pipe died mid-wait; the next op reports it
-            self._pending_wake = True
-            return
-        for conn in ready:
-            wid = self.conns.index(conn)
-            if not self.procs[wid].is_alive() and not conn.poll(0):
-                raise self._died(wid)
-            while conn.poll(0):
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError) as exc:
-                    raise WorkerProcessError(
-                        wid, "control pipe closed while idle",
-                        recoverable=True,
-                    ) from exc
-                self._raise_from_report(msg)
-                if not self._note_oob(msg):
-                    raise WorkerProcessError(
-                        wid,
-                        "unexpected out-of-band control message "
-                        f"{type(msg).__name__}",
-                    )
+        self.data_queues = []
 
 
 # ---------------------------------------------------------------------------
@@ -363,33 +212,13 @@ class ProcessExecutor:
         self.join_timeout_s = join_timeout_s
 
     def execute(self, request: JobRequest):
-        config = request.config
-        graph = prepare_job(request, "process")
-        started = time.perf_counter()
-        csr = SharedCSR.from_graph(graph)
-        # The parent owns the spill root: worker processes can be
-        # terminate()d mid-recovery, so they must not own tempdirs.
-        owns_spill = config.spill_dir is None
-        spill_root = Path(config.spill_dir) if config.spill_dir else Path(
-            tempfile.mkdtemp(prefix="gthinker-spill-proc-")
-        )
-        master = _ProcessMaster(
-            config=config,
-            app_factory=request.app_factory,
-            csr_meta=csr.meta,
-            spill_root=spill_root,
-            join_timeout_s=self.join_timeout_s,
-            checkpoint_path=request.checkpoint_path,
-            abort_after_rounds=request.abort_after_rounds,
-        )
-        # Cooperative cancel: the sweep loop raises JobCancelledError,
-        # which unwinds through run_job's shutdown() — every worker
-        # process is terminated, so quota is really free.
-        master.abort = request.abort
-        try:
-            return master.run_job(request.checkpoint, started)
-        finally:
-            if owns_spill:
-                shutil.rmtree(spill_root, ignore_errors=True)
-            csr.close()
-            csr.unlink()
+        def build_master(graph, spill_root, cleanup, **master_args):
+            # The graph is handed over as shared memory, unlinked when
+            # the job ends however it ends.
+            csr = SharedCSR.from_graph(graph)
+            cleanup.callback(csr.unlink)
+            cleanup.callback(csr.close)
+            return _ProcessMaster(csr.meta, spill_root, **master_args)
+
+        return execute_on_nodes(request, "process", self.join_timeout_s,
+                                build_master)

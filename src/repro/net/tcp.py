@@ -38,7 +38,7 @@ import selectors
 import socket
 import time
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..core.config import parse_host_port
 from ..core.errors import GThinkerError, WireDecodeError
@@ -99,9 +99,13 @@ def _parse_frame_length(header: bytes) -> int:
 def listen_socket(host: str, port: int, backlog: int = 16) -> socket.socket:
     """A bound, listening, non-blocking TCP socket."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    sock.bind((host, port))
-    sock.listen(backlog)
+    try:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        sock.bind((host, port))
+        sock.listen(backlog)
+    except OSError:
+        sock.close()  # e.g. the port is taken
+        raise
     sock.setblocking(False)
     return sock
 
@@ -193,7 +197,8 @@ class ControlChannel:
                     )
                 selectors_wait_writable(self._sock, min(remaining, 0.25))
             except OSError as exc:
-                self._closed = True
+                # Not marked closed: frames the peer sent before it went
+                # (its error report, say) stay readable until EOF.
                 raise ChannelClosed(f"control peer went away: {exc!r}") from exc
 
     # -- receiving --------------------------------------------------------
@@ -263,31 +268,6 @@ class ControlChannel:
             raise WireDecodeError(
                 f"cannot unpickle control frame: {exc!r}"
             ) from exc
-
-    def drain_nowait(self) -> List[Any]:
-        """Decode every already-buffered frame without blocking.
-
-        The master's multiplexed event drain: one non-blocking socket
-        pump, then every complete frame is unpickled and returned in
-        arrival order.  Raises :class:`ChannelClosed` when the peer is
-        gone and nothing was decoded (a silently-dead node must surface
-        now, not after a reply timeout), and :class:`WireDecodeError`
-        on a corrupt frame.
-        """
-        if not self._closed:
-            self._pump()
-        out: List[Any] = []
-        while self._frames:
-            raw = self._frames.popleft()
-            try:
-                out.append(pickle.loads(raw))
-            except Exception as exc:
-                raise WireDecodeError(
-                    f"cannot unpickle control frame: {exc!r}"
-                ) from exc
-        if not out and self._closed:
-            raise ChannelClosed("control peer closed the connection")
-        return out
 
 
 def selectors_wait_writable(sock: socket.socket, timeout: float) -> None:

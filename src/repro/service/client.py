@@ -84,7 +84,7 @@ class RemoteJobHandle(JobHandle):
         ``cancelled`` in the returned record; a running one aborts at
         its next sync boundary and settles asynchronously.  False means
         the job already finished, or it is running on a runtime that
-        declines mid-run cancellation (``cluster``).
+        declines mid-run cancellation.
         """
         cancelled, record = self._client.cancel(self.job_id)
         self._record = record

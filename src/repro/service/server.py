@@ -39,8 +39,8 @@ property):
   job is cancelled cooperatively through the runtime's
   :class:`~repro.core.runtime.AbortToken` (honored at sync-barrier /
   steal-sweep boundaries), releasing its worker quota within one
-  scheduler pass.  Runtimes that decline running-job cancellation
-  (``cluster``) simply return False for running jobs.
+  scheduler pass.  A custom runtime that declines running-job
+  cancellation simply returns False for running jobs.
 
 The wire is the ``net/`` control-plane plumbing: one
 :class:`~repro.net.tcp.ControlChannel` (length-prefixed pickled frames,
@@ -578,9 +578,8 @@ class GraphService:
         only the named subscriber is settled; the shared execution is
         killed only when its last live subscriber cancels.  Returns
         False for finished jobs, and for running jobs when the
-        service runtime declines running-job cancellation
-        (``cluster``) and no other subscriber keeps the execution
-        alive to spare.
+        service runtime declines running-job cancellation and no
+        other subscriber keeps the execution alive to spare.
         """
         kill_handle = None
         with self._lock:

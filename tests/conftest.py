@@ -2,10 +2,52 @@
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import socket
+
 import pytest
 
+from repro.apps import TriangleCountComper
 from repro.core.config import GThinkerConfig
+from repro.core.controlplane import ControlPlaneMaster
 from repro.graph import Graph, erdos_renyi, ring_of_cliques
+from repro.net.tcp import ControlChannel
+
+
+@pytest.fixture(params=["pipe", "channel"])
+def endpoint_pair(request):
+    """A factory of connected ``(master end, node end)`` control
+    endpoints, one kind per parametrisation: a ``multiprocessing`` pipe
+    (``runtime="process"``) or two :class:`ControlChannel`\\ s over a
+    socketpair (``runtime="cluster"``).  Every end is closed afterwards."""
+    made = []
+
+    def make():
+        if request.param == "pipe":
+            pair = mp.Pipe()
+        else:
+            pair = tuple(ControlChannel(s) for s in socket.socketpair())
+        made.extend(pair)
+        return pair
+
+    yield make
+    for end in made:
+        end.close()
+
+
+@pytest.fixture
+def endpoint_master():
+    """Builds a bare :class:`ControlPlaneMaster` over master-side
+    endpoints (``make(*channels, **config)``).  It started no node
+    processes, so no liveness check runs."""
+
+    def make(*channels, **config):
+        master = ControlPlaneMaster(GThinkerConfig(**config),
+                                    TriangleCountComper, join_timeout_s=30.0)
+        master.channels = list(channels)
+        return master
+
+    return make
 
 
 @pytest.fixture

@@ -2,14 +2,16 @@
 
 Covers task conservation when a node answers ``steal`` (a property
 test, also with protocol checking on — the ``runtime='checked'``
-configuration), wake-on-first-message in ``_wait_for_wake``,
-steal-plan memoization, prompt completion under a long sync period,
-and the control-plane timers.
+configuration), wake-on-first-message in ``_wait_for_wake``, the
+master's endpoint layer (``_recv`` / ``_drain_events``) over both a
+pipe and a ``ControlChannel``, steal-plan memoization, prompt
+completion under a long sync period, and the control-plane timers.
 """
 
 import queue
 import shutil
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from repro.core.controlplane import (
     NodeSession,
     NodeStatus,
 )
+from repro.core.errors import WorkerProcessError
 from repro.core.metrics import MetricsRegistry
 from repro.core.worker import Worker
 from repro.graph import erdos_renyi
@@ -183,6 +186,64 @@ def test_pending_wake_skips_the_blocking_drain():
     # A synchronous reply is not consumed as out-of-band.
     assert not master._note_oob(("stolen", 4))
     assert not master._pending_wake
+
+
+# -- the shared endpoint layer, over a pipe and over a ControlChannel ------
+
+
+def test_recv_deadline_survives_a_wake(endpoint_pair, endpoint_master):
+    """A wake ahead of the reply must not restart the reply timeout: a
+    node that wakes once and then hangs is reported within one
+    ``control_reply_timeout_s``, not two."""
+    timeout = 0.4
+    master_end, node_end = endpoint_pair()
+    master = endpoint_master(master_end, control_reply_timeout_s=timeout)
+    late_wake = threading.Timer(0.7 * timeout, node_end.send, (("wake", 0),))
+    late_wake.start()
+    try:
+        t0 = time.monotonic()
+        with pytest.raises(WorkerProcessError) as ei:
+            master._recv(0)
+        elapsed = time.monotonic() - t0
+    finally:
+        late_wake.join()
+    assert ei.value.recoverable
+    assert master._pending_wake  # the wake was consumed, not dropped
+    assert elapsed < 1.5 * timeout, elapsed
+
+
+def test_drain_events_wakes_at_once_and_surfaces_a_closed_peer(
+        endpoint_pair, endpoint_master):
+    """The idle wait returns on the first message — including a wake
+    already read off the socket behind a reply, which no ``wait`` on
+    the descriptor would ever signal — and a peer that closes while
+    the master idles is a recoverable loss, not a full timeout."""
+    master_end, node_end = endpoint_pair()
+    master = endpoint_master(master_end)
+
+    node_end.send(("stolen", 1))
+    node_end.send(("wake", 0))
+    assert master._recv(0) == ("stolen", 1)
+    t0 = time.monotonic()
+    master._drain_events(5.0)
+    assert master._pending_wake
+    assert time.monotonic() - t0 < 1.0
+
+    master._pending_wake = False
+    late_wake = threading.Timer(0.1, node_end.send, (("wake", 0),))
+    late_wake.start()
+    t0 = time.monotonic()
+    master._drain_events(5.0)
+    late_wake.join()
+    assert master._pending_wake
+    assert time.monotonic() - t0 < 2.0
+
+    node_end.close()
+    t0 = time.monotonic()
+    with pytest.raises(WorkerProcessError) as ei:
+        master._drain_events(5.0)
+    assert ei.value.recoverable
+    assert time.monotonic() - t0 < 2.0
 
 
 def test_idle_burst_job_does_not_wait_out_the_sync_period(graph):

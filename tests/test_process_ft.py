@@ -8,6 +8,7 @@ fired (a plan that never triggers would make the comparison vacuous).
 """
 
 import functools
+import multiprocessing as mp
 import random
 import time
 
@@ -23,7 +24,7 @@ from repro.core import (
     resume_job,
     run_job,
 )
-from repro.core.procruntime import _ProcessMaster
+from repro.core.controlplane import PEER_LOST
 from repro.graph import Graph, erdos_renyi
 from repro.graph.partition import hash_partition
 from repro.net.transport import ProcessTransport
@@ -203,58 +204,11 @@ def test_reported_errors_are_classified_alike_on_both_runtimes(graph, runtime):
     assert "boom at compute" in str(ei.value)
 
 
-# -- S3: the _send error path (unit level, stubbed pipes) ----------------
-
-
-class _BrokenConn:
-    """A control pipe whose send() always fails; recv() replays a
-    scripted reply sequence, then reports EOF."""
-
-    def __init__(self, replies):
-        self._replies = list(replies)
-
-    def send(self, cmd):
-        raise BrokenPipeError("worker side closed")
-
-    def poll(self, timeout=0):
-        return True
-
-    def recv(self):
-        if not self._replies:
-            raise EOFError
-        return self._replies.pop(0)
-
-
-def _master_with_conn(*conns):
-    master = object.__new__(_ProcessMaster)
-    master.conns = list(conns)
-    return master
-
-
-def test_send_surfaces_error_report_behind_stale_replies():
-    """S3 regression: on a broken pipe, _send must drain past stale
-    pre-death replies to the worker's error report instead of
-    mislabelling an app bug as a recoverable machine loss."""
-    conn = _BrokenConn([
-        ("stolen", 2),  # a stale steal reply sent before the death
-        ("error", 0, "ValueError", "Traceback (most recent call last): boom",
-         False),
-    ])
-    with pytest.raises(WorkerProcessError) as ei:
-        _master_with_conn(conn)._send(0, ("sync", None))
-    assert not ei.value.recoverable
-    assert "ValueError" in str(ei.value)
-    assert "boom" in str(ei.value)
-    assert isinstance(ei.value.__cause__, BrokenPipeError)
-
-
-def test_send_to_silently_dead_worker_is_recoverable():
-    """No error report in the pipe → a machine loss, with the original
-    pipe error chained for debugging."""
-    with pytest.raises(WorkerProcessError) as ei:
-        _master_with_conn(_BrokenConn([]))._send(0, ("quiesce",))
-    assert ei.value.recoverable
-    assert isinstance(ei.value.__cause__, BrokenPipeError)
+# -- S3: the master's error paths over real control endpoints ------------
+#
+# Built on ControlPlaneMaster itself over each endpoint kind the
+# runtimes use (see the ``endpoint_pair`` fixture): the test holds the
+# node end, scripts what the node sent, and closes it to play a death.
 
 
 def _report(node_id, exc_type, recoverable=True):
@@ -262,19 +216,46 @@ def _report(node_id, exc_type, recoverable=True):
             f"Traceback (most recent call last): {exc_type}", recoverable)
 
 
-def test_peer_loss_echo_yields_to_the_root_cause_report():
+def test_send_surfaces_error_report_behind_stale_replies(endpoint_pair,
+                                                         endpoint_master):
+    """S3 regression: when a send finds the node gone, _send must drain
+    past stale pre-death replies to the node's error report instead of
+    mislabelling an app bug as a recoverable machine loss."""
+    master_end, node_end = endpoint_pair()
+    node_end.send(("stolen", 2))  # a stale steal reply sent before the death
+    node_end.send(_report(0, "ValueError", recoverable=False))
+    node_end.close()
+    with pytest.raises(WorkerProcessError) as ei:
+        endpoint_master(master_end)._send(0, ("sync", None))
+    assert not ei.value.recoverable
+    assert "ValueError" in str(ei.value)
+    assert isinstance(ei.value.__cause__, PEER_LOST)
+
+
+def test_send_to_silently_dead_worker_is_recoverable(endpoint_pair,
+                                                     endpoint_master):
+    """No error report on the channel → a machine loss, with the
+    endpoint's own error chained for debugging."""
+    master_end, node_end = endpoint_pair()
+    node_end.close()
+    with pytest.raises(WorkerProcessError) as ei:
+        endpoint_master(master_end)._send(0, ("quiesce",))
+    assert ei.value.recoverable
+    assert isinstance(ei.value.__cause__, PEER_LOST)
+
+
+def test_peer_loss_echo_yields_to_the_root_cause_report(endpoint_pair,
+                                                       endpoint_master):
     """Node 1 dies of a corrupt payload; node 0's data channel to it
     breaks, and node 0's ``PeerLostError`` report reaches the master
     first.  The master must surface node 1's ``WireDecodeError``,
     chained from the echo, not blame node 0."""
-    master = _master_with_conn(
-        _BrokenConn([_report(0, "PeerLostError")]),
-        _BrokenConn([("wake", 1), _report(1, "WireDecodeError")]),
-    )
-    master.config = cfg()
-    master.procs = [_LiveProc(), _LiveProc()]
+    (master0, node0), (master1, node1) = endpoint_pair(), endpoint_pair()
+    node0.send(_report(0, "PeerLostError"))
+    node1.send(("wake", 1))
+    node1.send(_report(1, "WireDecodeError"))
     with pytest.raises(WorkerProcessError) as ei:
-        master._recv(0)
+        endpoint_master(master0, master1)._recv(0)
     assert ei.value.worker_id == 1
     assert ei.value.recoverable
     assert "WireDecodeError" in str(ei.value)
@@ -282,65 +263,23 @@ def test_peer_loss_echo_yields_to_the_root_cause_report():
     assert "PeerLostError" in str(ei.value.__cause__)
 
 
-def test_peer_loss_after_a_silent_death_is_reported_as_is():
+def test_peer_loss_after_a_silent_death_is_reported_as_is(endpoint_master):
     """No other node has a report — its pipe just closes — so the peer
     loss is the root cause and is raised without waiting out the
     drain."""
-    master = _master_with_conn(
-        _BrokenConn([_report(0, "PeerLostError")]), _BrokenConn([]),
-    )
-    master.config = cfg()
-    master.procs = [_LiveProc(), _LiveProc()]
-    t0 = time.monotonic()
-    with pytest.raises(WorkerProcessError) as ei:
-        master._recv(0)
-    assert ei.value.worker_id == 0
-    assert "PeerLostError" in str(ei.value)
-    assert time.monotonic() - t0 < 0.5
-
-
-class _LateWakeConn:
-    """A control pipe that delivers one ``("wake", 0)`` after ``delay``
-    seconds and then stays silent (a hung worker that did drain once)."""
-
-    def __init__(self, delay):
-        self._wake_at = time.monotonic() + delay
-        self._delivered = False
-
-    def _ready(self):
-        return not self._delivered and time.monotonic() >= self._wake_at
-
-    def poll(self, timeout=0):
-        end = time.monotonic() + timeout
-        while not self._ready() and time.monotonic() < end:
-            time.sleep(0.001)
-        return self._ready()
-
-    def recv(self):
-        self._delivered = True
-        return ("wake", 0)
-
-
-class _LiveProc:
-    def is_alive(self):
-        return True
-
-
-def test_recv_deadline_survives_a_wake():
-    """A wake ahead of the reply must not restart the reply timeout: a
-    worker that wakes once and then hangs is reported within one
-    ``control_reply_timeout_s``, not two."""
-    timeout = 0.4
-    master = _master_with_conn(_LateWakeConn(delay=0.7 * timeout))
-    master.config = cfg(control_reply_timeout_s=timeout)
-    master.procs = [_LiveProc()]
-    t0 = time.monotonic()
-    with pytest.raises(WorkerProcessError) as ei:
-        master._recv(0)
-    elapsed = time.monotonic() - t0
-    assert ei.value.recoverable
-    assert master._pending_wake  # the wake was consumed, not dropped
-    assert elapsed < 1.5 * timeout, elapsed
+    (master0, node0), (master1, node1) = mp.Pipe(), mp.Pipe()
+    try:
+        node0.send(_report(0, "PeerLostError"))
+        node1.close()
+        t0 = time.monotonic()
+        with pytest.raises(WorkerProcessError) as ei:
+            endpoint_master(master0, master1)._recv(0)
+        assert ei.value.worker_id == 0
+        assert "PeerLostError" in str(ei.value)
+        assert time.monotonic() - t0 < 0.5
+    finally:
+        for end in (master0, node0, master1):
+            end.close()
 
 
 # -- the CI kill-worker matrix -------------------------------------------

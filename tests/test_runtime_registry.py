@@ -1,6 +1,7 @@
 """The pluggable runtime registry: resolution, capabilities, uniform
 errors, custom registration, and spill-dir lifecycle."""
 
+import socket
 import tempfile
 
 import pytest
@@ -57,13 +58,9 @@ def test_capability_matrix_shape():
     for feature in features:
         assert matrix["process"][feature], feature
     assert not matrix["threaded"]["checkpointing"]
-    # Every single-host runtime supports cooperative cancellation;
-    # cluster declines it (aborting mid-epoch would strand attach-mode
-    # nodes).
-    for name in ("serial", "threaded", "checked", "process"):
+    # Every built-in runtime supports cooperative cancellation.
+    for name in ("serial", "threaded", "checked", "process", "cluster"):
         assert matrix[name]["cancellation"], name
-    if "cluster" in matrix:
-        assert not matrix["cluster"]["cancellation"]
 
 
 def test_every_builtin_runs_through_registry(graph):
@@ -207,6 +204,21 @@ def test_no_spill_dir_leak_on_failure(private_tmpdir, graph):
     with pytest.raises(Exception):
         run_job(TriangleCountComper, graph, cfg(), runtime="serial",
                 abort_after_rounds=2)
+    assert _spill_dirs(private_tmpdir) == []
+
+
+def test_cluster_bind_failure_leaks_no_spill_dir(private_tmpdir, graph):
+    """A cluster job whose control port is already taken fails while
+    building its master; the spill root made before that must still be
+    removed."""
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen(1)
+        port = taken.getsockname()[1]
+        with pytest.raises(OSError):
+            run_job(TriangleCountComper, graph,
+                    cfg(cluster_bind=f"127.0.0.1:{port}"),
+                    runtime="cluster")
     assert _spill_dirs(private_tmpdir) == []
 
 

@@ -504,7 +504,7 @@ class TestRunningCancel:
     def test_running_cancel_refused_without_capability(self, graph, gate):
         wait_started, release = gate
         with GraphService(graph, config=cfg(), worker_budget=2) as svc:
-            svc._cancellable = False  # what a cluster-backed service gets
+            svc._cancellable = False  # a runtime without cancellation
             record = svc.submit(JobSpec("block"))
             assert wait_started()
             assert not svc.cancel(record["job_id"])

@@ -11,6 +11,9 @@ checkpoint-capable runtime.
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import socket
+import tempfile
 import threading
 import time
 
@@ -179,8 +182,12 @@ def slow_cfg(**kw):
 
 
 class TestRunningCancel:
-    @pytest.mark.parametrize("runtime", ["serial", "threaded", "process"])
-    def test_running_job_cancels_at_sync_boundary(self, graph, runtime):
+    @pytest.mark.parametrize("runtime",
+                             ["serial", "threaded", "process", "cluster"])
+    def test_running_job_cancels_at_sync_boundary(self, graph, runtime,
+                                                  tmp_path, monkeypatch):
+        # Spill roots go to an empty dir, so a leaked one is seen.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         with Session(graph, slow_cfg(), runtime=runtime) as session:
             handle = session.submit(SlowComper)
             deadline = time.monotonic() + 10
@@ -192,6 +199,7 @@ class TestRunningCancel:
             with pytest.raises(JobCancelledError):
                 handle.result(timeout=30)
             assert handle.status() == JOB_CANCELLED
+            assert not list(tmp_path.glob("gthinker-spill*"))
             # Cancel is idempotent-False once terminal.
             assert not handle.cancel()
             # The session is still healthy: a follow-up job runs fine.
@@ -200,11 +208,51 @@ class TestRunningCancel:
             assert after.result(timeout=60).aggregate == count_triangles(graph)
 
     def test_capability_flags(self):
-        for runtime in ("serial", "threaded", "process", "checked"):
+        for runtime in ("serial", "threaded", "process", "checked",
+                        "cluster"):
             assert get_runtime(runtime).capabilities.cancellation, runtime
-        # Cluster declines mid-run cancellation: remote attach-mode
-        # nodes would be stranded mid-epoch.
-        assert not get_runtime("cluster").capabilities.cancellation
+
+    def test_attach_mode_nodes_exit_when_their_job_is_cancelled(self, graph):
+        """Cancelling an attach-mode cluster job closes every control
+        channel; the externally started nodes see the close and return
+        instead of waiting out a job that is gone."""
+        from repro.core.clusterruntime import serve_node
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        nodes = [
+            mp.get_context().Process(
+                target=serve_node, args=(f"127.0.0.1:{port}",),
+                kwargs=dict(bind_host="127.0.0.1", connect_timeout_s=30.0),
+                daemon=True,
+            )
+            for _ in range(2)
+        ]
+        for node in nodes:
+            node.start()
+        config = slow_cfg(cluster_hosts=("127.0.0.1:0", "127.0.0.1:0"),
+                          cluster_bind=f"127.0.0.1:{port}",
+                          cluster_connect_timeout_s=30.0)
+        try:
+            with Session(graph, config, runtime="cluster") as session:
+                handle = session.submit(SlowComper)
+                deadline = time.monotonic() + 10
+                while handle.status() != JOB_RUNNING:
+                    assert time.monotonic() < deadline, "job never started"
+                    time.sleep(0.005)
+                time.sleep(0.2)  # let the nodes attach and mine a little
+                assert handle.cancel()
+                with pytest.raises(JobCancelledError):
+                    handle.result(timeout=30)
+                cancelled = time.monotonic()
+            for node in nodes:
+                node.join(timeout=max(0.0, cancelled + 5.0 - time.monotonic()))
+                assert not node.is_alive(), "attach-mode node stranded"
+        finally:
+            for node in nodes:
+                if node.is_alive():
+                    node.terminate()
 
     def test_cancel_without_capability_returns_false(self, graph,
                                                      monkeypatch):
