@@ -1,25 +1,13 @@
-"""Multicore scaling curve + kernel-backend micro-benchmarks
-(``BENCH_scaling.json``).
+"""Multicore scaling curve (``BENCH_scaling.json``).
 
 The paper's core performance claim is near-linear scale-out from keeping
 every CPU core busy on the mining inner loop.  This benchmark measures
-exactly that on one machine, and separately measures how much the
-compiled (numba) kernel backend buys over the numpy one:
-
-* **Scaling sweep** — an interleaved best-of-k sweep of
-  {serial, process x {1, 2, 4, 8, 16 workers}} x {TC, MCF} x
-  {every importable kernel backend} on an Erdős–Rényi and a
-  Barabási–Albert (power-law) graph at n >= 100k (``--quick``: one
-  smaller graph, workers {2, 4}).  Runs are interleaved round-robin so
-  machine-load drift hits every point equally, and each wall time is
-  the best of k rounds (jitter only ever adds time).
-* **Kernel micro-benchmarks** — numba vs numpy on ``intersect``,
-  ``intersect_count`` and the fused ``intersect_count_many`` at
-  |adj| in {512, 4096, 65536}; the CI gate requires the compiled
-  kernels to be no slower than numpy (and the acceptance bar is >= 2x
-  at |adj| >= 4k).
-* **``--calibrate``** — re-derive the merge/gallop crossover
-  (``GALLOP_RATIO``) per backend by sweeping the size-skew ratio.
+exactly that on one machine: an interleaved best-of-k sweep of
+{serial, process x {1, 2, 4, 8, 16 workers}} x {TC, MCF} on an
+Erdős–Rényi and a Barabási–Albert (power-law) graph at n >= 100k
+(``--quick``: one smaller graph, workers {2, 4}).  Runs are interleaved
+round-robin so machine-load drift hits every point equally, and each
+wall time is the best of k rounds (jitter only ever adds time).
 
 Honesty flags: every scaling point records the ``cpu_count`` and
 ``workers`` it actually ran with, plus ``speedup_valid`` /
@@ -29,12 +17,11 @@ overhead measurements only — the CI ``scaling-smoke`` job on a
 multi-core runner is where the curve means something.
 
 Exit status is non-zero if any point's answer differs from the serial
-oracle, or (when numba is importable) any kernel micro-benchmark shows
-the compiled kernel slower than numpy.
+oracle.
 
 Run::
 
-    python benchmarks/bench_scaling.py [--quick] [--calibrate]
+    python benchmarks/bench_scaling.py [--quick]
 """
 
 import argparse
@@ -47,11 +34,9 @@ from pathlib import Path
 if __name__ == "__main__":  # script mode: make src/ importable
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import numpy as np
-
 from repro.apps import MaxCliqueComper, TriangleCountComper
 from repro.core import GThinkerConfig, run_job
-from repro.graph import barabasi_albert, erdos_renyi, kernels
+from repro.graph import barabasi_albert, erdos_renyi
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_scaling.json"
 
@@ -60,12 +45,7 @@ APPS = {
     "mcf": MaxCliqueComper,
 }
 
-#: Micro-benchmark adjacency sizes (|adj|): a cache-resident row, the
-#: acceptance-bar size, and a hub row.
-MICRO_SIZES = (512, 4096, 65536)
-
-
-def _config(num_workers: int, n: int, backend: str) -> GThinkerConfig:
+def _config(num_workers: int, n: int) -> GThinkerConfig:
     return GThinkerConfig(
         num_workers=num_workers,
         compers_per_worker=1,
@@ -73,7 +53,6 @@ def _config(num_workers: int, n: int, backend: str) -> GThinkerConfig:
         cache_capacity=max(4 * n, 4096),
         cache_buckets=64,
         decompose_threshold=100,
-        kernel_backend=backend,
     )
 
 
@@ -113,42 +92,37 @@ def _graphs(quick: bool):
 def run_sweep(quick: bool, rounds: int, worker_grid) -> list:
     cpu_count = os.cpu_count() or 1
     graphs = _graphs(quick)
-    backends = kernels.available_backends()
 
-    # One measurement cell per (graph, app, backend, runtime point).
+    # One measurement cell per (graph, app, runtime point).
     points = [("serial", 1)] + [("process", w) for w in worker_grid]
     cells = []
     for gspec in graphs:
         for app in APPS:
-            for backend in backends:
-                for runtime, workers in points:
-                    cells.append({
-                        "graph_model": gspec["model"],
-                        "graph_params": gspec["params"],
-                        "num_edges": gspec["num_edges"],
-                        "_graph": gspec["graph"],
-                        "app": app,
-                        "backend": backend,
-                        "runtime": runtime,
-                        "workers": workers,
-                        "cpu_count": cpu_count,
-                        "wall_s": float("inf"),
-                        "answer": None,
-                        "backend_ran": None,
-                    })
+            for runtime, workers in points:
+                cells.append({
+                    "graph_model": gspec["model"],
+                    "graph_params": gspec["params"],
+                    "num_edges": gspec["num_edges"],
+                    "_graph": gspec["graph"],
+                    "app": app,
+                    "runtime": runtime,
+                    "workers": workers,
+                    "cpu_count": cpu_count,
+                    "wall_s": float("inf"),
+                    "answer": None,
+                })
 
     # Interleave: every cell once per round, best-of-k over rounds.
     for rnd in range(rounds):
         for cell in cells:
             n = cell["graph_params"]["n"]
-            cfg = _config(cell["workers"], n, cell["backend"])
+            cfg = _config(cell["workers"], n)
             started = time.perf_counter()
             result = run_job(APPS[cell["app"]], cell["_graph"], cfg,
                              runtime=cell["runtime"])
             wall = time.perf_counter() - started
             cell["wall_s"] = min(cell["wall_s"], wall)
             cell["answer"] = _answer(cell["app"], result)
-            cell["backend_ran"] = result.kernel_backend
             if cell["runtime"] != "serial":
                 cell["control_plane_s"] = {
                     "time:master_sweep_s":
@@ -157,22 +131,21 @@ def run_sweep(quick: bool, rounds: int, worker_grid) -> list:
                         result.metrics.get("time:control_idle_s", 0.0),
                 }
             print(f"round {rnd + 1}/{rounds} {cell['graph_model']} "
-                  f"{cell['app']} backend={cell['backend']} "
-                  f"{cell['runtime']}x{cell['workers']}: {wall:.2f}s",
+                  f"{cell['app']} {cell['runtime']}x{cell['workers']}: {wall:.2f}s",
                   flush=True)
 
-    # Fold into report rows: serial oracle per (graph, app, backend).
+    # Fold into report rows: serial oracle per (graph, app).
     serial_wall = {}
     serial_answer = {}
     for cell in cells:
         if cell["runtime"] == "serial":
-            key = (cell["graph_model"], cell["app"], cell["backend"])
+            key = (cell["graph_model"], cell["app"])
             serial_wall[key] = cell["wall_s"]
             serial_answer[key] = cell["answer"]
 
     rows = []
     for cell in cells:
-        key = (cell["graph_model"], cell["app"], cell["backend"])
+        key = (cell["graph_model"], cell["app"])
         workers = cell["workers"]
         speedup = serial_wall[key] / cell["wall_s"]
         rows.append({
@@ -180,8 +153,6 @@ def run_sweep(quick: bool, rounds: int, worker_grid) -> list:
                       **cell["graph_params"],
                       "num_edges": cell["num_edges"]},
             "app": cell["app"],
-            "backend": cell["backend"],
-            "backend_ran": cell["backend_ran"],
             "runtime": cell["runtime"],
             "workers": workers,
             "cpu_count": cell["cpu_count"],
@@ -203,128 +174,6 @@ def run_sweep(quick: bool, rounds: int, worker_grid) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Kernel micro-benchmarks
-# ---------------------------------------------------------------------------
-
-
-def _micro_rows(size: int, rng) -> tuple:
-    a = np.unique(rng.integers(0, 8 * size, size=size, dtype=np.int64))
-    b = np.unique(rng.integers(0, 8 * size, size=size, dtype=np.int64))
-    frontier = [
-        np.unique(rng.integers(0, 8 * size, size=max(size // 16, 4),
-                               dtype=np.int64))
-        for _ in range(16)
-    ]
-    return a, b, frontier
-
-
-def _time_call(fn, reps: int) -> float:
-    best = float("inf")
-    for _ in range(reps):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def run_micro(reps: int = 30) -> list:
-    """Per-backend best-of-reps timings of the three hot kernels."""
-    rng = np.random.default_rng(0xBEEF)
-    backends = kernels.available_backends()
-    prior = kernels.current_backend()
-    rows = []
-    try:
-        for size in MICRO_SIZES:
-            a, b, frontier = _micro_rows(size, rng)
-            timings = {}
-            for backend in backends:
-                kernels.select_backend(backend)
-                kernels.intersect(a, b)  # warm-up (numba: trigger JIT)
-                kernels.intersect_count(a, b)
-                kernels.intersect_count_many(a, frontier)
-                timings[backend] = {
-                    "intersect_s": _time_call(
-                        lambda: kernels.intersect(a, b), reps),
-                    "intersect_count_s": _time_call(
-                        lambda: kernels.intersect_count(a, b), reps),
-                    "intersect_count_many_s": _time_call(
-                        lambda: kernels.intersect_count_many(a, frontier),
-                        reps),
-                }
-            row = {"adj_size": size, "timings": timings}
-            if "numba" in timings:
-                row["numba_speedup"] = {
-                    k[:-2]: round(timings["numpy"][k] / timings["numba"][k], 3)
-                    for k in timings["numpy"]
-                }
-            rows.append(row)
-            print(f"micro |adj|={size}: " + "  ".join(
-                f"{be}:intersect={t['intersect_s'] * 1e6:.1f}us"
-                for be, t in timings.items()), flush=True)
-    finally:
-        kernels.select_backend(prior)
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# GALLOP_RATIO calibration
-# ---------------------------------------------------------------------------
-
-
-def run_calibration(reps: int = 20) -> list:
-    """Measure the merge/gallop crossover skew ratio per backend.
-
-    For each backend, intersect a small array of fixed size against
-    increasingly larger ones, timing both forced strategies; the
-    crossover is the smallest ratio where gallop wins.  The numpy path
-    exposes strategy-forcing entry points; the compiled path is probed
-    through ``GALLOP_RATIO`` itself (set to 1 to force gallop, to a
-    huge value to force merge).
-    """
-    rng = np.random.default_rng(0xCA11)
-    small = np.unique(rng.integers(0, 1 << 40, size=64, dtype=np.int64))
-    rows = []
-    prior = kernels.current_backend()
-    try:
-        for backend in kernels.available_backends():
-            kernels.select_backend(backend)
-            crossover = None
-            for ratio in (1, 2, 4, 8, 16, 32, 64, 128, 256):
-                big = np.unique(rng.integers(
-                    0, 1 << 40, size=small.size * ratio, dtype=np.int64))
-                saved = kernels.GALLOP_RATIO
-                if backend == "numpy":
-                    t_merge = _time_call(
-                        lambda: kernels.intersect_merge(small, big), reps)
-                    t_gallop = _time_call(
-                        lambda: kernels.intersect_gallop(small, big), reps)
-                else:
-                    kernels.GALLOP_RATIO = 1 << 30  # force merge
-                    kernels.intersect(small, big)
-                    t_merge = _time_call(
-                        lambda: kernels.intersect(small, big), reps)
-                    kernels.GALLOP_RATIO = 1  # force gallop
-                    kernels.intersect(small, big)
-                    t_gallop = _time_call(
-                        lambda: kernels.intersect(small, big), reps)
-                kernels.GALLOP_RATIO = saved
-                if t_gallop < t_merge and crossover is None:
-                    crossover = ratio
-            rows.append({
-                "backend": backend,
-                "configured_gallop_ratio":
-                    kernels.GALLOP_RATIO_BY_BACKEND[backend],
-                "measured_crossover_ratio": crossover,
-            })
-            print(f"calibrate {backend}: crossover~{crossover}x "
-                  f"(configured {kernels.GALLOP_RATIO_BY_BACKEND[backend]}x)",
-                  flush=True)
-    finally:
-        kernels.select_backend(prior)
-    return rows
-
-
-# ---------------------------------------------------------------------------
 # Main
 # ---------------------------------------------------------------------------
 
@@ -335,8 +184,6 @@ def main(argv=None) -> int:
                         help="one 20k graph, workers {2,4} (CI smoke)")
     parser.add_argument("--rounds", type=int, default=None,
                         help="best-of-k rounds (default: 2, quick: 2)")
-    parser.add_argument("--calibrate", action="store_true",
-                        help="also measure the merge/gallop crossover")
     parser.add_argument("--output", default=str(DEFAULT_OUTPUT),
                         help=f"JSON report path (default {DEFAULT_OUTPUT})")
     args = parser.parse_args(argv)
@@ -344,11 +191,8 @@ def main(argv=None) -> int:
     rounds = args.rounds or 2
     worker_grid = [2, 4] if args.quick else [1, 2, 4, 8, 16]
     cpu_count = os.cpu_count() or 1
-    backends = kernels.available_backends()
 
     sweep = run_sweep(args.quick, rounds, worker_grid)
-    micro = run_micro()
-    calibration = run_calibration() if args.calibrate else None
 
     answers_equal = all(r["answers_equal"] for r in sweep)
     # Headline: best parallel efficiency at 4 workers over points where
@@ -364,15 +208,10 @@ def main(argv=None) -> int:
         "quick": args.quick,
         "cpu_count": cpu_count,
         "worker_grid": worker_grid,
-        "kernel_backends": list(backends),
-        "numba_available": "numba" in backends,
         "answers_equal": answers_equal,
         "parallel_efficiency_at_4_workers": headline_eff,
         "scaling": sweep,
-        "kernel_micro": micro,
     }
-    if calibration is not None:
-        report["gallop_calibration"] = calibration
     with open(args.output, "w", encoding="ascii") as f:
         json.dump(report, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -383,19 +222,9 @@ def main(argv=None) -> int:
         for r in sweep:
             if not r["answers_equal"]:
                 print(f"FAIL: {r['app']} on {r['graph']['model']} "
-                      f"({r['runtime']}x{r['workers']}, {r['backend']}): "
+                      f"({r['runtime']}x{r['workers']}): "
                       f"answer {r['answer']} != serial oracle")
         ok = False
-    if "numba" in backends:
-        for row in micro:
-            for kernel, speedup in row.get("numba_speedup", {}).items():
-                if speedup < 1.0:
-                    print(f"FAIL: numba {kernel} at |adj|={row['adj_size']} "
-                          f"is {speedup}x numpy (< 1.0x)")
-                    ok = False
-    else:
-        print("numba not importable: micro-speedup gate skipped "
-              "(numpy-only report)")
     if headline_eff is not None:
         print(f"parallel efficiency at 4 workers: {headline_eff}")
     elif not args.quick:

@@ -224,27 +224,15 @@ def max_clique(
     pos = {v: i for i, v in enumerate(order)}
 
     if n <= _BITSET_MAX:
-        compiled_bb = kernels.compiled_kernel("bitset_max_clique")
-        if compiled_bb is not None:
-            # Compiled core: same search (highest-candidate-first DFS,
-            # popcount + greedy-coloring bounds) on packed uint64 words.
-            rows_pos = [
-                np.fromiter((pos[u] for u in adj[v] if u in pos),
-                            dtype=np.int64)
-                for v in order
-            ]
-            words = kernels.pack_rows(rows_pos, n)
-            best = [int(p) for p in compiled_bb(words, best_size)]
-        else:
-            masks = [0] * n
-            for i, v in enumerate(order):
-                m = 0
-                for u in adj[v]:
-                    j = pos.get(u)
-                    if j is not None:
-                        m |= 1 << j
-                masks[i] = m
-            best = _max_clique_bitset(masks, n, best_size)
+        masks = [0] * n
+        for i, v in enumerate(order):
+            m = 0
+            for u in adj[v]:
+                j = pos.get(u)
+                if j is not None:
+                    m |= 1 << j
+            masks[i] = m
+        best = _max_clique_bitset(masks, n, best_size)
         if len(best) > max(lower_bound, 0) or (lower_bound <= 0 and best):
             return tuple(sorted(int(order[p]) for p in best))
         return ()

@@ -23,11 +23,8 @@ reported, mirroring the problem statement of [17].
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
-import numpy as np
-
-from ..graph import kernels
 from ..graph.graph import Graph
 
 __all__ = [
@@ -71,93 +68,11 @@ def two_hop_neighborhood(g, v: int) -> Set[int]:
     return out
 
 
-#: Bitset-search window: below the minimum, python set probes beat the
-#: kernel call overhead; above the maximum, the dense (n x n/64) mask
-#: matrix stops paying for itself on sparse ego networks.  The window
-#: only auto-engages on a *compiled* kernel backend — interpreted numpy
-#: pays a per-branch dispatch cost that python set probes beat (measured
-#: ~2.3x slower end-to-end on the youtube stand-in).
-_BITSET_MIN = 48
-_BITSET_MAX = 4096
-
-
-def _enumerate_bitset(
-    adj: Dict[int, Set[int]],
-    all_vertices: List[int],
-    gamma: float,
-    min_size: int,
-) -> Set[FrozenSet[int]]:
-    """The same set-enumeration search on packed uint64 bitsets.
-
-    Vertices are mapped to dense positions in id order (so the branch
-    order is identical to the set-based search) and every in-set-degree
-    bound — candidate pruning, branch extensibility, the qualification
-    check — becomes one vectorized/compiled ``kernels.bitset_and_counts``
-    call over the packed adjacency rows.  Returns qualifying sets in
-    original vertex ids.
-    """
-    n = len(all_vertices)
-    pos = {v: i for i, v in enumerate(all_vertices)}
-    rows = kernels.pack_rows(
-        [
-            np.fromiter((pos[u] for u in adj[v] if u in pos), dtype=np.int64)
-            for v in all_vertices
-        ],
-        n,
-    )
-    qualifying: Set[FrozenSet[int]] = set()
-
-    # Per root, depth-first over an explicit stack of (members, their
-    # mask, candidates) branches; children are pushed in reverse so
-    # they pop in candidate order.
-    empty_mask = np.zeros(kernels.bitset_words(n), dtype=np.uint64)
-    stack = []
-    for v_pos in range(n):
-        v_mask = empty_mask.copy()
-        v_mask[v_pos >> 6] |= np.uint64(1) << np.uint64(v_pos & 63)
-        stack.append(([v_pos], v_mask, np.arange(v_pos + 1, n, dtype=np.int64)))
-        while stack:
-            members, members_mask, cand = stack.pop()
-            # Candidate pruning to a fixpoint (see prune_candidates in the
-            # set-based search for the soundness argument).
-            while True:
-                total_mask = members_mask | kernels.pack_mask(cand, n)
-                floor_size = max(len(members) + 1, min_size)
-                need_min = _required_degree(gamma, floor_size)
-                counts = kernels.bitset_and_counts(rows[cand], total_mask)
-                kept = cand[counts >= need_min]
-                if kept.size == cand.size:
-                    break
-                cand = kept
-            members_arr = np.asarray(members, dtype=np.int64)
-            total_mask = members_mask | kernels.pack_mask(cand, n)
-            floor_size = max(len(members), min_size)
-            need_min = _required_degree(gamma, floor_size)
-            mcounts = kernels.bitset_and_counts(rows[members_arr], total_mask)
-            if not bool((mcounts >= need_min).all()):
-                continue
-            if len(members) >= min_size:
-                need = _required_degree(gamma, len(members))
-                in_counts = kernels.bitset_and_counts(rows[members_arr],
-                                                      members_mask)
-                if bool((in_counts >= need).all()):
-                    qualifying.add(
-                        frozenset(all_vertices[p] for p in members)
-                    )
-            for i in range(cand.size - 1, -1, -1):
-                u = int(cand[i])
-                u_mask = members_mask.copy()
-                u_mask[u >> 6] |= np.uint64(1) << np.uint64(u & 63)
-                stack.append((members + [u], u_mask, cand[i + 1:]))
-    return qualifying
-
-
 def enumerate_quasi_cliques(
     g,
     gamma: float,
     min_size: int = 3,
     restrict_min_vertex: int = -1,
-    use_bitset: Optional[bool] = None,
 ) -> Iterator[Tuple[int, ...]]:
     """Yield maximal gamma-quasi-cliques with at least ``min_size`` vertices.
 
@@ -168,14 +83,6 @@ def enumerate_quasi_cliques(
         this id.  This is the distributed de-duplication rule: the task
         spawned from ``v`` owns exactly the results whose minimum is
         ``v`` (same role as :math:`\\Gamma_>` in clique search).
-    use_bitset:
-        Force (True) or forbid (False) the packed-bitset search whose
-        degree bounds run on the :mod:`repro.graph.kernels` backend;
-        ``None`` picks it automatically for mid-sized ego networks when
-        a compiled backend is active (interpreted numpy loses to python
-        set probes there).  Both searches visit branches in the same
-        order and return identical results — the flag exists for
-        cross-checking and benchmarks.
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
@@ -230,26 +137,21 @@ def enumerate_quasi_cliques(
     # ownership filter only when reporting.  (For distributed use the
     # given graph must contain the owner's full 2-hop ego network, which
     # is exactly what a quasi-clique task materializes.)
-    if use_bitset is None:
-        use_bitset = (kernels.current_backend() != "numpy"
-                      and _BITSET_MIN <= len(all_vertices) <= _BITSET_MAX)
-    if use_bitset and all_vertices:
-        qualifying = _enumerate_bitset(adj, all_vertices, gamma, min_size)
-    else:
-        # Per root, depth-first over an explicit stack of (members,
-        # candidates) branches; children are pushed in reverse so they
-        # pop in candidate order.
-        for i, v in enumerate(all_vertices):
-            stack = [({v}, all_vertices[i + 1:])]
-            while stack:
-                members, cand = stack.pop()
-                cand = prune_candidates(members, cand)
-                if not branch_alive(members, cand):
-                    continue
-                if len(members) >= min_size and qualifies(members):
-                    qualifying.add(frozenset(members))
-                stack.extend((members | {u}, cand[j + 1:])
-                             for j, u in reversed(list(enumerate(cand))))
+    #
+    # Per root, depth-first over an explicit stack of (members,
+    # candidates) branches; children are pushed in reverse so they pop in
+    # candidate order.
+    for i, v in enumerate(all_vertices):
+        stack = [({v}, all_vertices[i + 1:])]
+        while stack:
+            members, cand = stack.pop()
+            cand = prune_candidates(members, cand)
+            if not branch_alive(members, cand):
+                continue
+            if len(members) >= min_size and qualifies(members):
+                qualifying.add(frozenset(members))
+            stack.extend((members | {u}, cand[j + 1:])
+                         for j, u in reversed(list(enumerate(cand))))
 
     by_size: Dict[int, List[FrozenSet[int]]] = {}
     for q in qualifying:

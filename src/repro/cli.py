@@ -84,11 +84,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                           "port; use 0.0.0.0:PORT for attach mode)")
     run.add_argument("--cache-capacity", type=int, default=50_000)
     run.add_argument("--batch-size", type=int, default=32)
-    run.add_argument("--kernel-backend", choices=["auto", "numpy", "numba"],
-                     default="auto",
-                     help="array-kernel backend: 'numba' demands the "
-                          "compiled kernels, 'numpy' forbids them, 'auto' "
-                          "compiles when numba is importable (default)")
     run.add_argument("--tau", type=int, default=None,
                      help="decomposition threshold (MCF)")
     run.add_argument("--output", help="write result records to this file")
@@ -170,9 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=2,
                        help="default worker quota per job")
     serve.add_argument("--compers", type=int, default=2)
-    serve.add_argument("--kernel-backend",
-                       choices=["auto", "numpy", "numba"], default="auto",
-                       help="array-kernel backend for served jobs")
     serve.add_argument("--worker-budget", type=int, default=None,
                        help="total worker quota running at once "
                             "(default: CPU count)")
@@ -272,7 +264,6 @@ def _make_config(args) -> GThinkerConfig:
         compers_per_worker=args.compers,
         cache_capacity=args.cache_capacity,
         task_batch_size=args.batch_size,
-        kernel_backend=getattr(args, "kernel_backend", "auto"),
     )
     if args.tau is not None:
         kwargs["decompose_threshold"] = args.tau
@@ -333,8 +324,7 @@ def _cmd_serve(args) -> int:
 
     graph = _load_graph(args)
     config = GThinkerConfig(num_workers=args.workers,
-                            compers_per_worker=args.compers,
-                            kernel_backend=args.kernel_backend)
+                            compers_per_worker=args.compers)
     service = GraphService(
         graph,
         config=config,

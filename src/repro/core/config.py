@@ -224,15 +224,6 @@ class GThinkerConfig:
         task-lifecycle state machine, the cache-protocol wrapper and the
         single-writer guards.  Off by default (zero hot-path cost); the
         ``REPRO_CHECK=1`` environment variable enables it globally.
-    kernel_backend:
-        Which :mod:`repro.graph.kernels` implementation the mining inner
-        loops run on: ``'numpy'`` (always available, the oracle),
-        ``'numba'`` (compiled ``@njit`` kernels — requires numba, fails
-        loudly if missing), or ``'auto'`` (numba when importable, else
-        numpy, silently).  Selected once per job, in every worker
-        process; the ``REPRO_KERNEL_BACKEND`` environment variable
-        overrides this field, and the backend that actually ran is
-        recorded under the ``kernels:backend:<name>`` metric.
     process_start_method:
         ``multiprocessing`` start method for ``runtime="process"``
         (``"fork"``, ``"spawn"`` or ``"forkserver"``); ``None`` picks
@@ -291,7 +282,6 @@ class GThinkerConfig:
     spill_dir: Optional[str] = None
     inline_iteration_limit: Optional[int] = None
     check_protocols: bool = False
-    kernel_backend: str = "auto"
     process_start_method: Optional[str] = None
     ipc_batch_max_messages: int = 64
     cluster_hosts: Optional[Tuple[str, ...]] = None
@@ -347,11 +337,6 @@ class GThinkerConfig:
             )
         if self.response_chunk < 1:
             raise ValueError("response_chunk must be >= 1")
-        if self.kernel_backend not in ("auto", "numpy", "numba"):
-            raise ValueError(
-                f"kernel_backend must be 'auto', 'numpy' or 'numba', "
-                f"got {self.kernel_backend!r}"
-            )
         if self.process_start_method not in (None, "fork", "spawn", "forkserver"):
             raise ValueError(
                 f"unknown process_start_method {self.process_start_method!r}"
@@ -396,12 +381,6 @@ class GThinkerConfig:
         if self.check_protocols:
             return True
         return os.environ.get("REPRO_CHECK", "") not in ("", "0")
-
-    @property
-    def effective_kernel_backend(self) -> str:
-        """Kernel backend after the ``REPRO_KERNEL_BACKEND`` override."""
-        env = os.environ.get("REPRO_KERNEL_BACKEND", "")
-        return env if env else self.kernel_backend
 
     @property
     def effective_pending_threshold(self) -> int:

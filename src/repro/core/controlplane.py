@@ -377,11 +377,6 @@ def run_node(
     transport = None
     try:
         metrics = MetricsRegistry()
-        # Honor kernel_backend in the child even under 'spawn' (where the
-        # parent's import-time selection is not inherited).
-        from .job import activate_kernel_backend
-
-        activate_kernel_backend(config, metrics)
         transport = make_transport(metrics)
         worker = Worker(
             worker_id=node_id,

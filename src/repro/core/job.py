@@ -51,29 +51,10 @@ from .runtime import (
 from .worker import LocalTableMemo, Worker
 
 __all__ = [
-    "JobResult", "activate_kernel_backend", "build_cluster", "run_job",
-    "resume_job", "resolve_resume",
+    "JobResult", "build_cluster", "run_job", "resume_job", "resolve_resume",
 ]
 
 GraphSource = Union[Graph, ShardedGraphStore]
-
-
-def activate_kernel_backend(config: GThinkerConfig,
-                            metrics: Optional[MetricsRegistry]) -> str:
-    """Bind the mining kernels to the job's backend and record what ran.
-
-    Called once per process that mines (the in-process executors via
-    :func:`build_cluster`, each ``runtime='process'`` worker, each
-    ``runtime='cluster'`` node) so 'fork', 'spawn' and remote-attach
-    workers all honor ``config.kernel_backend`` / ``REPRO_KERNEL_BACKEND``.
-    The chosen backend lands in the metrics as ``kernels:backend:<name>``.
-    """
-    from ..graph import kernels
-
-    backend = kernels.select_backend(config.effective_kernel_backend)
-    if metrics is not None:
-        metrics.add(f"kernels:backend:{backend}", 1.0)
-    return backend
 
 
 @dataclass
@@ -127,7 +108,6 @@ def build_cluster(
     an in-memory graph are attached from it, or built and stored there.
     """
     metrics = metrics or MetricsRegistry()
-    activate_kernel_backend(config, metrics)
     transport = transport or Transport(
         config.num_workers,
         metrics=metrics,

@@ -155,15 +155,6 @@ class MetricsAccessors:
     metrics: Dict[str, float]
 
     @property
-    def kernel_backend(self) -> str:
-        """Which kernels backend ran (``kernels:backend:<name>`` metric)."""
-        for key in self.metrics:
-            base = key[len("max:"):] if key.startswith("max:") else key
-            if base.startswith("kernels:backend:"):
-                return base.rsplit(":", 1)[-1]
-        return "unknown"
-
-    @property
     def cache_stats(self) -> CacheStats:
         m = self.metrics
         return CacheStats(

@@ -55,8 +55,8 @@ class Subgraph:
             if keep_only is not None and adj.size >= 256:
                 # Hub-sized rows: the candidate filter is a sorted-set
                 # intersection (adj is sorted/duplicate-free by the
-                # adjacency contract), so it runs on the dispatched
-                # kernel backend.  Sets are sorted here — np.isin would
+                # adjacency contract), so it runs on the sorted-array
+                # kernel.  Sets are sorted here — np.isin would
                 # have sorted them internally anyway.
                 if isinstance(keep_only, np.ndarray):
                     keep = np.unique(keep_only.astype(np.int64))

@@ -1,4 +1,4 @@
-"""Sorted-array mining kernels with pluggable backends (numpy / numba).
+"""Sorted-array mining kernels.
 
 Every adjacency list on the hot path is a sorted, duplicate-free
 ``numpy.ndarray`` of ``int64`` vertex ids (a zero-copy view into a
@@ -7,44 +7,20 @@ ones).  The mining inner loops — triangle counting, clique expansion,
 subgraph-matching candidate generation — all reduce to intersections of
 such arrays, so this module is the single place they are implemented.
 
-Backends
---------
-Two implementations of the dispatched kernel set exist:
-
-* ``numpy`` — the vectorized implementations below.  Always available;
-  the reference against which everything else is checked.
-* ``numba`` — ``@njit(cache=True)`` compiled kernels in
-  :mod:`repro.graph.kernels_compiled`, plus compiled extras (the bitset
-  branch-and-bound core used by :func:`repro.algorithms.cliques.max_clique`).
-  Available only when numba is importable; ``'auto'`` falls back to
-  numpy silently.
-
-Selection happens once at import from the ``REPRO_KERNEL_BACKEND``
-environment variable (``auto`` when unset) and again per job from
-``GThinkerConfig.kernel_backend`` (the environment variable wins — see
-``GThinkerConfig.effective_kernel_backend``).  :func:`select_backend`
-rebinds the dispatched module-level functions (``intersect``,
-``intersect_count``, ``intersect_many``, ``intersect_count_many``,
-``suffix_gt``, ``bitset_and_counts``) in place, so every call site that
-does ``kernels.intersect(...)`` picks up the active backend with zero
-added indirection.  The job records what actually ran under the
-``kernels:backend:<name>`` metric.
-
 Strategy auto-selection inside ``intersect`` / ``intersect_count``:
 
-* **merge** when the inputs are comparably sized: for numpy, concatenate
-  and stable-sort (timsort merges the two pre-sorted runs linearly); for
-  numba, a two-pointer linear merge.
+* **merge** when the inputs are comparably sized: concatenate and
+  stable-sort (timsort merges the two pre-sorted runs linearly).
 * **gallop** (binary-searching the smaller array into the larger) when
   ``|b| >= GALLOP_RATIO * |a|`` — O(|a| log |b|), the common shape in
   degree-skewed graphs where a low-degree frontier is intersected
   against a hub's adjacency.
 
 The fused frontier kernel ``intersect_count_many(a, rows)`` applies the
-same size rule per row, but batches everything under the cut: the
-numpy body flattens the non-hub rows and tests them against ``a`` in
-one segmented pass (see :func:`_np_intersect_count_many`); rows past
-the cut are probed ``a``-into-row.  The segmented pass itself picks:
+same size rule per row, but batches everything under the cut: it
+flattens the non-hub rows and tests them against ``a`` in one segmented
+pass (see :func:`_np_intersect_count_many`); rows past the cut are
+probed ``a``-into-row.  The segmented pass itself picks:
 
 * **bitmap** — a ``bool`` table over ``a``'s id range with a ``False``
   slot on each side, one clipped ``take`` per element — when that range
@@ -53,35 +29,28 @@ the cut are probed ``a``-into-row.  The segmented pass itself picks:
 * **search** — one ``searchsorted`` of the flattened rows into ``a``
   otherwise (sparse or huge id spaces, where the table would not pay).
 
-``GALLOP_RATIO`` is re-derived per backend: the compiled linear merge is
-much faster than numpy's sort-based one, so the crossover to galloping
-moves out (8 for numpy, 32 for numba — re-measure with
-``benchmarks/bench_scaling.py --calibrate``).
+Call sites look the kernels up as module attributes
+(``kernels.intersect(...)``), so a profiler can wrap the names in
+:data:`DISPATCHED_KERNELS` in place; :func:`select_backend` binds them
+back to the implementations below.
 
 The pure-Python ``intersect_sorted`` / ``intersect_sorted_count`` /
 ``adjacency_suffix_gt`` in :mod:`repro.graph.graph` are kept unchanged as
 the reference oracles; ``tests/test_kernels.py`` checks every kernel here
-against them on randomized inputs under every available backend, and
-``tests/test_kernels_property.py`` adds hypothesis property coverage.
+against them on randomized inputs, and ``tests/test_kernels_property.py``
+adds hypothesis property coverage.
 """
 
 from __future__ import annotations
 
-import functools
-import os
-from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "GALLOP_RATIO",
     "IdArray",
-    "KernelBackendError",
     "as_ids_array",
-    "available_backends",
-    "bitset_and_counts",
-    "compiled_kernel",
-    "current_backend",
     "flatten_rows",
     "intersect",
     "intersect_count",
@@ -89,9 +58,6 @@ __all__ = [
     "intersect_gallop",
     "intersect_many",
     "intersect_merge",
-    "pack_mask",
-    "pack_rows",
-    "select_backend",
     "suffix_gt",
 ]
 
@@ -99,25 +65,12 @@ IdArray = np.ndarray
 AdjLike = Union[np.ndarray, Sequence[int]]
 
 #: Switch from the linear merge to the galloping (binary-search) kernel
-#: when the larger input is at least this many times the smaller one.
-#: Rebound per backend by :func:`select_backend`.
+#: when the larger input is at least this many times the smaller one
+#: (the sort-based merge loses to ``searchsorted`` early).
 GALLOP_RATIO = 8
-
-#: Per-backend merge/gallop crossover, derived from the kernel
-#: micro-benchmark (``bench_scaling.py --calibrate``): numpy's sort-based
-#: merge loses to searchsorted early; the compiled two-pointer merge
-#: stays ahead until much heavier skew.
-GALLOP_RATIO_BY_BACKEND = {"numpy": 8, "numba": 32}
-
-#: Backend names ``select_backend`` accepts (besides ``'auto'``).
-BACKEND_NAMES = ("numpy", "numba")
 
 _EMPTY = np.empty(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
-
-
-class KernelBackendError(RuntimeError):
-    """An explicitly requested kernel backend cannot be used."""
 
 
 def as_ids_array(adj: AdjLike) -> IdArray:
@@ -133,11 +86,6 @@ def as_ids_array(adj: AdjLike) -> IdArray:
             return adj
         return adj.astype(np.int64)
     return np.asarray(adj, dtype=np.int64)
-
-
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
 
 
 def _gallop_mask(small: IdArray, large: IdArray) -> np.ndarray:
@@ -186,8 +134,8 @@ def _merge(a: IdArray, b: IdArray) -> IdArray:
 def intersect_merge(a: AdjLike, b: AdjLike) -> IdArray:
     """Linear-merge intersection of two sorted duplicate-free arrays.
 
-    Strategy-forcing numpy variant (backend-independent), kept public for
-    crossover measurement and tests.
+    Strategy-forcing variant, kept public for crossover measurement and
+    tests.
     """
     a = as_ids_array(a)
     b = as_ids_array(b)
@@ -199,8 +147,8 @@ def intersect_merge(a: AdjLike, b: AdjLike) -> IdArray:
 def intersect_gallop(a: AdjLike, b: AdjLike) -> IdArray:
     """Galloping intersection: binary-search the smaller into the larger.
 
-    Strategy-forcing numpy variant (backend-independent), kept public for
-    crossover measurement and tests.
+    Strategy-forcing variant, kept public for crossover measurement and
+    tests.
     """
     a = as_ids_array(a)
     b = as_ids_array(b)
@@ -278,12 +226,9 @@ def _np_intersect_many(arrays: Iterable[AdjLike]) -> IdArray:
 def flatten_rows(rows: Sequence[AdjLike]) -> IdArray:
     """The rows back to back in one fresh C-contiguous int64 buffer.
 
-    The one row-preparation step both backends share for a frontier —
-    they differ only in the loop that walks the buffer (the compiled
-    kernel also wants the row offsets; the segmented numpy pass needs no
-    boundaries at all).  Rows are normalized exactly like
-    :func:`as_ids_array` does (tuples/lists accepted, other integer
-    dtypes cast).
+    The segmented frontier pass walks this buffer; it needs no row
+    boundaries.  Rows are normalized exactly like :func:`as_ids_array`
+    does (tuples/lists accepted, other integer dtypes cast).
     """
     if not rows:
         return _EMPTY
@@ -349,183 +294,47 @@ def _np_suffix_gt(adj: AdjLike, v: int) -> IdArray:
 
 
 # ---------------------------------------------------------------------------
-# Bitset packing (shared) + popcount kernels (dispatched)
+# Bindings
 # ---------------------------------------------------------------------------
 
-_WORD_BITS = 64
-
-# 16-bit popcount lookup, shared with the compiled backend (numba indexes
-# it as a global) and the pre-numpy-2.0 fallback below.
-_POPCOUNT16 = np.array([bin(i).count("1") for i in range(1 << 16)],
-                       dtype=np.int64)
-
-
-def bitset_words(n: int) -> int:
-    """Number of uint64 words needed for an ``n``-bit set."""
-    return (int(n) + _WORD_BITS - 1) // _WORD_BITS
-
-
-def pack_mask(positions: AdjLike, n: int) -> np.ndarray:
-    """Pack dense positions (``0 <= p < n``) into a ``(W,)`` uint64 bitset."""
-    words = np.zeros(bitset_words(n), dtype=np.uint64)
-    pos = as_ids_array(positions)
-    if pos.size:
-        np.bitwise_or.at(
-            words, pos >> 6,
-            np.uint64(1) << (pos.astype(np.uint64) & np.uint64(63)),
-        )
-    return words
-
-
-def pack_rows(rows: Sequence[AdjLike], n: int) -> np.ndarray:
-    """Pack per-vertex position rows into an ``(len(rows), W)`` bitset matrix."""
-    out = np.zeros((len(rows), bitset_words(n)), dtype=np.uint64)
-    for i, row in enumerate(rows):
-        pos = as_ids_array(row)
-        if pos.size:
-            np.bitwise_or.at(
-                out[i], pos >> 6,
-                np.uint64(1) << (pos.astype(np.uint64) & np.uint64(63)),
-            )
-    return out
-
-
-if hasattr(np, "bitwise_count"):
-    def _np_popcount_words(words: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(words).astype(np.int64)
-else:  # pragma: no cover - numpy < 2.0
-    def _np_popcount_words(words: np.ndarray) -> np.ndarray:
-        m16 = np.uint64(0xFFFF)
-        return (
-            _POPCOUNT16[(words & m16).astype(np.int64)]
-            + _POPCOUNT16[((words >> np.uint64(16)) & m16).astype(np.int64)]
-            + _POPCOUNT16[((words >> np.uint64(32)) & m16).astype(np.int64)]
-            + _POPCOUNT16[(words >> np.uint64(48)).astype(np.int64)]
-        )
-
-
-def _np_bitset_and_counts(rows_words: np.ndarray, mask_words: np.ndarray) -> np.ndarray:
-    """Per-row ``popcount(row & mask)`` over packed bitsets.
-
-    The quasi-clique bound computation: given the packed adjacency rows
-    of k vertices and a packed member/candidate mask, return the k
-    in-set degrees in one shot.
-    """
-    if rows_words.ndim == 1:
-        rows_words = rows_words[None, :]
-    return _np_popcount_words(rows_words & mask_words).sum(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# Backend registry / dispatch
-# ---------------------------------------------------------------------------
-
-#: Module-level names rebound by :func:`select_backend`.
-DISPATCHED_KERNELS = (
-    "intersect",
-    "intersect_count",
-    "intersect_many",
-    "intersect_count_many",
-    "suffix_gt",
-    "bitset_and_counts",
-)
-
-_NUMPY_KERNELS: Dict[str, Callable] = {
+_KERNELS: Dict[str, Callable] = {
     "intersect": _np_intersect,
     "intersect_count": _np_intersect_count,
     "intersect_many": _np_intersect_many,
     "intersect_count_many": _np_intersect_count_many,
     "suffix_gt": _np_suffix_gt,
-    "bitset_and_counts": _np_bitset_and_counts,
 }
 
-_BACKEND_NAME = "numpy"
-#: Backend-only extras (e.g. ``bitset_max_clique``); empty on numpy.
-_COMPILED_EXTRAS: Dict[str, Callable] = {}
+#: Module-level kernel names a profiler may wrap in place.
+DISPATCHED_KERNELS = tuple(_KERNELS)
 
-# Default bindings so the module is usable even if select_backend is
-# bypassed; overwritten immediately by the bottom-of-module selection.
 intersect = _np_intersect
 intersect_count = _np_intersect_count
 intersect_many = _np_intersect_many
 intersect_count_many = _np_intersect_count_many
 suffix_gt = _np_suffix_gt
-bitset_and_counts = _np_bitset_and_counts
 
 
-@functools.lru_cache(maxsize=None)
-def _numba_importable() -> bool:
-    # Probed once per process: find_spec walks sys.path, and every job
-    # start selects its backend.
-    try:
-        import importlib.util
+def select_backend(name: str = "numpy") -> str:
+    """Bind :data:`DISPATCHED_KERNELS` to the implementations above,
+    undoing any wrapper, and return ``'numpy'``, the one backend.
 
-        return importlib.util.find_spec("numba") is not None
-    except (ImportError, ValueError):  # pragma: no cover - exotic envs
-        return False
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Backends usable in this environment (``numpy`` always is)."""
-    names = ["numpy"]
-    if _numba_importable():
-        names.append("numba")
-    return tuple(names)
+    With :func:`current_backend` and :func:`compiled_kernel` this is the
+    surface the e2e benchmark's tracer (``benchmarks/e2e/tracing.py``)
+    patches and calls.
+    """
+    if name != "numpy":
+        raise ValueError(f"unknown kernel backend {name!r}; numpy is the only one")
+    globals().update(_KERNELS)
+    return name
 
 
 def current_backend() -> str:
-    """Name of the backend the dispatched kernels are bound to."""
-    return _BACKEND_NAME
+    """``'numpy'``: see :func:`select_backend`."""
+    return "numpy"
 
 
-def compiled_kernel(name: str) -> Optional[Callable]:
-    """A backend extra (e.g. ``'bitset_max_clique'``), or None.
-
-    Extras exist only on compiled backends; callers keep their pure
-    path as the fallback and oracle.
-    """
-    return _COMPILED_EXTRAS.get(name)
-
-
-def select_backend(name: str = "auto") -> str:
-    """Bind the dispatched kernels to a backend; returns the chosen name.
-
-    ``'auto'`` picks numba when importable, else numpy — never raising.
-    An explicit ``'numba'`` raises :class:`KernelBackendError` when numba
-    is unavailable (a forced backend must not silently degrade).
-    """
-    global _BACKEND_NAME, _COMPILED_EXTRAS, GALLOP_RATIO
-    requested = name or "auto"
-    if requested not in BACKEND_NAMES + ("auto",):
-        raise ValueError(
-            f"unknown kernel backend {name!r}; pick one of "
-            f"{('auto',) + BACKEND_NAMES}"
-        )
-    chosen = requested
-    if requested == "auto":
-        chosen = "numba" if _numba_importable() else "numpy"
-    if chosen == "numba":
-        from . import kernels_compiled
-
-        if not kernels_compiled.NUMBA_AVAILABLE:
-            raise KernelBackendError(
-                "kernel backend 'numba' was explicitly requested but numba "
-                "is not importable; install it (pip install repro[compiled]) "
-                "or use kernel_backend='auto'/'numpy'"
-            )
-        table, extras = kernels_compiled.make_backend()
-    else:
-        table, extras = _NUMPY_KERNELS, {}
-    g = globals()
-    for key in DISPATCHED_KERNELS:
-        g[key] = table[key]
-    GALLOP_RATIO = GALLOP_RATIO_BY_BACKEND[chosen]
-    _COMPILED_EXTRAS = extras
-    _BACKEND_NAME = chosen
-    return chosen
-
-
-# One-time selection at import: REPRO_KERNEL_BACKEND forces a backend
-# (and fails loudly if it cannot be honored); unset means 'auto', which
-# silently falls back to numpy without numba.
-select_backend(os.environ.get("REPRO_KERNEL_BACKEND") or "auto")
+def compiled_kernel(name: str) -> None:
+    """Always ``None``: there are no compiled kernels (see
+    :func:`select_backend`)."""
+    return None

@@ -14,19 +14,6 @@ from repro.graph.graph import (
     intersect_sorted_count,
 )
 
-@pytest.fixture(autouse=True, params=kernels.available_backends())
-def kernel_backend(request):
-    """Re-run every test in this module under each importable backend.
-
-    On a box without numba the params collapse to ``("numpy",)``; in the
-    CI scaling-smoke job (numba installed) the whole module runs twice
-    and any compiled/numpy divergence fails the matching test directly.
-    """
-    prior = kernels.current_backend()
-    kernels.select_backend(request.param)
-    yield request.param
-    kernels.select_backend(prior)
-
 
 # ---------------------------------------------------------------------------
 # Randomized equivalence against the pure-Python oracles

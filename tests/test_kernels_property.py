@@ -1,34 +1,22 @@
-"""Property tests: compiled kernel bodies vs pure-python oracles.
+"""Property tests: the sorted-array kernels vs pure-python oracles.
 
-The compiled backend in :mod:`repro.graph.kernels_compiled` is written
-as plain-python functions in the numba-compilable subset, so the exact
-code that numba compiles in CI also runs *interpreted* here.  Hypothesis
-drives those bodies (and the dispatched kernels under every importable
-backend) against the pure-python oracles in :mod:`repro.graph.graph`
-and brute-force set arithmetic, across the regimes that historically
-break intersection kernels: empty and singleton rows, heavy hub skew,
-dense overlap, and huge sparse id spaces.
+Hypothesis drives :mod:`repro.graph.kernels` against the pure-python
+oracles in :mod:`repro.graph.graph`, under both merge/gallop strategies,
+across the regimes that historically break intersection kernels: empty
+and singleton rows, heavy hub skew, dense overlap, and huge sparse id
+spaces.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.cliques import _max_clique_bitset, max_clique_reference
-from repro.algorithms.quasicliques import enumerate_quasi_cliques
 from repro.graph import kernels
 from repro.graph.graph import intersect_sorted, intersect_sorted_count
-from repro.graph.kernels_compiled import (
-    _bitset_and_counts_py,
-    _bitset_max_clique_py,
-    _intersect_count_kernel,
-    _intersect_count_many_py,
-    _intersect_kernel,
-    _suffix_pos_kernel,
-)
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -54,22 +42,19 @@ def skewed_pair(draw):
     return small, huge
 
 
-@st.composite
-def small_adjacency(draw, max_n: int = 10):
-    """A random simple undirected graph as ``{v: sorted tuple}``."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    adj = {v: set() for v in range(n)}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return {v: tuple(sorted(a)) for v, a in adj.items()}
-
-
-#: gallop_ratio values covering both strategies: 1 forces galloping for
-#: any non-empty pair, a huge ratio forces the two-pointer merge.
+#: ``GALLOP_RATIO`` values covering both strategies: 1 forces galloping
+#: for any non-empty pair, a huge ratio forces the merge.
 _RATIOS = (1, 8, 1 << 30)
+
+
+@contextmanager
+def _gallop_ratio(ratio):
+    saved = kernels.GALLOP_RATIO
+    kernels.GALLOP_RATIO = ratio
+    try:
+        yield
+    finally:
+        kernels.GALLOP_RATIO = saved
 
 
 # ---------------------------------------------------------------------------
@@ -81,18 +66,20 @@ _RATIOS = (1, 8, 1 << 30)
 @given(sorted_ids(), sorted_ids())
 def test_intersect_kernel_matches_oracle(a, b):
     expected = intersect_sorted(a.tolist(), b.tolist())
-    small, large = (a, b) if a.size <= b.size else (b, a)
+    assert kernels.intersect_merge(a, b).tolist() == expected
+    assert kernels.intersect_gallop(a, b).tolist() == expected
     for ratio in _RATIOS:
-        assert _intersect_kernel(small, large, ratio).tolist() == expected
+        with _gallop_ratio(ratio):
+            assert kernels.intersect(a, b).tolist() == expected
 
 
 @settings(deadline=None, max_examples=120)
 @given(sorted_ids(), sorted_ids())
 def test_intersect_count_kernel_matches_oracle(a, b):
     expected = intersect_sorted_count(a.tolist(), b.tolist())
-    small, large = (a, b) if a.size <= b.size else (b, a)
     for ratio in _RATIOS:
-        assert _intersect_count_kernel(small, large, ratio) == expected
+        with _gallop_ratio(ratio):
+            assert kernels.intersect_count(a, b) == expected
 
 
 @settings(deadline=None, max_examples=60)
@@ -100,29 +87,16 @@ def test_intersect_count_kernel_matches_oracle(a, b):
 def test_gallop_path_on_hub_skew(pair):
     small, huge = pair
     expected = intersect_sorted(small.tolist(), huge.tolist())
-    assert _intersect_kernel(small, huge, 1).tolist() == expected
-    assert _intersect_count_kernel(small, huge, 1) == len(expected)
+    assert kernels.intersect(small, huge).tolist() == expected
+    assert kernels.intersect_count(huge, small) == len(expected)
 
 
 @settings(deadline=None, max_examples=80)
 @given(sorted_ids(), st.integers(-2, 2**40 + 2))
 def test_suffix_pos_kernel_matches_searchsorted(a, v):
-    assert _suffix_pos_kernel(a, v) == int(np.searchsorted(a, v, side="right"))
-
-
-@settings(deadline=None, max_examples=60)
-@given(sorted_ids(max_size=16), st.lists(sorted_ids(max_size=24), max_size=6))
-def test_intersect_count_many_interpreted_matches_pairwise(a, rows):
-    expected = sum(
-        intersect_sorted_count(a.tolist(), r.tolist()) for r in rows
-    )
-    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-    for i, r in enumerate(rows):
-        offsets[i + 1] = offsets[i] + r.size
-    flat = (np.concatenate(rows) if rows
-            else np.empty(0, dtype=np.int64))
-    for ratio in _RATIOS:
-        assert _intersect_count_many_py(a, flat, offsets, ratio) == expected
+    out = kernels.suffix_gt(a, v)
+    assert out.size == a.size - int(np.searchsorted(a, v, side="right"))
+    assert out.tolist() == [x for x in a.tolist() if x > v]
 
 
 # ---------------------------------------------------------------------------
@@ -192,47 +166,40 @@ def test_segmented_count_many_matches_pairwise_oracle(case):
     expected = sum(
         intersect_sorted_count(a.tolist(), r.tolist()) for r in rows
     )
-    prior = kernels.current_backend()
-    try:
-        for backend in kernels.available_backends():
-            kernels.select_backend(backend)
+    assert kernels.intersect_count_many(a, rows) == expected
+    # A generator argument: consumed exactly once, same answer.
+    assert kernels.intersect_count_many(a, (r for r in rows)) == expected
+    once = _OneShot(rows)
+    assert kernels.intersect_count_many(a, once) == expected
+    assert once.iterations <= 1
+    # Legacy tuple rows take the same normalization.
+    assert kernels.intersect_count_many(
+        tuple(a.tolist()), [tuple(r.tolist()) for r in rows]
+    ) == expected
+    # Every row a hub, or none: the answer does not move with the cut.
+    for ratio in _RATIOS:
+        with _gallop_ratio(ratio):
             assert kernels.intersect_count_many(a, rows) == expected
-            # A generator argument: consumed exactly once, same answer.
-            assert kernels.intersect_count_many(a, (r for r in rows)) == expected
-            once = _OneShot(rows)
-            assert kernels.intersect_count_many(a, once) == expected
-            assert once.iterations <= 1
-            # Legacy tuple rows take the same normalization.
-            assert kernels.intersect_count_many(
-                tuple(a.tolist()), [tuple(r.tolist()) for r in rows]
-            ) == expected
-    finally:
-        kernels.select_backend(prior)
 
 
 def test_segmented_count_many_hub_rows_are_probed_not_searched(monkeypatch):
     """Rows past the GALLOP_RATIO cut keep the per-row direction: a
     3-element ``a`` against 5000-element hubs must never binary-search
     the hubs' 15 000 elements into ``a``."""
-    prior = kernels.current_backend()
-    kernels.select_backend("numpy")
-    try:
-        a = np.array([10, 2_000, 4_999], dtype=np.int64)
-        hubs = [np.arange(5_000, dtype=np.int64) for _ in range(3)]
-        tiny = [np.array([10, 11], dtype=np.int64)]
-        needles = []
-        real = kernels._gallop_mask
+    a = np.array([10, 2_000, 4_999], dtype=np.int64)
+    hubs = [np.arange(5_000, dtype=np.int64) for _ in range(3)]
+    tiny = [np.array([10, 11], dtype=np.int64)]
+    needles = []
+    real = kernels._gallop_mask
 
-        def spy(small, large):
-            needles.append(len(small))
-            return real(small, large)
+    def spy(small, large):
+        needles.append(len(small))
+        return real(small, large)
 
-        monkeypatch.setattr(kernels, "_gallop_mask", spy)
-        assert kernels.intersect_count_many(a, hubs + tiny) == 3 * 3 + 1
-        assert max(needles) <= 3  # a into each hub; the tiny row into a
-        assert sum(needles) == 3 * 3 + 2
-    finally:
-        kernels.select_backend(prior)
+    monkeypatch.setattr(kernels, "_gallop_mask", spy)
+    assert kernels.intersect_count_many(a, hubs + tiny) == 3 * 3 + 1
+    assert max(needles) <= 3  # a into each hub; the tiny row into a
+    assert sum(needles) == 3 * 3 + 2
 
 
 #: Bases for the bitmap strategy: zero, the ~2**62 shift, and the two
@@ -300,29 +267,24 @@ def test_segmented_count_many_picks_bitmap_by_span(monkeypatch):
     """The flattened rows go through the bitmap exactly when ``a``'s id
     span is at most 4 slots per flattened element: a sparse ``a`` never
     builds a mark array, a dense one never binary-searches the rows."""
-    prior = kernels.current_backend()
-    kernels.select_backend("numpy")
-    try:
-        calls = []
-        for name in ("_gallop_mask", "_bitmap_mask"):
-            real = getattr(kernels, name)
+    calls = []
+    for name in ("_gallop_mask", "_bitmap_mask"):
+        real = getattr(kernels, name)
 
-            def spy(small, large, _name=name, _real=real):
-                calls.append((_name, len(small)))
-                return _real(small, large)
+        def spy(small, large, _name=name, _real=real):
+            calls.append((_name, len(small)))
+            return _real(small, large)
 
-            monkeypatch.setattr(kernels, name, spy)
-        rows = [np.arange(0, 40, 2, dtype=np.int64) for _ in range(5)]
-        # 100 flattened elements: span 400 is the last bitmap span.
-        dense = np.array([0, 7, 399], dtype=np.int64)
-        sparse = np.array([0, 7, 400], dtype=np.int64)
-        assert kernels.intersect_count_many(dense, rows) == 5
-        assert calls == [("_bitmap_mask", 100)]
-        calls.clear()
-        assert kernels.intersect_count_many(sparse, rows) == 5
-        assert calls == [("_gallop_mask", 100)]
-    finally:
-        kernels.select_backend(prior)
+        monkeypatch.setattr(kernels, name, spy)
+    rows = [np.arange(0, 40, 2, dtype=np.int64) for _ in range(5)]
+    # 100 flattened elements: span 400 is the last bitmap span.
+    dense = np.array([0, 7, 399], dtype=np.int64)
+    sparse = np.array([0, 7, 400], dtype=np.int64)
+    assert kernels.intersect_count_many(dense, rows) == 5
+    assert calls == [("_bitmap_mask", 100)]
+    calls.clear()
+    assert kernels.intersect_count_many(sparse, rows) == 5
+    assert calls == [("_gallop_mask", 100)]
 
 
 def test_flatten_rows_normalizes_like_as_ids_array():
@@ -335,174 +297,25 @@ def test_flatten_rows_normalizes_like_as_ids_array():
 
 
 # ---------------------------------------------------------------------------
-# Dispatched kernels under every importable backend
+# The public kernels together
 # ---------------------------------------------------------------------------
 
 
 @settings(deadline=None, max_examples=60)
 @given(sorted_ids(), sorted_ids(), st.lists(sorted_ids(max_size=24), max_size=4))
 def test_dispatched_kernels_match_oracles(a, b, rows):
-    # Backend switching happens inside the test body (not a fixture) so
-    # every hypothesis example exercises each importable backend.
-    prior = kernels.current_backend()
-    try:
-        for backend in kernels.available_backends():
-            kernels.select_backend(backend)
-            expected = intersect_sorted(a.tolist(), b.tolist())
-            assert kernels.intersect(a, b).tolist() == expected
-            assert kernels.intersect_count(a, b) == len(expected)
-            assert kernels.intersect_count_many(a, rows) == sum(
-                intersect_sorted_count(a.tolist(), r.tolist()) for r in rows
-            )
-            acc = a.tolist()
-            for r in rows:
-                acc = intersect_sorted(acc, r.tolist())
-            assert kernels.intersect_many([a] + rows).tolist() == acc
-            if a.size:
-                pivot = int(a[a.size // 2])
-                out = kernels.suffix_gt(a, pivot)
-                assert out.tolist() == [x for x in a.tolist() if x > pivot]
-                assert np.shares_memory(out, a) or out.size == 0
-    finally:
-        kernels.select_backend(prior)
-
-
-# ---------------------------------------------------------------------------
-# Bitset kernels
-# ---------------------------------------------------------------------------
-
-
-@settings(deadline=None, max_examples=60)
-@given(st.integers(1, 200), st.data())
-def test_pack_and_counts_match_set_arithmetic(n, data):
-    rows_pos = data.draw(
-        st.lists(
-            st.sets(st.integers(0, n - 1)).map(
-                lambda s: np.asarray(sorted(s), dtype=np.int64)
-            ),
-            min_size=1,
-            max_size=6,
-        )
+    expected = intersect_sorted(a.tolist(), b.tolist())
+    assert kernels.intersect(a, b).tolist() == expected
+    assert kernels.intersect_count(a, b) == len(expected)
+    assert kernels.intersect_count_many(a, rows) == sum(
+        intersect_sorted_count(a.tolist(), r.tolist()) for r in rows
     )
-    mask_pos = data.draw(st.sets(st.integers(0, n - 1)))
-    words = kernels.pack_rows(rows_pos, n)
-    assert words.shape == (len(rows_pos), kernels.bitset_words(n))
-    mask = kernels.pack_mask(
-        np.asarray(sorted(mask_pos), dtype=np.int64), n
-    )
-    expected = [len(set(r.tolist()) & mask_pos) for r in rows_pos]
-    # Dispatched (numpy here; compiled in CI) and the interpreted
-    # compiled body must both agree with set arithmetic.
-    assert kernels.bitset_and_counts(words, mask).tolist() == expected
-    out = np.empty(len(rows_pos), dtype=np.int64)
-    assert _bitset_and_counts_py(words, mask, out).tolist() == expected
-
-
-@settings(deadline=None, max_examples=40)
-@given(small_adjacency(), st.integers(0, 3))
-def test_bitset_max_clique_interpreted_matches_python(adj, lower_bound):
-    n = len(adj)
-    masks = [0] * n
-    rows_pos = []
-    for v in range(n):
-        m = 0
-        for u in adj[v]:
-            m |= 1 << u
-        masks[v] = m
-        rows_pos.append(np.asarray(adj[v], dtype=np.int64))
-    words = kernels.pack_rows(rows_pos, n)
-    expected = _max_clique_bitset(masks, n, lower_bound)
-    got = _bitset_max_clique_py(words, lower_bound)
-    # Same DFS order + same prunes: identical incumbent, not merely
-    # an equally-sized one.
-    assert sorted(int(p) for p in got) == sorted(expected)
-    if lower_bound == 0 and n:
-        reference = max_clique_reference(adj)
-        assert len(got) == len(reference)
-
-
-@settings(deadline=None, max_examples=25)
-@given(small_adjacency(max_n=8),
-       st.sampled_from([0.5, 0.6, 0.8, 1.0]),
-       st.sampled_from([2, 3]))
-def test_quasiclique_bitset_search_matches_set_search(adj, gamma, min_size):
-    plain = list(enumerate_quasi_cliques(adj, gamma, min_size,
-                                         use_bitset=False))
-    bitset = list(enumerate_quasi_cliques(adj, gamma, min_size,
-                                          use_bitset=True))
-    assert bitset == plain
-
-
-# ---------------------------------------------------------------------------
-# Backend selection plumbing
-# ---------------------------------------------------------------------------
-
-
-def test_config_rejects_unknown_backend():
-    from repro.core.config import GThinkerConfig
-
-    with pytest.raises(ValueError):
-        GThinkerConfig(kernel_backend="fortran")
-    assert GThinkerConfig(kernel_backend="numpy").kernel_backend == "numpy"
-
-
-def test_env_var_overrides_config_backend(monkeypatch):
-    from repro.core.config import GThinkerConfig
-
-    cfg = GThinkerConfig(kernel_backend="numpy")
-    monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-    assert cfg.effective_kernel_backend == "numpy"
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "auto")
-    assert cfg.effective_kernel_backend == "auto"
-
-
-def test_explicit_numba_raises_when_missing():
-    if "numba" in kernels.available_backends():
-        pytest.skip("numba present: nothing to refuse")
-    with pytest.raises(kernels.KernelBackendError):
-        kernels.select_backend("numba")
-    # 'auto' must fall back silently.
-    assert kernels.select_backend("auto") == "numpy"
-
-
-def test_numba_probe_runs_once_per_process(monkeypatch):
-    import importlib.util
-
-    calls = []
-    real_find_spec = importlib.util.find_spec
-
-    def counting_find_spec(name, *args, **kwargs):
-        calls.append(name)
-        return real_find_spec(name, *args, **kwargs)
-
-    prior = kernels.current_backend()
-    monkeypatch.setattr(importlib.util, "find_spec", counting_find_spec)
-    kernels._numba_importable.cache_clear()
-    try:
-        kernels.select_backend("auto")
-        kernels.select_backend("auto")
-    finally:
-        kernels.select_backend(prior)
-    assert calls.count("numba") == 1
-
-
-def test_gallop_ratio_follows_backend():
-    prior = kernels.current_backend()
-    try:
-        for name in kernels.available_backends():
-            kernels.select_backend(name)
-            assert kernels.GALLOP_RATIO == kernels.GALLOP_RATIO_BY_BACKEND[name]
-    finally:
-        kernels.select_backend(prior)
-
-
-def test_backend_metric_recorded(tiny_graph):
-    from repro.core.job import run_job
-    from repro.apps.triangle import TriangleCountComper
-    from repro.core.config import GThinkerConfig
-
-    cfg = GThinkerConfig(num_workers=1, compers_per_worker=1,
-                         kernel_backend="auto")
-    result = run_job(TriangleCountComper, tiny_graph, config=cfg)
-    assert result.aggregate == 2
-    assert result.kernel_backend in kernels.available_backends()
+    acc = a.tolist()
+    for r in rows:
+        acc = intersect_sorted(acc, r.tolist())
+    assert kernels.intersect_many([a] + rows).tolist() == acc
+    if a.size:
+        pivot = int(a[a.size // 2])
+        out = kernels.suffix_gt(a, pivot)
+        assert out.tolist() == [x for x in a.tolist() if x > pivot]
+        assert np.shares_memory(out, a) or out.size == 0
