@@ -2,7 +2,6 @@
 
 from .cliques import (
     enumerate_maximal_cliques,
-    greedy_coloring_bound,
     max_clique,
     max_clique_reference,
 )
@@ -10,7 +9,6 @@ from .triangles import (
     count_triangles,
     count_triangles_from_gt,
     list_triangles,
-    local_triangle_counts,
 )
 from .matching import (
     QueryGraph,
@@ -25,27 +23,15 @@ from .quasicliques import (
     enumerate_quasi_cliques,
     is_quasi_clique,
     quasi_cliques_reference,
-    two_hop_neighborhood,
 )
-from .motifs import (
-    clustering_coefficient,
-    count_diamonds,
-    count_four_cliques,
-    count_squares,
-    count_wedges,
-    motif_census,
-)
-from .setenum import children, clique_children, enumerate_subsets, subtree_size
 
 __all__ = [
     "enumerate_maximal_cliques",
-    "greedy_coloring_bound",
     "max_clique",
     "max_clique_reference",
     "count_triangles",
     "count_triangles_from_gt",
     "list_triangles",
-    "local_triangle_counts",
     "QueryGraph",
     "count_matches",
     "match_reference",
@@ -56,15 +42,4 @@ __all__ = [
     "enumerate_quasi_cliques",
     "is_quasi_clique",
     "quasi_cliques_reference",
-    "two_hop_neighborhood",
-    "clustering_coefficient",
-    "count_diamonds",
-    "count_four_cliques",
-    "count_squares",
-    "count_wedges",
-    "motif_census",
-    "children",
-    "clique_children",
-    "enumerate_subsets",
-    "subtree_size",
 ]

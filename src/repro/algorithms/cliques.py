@@ -30,7 +30,6 @@ __all__ = [
     "max_clique_reference",
     "enumerate_maximal_cliques",
     "bron_kerbosch",
-    "greedy_coloring_bound",
     "AdjMap",
 ]
 
@@ -67,30 +66,6 @@ def _color_positions(order: np.ndarray, rows: Sequence[np.ndarray],
             max_color = c + 1
     color[order] = -1
     return max_color
-
-
-def greedy_coloring_bound(vertices: Sequence[int], adj: AdjMap) -> int:
-    """A greedy-coloring upper bound on the clique number of the induced graph.
-
-    Any clique needs one color per member, so the number of colors used
-    by *any* proper coloring bounds the maximum clique size from above.
-    Vertices are colored in descending full-degree order; the per-vertex
-    "smallest free color" scan is vectorized over numpy arrays.
-    """
-    verts = list(vertices)
-    if not verts:
-        return 0
-    pos = {v: i for i, v in enumerate(verts)}
-    rows = [
-        np.fromiter((pos[u] for u in adj.get(v, ()) if u in pos),
-                    dtype=np.int64)
-        for v in verts
-    ]
-    full_degs = np.fromiter((len(adj.get(v, ())) for v in verts),
-                            dtype=np.int64, count=len(verts))
-    order = np.argsort(-full_degs, kind="stable")
-    color = np.full(len(verts), -1, dtype=np.int64)
-    return _color_positions(order, rows, color)
 
 
 #: Below this vertex count the branch-and-bound runs on python-int

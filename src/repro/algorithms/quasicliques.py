@@ -31,7 +31,6 @@ __all__ = [
     "is_quasi_clique",
     "enumerate_quasi_cliques",
     "quasi_cliques_reference",
-    "two_hop_neighborhood",
 ]
 
 
@@ -53,19 +52,6 @@ def is_quasi_clique(g, vertices: Sequence[int], gamma: float) -> bool:
         return False
     need = _required_degree(gamma, len(vset))
     return all(len(adj[v] & vset) >= need for v in vset)
-
-
-def two_hop_neighborhood(g, v: int) -> Set[int]:
-    """``v`` plus every vertex within two hops of ``v``.
-
-    The materialization target of a quasi-clique task ([17]: any two
-    vertices of a gamma >= 0.5 quasi-clique are within 2 hops).
-    """
-    adj = _adj_sets(g)
-    out = {v} | adj[v]
-    for u in list(adj[v]):
-        out |= adj[u]
-    return out
 
 
 def enumerate_quasi_cliques(

@@ -21,7 +21,6 @@ __all__ = [
     "count_triangles",
     "list_triangles",
     "count_triangles_from_gt",
-    "local_triangle_counts",
 ]
 
 
@@ -74,18 +73,3 @@ def list_triangles(g) -> Iterator[Tuple[int, int, int]]:
             for w in kernels.intersect(nbrs, other).tolist():
                 yield (u, v, w)
 
-
-def local_triangle_counts(g) -> Dict[int, int]:
-    """Per-vertex triangle participation counts (oracle for aggregators)."""
-    counts: Dict[int, int] = {}
-    if isinstance(g, Graph):
-        vertices = list(g.vertices())
-    else:
-        vertices = list(g)
-    for v in vertices:
-        counts[v] = 0
-    for u, v, w in list_triangles(g):
-        counts[u] += 1
-        counts[v] += 1
-        counts[w] += 1
-    return counts

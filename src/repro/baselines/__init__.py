@@ -14,7 +14,7 @@ from .gminer import (
     lsh_signature,
 )
 from .rstream import rstream_disk_demand, rstream_triangle_count
-from .nscale import nscale_max_clique, nscale_triangle_count
+from .nscale import nscale_max_clique
 from .nuri import nuri_max_clique
 from .features import DESIRABILITIES, FEATURE_MATRIX, feature_rows
 
@@ -34,7 +34,6 @@ __all__ = [
     "rstream_disk_demand",
     "rstream_triangle_count",
     "nscale_max_clique",
-    "nscale_triangle_count",
     "nuri_max_clique",
     "DESIRABILITIES",
     "FEATURE_MATRIX",

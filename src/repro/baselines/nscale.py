@@ -21,11 +21,10 @@ import time
 from typing import Dict, List, Set, Tuple
 
 from ..algorithms.cliques import max_clique
-from ..graph import kernels
 from ..graph.graph import Graph
 from .base import BaselineResult, CostModel
 
-__all__ = ["nscale_triangle_count", "nscale_max_clique"]
+__all__ = ["nscale_max_clique"]
 
 _ROW_BYTES = 16  # shuffle record overhead per adjacency row
 
@@ -77,37 +76,6 @@ def _materialize_egos(
     )
     cost.observe_memory(total_bytes / cost.machines)
     return materialized
-
-
-def nscale_triangle_count(
-    graph: Graph, machines: int = 1, threads: int = 1, **cost_kwargs
-) -> BaselineResult:
-    """TC on the NScale model: materialize 1-hop Γ_> subgraphs, then count."""
-    cost = CostModel(machines=machines, threads=threads, **cost_kwargs)
-    phases: Dict[str, float] = {}
-    subs = _materialize_egos(graph, cost, hops=1, upward_only=True,
-                             phase_seconds=phases)
-    failed = "out of memory" if cost.memory_exceeded() else None
-    total = 0
-    if not failed:
-        t0 = time.perf_counter()
-        for v, sub in subs.items():
-            gt_v = graph.neighbors_gt_array(v)
-            for u in gt_v:
-                total += kernels.intersect_count(gt_v, sub.get(int(u), ()))
-        phases["mine_cpu_s"] = time.perf_counter() - t0
-        cost.charge_parallel_cpu(phases["mine_cpu_s"])
-    detail = cost.detail()
-    detail.update(phases)
-    return BaselineResult(
-        system="nscale",
-        app="tc",
-        answer=None if failed else total,
-        virtual_time_s=cost.total_time_s(),
-        peak_memory_bytes=cost.peak_memory_bytes,
-        failed=failed,
-        detail=detail,
-    )
 
 
 def nscale_max_clique(

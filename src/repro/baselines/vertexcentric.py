@@ -43,10 +43,6 @@ class PregelContext:
     def aggregate(self, value: Any) -> None:
         self._engine._aggregate(value)
 
-    @property
-    def aggregated(self) -> Any:
-        return self._engine._aggregated
-
 
 class PregelEngine:
     """Superstep-synchronous message passing over hash-partitioned vertices."""

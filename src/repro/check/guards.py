@@ -74,7 +74,3 @@ class CheckedTaskQueue(TaskQueue):
     def pop(self):
         with self.guard.entered():
             return super().pop()
-
-    def drain(self):
-        with self.guard.entered():
-            return super().drain()

@@ -268,7 +268,6 @@ def _make_config(args) -> GThinkerConfig:
     if args.tau is not None:
         kwargs["decompose_threshold"] = args.tau
     if getattr(args, "checkpoint_dir", None):
-        kwargs["checkpoint_dir"] = args.checkpoint_dir
         kwargs["checkpoint_every_syncs"] = args.checkpoint_every
     if getattr(args, "hosts", None):
         kwargs["cluster_hosts"] = tuple(

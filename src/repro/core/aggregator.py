@@ -28,10 +28,6 @@ class AggregatorService:
         self._local = aggregator.identity() if aggregator else None
         self._global = aggregator.identity() if aggregator else None
 
-    @property
-    def enabled(self) -> bool:
-        return self._agg is not None
-
     def aggregate(self, value: Any) -> None:
         if self._agg is None:
             raise RuntimeError(
@@ -68,10 +64,6 @@ class GlobalAggregator:
     def __init__(self, aggregator: Optional[Aggregator]) -> None:
         self._agg = aggregator
         self._value = aggregator.identity() if aggregator else None
-
-    @property
-    def enabled(self) -> bool:
-        return self._agg is not None
 
     def fold(self, partial: Any) -> None:
         if self._agg is not None:

@@ -131,9 +131,6 @@ class Task:
     def memory_estimate_bytes(self) -> int:
         return 64 + self.g.memory_estimate_bytes() + 8 * len(self._pulls)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Task(id={self.task_id:#x}, |g|={len(self.g)}, pulls={len(self._pulls)})"
-
 
 class Aggregator(abc.ABC, Generic[A]):
     """Commutative-monoid aggregation across all tasks of a job.

@@ -124,7 +124,6 @@ def serve_node(
             config.num_workers,
             bind_host=bind_host,
             metrics=metrics,
-            max_batch_messages=config.ipc_batch_max_messages,
             connect_timeout_s=config.cluster_connect_timeout_s,
         )
         try:
@@ -193,7 +192,7 @@ class _ClusterMaster(ControlPlaneMaster):
         self.attached = config.cluster_hosts is not None
         bind_host, bind_port = parse_host_port(config.cluster_bind)
         self.listener = listen_socket(bind_host, bind_port)
-        self._ctx = mp_context(config)
+        self._ctx = mp_context()
 
     @property
     def control_addr(self) -> str:

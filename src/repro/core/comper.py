@@ -19,7 +19,6 @@ independent so only intra-comper interleaving differs.
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Sequence
 
 from .api import Comper, Task, VertexView
@@ -65,7 +64,6 @@ class ComperEngine:
         )
         self._seq = 0
         self._active = 0  # tasks taken out of containers, mid-processing
-        self._last_compute_cost = 0.0
         # Set once the worker's spawn cursor exhausted and this comper's
         # app got its spawn_flush() call (bundling apps hold buffers).
         self.spawn_flushed = False
@@ -104,11 +102,6 @@ class ComperEngine:
         """|T_task| + |B_task|, gated against the paper's D threshold."""
         return len(self.t_task) + len(self.b_task)
 
-    @property
-    def last_compute_cost(self) -> float:
-        """Measured seconds of UDF compute in the most recent step (DES hook)."""
-        return self._last_compute_cost
-
     # -- the comper round ----------------------------------------------------
 
     def step(self) -> bool:
@@ -116,7 +109,6 @@ class ComperEngine:
 
         Returns True if any task progress was made.
         """
-        self._last_compute_cost = 0.0
         worked = self._push()
         if self._may_pop():
             worked = self._pop() or worked
@@ -272,13 +264,10 @@ class ComperEngine:
         iterations = 0
         while True:
             iterations += 1
-            t0 = time.perf_counter()
             try:
                 more = self.app.compute(task, frontier)
             except Exception as exc:
                 raise TaskError(task.task_id, repr(exc)) from exc
-            finally:
-                self._last_compute_cost += time.perf_counter() - t0
             self.worker.metrics.add("tasks:iterations")
             # Release every remote vertex of the iteration just finished
             # ("a task always releases all its previously requested

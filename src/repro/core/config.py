@@ -224,16 +224,6 @@ class GThinkerConfig:
         task-lifecycle state machine, the cache-protocol wrapper and the
         single-writer guards.  Off by default (zero hot-path cost); the
         ``REPRO_CHECK=1`` environment variable enables it globally.
-    process_start_method:
-        ``multiprocessing`` start method for ``runtime="process"``
-        (``"fork"``, ``"spawn"`` or ``"forkserver"``); ``None`` picks
-        ``fork`` where available (cheap worker startup), else ``spawn``.
-    ipc_batch_max_messages:
-        ``runtime="process"`` only: how many outgoing messages a
-        worker's :class:`~repro.net.transport.ProcessTransport` buffers
-        per destination before forcing a queue put (the IPC analogue of
-        the paper's batched sending; buffers also drain every comm-service
-        step).
     cluster_hosts:
         ``runtime="cluster"`` only: one ``"host:port"`` data-plane
         address per node (= per worker).  ``None`` (the default) selects
@@ -250,8 +240,8 @@ class GThinkerConfig:
     cluster_connect_timeout_s:
         ``runtime="cluster"`` only: how long a node retries a data-plane
         connect to a peer before declaring the peer lost.
-    checkpoint_dir / spill_dir:
-        Filesystem locations (spill_dir defaults to a temp dir per job).
+    spill_dir:
+        Where tasks spill to disk (defaults to a temp dir per job).
     seed:
         Seed for any tie-breaking randomness (kept for reproducibility;
         the engine itself is deterministic in the serial runtime).
@@ -274,7 +264,6 @@ class GThinkerConfig:
     idle_backoff_max_s: float = 0.02
     response_chunk: int = 4096
     checkpoint_every_syncs: int = 0
-    checkpoint_dir: Optional[str] = None
     failure_plan: Optional[FailurePlanConfig] = None
     max_worker_restarts: int = 3
     worker_restart_backoff_s: float = 0.05
@@ -282,8 +271,6 @@ class GThinkerConfig:
     spill_dir: Optional[str] = None
     inline_iteration_limit: Optional[int] = None
     check_protocols: bool = False
-    process_start_method: Optional[str] = None
-    ipc_batch_max_messages: int = 64
     cluster_hosts: Optional[Tuple[str, ...]] = None
     cluster_bind: str = "127.0.0.1:0"
     cluster_connect_timeout_s: float = 10.0
@@ -326,8 +313,6 @@ class GThinkerConfig:
             raise ValueError("pending_threshold must be >= 0 when given")
         if self.inline_iteration_limit is not None and self.inline_iteration_limit < 1:
             raise ValueError("inline_iteration_limit must be >= 1")
-        if self.ipc_batch_max_messages < 1:
-            raise ValueError("ipc_batch_max_messages must be >= 1")
         if self.idle_sleep_s <= 0:
             raise ValueError("idle_sleep_s must be > 0")
         if self.idle_backoff_max_s < self.idle_sleep_s:
@@ -337,10 +322,6 @@ class GThinkerConfig:
             )
         if self.response_chunk < 1:
             raise ValueError("response_chunk must be >= 1")
-        if self.process_start_method not in (None, "fork", "spawn", "forkserver"):
-            raise ValueError(
-                f"unknown process_start_method {self.process_start_method!r}"
-            )
         if self.max_worker_restarts < 0:
             raise ValueError("max_worker_restarts must be >= 0")
         if self.worker_restart_backoff_s < 0:
@@ -388,16 +369,6 @@ class GThinkerConfig:
         if self.pending_threshold is not None:
             return self.pending_threshold
         return 8 * self.task_batch_size
-
-    @property
-    def queue_capacity(self) -> int:
-        """``Q_task`` holds at most ``3C`` tasks."""
-        return 3 * self.task_batch_size
-
-    @property
-    def refill_target(self) -> int:
-        """Refills aim to bring ``|Q_task|`` back to ``2C``."""
-        return 2 * self.task_batch_size
 
     def with_updates(self, **kwargs) -> "GThinkerConfig":
         """Return a copy with the given fields replaced."""

@@ -265,12 +265,6 @@ class TaskQueue:
             return task
         return None
 
-    def drain(self) -> List[Task]:
-        out = list(self._q)
-        self._q.clear()
-        self._mem_bytes = 0
-        return out
-
 
 class ReadyBuffer:
     """``B_task``: concurrent FIFO of tasks whose pulls all arrived."""
@@ -354,13 +348,6 @@ class PendingTable:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def drain(self) -> List[Task]:
-        """Remove and return all pending tasks (checkpoint/recovery path)."""
-        with self._lock:
-            tasks = [e.task for e in self._entries.values()]
-            self._entries.clear()
-        return tasks
 
 
 class SpillRoot:

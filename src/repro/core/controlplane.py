@@ -1010,12 +1010,10 @@ def _default_start_method() -> str:
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
-def mp_context(config: GThinkerConfig):
+def mp_context():
     """The ``multiprocessing`` context node processes are started from
-    (``process_start_method``, else fork where available)."""
-    return mp.get_context(
-        config.process_start_method or _default_start_method()
-    )
+    (fork where available: cheap node startup, else spawn)."""
+    return mp.get_context(_default_start_method())
 
 
 def prepare_job(request: JobRequest, runtime: str) -> Graph:

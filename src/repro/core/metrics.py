@@ -89,9 +89,6 @@ class MetricsRegistry:
                 else:
                     self._counters[k] += v
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"MetricsRegistry({self.snapshot()})"
-
 
 @dataclass(frozen=True)
 class CacheStats:
@@ -102,19 +99,6 @@ class CacheStats:
     misses_duplicate: int
     responses: int
     evictions: int
-
-    @property
-    def misses(self) -> int:
-        return self.misses_first + self.misses_duplicate
-
-    @property
-    def requests(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.requests
-        return self.hits / total if total else 0.0
 
 
 @dataclass(frozen=True)

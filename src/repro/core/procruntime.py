@@ -129,7 +129,6 @@ def _worker_main(
             worker_id,
             data_queues,
             metrics=metrics,
-            max_batch_messages=config.ipc_batch_max_messages,
         )
 
     def load_graph(worker):
@@ -161,7 +160,7 @@ class _ProcessMaster(ControlPlaneMaster):
 
     def __init__(self, csr_meta, spill_root: Path, **master_args) -> None:
         super().__init__(**master_args)
-        self.ctx = mp_context(self.config)
+        self.ctx = mp_context()
         self.csr_meta = csr_meta
         self.spill_root = spill_root
         self.data_queues: List = []

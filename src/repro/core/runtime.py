@@ -114,9 +114,6 @@ class AbortToken:
         """Request cancellation (idempotent, thread-safe)."""
         self._event.set()
 
-    def is_set(self) -> bool:
-        return self._event.is_set()
-
     def raise_if_set(self) -> None:
         """Unwind with :class:`JobCancelledError` if cancellation was requested."""
         if self._event.is_set():

@@ -103,13 +103,12 @@ class JobHandle:
 
         A queued job cancels immediately.  A *running* job cancels
         cooperatively when its runtime declares the ``cancellation``
-        capability (built-ins: serial, threaded, checked, process): the
-        job's abort token is set, the control plane observes it at the
-        next sync boundary, and the handle reaches the ``cancelled``
-        terminal state shortly after — ``cancel()`` returning True means
-        the cancel was *accepted*, not that the job already stopped.
-        Runtimes without the capability (``cluster``) and finished jobs
-        return False.
+        capability (every built-in runtime does): the job's abort token
+        is set, the control plane observes it at the next sync boundary,
+        and the handle reaches the ``cancelled`` terminal state shortly
+        after — ``cancel()`` returning True means the cancel was
+        *accepted*, not that the job already stopped.  Runtimes without
+        the capability and finished jobs return False.
         """
         raise NotImplementedError
 

@@ -86,12 +86,6 @@ class Subgraph:
     def _as_int_iter(values: Iterable[int]) -> Iterable[int]:
         return values.tolist() if isinstance(values, np.ndarray) else values
 
-    def remove_vertex(self, v: int) -> None:
-        """Drop ``v``'s row (does not rewrite other rows; use
-        :meth:`induced` for a clean cut)."""
-        self._adj.pop(v, None)
-        self._labels.pop(v, None)
-
     # -- access -----------------------------------------------------------
 
     @property
@@ -103,9 +97,6 @@ class Subgraph:
 
     def __contains__(self, v: int) -> bool:
         return v in self._adj
-
-    def __len__(self) -> int:
-        return len(self._adj)
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
         return self._adj[v]
@@ -134,25 +125,6 @@ class Subgraph:
         for v in undirected:
             self._adj[v] = tuple(sorted(undirected[v]))
 
-    # -- derivation ---------------------------------------------------------
-
-    def induced(self, vertices: Iterable[int]) -> "Subgraph":
-        """A new subgraph induced on ``vertices`` (rows filtered)."""
-        vset = set(vertices)
-        out = Subgraph()
-        for v in vset:
-            row = self._adj.get(v)
-            if row is None:
-                continue
-            out._adj[v] = tuple(u for u in row if u in vset)
-            if v in self._labels:
-                out._labels[v] = self._labels[v]
-        return out
-
     def memory_estimate_bytes(self) -> int:
         """Modeled C++ footprint (see ``WorkerMemoryModel``)."""
         return sum(24 + 8 * len(a) for a in self._adj.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        edges = sum(len(a) for a in self._adj.values())
-        return f"Subgraph(|V|={len(self._adj)}, adj-entries={edges})"

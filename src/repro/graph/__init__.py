@@ -19,10 +19,10 @@ from .io import (
     write_adjacency,
     write_edge_list,
 )
-from .partition import hash_partition, owner_map, partition_counts
+from .partition import hash_partition
 from .datasets import DATASETS, DatasetSpec, dataset_stats, make_dataset
 from .kcore import core_numbers, degeneracy, degeneracy_order, greedy_clique_seed
-from .csr import CSRGraph, SharedCSR, SharedCSRMeta
+from .csr import SharedCSR, SharedCSRMeta
 from .digest import graph_digest
 
 __all__ = [
@@ -45,8 +45,6 @@ __all__ = [
     "write_adjacency",
     "write_edge_list",
     "hash_partition",
-    "owner_map",
-    "partition_counts",
     "DATASETS",
     "DatasetSpec",
     "dataset_stats",
@@ -55,7 +53,6 @@ __all__ = [
     "degeneracy",
     "degeneracy_order",
     "greedy_clique_seed",
-    "CSRGraph",
     "SharedCSR",
     "SharedCSRMeta",
     "graph_digest",

@@ -1,151 +1,24 @@
-"""Compressed sparse row (CSR) graph storage backed by numpy.
+"""Shared-memory compressed sparse row (CSR) graph storage.
 
-The dict-of-tuples :class:`~repro.graph.graph.Graph` is the mutation- and
-lookup-friendly representation the engine uses; :class:`CSRGraph` is the
-compact scan-friendly one, useful for whole-graph analytics (degree
-statistics, global triangle counts, core seeding) and as the memory
-model reference — its footprint *is* the 8-bytes-per-entry figure the
-worker memory model charges.
-
-Vertex ids are remapped to a dense ``0..n-1`` range internally; the
-original ids are kept for translation both ways.
-
-:class:`SharedCSR` is the multi-process variant used by the
-``runtime="process"`` backend: the same four arrays (plus labels) live
-in :mod:`multiprocessing.shared_memory` blocks so every worker process
-maps the graph read-only at zero copy.  Unlike :class:`CSRGraph`, its
-``indices`` array stores *original vertex ids* (not dense positions) —
-worker processes serve adjacency rows directly as neighbor-id tuples.
+:class:`SharedCSR` is what the ``runtime="process"`` backend shares:
+the flattened CSR arrays (plus labels) live in
+:mod:`multiprocessing.shared_memory` blocks so every worker process maps
+the graph read-only at zero copy.  Its ``indices`` array stores
+*original vertex ids* (not dense positions), so worker processes serve
+adjacency rows directly as neighbor-id views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from . import kernels
 from .graph import Graph
 
-__all__ = ["CSRGraph", "SharedCSR", "SharedCSRMeta"]
-
-
-class CSRGraph:
-    """Immutable CSR adjacency with numpy row storage."""
-
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray,
-                 vertex_ids: np.ndarray) -> None:
-        if indptr.ndim != 1 or indices.ndim != 1 or vertex_ids.ndim != 1:
-            raise ValueError("CSR arrays must be one-dimensional")
-        if len(indptr) != len(vertex_ids) + 1:
-            raise ValueError("indptr length must be num_vertices + 1")
-        if indptr[0] != 0 or indptr[-1] != len(indices):
-            raise ValueError("indptr must start at 0 and end at len(indices)")
-        self.indptr = indptr
-        self.indices = indices
-        self.vertex_ids = vertex_ids
-        self._position: Dict[int, int] = {
-            int(v): i for i, v in enumerate(vertex_ids)
-        }
-
-    # -- construction -----------------------------------------------------
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "CSRGraph":
-        vertex_ids = np.asarray(g.sorted_vertices(), dtype=np.int64)
-        position = {int(v): i for i, v in enumerate(vertex_ids)}
-        indptr = np.zeros(len(vertex_ids) + 1, dtype=np.int64)
-        rows: List[np.ndarray] = []
-        for i, v in enumerate(vertex_ids):
-            row = np.fromiter(
-                (position[u] for u in g.neighbors(int(v))), dtype=np.int64
-            )
-            rows.append(row)
-            indptr[i + 1] = indptr[i] + len(row)
-        indices = (
-            np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
-        )
-        return cls(indptr, indices, vertex_ids)
-
-    def to_graph(self) -> Graph:
-        adj = {
-            int(self.vertex_ids[i]): [
-                int(self.vertex_ids[j]) for j in self.row(i)
-            ]
-            for i in range(self.num_vertices)
-        }
-        return Graph(adj)
-
-    # -- access (dense positions) ---------------------------------------------
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.vertex_ids)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.indices) // 2
-
-    def row(self, i: int) -> np.ndarray:
-        """Neighbors of the vertex at dense position ``i`` (positions)."""
-        return self.indices[self.indptr[i]: self.indptr[i + 1]]
-
-    def position_of(self, vertex_id: int) -> int:
-        return self._position[vertex_id]
-
-    def degree_array(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
-    def degree(self, vertex_id: int) -> int:
-        i = self.position_of(vertex_id)
-        return int(self.indptr[i + 1] - self.indptr[i])
-
-    # -- analytics ------------------------------------------------------------
-
-    def max_degree(self) -> int:
-        d = self.degree_array()
-        return int(d.max()) if len(d) else 0
-
-    def average_degree(self) -> float:
-        d = self.degree_array()
-        return float(d.mean()) if len(d) else 0.0
-
-    def count_triangles(self) -> int:
-        """Global triangle count via sorted-row intersections.
-
-        Rows are position-sorted (positions follow id order), so the
-        forward algorithm applies: count ``|N_>(u) ∩ N_>(v)|`` per edge
-        ``u < v`` using numpy's sorted intersect.
-        """
-        total = 0
-        indptr, indices = self.indptr, self.indices
-        for u in range(self.num_vertices):
-            row_u = indices[indptr[u]: indptr[u + 1]]
-            upper_u = kernels.suffix_gt(row_u, u)
-            if upper_u.size < 1:
-                continue
-            total += kernels.intersect_count_many(
-                upper_u,
-                [
-                    kernels.suffix_gt(indices[indptr[v]: indptr[v + 1]], v)
-                    for v in upper_u.tolist()
-                ],
-            )
-        return total
-
-    def memory_bytes(self) -> int:
-        """The actual array footprint (the memory-model ground truth)."""
-        return self.indptr.nbytes + self.indices.nbytes + self.vertex_ids.nbytes
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"CSRGraph(|V|={self.num_vertices}, |E|={self.num_edges})"
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory CSR for the process backend
-# ---------------------------------------------------------------------------
+__all__ = ["SharedCSR", "SharedCSRMeta"]
 
 
 @dataclass(frozen=True)
@@ -304,27 +177,11 @@ class SharedCSR:
     def num_vertices(self) -> int:
         return self.meta.num_vertices
 
-    @property
-    def num_edges(self) -> int:
-        return self.meta.num_entries // 2
-
     def position_of(self, vertex_id: int) -> int:
         i = int(np.searchsorted(self.vertex_ids, vertex_id))
         if i >= self.num_vertices or self.vertex_ids[i] != vertex_id:
             raise KeyError(f"vertex {vertex_id} not in SharedCSR")
         return i
-
-    def degree_of(self, vertex_id: int) -> int:
-        i = self.position_of(vertex_id)
-        return int(self.indptr[i + 1] - self.indptr[i])
-
-    def degree_array(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
-    def row_ids(self, vertex_id: int) -> np.ndarray:
-        """Neighbor *ids* of a vertex — a zero-copy view."""
-        i = self.position_of(vertex_id)
-        return self.indices[self.indptr[i]: self.indptr[i + 1]]
 
     def entry(self, vertex_id: int) -> Tuple[int, np.ndarray]:
         """``(label, adjacency)`` in the worker's ``T_local`` row format.
@@ -342,11 +199,3 @@ class SharedCSR:
         skip the per-vertex ``searchsorted``."""
         row = self.indices[self.indptr[i]: self.indptr[i + 1]]
         return int(self.labels[i]), row
-
-    def memory_bytes(self) -> int:
-        return 8 * (2 * self.num_vertices + 1 + self.meta.num_entries
-                    + self.num_vertices)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"SharedCSR(|V|={self.num_vertices}, |E|={self.num_edges}, "
-                f"owner={self.owner})")

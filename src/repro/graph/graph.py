@@ -157,15 +157,6 @@ class Graph:
     def sorted_vertices(self) -> List[int]:
         return sorted(self._adj)
 
-    def __contains__(self, v: int) -> bool:
-        return v in self._adj
-
-    def __len__(self) -> int:
-        return len(self._adj)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._adj)
-
     def neighbors(self, v: int) -> Tuple[int, ...]:
         """The sorted adjacency list ``Gamma(v)``."""
         return self._adj[v]
@@ -254,12 +245,6 @@ class Graph:
             return 0.0
         return 2.0 * self._num_edges / len(self._adj)
 
-    def degree_histogram(self) -> Dict[int, int]:
-        hist: Dict[int, int] = {}
-        for a in self._adj.values():
-            hist[len(a)] = hist.get(len(a), 0) + 1
-        return hist
-
     # -- derived graphs ------------------------------------------------
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "Graph":
@@ -272,22 +257,6 @@ class Graph:
         }
         labels = {v: self._labels[v] for v in adj if v in self._labels}
         return Graph(adj, labels=labels)
-
-    def trimmed(self, trimmer) -> "Graph":
-        """Apply a :class:`repro.core.api.Trimmer`-style callable per vertex.
-
-        ``trimmer(v, adj)`` must return the trimmed adjacency sequence.
-        Used to implement the paper's Trimmer plug-in at load time.
-        """
-        adj = {v: trimmer(v, a) for v, a in self._adj.items()}
-        g = Graph.__new__(Graph)
-        g._adj = {v: tuple(a) for v, a in adj.items()}
-        g._labels = dict(self._labels)
-        g._adj_arrays = {}
-        # Trimming may make adjacency asymmetric (e.g. Gamma_> trimming);
-        # count directed entries instead of halving.
-        g._num_edges = sum(len(a) for a in g._adj.values())
-        return g
 
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Iterate each undirected edge once, as ``(u, v)`` with ``u < v``."""
@@ -309,9 +278,6 @@ class Graph:
         matching how the paper reports per-machine GB numbers.
         """
         return sum(16 + 8 * len(a) for a in self._adj.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Graph(|V|={self.num_vertices}, |E|={self.num_edges})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

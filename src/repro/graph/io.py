@@ -155,19 +155,7 @@ class ShardedGraphStore:
 
     @property
     def num_shards(self) -> int:
-        return self._read_meta()[0]
-
-    @property
-    def num_vertices(self) -> int:
-        return self._read_meta()[1]
-
-    @property
-    def num_edges(self) -> int:
-        return self._read_meta()[2]
-
-    def _read_meta(self) -> Tuple[int, int, int]:
-        text = (self.root / self.META_NAME).read_text().split()
-        return int(text[0]), int(text[1]), int(text[2])
+        return int((self.root / self.META_NAME).read_text().split()[0])
 
     def read_shard(self, shard: int) -> Iterator[Tuple[int, int, Tuple[int, ...]]]:
         """Yield ``(v, label, adjacency)`` rows of one shard."""
@@ -176,9 +164,6 @@ class ShardedGraphStore:
             for line in f:
                 if line.strip():
                     yield parse_adjacency_line(line)
-
-    def shard_bytes(self, shard: int) -> int:
-        return self._shard_path(shard).stat().st_size
 
     def load_full_graph(self) -> Graph:
         """Assemble the whole graph from every shard (for oracles/tests)."""

@@ -9,16 +9,9 @@ the sharded store and the simulator.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
-
 import numpy as np
 
-__all__ = [
-    "hash_partition",
-    "hash_partition_array",
-    "partition_counts",
-    "owner_map",
-]
+__all__ = ["hash_partition", "hash_partition_array"]
 
 
 def hash_partition(v: int, num_partitions: int) -> int:
@@ -55,15 +48,3 @@ def hash_partition_array(ids, num_partitions: int) -> np.ndarray:
         np.int64
     )
 
-
-def partition_counts(vertices: Iterable[int], num_partitions: int) -> List[int]:
-    """How many of ``vertices`` land on each partition (for balance checks)."""
-    counts = [0] * num_partitions
-    for v in vertices:
-        counts[hash_partition(v, num_partitions)] += 1
-    return counts
-
-
-def owner_map(vertices: Iterable[int], num_partitions: int) -> Dict[int, int]:
-    """Materialized vertex -> owner mapping (used by small test fixtures)."""
-    return {v: hash_partition(v, num_partitions) for v in vertices}

@@ -33,9 +33,6 @@ class Message:
     src: int
     dst: int
 
-    def size_bytes(self) -> int:
-        return _HEADER_BYTES
-
 
 @dataclass
 class RequestBatch(Message):
@@ -112,9 +109,6 @@ class ResponseBatch(Message):
             adj_concat, offsets,
         )
 
-    def __len__(self) -> int:
-        return len(self.ids)
-
     def iter_rows(self) -> Iterator[Tuple[int, int, np.ndarray]]:
         """Yield ``(v, label, adj)`` rows; ``adj`` is a zero-copy slice."""
         ids, labels = self.ids, self.labels
@@ -128,9 +122,6 @@ class ResponseBatch(Message):
 
     def size_bytes(self) -> int:
         return _HEADER_BYTES + 16 * len(self.ids) + 8 * len(self.adj_concat)
-
-    def __repr__(self) -> str:  # dataclass-style, for test failure output
-        return f"ResponseBatch(src={self.src}, dst={self.dst}, n={len(self)})"
 
 
 @dataclass

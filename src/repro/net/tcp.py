@@ -45,6 +45,7 @@ from ..core.errors import GThinkerError, WireDecodeError
 from ..core.metrics import MetricsRegistry
 from . import wire
 from .message import Message
+from .transport import MAX_BATCH_MESSAGES
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -166,10 +167,6 @@ class ControlChannel:
 
     def fileno(self) -> int:
         return self._sock.fileno()
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
 
     def close(self) -> None:
         self._closed = True
@@ -294,7 +291,6 @@ class TcpTransport:
         bind_host: str = "127.0.0.1",
         bind_port: int = 0,
         metrics: Optional[MetricsRegistry] = None,
-        max_batch_messages: int = 64,
         connect_timeout_s: float = 10.0,
     ) -> None:
         if not 0 <= node_id < num_nodes:
@@ -302,7 +298,6 @@ class TcpTransport:
         self._node_id = node_id
         self._num_nodes = num_nodes
         self._metrics = metrics or MetricsRegistry()
-        self._max_batch = max(1, max_batch_messages)
         self._connect_timeout_s = connect_timeout_s
         self._bind_host = bind_host
         self._listener = listen_socket(bind_host, bind_port)
@@ -322,14 +317,6 @@ class TcpTransport:
         self.received_count = 0
 
     # -- wiring -----------------------------------------------------------
-
-    @property
-    def num_workers(self) -> int:
-        return self._num_nodes
-
-    @property
-    def node_id(self) -> int:
-        return self._node_id
 
     @property
     def data_port(self) -> int:
@@ -378,7 +365,7 @@ class TcpTransport:
         buf = self._buffers[dst]
         buf.append(message)
         self.sent_count += 1
-        if len(buf) >= self._max_batch:
+        if len(buf) >= MAX_BATCH_MESSAGES:
             self._flush_dst(dst)
         return now
 

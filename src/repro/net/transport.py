@@ -34,6 +34,10 @@ from ..core.metrics import MetricsRegistry
 from . import wire
 from .message import Message
 
+#: Outgoing messages buffered per destination before a forced send (the
+#: IPC/TCP analogue of the paper's batched sending).
+MAX_BATCH_MESSAGES = 64
+
 __all__ = ["Transport", "ProcessTransport"]
 
 
@@ -71,10 +75,6 @@ class Transport:
         # send; the DES runtime uses it to wake the destination's comm
         # entity exactly when the message becomes deliverable.
         self.deliver_hook = None
-
-    @property
-    def num_workers(self) -> int:
-        return len(self._mailboxes)
 
     def send(self, message: Message, now: float = 0.0) -> float:
         """Enqueue ``message`` for its destination; returns delivery time.
@@ -159,7 +159,7 @@ class ProcessTransport:
     Every worker process holds the full list of data queues (one inbox
     per worker) plus its own id.  ``send`` buffers per destination;
     buffers drain as a single ``queue.put`` (one GTWIRE1 payload) when
-    they reach ``max_batch_messages``, on :meth:`flush_outgoing`, or on
+    they reach :data:`MAX_BATCH_MESSAGES`, on :meth:`flush_outgoing`, or on
     the next :meth:`poll`.  Termination detection cannot observe a
     cross-process in-flight count directly, so the transport keeps
     monotone ``sent_count`` / ``received_count`` counters that workers
@@ -173,14 +173,12 @@ class ProcessTransport:
         worker_id: int,
         queues: Sequence,
         metrics: Optional[MetricsRegistry] = None,
-        max_batch_messages: int = 64,
     ) -> None:
         if not 0 <= worker_id < len(queues):
             raise ValueError(f"worker_id {worker_id} out of range")
         self._worker_id = worker_id
         self._queues = list(queues)
         self._metrics = metrics or MetricsRegistry()
-        self._max_batch = max(1, max_batch_messages)
         self._buffers: List[List[Message]] = [[] for _ in queues]
         #: Messages decoded from an inbox batch but beyond a caller's
         #: ``limit`` — returned first by the next :meth:`poll`.  They do
@@ -191,10 +189,6 @@ class ProcessTransport:
         self.sent_count = 0
         self.received_count = 0
 
-    @property
-    def num_workers(self) -> int:
-        return len(self._queues)
-
     def send(self, message: Message, now: float = 0.0) -> float:
         dst = message.dst
         if not 0 <= dst < len(self._queues):
@@ -204,7 +198,7 @@ class ProcessTransport:
         buf = self._buffers[dst]
         buf.append(message)
         self.sent_count += 1
-        if len(buf) >= self._max_batch:
+        if len(buf) >= MAX_BATCH_MESSAGES:
             self._flush_dst(dst)
         return now
 

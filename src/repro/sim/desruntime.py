@@ -221,10 +221,6 @@ class SimulatedRuntime:
         entity._scheduled_for = when
         self.queue.push(when, entity)
 
-    def wake(self, entity: _Entity, when: float) -> None:
-        """External wake: same as schedule, kept for call-site clarity."""
-        self.schedule(when, entity)
-
     def run(self, cluster: Cluster) -> float:
         """Run to completion; returns the virtual makespan in seconds."""
         self.cluster = cluster

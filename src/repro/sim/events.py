@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import heapq
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Tuple
 
 __all__ = ["EventQueue"]
 
@@ -33,9 +33,6 @@ class EventQueue:
         time, _seq, payload = heapq.heappop(self._heap)
         self._popped += 1
         return time, payload
-
-    def peek_time(self) -> Optional[float]:
-        return self._heap[0][0] if self._heap else None
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -8,7 +8,6 @@ from repro.core.api import MaxAggregator, SumAggregator
 
 def test_disabled_service():
     svc = AggregatorService(None)
-    assert not svc.enabled
     assert svc.view() is None
     assert svc.take_partial() is None
     with pytest.raises(RuntimeError):

@@ -220,38 +220,28 @@ class TestFeatureMatrix:
 class TestNScale:
     @pytest.fixture(scope="class")
     def nscale_runs(self, graph):
-        from repro.baselines import nscale_max_clique, nscale_triangle_count
+        from repro.baselines import nscale_max_clique
 
-        return (
-            nscale_triangle_count(graph, machines=3, threads=2),
-            nscale_max_clique(graph, machines=3, threads=2),
-        )
-
-    def test_tc_correct(self, nscale_runs, oracle):
-        tc, _ = nscale_runs
-        assert tc.ok and tc.answer == oracle["tri"]
+        return nscale_max_clique(graph, machines=3, threads=2)
 
     def test_mcf_correct(self, nscale_runs, oracle):
-        _, mcf = nscale_runs
-        assert mcf.ok and len(mcf.answer) == oracle["mc"]
+        assert nscale_runs.ok and len(nscale_runs.answer) == oracle["mc"]
 
     def test_phase_breakdown_recorded(self, nscale_runs):
-        tc, mcf = nscale_runs
-        for r in (tc, mcf):
-            assert r.detail["materialize_cpu_s"] > 0
-            assert r.detail["mine_cpu_s"] > 0
-            assert r.detail["materialize_net_bytes"] > 0
+        assert nscale_runs.detail["materialize_cpu_s"] > 0
+        assert nscale_runs.detail["mine_cpu_s"] > 0
+        assert nscale_runs.detail["materialize_net_bytes"] > 0
 
     def test_materialization_memory_scales_with_subgraphs(self, graph):
-        from repro.baselines import nscale_triangle_count
+        from repro.baselines import nscale_max_clique
 
-        one = nscale_triangle_count(graph, machines=1)
-        four = nscale_triangle_count(graph, machines=4)
+        one = nscale_max_clique(graph, machines=1)
+        four = nscale_max_clique(graph, machines=4)
         assert one.peak_memory_bytes > four.peak_memory_bytes
 
     def test_oom_with_small_budget(self, graph):
-        from repro.baselines import nscale_triangle_count
+        from repro.baselines import nscale_max_clique
 
-        r = nscale_triangle_count(graph, machines=1, memory_budget_bytes=100)
+        r = nscale_max_clique(graph, machines=1, memory_budget_bytes=100)
         assert r.failed == "out of memory"
         assert r.answer is None

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import (
     enumerate_maximal_cliques,
-    greedy_coloring_bound,
     max_clique,
     max_clique_reference,
 )
@@ -57,13 +56,6 @@ def test_planted_clique_found():
     g = erdos_renyi(80, 0.05, seed=11)
     g2, members = plant_clique(g, 9, seed=12)
     assert len(max_clique(g2)) == 9
-
-
-def test_greedy_coloring_bound_valid(er_graph):
-    adj = er_graph.adjacency()
-    verts = list(adj)
-    bound = greedy_coloring_bound(verts, adj)
-    assert bound >= len(max_clique(er_graph))
 
 
 def test_bron_kerbosch_matches_networkx(er_graph):

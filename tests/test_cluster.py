@@ -129,11 +129,11 @@ def _transport_pair(**kw):
     return t0, t1
 
 
-def _poll_until(transport, n, timeout=5.0):
+def _poll_until(transport, node_id, n, timeout=5.0):
     got = []
     deadline = time.monotonic() + timeout
     while len(got) < n and time.monotonic() < deadline:
-        got.extend(transport.poll(transport.node_id))
+        got.extend(transport.poll(node_id))
         time.sleep(0.001)
     return got
 
@@ -147,7 +147,7 @@ class TestTcpTransport:
                 0, 1, [(3, 1, [4, 5]), (5, 0, [])]
             ))
             t0.flush_outgoing()
-            got = _poll_until(t1, 2)
+            got = _poll_until(t1, 1, 2)
             assert isinstance(got[0], RequestBatch)
             assert list(got[0].vertex_ids) == [3, 5, 7]
             assert isinstance(got[1], ResponseBatch)
@@ -161,7 +161,7 @@ class TestTcpTransport:
         try:
             t0.send(RequestBatch(src=0, dst=0, vertex_ids=[1]))
             assert t0.sent_count == 1
-            got = _poll_until(t0, 1)
+            got = _poll_until(t0, 0, 1)
             assert list(got[0].vertex_ids) == [1]
             assert t0.received_count == 1
         finally:
@@ -180,7 +180,7 @@ class TestTcpTransport:
                 first = t1.poll(1, limit=2)
             assert len(first) == 2
             assert t1.received_count == 2  # parked messages not counted
-            rest = _poll_until(t1, 3)
+            rest = _poll_until(t1, 1, 3)
             assert [m.vertex_ids[0] for m in first + rest] == list(range(5))
             assert t1.received_count == 5 == t0.sent_count
         finally:

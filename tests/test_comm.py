@@ -86,7 +86,7 @@ def test_response_chunking():
     w1.comm.step()
     responses = cluster.transport.poll(0)
     assert len(responses) >= 2
-    assert sum(len(r) for r in responses) == len(owned)
+    assert sum(len(r.ids) for r in responses) == len(owned)
     served = [vid for r in responses for (vid, _l, _a) in r.iter_rows()]
     assert served == owned
 

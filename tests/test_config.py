@@ -14,8 +14,6 @@ from repro.core.config import (
 
 def test_defaults_valid():
     cfg = GThinkerConfig()
-    assert cfg.queue_capacity == 3 * cfg.task_batch_size
-    assert cfg.refill_target == 2 * cfg.task_batch_size
     assert cfg.effective_pending_threshold == 8 * cfg.task_batch_size
 
 
@@ -54,6 +52,19 @@ def test_invalid_values_rejected(field, value):
     # The message must name the offending field: these errors surface
     # deep inside worker processes, far from the construction site.
     with pytest.raises(ValueError, match=field):
+        GThinkerConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("process_start_method", "spawn"),
+    ("ipc_batch_max_messages", 8),
+    ("checkpoint_dir", "/tmp/ck"),
+])
+def test_removed_fields_rejected(field, value):
+    # Nothing set the first two and nothing read the third: node processes
+    # start with fork where available, the transports batch a fixed
+    # number of messages, and the CLI names its checkpoint file itself.
+    with pytest.raises(TypeError):
         GThinkerConfig(**{field: value})
 
 

@@ -162,14 +162,6 @@ class TestPendingTable:
         with pytest.raises(KeyError):
             table.notify_arrival(1)
 
-    def test_drain(self):
-        table = PendingTable()
-        table.insert(1, Task(context="a"), req=2)
-        table.insert(2, Task(context="b"), req=1)
-        drained = table.drain()
-        assert {t.context for t in drained} == {"a", "b"}
-        assert len(table) == 0
-
     def test_concurrent_notifications(self):
         """Racing notifier threads: the task is released exactly once."""
         table = PendingTable()

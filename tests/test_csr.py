@@ -1,73 +1,12 @@
-"""Tests for the numpy CSR representation and the shared-memory CSR."""
+"""Tests for the shared-memory CSR."""
 
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.algorithms import count_triangles
-from repro.graph import CSRGraph, Graph, SharedCSR, erdos_renyi
+from repro.graph import Graph, SharedCSR
 
-
-def test_roundtrip(er_graph):
-    csr = CSRGraph.from_graph(er_graph)
-    assert csr.to_graph() == er_graph
-
-
-def test_counts(er_graph):
-    csr = CSRGraph.from_graph(er_graph)
-    assert csr.num_vertices == er_graph.num_vertices
-    assert csr.num_edges == er_graph.num_edges
-
-
-def test_degrees_match(er_graph):
-    csr = CSRGraph.from_graph(er_graph)
-    for v in er_graph.vertices():
-        assert csr.degree(v) == er_graph.degree(v)
-    assert csr.max_degree() == er_graph.max_degree()
-    assert csr.average_degree() == pytest.approx(er_graph.average_degree())
-
-
-def test_triangles_match(er_graph):
-    assert CSRGraph.from_graph(er_graph).count_triangles() == count_triangles(er_graph)
-
-
-def test_empty_graph():
-    csr = CSRGraph.from_graph(Graph())
-    assert csr.num_vertices == 0
-    assert csr.count_triangles() == 0
-    assert csr.max_degree() == 0
-
-
-def test_noncontiguous_ids():
-    g = Graph.from_edges([(10, 200), (200, 3000), (10, 3000)])
-    csr = CSRGraph.from_graph(g)
-    assert csr.count_triangles() == 1
-    assert csr.degree(200) == 2
-    assert csr.to_graph() == g
-
-
-def test_memory_bytes_is_array_footprint(er_graph):
-    csr = CSRGraph.from_graph(er_graph)
-    expected = 8 * (len(csr.indptr) + len(csr.indices) + len(csr.vertex_ids))
-    assert csr.memory_bytes() == expected
-
-
-def test_validation_rejects_bad_arrays():
-    with pytest.raises(ValueError):
-        CSRGraph(np.array([0, 1]), np.array([0]), np.array([5, 6]))
-    with pytest.raises(ValueError):
-        CSRGraph(np.array([1, 1]), np.array([], dtype=np.int64), np.array([5]))
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(2, 30), st.floats(0.0, 0.6), st.integers(0, 50))
-def test_roundtrip_property(n, p, seed):
-    g = erdos_renyi(n, p, seed=seed)
-    csr = CSRGraph.from_graph(g)
-    assert csr.to_graph() == g
-    assert csr.count_triangles() == count_triangles(g)
 
 # -- SharedCSR (the process backend's zero-copy graph) ---------------------
 
@@ -85,12 +24,11 @@ def test_shared_entries_match_graph(er_graph, shared_csr):
         label, adj = shared_csr.entry(v)
         assert label == er_graph.label(v)
         assert tuple(adj) == tuple(er_graph.neighbors(v))
-        assert shared_csr.degree_of(v) == er_graph.degree(v)
 
 
 def test_shared_counts(er_graph, shared_csr):
     assert shared_csr.num_vertices == er_graph.num_vertices
-    assert shared_csr.num_edges == er_graph.num_edges
+    assert shared_csr.meta.num_entries == 2 * er_graph.num_edges
 
 
 def test_shared_meta_is_picklable(shared_csr):
@@ -140,7 +78,7 @@ def test_shared_noncontiguous_ids():
         label, adj = csr.entry(200)
         assert label == 0
         assert tuple(adj) == (10, 3000)
-        assert csr.degree_of(3000) == 2
+        assert len(csr.entry(3000)[1]) == 2
     finally:
         csr.close()
         csr.unlink()
@@ -150,7 +88,7 @@ def test_shared_empty_graph():
     csr = SharedCSR.from_graph(Graph())
     try:
         assert csr.num_vertices == 0
-        assert csr.num_edges == 0
+        assert csr.meta.num_entries == 0
     finally:
         csr.close()
         csr.unlink()

@@ -34,7 +34,7 @@ def test_extra_vertices_isolated():
 def test_adjacency_constructor_symmetry_closure():
     # A neighbor with no row of its own still becomes a vertex.
     g = Graph({0: [1, 2]})
-    assert 1 in g and 2 in g
+    assert {1, 2} <= set(g.vertices())
     assert g.neighbors(1) == ()
 
 
@@ -79,15 +79,6 @@ def test_labels():
 def test_degree_stats(clique_ring):
     assert clique_ring.max_degree() >= 5
     assert clique_ring.average_degree() > 0
-    hist = clique_ring.degree_histogram()
-    assert sum(hist.values()) == clique_ring.num_vertices
-
-
-def test_trimmed_gt():
-    g = Graph.from_edges([(0, 1), (0, 2), (1, 2)])
-    t = g.trimmed(lambda v, adj: adjacency_suffix_gt(adj, v))
-    assert t.neighbors(0) == (1, 2)
-    assert t.neighbors(2) == ()
 
 
 def test_graph_not_hashable(tiny_graph):

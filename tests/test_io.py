@@ -6,6 +6,7 @@ from repro.graph import (
     Graph,
     ShardedGraphStore,
     erdos_renyi,
+    graph_digest,
     hash_partition,
     read_adjacency,
     read_edge_list,
@@ -66,8 +67,6 @@ class TestShardedStore:
     def test_create_and_reload(self, tmp_path, er_graph):
         store = ShardedGraphStore.create(tmp_path / "s", er_graph, num_shards=4)
         assert store.num_shards == 4
-        assert store.num_vertices == er_graph.num_vertices
-        assert store.num_edges == er_graph.num_edges
         assert store.load_full_graph() == er_graph
 
     def test_shards_partition_by_hash(self, tmp_path, er_graph):
@@ -79,10 +78,6 @@ class TestShardedStore:
                 assert v not in seen
                 seen.add(v)
         assert len(seen) == er_graph.num_vertices
-
-    def test_shard_bytes(self, tmp_path, er_graph):
-        store = ShardedGraphStore.create(tmp_path / "s", er_graph, num_shards=2)
-        assert store.shard_bytes(0) > 0
 
     def test_single_shard(self, tmp_path, tiny_graph):
         store = ShardedGraphStore.create(tmp_path / "s", tiny_graph, num_shards=1)
@@ -98,3 +93,13 @@ class TestShardedStore:
         store = ShardedGraphStore.create(tmp_path / "s", g, num_shards=2)
         back = store.load_full_graph()
         assert all(back.label(v) == g.label(v) for v in g.vertices())
+
+    def test_digest_covers_content_and_shard_count(self, tmp_path, er_graph):
+        def digest(name, g, shards):
+            return graph_digest(ShardedGraphStore.create(tmp_path / name, g, num_shards=shards))
+
+        three = digest("a", er_graph, 3)
+        assert digest("b", er_graph, 3) == three
+        assert digest("c", er_graph, 4) != three
+        assert digest("d", erdos_renyi(er_graph.num_vertices, 0.5, seed=8), 3) != three
+        assert graph_digest(er_graph) != three

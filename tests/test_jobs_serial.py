@@ -8,6 +8,7 @@ from repro.algorithms import (
     count_matches,
     count_triangles,
     enumerate_quasi_cliques,
+    list_triangles,
     max_clique_reference,
     path_query,
     triangle_query,
@@ -64,9 +65,8 @@ class TestTriangleCounting:
     def test_listing_mode(self):
         g = erdos_renyi(30, 0.25, seed=3)
         res = run_job(lambda: TriangleCountComper(list_triangles=True), g, cfg())
-        assert len(res.outputs) == count_triangles(g)
+        assert sorted(res.outputs) == list(list_triangles(g))
         assert res.aggregate == count_triangles(g)
-        assert all(u < v < w for (u, v, w) in res.outputs)
 
     def test_from_sharded_store(self, tmp_path, er_graph):
         store = ShardedGraphStore.create(tmp_path / "g", er_graph, num_shards=3)

