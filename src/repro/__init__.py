@@ -35,7 +35,6 @@ from .core import (
     available_runtimes,
     build_cluster,
     capability_matrix,
-    register_runtime,
     resume_job,
     run_job,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "available_runtimes",
     "build_cluster",
     "capability_matrix",
-    "register_runtime",
     "resume_job",
     "run_job",
     "Graph",

@@ -155,11 +155,7 @@ def _array_expand(search: Tuple, clique: List[int], candidates: np.ndarray,
         clique.pop()
 
 
-def max_clique(
-    g,
-    lower_bound: int = 0,
-    initial: Sequence[int] = (),
-) -> Tuple[int, ...]:
+def max_clique(g, lower_bound: int = 0) -> Tuple[int, ...]:
     """Find a maximum clique of ``g`` by branch-and-bound.
 
     Parameters
@@ -172,10 +168,6 @@ def max_clique(
         :math:`\\Delta = |S_{max}| - |t.S|` pruning seed).  The search
         only reports cliques strictly larger than this; if none exists
         the empty tuple is returned.
-    initial:
-        Vertices assumed already in the clique (not part of ``g``);
-        only used to bias nothing — kept for signature parity with the
-        task-level caller which handles ``t.S`` itself.
 
     Returns
     -------

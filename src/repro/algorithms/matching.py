@@ -341,18 +341,18 @@ def triangle_query(labels: Optional[Mapping[int, int]] = None) -> QueryGraph:
     return QueryGraph([(0, 1), (1, 2), (0, 2)], labels=labels)
 
 
-def path_query(length: int, labels: Optional[Mapping[int, int]] = None) -> QueryGraph:
-    """A simple path with ``length`` edges."""
+def path_query(length: int) -> QueryGraph:
+    """A simple unlabelled path with ``length`` edges."""
     if length < 1:
         raise ValueError("path length must be >= 1")
-    return QueryGraph([(i, i + 1) for i in range(length)], labels=labels)
+    return QueryGraph([(i, i + 1) for i in range(length)])
 
 
-def star_query(arms: int, labels: Optional[Mapping[int, int]] = None) -> QueryGraph:
-    """A star: center 0 with ``arms`` leaves."""
+def star_query(arms: int) -> QueryGraph:
+    """An unlabelled star: center 0 with ``arms`` leaves."""
     if arms < 1:
         raise ValueError("star must have >= 1 arm")
-    return QueryGraph([(0, i) for i in range(1, arms + 1)], labels=labels)
+    return QueryGraph([(0, i) for i in range(1, arms + 1)])
 
 
 def _anchor_ids(query: QueryGraph,

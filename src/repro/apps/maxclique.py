@@ -35,18 +35,13 @@ def _best_size(view) -> int:
 class MaxCliqueComper(Comper):
     """Finds one maximum clique; the job aggregate is its vertex tuple.
 
-    Parameters
-    ----------
-    tau:
-        Decomposition threshold τ: tasks whose subgraph has more
-        vertices are split instead of mined serially (paper default
-        40,000; pass something graph-appropriate).  ``None`` uses the
-        job config's ``decompose_threshold``.
+    A task whose subgraph has more vertices than the job config's
+    ``decompose_threshold`` (the paper's τ) is split instead of mined
+    serially.
     """
 
     def __init__(
         self,
-        tau: Optional[int] = None,
         core_numbers: Optional[dict] = None,
         initial_clique: Optional[Tuple[int, ...]] = None,
     ) -> None:
@@ -62,7 +57,6 @@ class MaxCliqueComper(Comper):
             branch-and-bound pruning starts tight instead of warming up.
         """
         super().__init__()
-        self._tau = tau
         self._cores = core_numbers
         self._seed = tuple(initial_clique) if initial_clique else None
         self._seeded = False
@@ -72,10 +66,6 @@ class MaxCliqueComper(Comper):
 
     def make_trimmer(self) -> GtTrimmer:
         return GtTrimmer()
-
-    @property
-    def tau(self) -> int:
-        return self._tau if self._tau is not None else self.config.decompose_threshold
 
     # -- UDFs ----------------------------------------------------------
 
@@ -96,7 +86,7 @@ class MaxCliqueComper(Comper):
         s: Tuple[int, ...] = task.context
         if len(s) == 1 and task.g.num_vertices == 0 and frontier:
             self._build_top_level_subgraph(task, frontier)
-        if task.g.num_vertices > self.tau:
+        if task.g.num_vertices > self.config.decompose_threshold:
             self._decompose(task, s)
         else:
             self._mine_serially(task, s)

@@ -44,8 +44,6 @@ class CostModel:
         self,
         machines: int = 1,
         threads: int = 1,
-        network: Optional[NetworkModel] = None,
-        disk: Optional[DiskModel] = None,
         machine: Optional[MachineModel] = None,
         memory_budget_bytes: Optional[float] = None,
     ) -> None:
@@ -53,8 +51,8 @@ class CostModel:
             raise ValueError("machines and threads must be >= 1")
         self.machines = machines
         self.threads = threads
-        self.network = network or NetworkModel()
-        self.disk = disk or DiskModel()
+        self.network = NetworkModel()
+        self.disk = DiskModel()
         self.machine = machine or MachineModel()
         self.memory_budget_bytes = (
             memory_budget_bytes

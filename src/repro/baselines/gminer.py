@@ -49,20 +49,21 @@ _CACHE_PROBE_S = 0.15e-6
 _TIME_BUDGET_S = 24 * 3600.0
 
 
-def lsh_signature(pulled: Sequence[int], bands: int = 4) -> Tuple[int, ...]:
+def lsh_signature(pulled: Sequence[int]) -> Tuple[int, ...]:
     """A min-hash-flavored signature of a task's requested vertex set.
 
-    Tasks with overlapping pulls get nearby signatures, so sorting by
-    signature clusters them — G-Miner's data-reuse ordering.  The hash
-    is evaluated vectorized over the whole id array per band (uint64
-    multiplies wrap mod 2^64, matching the python-int `& mask` version).
+    Four bands, one hash each.  Tasks with overlapping pulls get nearby
+    signatures, so sorting by signature clusters them — G-Miner's
+    data-reuse ordering.  The hash is evaluated vectorized over the
+    whole id array per band (uint64 multiplies wrap mod 2^64, matching
+    the python-int `& mask` version).
     """
     arr = kernels.as_ids_array(pulled)
     if arr.size == 0:
-        return (0,) * bands
+        return (0,) * 4
     unsigned = arr.astype(np.uint64)
     sig = []
-    for b in range(bands):
+    for b in range(4):
         mult = np.uint64(
             (0x9E3779B97F4A7C15 + b * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
         )

@@ -30,22 +30,26 @@ __all__ = ["nuri_max_clique"]
 #: Modeled bytes per buffered search state.
 _STATE_BYTES = 96
 
+#: States the in-memory pool holds; the rest are modeled as spilled.
+_MEMORY_POOL_STATES = 100_000
+
+#: Modeled per-state framework cost, in seconds.
+_STATE_OVERHEAD_S = 50e-6
+
 
 def nuri_max_clique(
     graph: Graph,
-    memory_pool_states: int = 100_000,
     max_states: int = 20_000_000,
-    state_overhead_s: float = 50e-6,
     **cost_kwargs,
 ) -> BaselineResult:
     """Best-first maximum-clique search, single-threaded.
 
     States are ``(S, candidates)`` scored by the optimistic bound
     ``|S| + |candidates|``; the largest-bound state expands first.
-    States beyond ``memory_pool_states`` are modeled as spilled to disk
+    States beyond ``_MEMORY_POOL_STATES`` are modeled as spilled to disk
     (round-trip IO charged).  ``max_states`` is a simulation safety cap.
 
-    ``state_overhead_s`` charges Nuri's per-state *framework* cost: the
+    ``_STATE_OVERHEAD_S`` charges Nuri's per-state *framework* cost: the
     real system materializes a generic subgraph object, scores it with
     its relevance function and round-trips it through the buffered pool
     for every expansion, which is what makes it orders of magnitude
@@ -85,10 +89,10 @@ def nuri_max_clique(
         expanded += 1
         if len(heap) > peak_states:
             peak_states = len(heap)
-        if len(heap) > memory_pool_states:
+        if len(heap) > _MEMORY_POOL_STATES:
             # The overflow portion lives on disk; every expansion cycle
             # pages one batch out and back.
-            spilled_states += len(heap) - memory_pool_states
+            spilled_states += len(heap) - _MEMORY_POOL_STATES
         if expanded > max_states:
             cost.charge_parallel_cpu(time.perf_counter() - t0)
             return BaselineResult(
@@ -100,9 +104,9 @@ def nuri_max_clique(
                 detail=cost.detail(),
             )
     cost.charge_serial_cpu(time.perf_counter() - t0)
-    cost.charge_serial_cpu(state_overhead_s * (expanded + seq))
+    cost.charge_serial_cpu(_STATE_OVERHEAD_S * (expanded + seq))
     cost.charge_disk(2 * _STATE_BYTES * spilled_states, ios=max(1, spilled_states // 4096))
-    in_memory = min(peak_states, memory_pool_states)
+    in_memory = min(peak_states, _MEMORY_POOL_STATES)
     cost.observe_memory(
         graph.memory_estimate_bytes() + _STATE_BYTES * in_memory + (8 << 20)
     )

@@ -42,18 +42,19 @@ def _write_edge_table(graph: Graph, path: str) -> int:
     return written
 
 
-def rstream_disk_demand(graph: Graph, passes: int = 3) -> int:
+def rstream_disk_demand(graph: Graph) -> int:
     """Bytes of scratch space the streaming join needs (shuffle tables).
 
     RStream materializes intermediate join tables; for TC that is the
-    wedge table, whose size is sum-of-degree-squared-ish.  The harness
+    wedge table, whose size is sum-of-degree-squared-ish, written in
+    three passes of 16-byte records.  The harness
     compares this against a disk budget to reproduce the paper's
     "RStream used up all our disk space" outcome on BTC/Friendster.
     """
     wedges = sum(
         len(graph.neighbors_gt(v)) * len(graph.neighbors(v)) for v in graph.vertices()
     )
-    return passes * 16 * wedges
+    return 3 * 16 * wedges
 
 
 def rstream_triangle_count(

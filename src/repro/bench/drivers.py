@@ -236,9 +236,9 @@ def _best_of(n_runs, app_factory, graph, machines, compers, **overrides):
     return best
 
 
-def table4a_horizontal(scale: float = SCALING_SCALE) -> Tuple[List[str], List[List[str]]]:
+def table4a_horizontal() -> Tuple[List[str], List[List[str]]]:
     """Vary machines with 16 compers each (paper Table IV(a))."""
-    g = _friendster(scale)
+    g = _friendster(SCALING_SCALE)
     headers = ["# machines", "G-Miner", "G-thinker"]
     rows = []
     for machines in (1, 2, 4, 8, 16):
@@ -257,9 +257,9 @@ def table4a_horizontal(scale: float = SCALING_SCALE) -> Tuple[List[str], List[Li
     return headers, rows
 
 
-def table4b_vertical(scale: float = SCALING_SCALE) -> Tuple[List[str], List[List[str]]]:
+def table4b_vertical() -> Tuple[List[str], List[List[str]]]:
     """16 machines, vary compers per machine (paper Table IV(b))."""
-    g = _friendster(scale)
+    g = _friendster(SCALING_SCALE)
     headers = ["# compers", "G-Miner", "G-thinker"]
     rows = []
     for compers in (1, 2, 4, 8, 16):
@@ -273,9 +273,9 @@ def table4b_vertical(scale: float = SCALING_SCALE) -> Tuple[List[str], List[List
     return headers, rows
 
 
-def table4c_single_machine(scale: float = SCALING_SCALE) -> Tuple[List[str], List[List[str]]]:
+def table4c_single_machine() -> Tuple[List[str], List[List[str]]]:
     """One machine, vary compers: near-linear speedup (paper Table IV(c))."""
-    g = _friendster(scale)
+    g = _friendster(SCALING_SCALE)
     headers = ["# compers", "G-thinker", "speedup vs 1"]
     rows = []
     base = None
@@ -347,17 +347,16 @@ def table5b_alpha(scale: float = BENCH_SCALE) -> Tuple[List[str], List[List[str]
 
 def fig2_crossover(
     sizes: Sequence[int] = (4, 8, 16, 32, 64, 96, 128),
-    density: float = 0.4,
-    network: Optional[NetworkModel] = None,
 ) -> Tuple[List[str], List[List[str]]]:
     """Measure the Fig. 2 claim: constructing ``g`` costs O(|g|) IO while
     mining ``g`` costs superlinear CPU, so past a modest |g| the CPU side
-    dominates and IO can hide under computation."""
-    network = network or NetworkModel()
+    dominates and IO can hide under computation.  Graphs are
+    ``erdos_renyi(n, 0.4)``; IO goes over the default GigE model."""
+    network = NetworkModel()
     headers = ["|g| (vertices)", "IO cost (transfer g)", "CPU cost (mine g)", "CPU/IO"]
     rows = []
     for n in sizes:
-        g = erdos_renyi(n, density, seed=n)
+        g = erdos_renyi(n, 0.4, seed=n)
         io_bytes = g.memory_estimate_bytes()
         io_s = network.transfer_time(io_bytes)
         t0 = time.perf_counter()

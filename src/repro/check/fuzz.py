@@ -14,7 +14,7 @@ Perturbations per round, all drawn from the seeded RNG:
 * the step order of all components (compers, comm services, GC) is
   reshuffled;
 * each component is randomly *starved* for the round with probability
-  ``starve_prob``, letting queues/caches build pressure;
+  ``STARVE_PROB``, letting queues/caches build pressure;
 * unless the config pins ``inline_iteration_limit``, every comper gets
   a random inline-yield limit, forcing the yield → re-queue →
   spill/steal identity handoffs that only long tasks normally take.
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from ..core.api import Comper, SumAggregator, Task
 from ..core.errors import GThinkerError
@@ -68,11 +68,11 @@ class HopSumComper(Comper):
         return True
 
 
-def hop_sum_oracle(graph, hops=HopSumComper.HOPS):
+def hop_sum_oracle(graph):
     total = 0
     for v in graph.vertices():
         for cur in graph.neighbors(v):
-            for _ in range(hops - 1):
+            for _ in range(HopSumComper.HOPS - 1):
                 cur = max(graph.neighbors(cur))
             total += cur
     return total
@@ -84,22 +84,16 @@ class CheckedRuntime:
     #: Per-round probability that a component is skipped (starved).
     STARVE_PROB = 0.25
 
+    #: A job still running after this many rounds is a livelock.
+    MAX_ROUNDS = 5_000_000
+
     #: Inline-yield limits sampled per comper when the config leaves
     #: ``inline_iteration_limit`` unset: mostly aggressive (forcing the
     #: yield path) with the engine default mixed in.
     INLINE_LIMIT_CHOICES = (1, 1, 2, 3, 5, 8, 64)
 
-    def __init__(
-        self,
-        seed: int = 0,
-        max_rounds: int = 5_000_000,
-        starve_prob: Optional[float] = None,
-        perturb_inline_limit: bool = True,
-    ) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.seed = seed
-        self.max_rounds = max_rounds
-        self.starve_prob = self.STARVE_PROB if starve_prob is None else starve_prob
-        self.perturb_inline_limit = perturb_inline_limit
 
     def run(self, cluster) -> None:
         cfg = cluster.config
@@ -110,7 +104,7 @@ class CheckedRuntime:
             steps.append(w.comm.step)
             steps.append(w.gc_step)
             for engine in w.engines:
-                if self.perturb_inline_limit and cfg.inline_iteration_limit is None:
+                if cfg.inline_iteration_limit is None:
                     engine.inline_limit = rng.choice(self.INLINE_LIMIT_CHOICES)
                 steps.append(engine.step)
 
@@ -121,16 +115,16 @@ class CheckedRuntime:
             rng.shuffle(order)
             worked = False
             for i in order:
-                if rng.random() < self.starve_prob:
+                if rng.random() < self.STARVE_PROB:
                     continue
                 worked = steps[i]() or worked
             if rounds % cfg.sync_every_rounds == 0 or not worked:
                 if cluster.master.sync():
                     break
-            if rounds > self.max_rounds:
+            if rounds > self.MAX_ROUNDS:
                 raise GThinkerError(
                     f"checked job did not terminate within "
-                    f"{self.max_rounds} rounds (seed {self.seed})"
+                    f"{self.MAX_ROUNDS} rounds (seed {self.seed})"
                 )
         self._assert_quiescent(cluster)
 
@@ -178,17 +172,15 @@ class FuzzReport:
 def run_fuzz_suite(
     seeds=range(20),
     num_vertices: int = 80,
-    edge_prob: float = 0.1,
-    num_workers: int = 2,
-    compers_per_worker: int = 2,
-    graph_seed: int = 7,
     verbose: bool = False,
 ) -> FuzzReport:
     """Fuzz the example apps (TC + MCF) under the protocol checkers.
 
     Every (app, seed) pair runs a full job on :class:`CheckedRuntime`
-    with checkers enabled and validates the answer against the serial
-    oracle.  Used by ``python -m repro check`` and the test suite.
+    (2 workers x 2 compers) with checkers enabled over one
+    ``erdos_renyi(num_vertices, 0.1, seed=7)`` graph, and validates the
+    answer against the serial oracle.  Used by ``python -m repro check``
+    and the test suite.
     """
     from ..algorithms import count_triangles, max_clique_reference
     from ..apps import MaxCliqueComper, TriangleCountComper
@@ -196,7 +188,7 @@ def run_fuzz_suite(
     from ..core.job import run_job
     from ..graph import erdos_renyi
 
-    graph = erdos_renyi(num_vertices, edge_prob, seed=graph_seed)
+    graph = erdos_renyi(num_vertices, 0.1, seed=7)
     expected_triangles = count_triangles(graph)
     expected_clique = len(max_clique_reference(graph))
     expected_hops = hop_sum_oracle(graph)
@@ -227,8 +219,8 @@ def run_fuzz_suite(
     for app_name, factory, validate in apps:
         for seed in seeds:
             cfg = GThinkerConfig(
-                num_workers=num_workers,
-                compers_per_worker=compers_per_worker,
+                num_workers=2,
+                compers_per_worker=2,
                 task_batch_size=2,
                 cache_capacity=64,
                 cache_buckets=16,

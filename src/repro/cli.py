@@ -36,7 +36,7 @@ from .apps import (
 )
 from .core.config import GThinkerConfig
 from .core.session import Session
-from .core.runtime import available_runtimes
+from .core.job import available_runtimes
 from .graph import (
     DATASETS,
     ShardedGraphStore,
@@ -60,7 +60,6 @@ def _add_graph_source(p: argparse.ArgumentParser) -> None:
                      help="built-in synthetic stand-in")
     src.add_argument("--scale", type=float, default=0.5,
                      help="dataset scale factor (default 0.5)")
-    src.add_argument("--seed", type=int, default=7)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -191,8 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="host:port printed by 'repro serve'")
     submit.add_argument("--app", required=True,
                         help="app name (tc, mcf, cliques, qc, gm, ...)")
-    submit.add_argument("--params", default=None,
-                        help='params as JSON, e.g. \'{"min_size": 3}\'')
     submit.add_argument("--param", action="append", default=[],
                         metavar="KEY=VALUE",
                         help="single param (repeatable; VALUE parsed as "
@@ -236,10 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of interleaving seeds per app (default 20)")
     check.add_argument("--vertices", type=int, default=80,
                        help="Erdos-Renyi graph size (default 80)")
-    check.add_argument("--edge-prob", type=float, default=0.1)
-    check.add_argument("--workers", type=int, default=2)
-    check.add_argument("--compers", type=int, default=2)
-    check.add_argument("--graph-seed", type=int, default=7)
     check.add_argument("--quiet", action="store_true",
                        help="only print the final summary")
     return parser
@@ -255,7 +248,7 @@ def _load_graph(args):
         return read_adjacency(args.graph)
     if args.shards:
         return ShardedGraphStore(args.shards)
-    return make_dataset(args.dataset, scale=args.scale, seed=args.seed)
+    return make_dataset(args.dataset, scale=args.scale)
 
 
 def _make_config(args) -> GThinkerConfig:
@@ -357,11 +350,6 @@ def _parse_submit_params(args) -> dict:
     import json
 
     params = {}
-    if args.params:
-        try:
-            params.update(json.loads(args.params))
-        except ValueError as exc:
-            raise SystemExit(f"--params is not valid JSON: {exc}")
     for spec in args.param:
         key, sep, value = spec.partition("=")
         if not sep:
@@ -471,10 +459,6 @@ def main(argv=None) -> int:
         report = run_fuzz_suite(
             seeds=range(args.seeds),
             num_vertices=args.vertices,
-            edge_prob=args.edge_prob,
-            num_workers=args.workers,
-            compers_per_worker=args.compers,
-            graph_seed=args.graph_seed,
             verbose=not args.quiet,
         )
         print(report.summary())

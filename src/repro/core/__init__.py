@@ -29,19 +29,19 @@ from .errors import (
     UnsupportedRuntimeFeature,
     WorkerProcessError,
 )
-from .job import JobResult, build_cluster, resolve_resume, resume_job, run_job
-from .metrics import CacheStats, MetricsRegistry, WorkerMetrics
-from .session import JobHandle, LocalJobHandle, Session
-from .runtime import (
-    JobRequest,
-    RuntimeCapabilities,
-    RuntimeSpec,
+from .job import (
+    JobResult,
     available_runtimes,
+    build_cluster,
     capability_matrix,
     get_runtime,
-    register_runtime,
-    unregister_runtime,
+    resolve_resume,
+    resume_job,
+    run_job,
 )
+from .metrics import CacheStats, MetricsRegistry, WorkerMetrics
+from .session import JobHandle, LocalJobHandle, Session
+from .runtime import JobRequest, RuntimeCapabilities, RuntimeSpec
 from .subgraph import Subgraph
 from .vertex_cache import VertexCache
 
@@ -86,8 +86,6 @@ __all__ = [
     "available_runtimes",
     "capability_matrix",
     "get_runtime",
-    "register_runtime",
-    "unregister_runtime",
     "Subgraph",
     "VertexCache",
 ]

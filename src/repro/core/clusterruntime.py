@@ -315,9 +315,6 @@ class _ClusterMaster(ControlPlaneMaster):
 class ClusterExecutor:
     """``execute(JobRequest) -> JobResult`` via TCP-connected nodes."""
 
-    def __init__(self, join_timeout_s: float = 600.0) -> None:
-        self.join_timeout_s = join_timeout_s
-
     def execute(self, request: JobRequest):
         from .job import _partition_rows  # deferred: job.py imports us lazily
 
@@ -332,6 +329,6 @@ class ClusterExecutor:
         # Attached nodes are (possibly) on other machines and make their
         # own spill dirs; a localhost node set spills under the parent's.
         return execute_on_nodes(
-            request, "cluster", self.join_timeout_s, build_master,
+            request, "cluster", build_master,
             parent_spill=request.config.cluster_hosts is None,
         )

@@ -35,7 +35,11 @@ from ..net.message import Message, RequestBatch, ResponseBatch, TaskBatchTransfe
 from .containers import comper_of_task_id
 from .errors import GThinkerError, TaskError
 
-__all__ = ["CommService"]
+__all__ = ["CommService", "RESPONSE_CHUNK"]
+
+#: Cap on vertices per response batch, so one huge request batch does
+#: not produce one giant message (MTU-ish chunking).
+RESPONSE_CHUNK = 4096
 
 
 class CommService:
@@ -50,10 +54,6 @@ class CommService:
         # is on the wire the R-table is what suppresses re-requests.
         self._outgoing_sets: Dict[int, Set[int]] = defaultdict(set)
         self._bytes_served = 0
-        cfg = worker.config
-        #: Cap on vertices per response batch so one huge request batch
-        #: does not produce one giant message (MTU-ish chunking).
-        self._response_chunk = cfg.response_chunk
 
     # -- comper-side -------------------------------------------------------
 
@@ -165,10 +165,9 @@ class CommService:
             self.worker.metrics.add("comm:requests_deduped", len(ids) - len(unique))
             ids = unique
         local_entry = self.worker.local_entry
-        chunk = self._response_chunk
         me = self.worker.worker_id
-        for start in range(0, len(ids), chunk):
-            rows = [(v, *local_entry(v)) for v in ids[start:start + chunk]]
+        for start in range(0, len(ids), RESPONSE_CHUNK):
+            rows = [(v, *local_entry(v)) for v in ids[start:start + RESPONSE_CHUNK]]
             self.worker.transport.send(
                 ResponseBatch.from_rows(me, msg.src, rows), now=now
             )

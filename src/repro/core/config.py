@@ -12,6 +12,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 __all__ = [
+    "IDLE_SLEEP_S",
+    "IDLE_BACKOFF_MAX_S",
     "GThinkerConfig",
     "FailurePlanConfig",
     "NetworkModel",
@@ -19,6 +21,15 @@ __all__ = [
     "MachineModel",
     "parse_host_port",
 ]
+
+
+#: Adaptive idle polling, shared by every loop that polls (comper,
+#: service and node loops, the threaded and node-set master sweeps): an
+#: idle loop sleeps ``IDLE_SLEEP_S`` and doubles up to
+#: ``IDLE_BACKOFF_MAX_S`` until work (or an explicit wake) arrives, then
+#: resets.
+IDLE_SLEEP_S = 0.0005
+IDLE_BACKOFF_MAX_S = 0.02
 
 
 def parse_host_port(spec: str) -> Tuple[str, int]:
@@ -168,27 +179,22 @@ class GThinkerConfig:
         vertices is decomposed into child tasks instead of mined
         serially.  Paper default 40,000; ours is sized to our graphs.
     aggregator_sync_period_s:
-        How often worker aggregators synchronize (paper default 1 s);
-        the serial runtime interprets this as "every N scheduler rounds".
-    steal_enabled / steal_batches:
+        Wall-clock sync period (paper default 1 s) of the runtimes that
+        sync on a clock: ``threaded``, the process/cluster node-set
+        master and the simulator.  Their masters back off between
+        sweeps up to this period.
+    sync_every_rounds:
+        Sync period, in engine rounds, of the runtimes that sync on a
+        round count: ``serial`` and ``checked``.
+    steal_batches:
         Master-coordinated work stealing: when the gap between the most-
         and least-loaded workers exceeds one batch, move up to
-        ``steal_batches`` task batches per sync.  The per-pair transfer
-        is workload-proportional (about a quarter of the victim/thief
-        gap, at least one batch) with hysteresis: a pair that just moved
-        work in one direction is not reversed on the next sweep, so
-        near-balanced workers stop ping-ponging batches.
-    idle_sleep_s / idle_backoff_max_s:
-        Adaptive idle polling, shared by every runtime that polls: an
-        idle comper/service/worker loop starts sleeping
-        ``idle_sleep_s`` and doubles up to ``idle_backoff_max_s`` until
-        work (or an explicit wake) arrives, then resets.  The threaded
-        and process masters use the same backoff between sweeps instead
-        of a fixed ``aggregator_sync_period_s`` sleep.
-    response_chunk:
-        Cap on vertices per :class:`~repro.net.message.ResponseBatch`
-        so one huge request batch does not produce one giant message
-        (MTU-ish chunking; default 4096).
+        ``steal_batches`` task batches per sync (0 = no stealing).  The
+        per-pair transfer is workload-proportional (about a quarter of
+        the victim/thief gap, at least one batch) with hysteresis: a
+        pair that just moved work in one direction is not reversed on
+        the next sweep, so near-balanced workers stop ping-ponging
+        batches.
     checkpoint_every_syncs:
         If > 0, write a checkpoint every this many progress syncs.  On
         ``runtime="process"`` each checkpoint is a sync-barrier protocol
@@ -205,10 +211,9 @@ class GThinkerConfig:
         respawn the worker set from the last checkpoint after losing a
         worker process before giving up with
         :class:`~repro.core.errors.WorkerProcessError` (0 = any worker
-        loss is fatal, the pre-fault-tolerance behaviour).
-    worker_restart_backoff_s:
-        Base delay before a recovery respawn; doubles per consecutive
-        restart (exponential backoff on the control plane).
+        loss is fatal, the pre-fault-tolerance behaviour).  Respawns
+        back off exponentially (``controlplane.RESTART_BACKOFF_S``
+        doubling per consecutive restart).
     control_reply_timeout_s:
         How long the parent waits for a single control-plane reply from
         a worker process before treating it as hung (and, if restarts
@@ -245,6 +250,10 @@ class GThinkerConfig:
     seed:
         Seed for any tie-breaking randomness (kept for reproducibility;
         the engine itself is deterministic in the serial runtime).
+    network:
+        Simulated interconnect (:class:`NetworkModel`; the simulator only).
+    machine:
+        Simulated machine (:class:`MachineModel`; the simulator only).
     """
 
     num_workers: int = 2
@@ -258,15 +267,10 @@ class GThinkerConfig:
     decompose_threshold: int = 64
     aggregator_sync_period_s: float = 0.05
     sync_every_rounds: int = 64
-    steal_enabled: bool = True
     steal_batches: int = 4
-    idle_sleep_s: float = 0.0005
-    idle_backoff_max_s: float = 0.02
-    response_chunk: int = 4096
     checkpoint_every_syncs: int = 0
     failure_plan: Optional[FailurePlanConfig] = None
     max_worker_restarts: int = 3
-    worker_restart_backoff_s: float = 0.05
     control_reply_timeout_s: float = 60.0
     spill_dir: Optional[str] = None
     inline_iteration_limit: Optional[int] = None
@@ -277,7 +281,6 @@ class GThinkerConfig:
     seed: int = 0
 
     network: NetworkModel = field(default_factory=NetworkModel)
-    disk: DiskModel = field(default_factory=DiskModel)
     machine: MachineModel = field(default_factory=MachineModel)
 
     def __post_init__(self) -> None:
@@ -301,10 +304,8 @@ class GThinkerConfig:
             # 0 would divide (serial sync cadence is `rounds % N`) and a
             # negative value would never trigger a sync at all.
             raise ValueError("sync_every_rounds must be >= 1")
-        if self.steal_enabled and self.steal_batches < 1:
-            raise ValueError(
-                "steal_batches must be >= 1 when steal_enabled is True"
-            )
+        if self.steal_batches < 0:
+            raise ValueError("steal_batches must be >= 0 (0 = no stealing)")
         if self.aggregator_sync_period_s <= 0:
             raise ValueError("aggregator_sync_period_s must be > 0")
         if self.pending_threshold is not None and self.pending_threshold < 0:
@@ -313,19 +314,8 @@ class GThinkerConfig:
             raise ValueError("pending_threshold must be >= 0 when given")
         if self.inline_iteration_limit is not None and self.inline_iteration_limit < 1:
             raise ValueError("inline_iteration_limit must be >= 1")
-        if self.idle_sleep_s <= 0:
-            raise ValueError("idle_sleep_s must be > 0")
-        if self.idle_backoff_max_s < self.idle_sleep_s:
-            raise ValueError(
-                f"idle_backoff_max_s ({self.idle_backoff_max_s}) must be >= "
-                f"idle_sleep_s ({self.idle_sleep_s})"
-            )
-        if self.response_chunk < 1:
-            raise ValueError("response_chunk must be >= 1")
         if self.max_worker_restarts < 0:
             raise ValueError("max_worker_restarts must be >= 0")
-        if self.worker_restart_backoff_s < 0:
-            raise ValueError("worker_restart_backoff_s must be >= 0")
         if self.control_reply_timeout_s <= 0:
             raise ValueError("control_reply_timeout_s must be > 0")
         if self.cluster_hosts is not None:

@@ -298,16 +298,12 @@ class ReadyBuffer:
 class PendingEntry:
     """``T_task`` value: the parked task plus its ``(met, req)`` counters."""
 
-    __slots__ = ("task", "met", "req", "resolved")
+    __slots__ = ("task", "met", "req")
 
-    def __init__(self, task: Task, req: int, met: int = 0) -> None:
+    def __init__(self, task: Task, req: int) -> None:
         self.task = task
         self.req = req
-        self.met = met
-        # Vertex ids already available at park time (local or cache hits)
-        # don't need re-resolution; we keep nothing else here because the
-        # locks are held in the cache itself.
-        self.resolved = None  # placeholder for future use
+        self.met = 0
 
 
 class PendingTable:
@@ -323,11 +319,11 @@ class PendingTable:
         self._lock = threading.Lock()
         self._entries: Dict[int, PendingEntry] = {}
 
-    def insert(self, task_id: int, task: Task, req: int, met: int = 0) -> None:
+    def insert(self, task_id: int, task: Task, req: int) -> None:
         with self._lock:
             if task_id in self._entries:
                 raise KeyError(f"duplicate pending task id {task_id:#x}")
-            self._entries[task_id] = PendingEntry(task, req=req, met=met)
+            self._entries[task_id] = PendingEntry(task, req=req)
 
     def notify_arrival(self, task_id: int) -> Optional[Task]:
         """Increment ``met``; if ``met == req`` remove and return the task."""

@@ -18,7 +18,7 @@ plane, many machines) drive the *same* protocol:
 
 The master's one run loop is the sweep: a round-robin request-reply
 ``sync`` probe over every node; between sweeps the master idles,
-backing off from ``idle_sleep_s`` up to ``aggregator_sync_period_s``.
+backing off from ``IDLE_SLEEP_S`` up to ``aggregator_sync_period_s``.
 A node that goes busy→drained sends one unsolicited ``("wake", id)``
 so the master runs its next sweep at once instead of waiting out the
 backoff.
@@ -61,7 +61,12 @@ from .checkpoint import (
     restore_worker,
     snapshot_worker,
 )
-from .config import FailurePlanConfig, GThinkerConfig
+from .config import (
+    IDLE_BACKOFF_MAX_S,
+    IDLE_SLEEP_S,
+    FailurePlanConfig,
+    GThinkerConfig,
+)
 from .errors import (
     CheckpointError,
     GThinkerError,
@@ -403,7 +408,7 @@ def run_node(
         # Adaptive idle wait: back off exponentially while nothing
         # happens, waking promptly on either a control command or an
         # incoming data-plane batch (the transport selects on both).
-        backoff = config.idle_sleep_s
+        backoff = IDLE_SLEEP_S
         while True:
             worked = session.step()
 
@@ -416,10 +421,10 @@ def run_node(
                 control.send(("wake", node_id))
 
             if worked:
-                backoff = config.idle_sleep_s
+                backoff = IDLE_SLEEP_S
             else:
                 transport.wait_for_activity(backoff, extra=(control,))
-                backoff = min(backoff * 2, config.idle_backoff_max_s)
+                backoff = min(backoff * 2, IDLE_BACKOFF_MAX_S)
     except BaseException as exc:
         recoverable = isinstance(exc, (WireDecodeError, PeerLostError))
         try:
@@ -557,24 +562,23 @@ class ControlPlaneMaster:
                 recoverable=True,
             ) from exc
 
-    def _recv(self, node_id: int, timeout: Optional[float] = None):
+    def _recv(self, node_id: int):
         """One reply from ``node_id``, skipping wakes via :meth:`_note_oob`.
 
         ``poll`` returns as soon as bytes arrive, so its 100 ms slice only
         sets how often a node this master started is checked for life.
         """
-        if timeout is None:
-            timeout = self.config.control_reply_timeout_s
         # One deadline for the whole call: a wake ahead of the reply
         # does not restart the clock.
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + self.config.control_reply_timeout_s
         while True:
             remaining = deadline - time.monotonic()
             msg = self._poll_message(node_id, min(0.1, max(0.0, remaining)))
             if msg is None:
                 if time.monotonic() >= deadline:
                     raise WorkerProcessError(
-                        node_id, f"no control-plane reply within {timeout}s",
+                        node_id, f"no control-plane reply within "
+                        f"{self.config.control_reply_timeout_s}s",
                         recoverable=True,
                     )
                 if not self.procs or self.procs[node_id].is_alive():
@@ -785,7 +789,7 @@ class ControlPlaneMaster:
         since the last round the sorted plan is identical, so the whole
         sort/pair loop is skipped and the skip counted.
         """
-        if not self.config.steal_enabled or len(statuses) < 2:
+        if not self.config.steal_batches or len(statuses) < 2:
             return
         key = tuple(sorted((s.worker_id, s.workload) for s in statuses))
         if key == self._last_steal_key:
@@ -909,7 +913,7 @@ class ControlPlaneMaster:
         prev_idle = False
         prev_progress = -1
         sweeps = 0
-        sweep_wait = self.config.idle_sleep_s
+        sweep_wait = IDLE_SLEEP_S
         self._pending_wake = False
         self._last_steal_key = None
         while True:
@@ -944,13 +948,13 @@ class ControlPlaneMaster:
                 # First idle observation: run the confirming sweep right
                 # away instead of burning a whole sync period — this is
                 # most of the fixed-cadence latency on short jobs.
-                sweep_wait = self.config.idle_sleep_s
+                sweep_wait = IDLE_SLEEP_S
                 continue
             t0 = time.perf_counter()
             woke = self._wait_for_wake(sweep_wait)
             self.metrics.add("time:control_idle_s", time.perf_counter() - t0)
             if woke:
-                sweep_wait = self.config.idle_sleep_s
+                sweep_wait = IDLE_SLEEP_S
             else:
                 sweep_wait = min(sweep_wait * 2,
                                  self.config.aggregator_sync_period_s)
@@ -968,9 +972,7 @@ class ControlPlaneMaster:
                 attempts += 1
                 if not exc.recoverable or attempts > self.config.max_worker_restarts:
                     raise
-                delay = self.config.worker_restart_backoff_s * (2 ** (attempts - 1))
-                if delay > 0:
-                    time.sleep(delay)
+                time.sleep(RESTART_BACKOFF_S * (2 ** (attempts - 1)))
                 self._recover()
 
     def run_job(self, checkpoint: Optional[JobCheckpoint], started: float):
@@ -1046,10 +1048,16 @@ def prepare_job(request: JobRequest, runtime: str) -> Graph:
     return graph
 
 
+#: A node-set job still running after this long is declared hung.
+JOIN_TIMEOUT_S = 600.0
+
+#: Delay before the first recovery respawn; doubles per consecutive one.
+RESTART_BACKOFF_S = 0.05
+
+
 def execute_on_nodes(
     request: JobRequest,
     runtime: str,
-    join_timeout_s: float,
     build_master: Callable[..., ControlPlaneMaster],
     parent_spill: bool = True,
 ):
@@ -1085,7 +1093,7 @@ def execute_on_nodes(
             graph, spill_root, cleanup,
             config=config,
             app_factory=request.app_factory,
-            join_timeout_s=join_timeout_s,
+            join_timeout_s=JOIN_TIMEOUT_S,
             checkpoint_path=request.checkpoint_path,
             abort_after_rounds=request.abort_after_rounds,
         )

@@ -37,7 +37,7 @@ class WireDecodeError(GThinkerError, ValueError):
 
 
 class UnknownRuntimeError(GThinkerError, ValueError):
-    """No runtime with that name is registered (see ``register_runtime``)."""
+    """No runtime has that name (see ``available_runtimes``)."""
 
 
 class UnsupportedRuntimeFeature(GThinkerError, ValueError):

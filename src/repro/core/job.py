@@ -13,13 +13,13 @@ vertex-id hashing at load, the paper's Pregel-style placement) or a
 :class:`repro.graph.ShardedGraphStore` (each worker parses its own shard,
 the HDFS-loading contract).
 
-Runtime selection goes through the pluggable registry in
-:mod:`repro.core.runtime`: ``run_job`` and ``resume_job`` share one
-dispatch path, validate the requested features (checkpointing, failure
-injection, resume) against the runtime's declared capabilities, and both
-raise :class:`~repro.core.errors.UnsupportedRuntimeFeature` for any
-unsupported combination.  This module registers the four built-in
-runtimes: ``serial``, ``threaded``, ``checked`` and ``process``.
+Runtime selection goes through the fixed :data:`RUNTIMES` table:
+``run_job`` and ``resume_job`` share one dispatch path, validate the
+requested features (checkpointing, failure injection, resume) against
+the runtime's declared capabilities, and both raise
+:class:`~repro.core.errors.UnsupportedRuntimeFeature` for any
+unsupported combination.  The five runtimes are ``serial``,
+``threaded``, ``checked``, ``process`` and ``cluster``.
 """
 
 from __future__ import annotations
@@ -36,22 +36,22 @@ from .api import Comper
 from .checkpoint import JobCheckpoint, capture, restore_worker
 from .config import GThinkerConfig
 from .containers import SpillRoot
-from .errors import UnsupportedRuntimeFeature
+from .errors import UnknownRuntimeError, UnsupportedRuntimeFeature
 from .master import Master
 from .metrics import MetricsAccessors, MetricsRegistry
 from .runtime import (
     Cluster,
     JobRequest,
     RuntimeCapabilities,
+    RuntimeSpec,
     SerialRuntime,
     ThreadedRuntime,
-    get_runtime,
-    register_runtime,
 )
 from .worker import LocalTableMemo, Worker
 
 __all__ = [
     "JobResult", "build_cluster", "run_job", "resume_job", "resolve_resume",
+    "RUNTIMES", "get_runtime", "available_runtimes", "capability_matrix",
 ]
 
 GraphSource = Union[Graph, ShardedGraphStore]
@@ -97,8 +97,6 @@ def build_cluster(
     app_factory: Callable[[], Comper],
     graph: GraphSource,
     config: GThinkerConfig,
-    transport: Optional[Transport] = None,
-    metrics: Optional[MetricsRegistry] = None,
     timed_transport: bool = False,
     local_tables: Optional[LocalTableMemo] = None,
 ) -> Cluster:
@@ -107,8 +105,8 @@ def build_cluster(
     ``local_tables`` is the owning Session's memo: shareable tables of
     an in-memory graph are attached from it, or built and stored there.
     """
-    metrics = metrics or MetricsRegistry()
-    transport = transport or Transport(
+    metrics = MetricsRegistry()
+    transport = Transport(
         config.num_workers,
         metrics=metrics,
         network=config.network,
@@ -288,54 +286,56 @@ def _cluster_executor():
     return ClusterExecutor()
 
 
-register_runtime(
-    "serial",
-    SerialExecutor,
-    RuntimeCapabilities(
-        checkpointing=True, failure_injection=True,
-        protocol_checking=True, resume=True, cancellation=True,
-    ),
-    replace=True,
+_FULL = RuntimeCapabilities(
+    checkpointing=True, failure_injection=True,
+    protocol_checking=True, resume=True, cancellation=True,
 )
-register_runtime(
-    "threaded",
-    ThreadedExecutor,
-    RuntimeCapabilities(protocol_checking=True, resume=True,
-                        cancellation=True),
-    replace=True,
-)
-register_runtime(
-    "checked",
-    CheckedExecutor,
-    RuntimeCapabilities(protocol_checking=True, resume=True,
-                        cancellation=True),
-    replace=True,
-)
-register_runtime(
-    "process",
-    _process_executor,
-    RuntimeCapabilities(
-        checkpointing=True, failure_injection=True,
-        protocol_checking=True, resume=True, cancellation=True,
-    ),
-    replace=True,
-)
-register_runtime(
-    "cluster",
-    _cluster_executor,
-    # Honest capabilities: checkpointing, injected node kills with
-    # global-rollback recovery, and shard resume all work (recovery by
-    # respawn only in localhost spawn mode — attach mode raises with
-    # resume guidance).  Protocol checking runs node-local like the
-    # process runtime's.  Cancellation is the process runtime's, from
-    # the same master: the sweep raises, shutdown closes every control
-    # channel, and attached nodes see the close and exit.
-    RuntimeCapabilities(
-        checkpointing=True, failure_injection=True,
-        protocol_checking=True, resume=True, cancellation=True,
-    ),
-    replace=True,
-)
+_IN_MEMORY = RuntimeCapabilities(protocol_checking=True, resume=True,
+                                 cancellation=True)
+
+#: The runtimes ``run_job``/``resume_job``/``Session`` accept by name.
+#: ``cluster`` has honest full capabilities: checkpointing, injected
+#: node kills with global-rollback recovery, and shard resume all work
+#: (recovery by respawn only in localhost spawn mode — attach mode
+#: raises with resume guidance).  Protocol checking runs node-local like
+#: the process runtime's.  Cancellation is the process runtime's, from
+#: the same master: the sweep raises, shutdown closes every control
+#: channel, and attached nodes see the close and exit.
+RUNTIMES: Dict[str, RuntimeSpec] = {
+    spec.name: spec for spec in (
+        RuntimeSpec("serial", SerialExecutor, _FULL),
+        RuntimeSpec("threaded", ThreadedExecutor, _IN_MEMORY),
+        RuntimeSpec("checked", CheckedExecutor, _IN_MEMORY),
+        RuntimeSpec("process", _process_executor, _FULL),
+        RuntimeSpec("cluster", _cluster_executor, _FULL),
+    )
+}
+
+
+def get_runtime(name: str) -> RuntimeSpec:
+    """Resolve a runtime name; raises :class:`UnknownRuntimeError`."""
+    spec = RUNTIMES.get(name)
+    if spec is None:
+        raise UnknownRuntimeError(
+            f"unknown runtime {name!r}; runtimes: {sorted(RUNTIMES)}"
+        )
+    return spec
+
+
+def available_runtimes() -> Tuple[str, ...]:
+    """Sorted names of every runtime."""
+    return tuple(sorted(RUNTIMES))
+
+
+def capability_matrix() -> Dict[str, Dict[str, bool]]:
+    """``{runtime: {feature: supported}}`` for docs and error messages."""
+    return {
+        name: {
+            f: getattr(spec.capabilities, f)
+            for f in spec.capabilities.feature_names()
+        }
+        for name, spec in sorted(RUNTIMES.items())
+    }
 
 
 def _dispatch(
@@ -432,7 +432,7 @@ def run_job(
         The ``"process"`` runtime additionally requires it to be
         picklable (a class or :func:`functools.partial`, not a lambda).
     runtime:
-        Any name in :func:`repro.core.runtime.available_runtimes`.
+        Any name in :func:`available_runtimes`.
         Built-ins: ``"serial"`` (deterministic single thread; supports
         checkpointing and failure injection), ``"threaded"`` (real
         threads, paper-shaped concurrency, GIL-serialized), ``"checked"``
@@ -483,7 +483,6 @@ def resume_job(
     checkpoint_path: str,
     config: Optional[GThinkerConfig] = None,
     runtime: str = "serial",
-    abort_after_rounds: Optional[int] = None,
 ) -> JobResult:
     """Recover from a checkpoint and run the remainder of the job.
 
@@ -495,8 +494,6 @@ def resume_job(
     ``runtime="process"`` job resumes on the serial runtime and vice
     versa.  When ``config.checkpoint_every_syncs > 0`` the resumed job
     keeps checkpointing to the same ``checkpoint_path``.
-    ``abort_after_rounds`` injects a failure mid-recovery for
-    fault-tolerance tests (serial and process, as in run_job).
 
     Delegates to ``run_job(resume_from=checkpoint_path)`` — the two
     spellings share one checkpoint-load/config-default path
@@ -504,6 +501,5 @@ def resume_job(
     """
     return run_job(
         app_factory, graph, config=config, runtime=runtime,
-        abort_after_rounds=abort_after_rounds,
         resume_from=checkpoint_path,
     )

@@ -116,7 +116,7 @@ class Master:
             and self._sync_count % self.config.checkpoint_every_syncs == 0
         ):
             self.checkpoint_hook()
-        if self.config.steal_enabled and len(self.workers) > 1:
+        if self.config.steal_batches and len(self.workers) > 1:
             self._plan_and_execute_steals(now)
         if self._check_termination():
             # Final aggregator synchronization before the job terminates

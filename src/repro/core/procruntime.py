@@ -60,7 +60,7 @@ Single-worker respawn would be unsound — in-transit messages addressed
 to the dead worker and the survivors' unanswered pulls are unrecoverable
 — so rollback is all-or-nothing.  Retries are bounded by
 ``max_worker_restarts`` with exponential backoff
-(``worker_restart_backoff_s`` doubling per consecutive restart); a
+(``controlplane.RESTART_BACKOFF_S`` doubling per consecutive restart); a
 worker that *reported* an exception (an app/framework bug that would
 recur) raises :class:`~repro.core.errors.WorkerProcessError` with
 ``recoverable=False`` and the original traceback chained, immediately
@@ -207,9 +207,6 @@ class _ProcessMaster(ControlPlaneMaster):
 class ProcessExecutor:
     """``execute(JobRequest) -> JobResult`` via worker processes."""
 
-    def __init__(self, join_timeout_s: float = 600.0) -> None:
-        self.join_timeout_s = join_timeout_s
-
     def execute(self, request: JobRequest):
         def build_master(graph, spill_root, cleanup, **master_args):
             # The graph is handed over as shared memory, unlinked when
@@ -219,5 +216,4 @@ class ProcessExecutor:
             cleanup.callback(csr.close)
             return _ProcessMaster(csr.meta, spill_root, **master_args)
 
-        return execute_on_nodes(request, "process", self.join_timeout_s,
-                                build_master)
+        return execute_on_nodes(request, "process", build_master)

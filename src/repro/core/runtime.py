@@ -1,4 +1,4 @@
-"""Execution runtimes and the pluggable runtime registry.
+"""Execution runtimes and the types of the runtime table.
 
 Low-level cluster steppers (both drive the same components — comm
 services, comper engines, GC, master — only the interleaving differs):
@@ -22,25 +22,18 @@ services, comper engines, GC, master — only the interleaving differs):
 
 A :class:`Cluster` is the bag of components a runtime drives.
 
-Runtime registry
-----------------
+Runtime table
+-------------
 
 ``run_job``/``resume_job`` resolve their ``runtime=`` string through the
-:data:`RUNTIMES` registry rather than an if/elif ladder.  Each entry is a
-:class:`RuntimeSpec`: a zero-argument ``factory`` producing an executor
-object with ``execute(request: JobRequest) -> JobResult``, plus a
+fixed :data:`repro.core.job.RUNTIMES` table rather than an if/elif
+ladder.  Each entry is a :class:`RuntimeSpec`: a zero-argument
+``factory`` producing an executor object with
+``execute(request: JobRequest) -> JobResult``, plus a
 :class:`RuntimeCapabilities` declaration.  Unsupported runtime/feature
 combinations fail uniformly with
 :class:`~repro.core.errors.UnsupportedRuntimeFeature`; unknown names with
 :class:`~repro.core.errors.UnknownRuntimeError`.
-
-Register a custom runtime with::
-
-    from repro.core.runtime import RuntimeCapabilities, register_runtime
-
-    register_runtime("myrt", MyRuntimeExecutor,
-                     RuntimeCapabilities(resume=True))
-    run_job(app, graph, config, runtime="myrt")
 """
 
 from __future__ import annotations
@@ -48,15 +41,14 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
-from .config import GThinkerConfig
+from .config import IDLE_BACKOFF_MAX_S, IDLE_SLEEP_S, GThinkerConfig
 from .containers import SpillRoot
 from .errors import (
     GThinkerError,
     JobAbortedError,
     JobCancelledError,
-    UnknownRuntimeError,
     UnsupportedRuntimeFeature,
 )
 from .master import Master
@@ -71,12 +63,6 @@ __all__ = [
     "JobRequest",
     "RuntimeCapabilities",
     "RuntimeSpec",
-    "RUNTIMES",
-    "register_runtime",
-    "unregister_runtime",
-    "get_runtime",
-    "available_runtimes",
-    "capability_matrix",
 ]
 
 
@@ -121,7 +107,7 @@ class AbortToken:
 
 
 # ---------------------------------------------------------------------------
-# Runtime registry
+# Runtime table entries
 # ---------------------------------------------------------------------------
 
 
@@ -167,7 +153,7 @@ class JobRequest:
 
 @dataclass(frozen=True)
 class RuntimeSpec:
-    """One registry entry: name, executor factory, capabilities."""
+    """One runtime table entry: name, executor factory, capabilities."""
 
     name: str
     factory: Callable[[], Any]
@@ -186,85 +172,8 @@ class RuntimeSpec:
             raise UnsupportedRuntimeFeature(
                 f"runtime {self.name!r} does not support: {', '.join(missing)} "
                 f"(capabilities: {self.capabilities}); pick a runtime whose "
-                f"capabilities include the feature, or register one"
+                f"capabilities include the feature"
             )
-
-
-#: The global registry.  The four built-ins (serial, threaded, checked,
-#: process) are registered by :mod:`repro.core.job` on import.
-RUNTIMES: Dict[str, RuntimeSpec] = {}
-
-
-def register_runtime(
-    name: str,
-    factory: Callable[[], Any],
-    capabilities: Optional[RuntimeCapabilities] = None,
-    replace: bool = False,
-) -> RuntimeSpec:
-    """Register an executor under ``name``.
-
-    ``factory`` takes no arguments and returns an object with
-    ``execute(request: JobRequest) -> JobResult``.  Pass ``replace=True``
-    to overwrite an existing entry (the built-ins use it so repeated
-    imports stay idempotent).
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"runtime name must be a non-empty string, got {name!r}")
-    if name in RUNTIMES and not replace:
-        raise ValueError(
-            f"runtime {name!r} is already registered; pass replace=True to override"
-        )
-    spec = RuntimeSpec(
-        name=name,
-        factory=factory,
-        capabilities=capabilities or RuntimeCapabilities(),
-    )
-    RUNTIMES[name] = spec
-    return spec
-
-
-def unregister_runtime(name: str) -> None:
-    """Remove a registered runtime (mostly for tests)."""
-    RUNTIMES.pop(name, None)
-
-
-def _ensure_builtin_runtimes() -> None:
-    # The built-ins are registered as a side effect of importing the job
-    # module; a function-level import avoids the cycle (job imports this
-    # module at its top level).
-    if "serial" not in RUNTIMES:
-        from . import job  # noqa: F401
-
-
-def get_runtime(name: str) -> RuntimeSpec:
-    """Resolve a runtime name; raises :class:`UnknownRuntimeError`."""
-    _ensure_builtin_runtimes()
-    spec = RUNTIMES.get(name)
-    if spec is None:
-        raise UnknownRuntimeError(
-            f"unknown runtime {name!r}; registered runtimes: "
-            f"{sorted(RUNTIMES)} (register custom runtimes with "
-            f"repro.core.runtime.register_runtime)"
-        )
-    return spec
-
-
-def available_runtimes() -> Tuple[str, ...]:
-    """Sorted names of every registered runtime."""
-    _ensure_builtin_runtimes()
-    return tuple(sorted(RUNTIMES))
-
-
-def capability_matrix() -> Dict[str, Dict[str, bool]]:
-    """``{runtime: {feature: supported}}`` for docs and error messages."""
-    _ensure_builtin_runtimes()
-    return {
-        name: {
-            f: getattr(spec.capabilities, f)
-            for f in spec.capabilities.feature_names()
-        }
-        for name, spec in sorted(RUNTIMES.items())
-    }
 
 
 class SerialRuntime:
@@ -317,8 +226,8 @@ class SerialRuntime:
 class ThreadedRuntime:
     """One thread per comper + one service thread per worker.
 
-    Idle loops sleep adaptively: starting at ``config.idle_sleep_s`` and
-    doubling up to ``config.idle_backoff_max_s`` while nothing happens,
+    Idle loops sleep adaptively: starting at ``IDLE_SLEEP_S`` and
+    doubling up to ``IDLE_BACKOFF_MAX_S`` while nothing happens,
     resetting on work.  The master sweep is driven the same way — it
     backs off towards ``aggregator_sync_period_s`` between sweeps, but a
     service thread observing its worker fully drained sets a wake event
@@ -344,26 +253,26 @@ class ThreadedRuntime:
 
         def comper_loop(engine) -> None:
             try:
-                backoff = cfg.idle_sleep_s
+                backoff = IDLE_SLEEP_S
                 while not stop.is_set():
                     if engine.step():
-                        backoff = cfg.idle_sleep_s
+                        backoff = IDLE_SLEEP_S
                     else:
                         engine.worker.cache.flush_local_counter()
                         time.sleep(backoff)
-                        backoff = min(backoff * 2, cfg.idle_backoff_max_s)
+                        backoff = min(backoff * 2, IDLE_BACKOFF_MAX_S)
             except BaseException as exc:  # propagate to the main thread
                 record_error(exc)
 
         def service_loop(worker) -> None:
             try:
-                backoff = cfg.idle_sleep_s
+                backoff = IDLE_SLEEP_S
                 was_drained = False
                 while not stop.is_set():
                     worked = worker.comm.step()
                     worked = worker.gc_step() or worked
                     if worked:
-                        backoff = cfg.idle_sleep_s
+                        backoff = IDLE_SLEEP_S
                         was_drained = False
                         continue
                     drained = worker.drained()
@@ -374,7 +283,7 @@ class ThreadedRuntime:
                         wake.set()
                     was_drained = drained
                     time.sleep(backoff)
-                    backoff = min(backoff * 2, cfg.idle_backoff_max_s)
+                    backoff = min(backoff * 2, IDLE_BACKOFF_MAX_S)
             except BaseException as exc:
                 record_error(exc)
 
@@ -393,7 +302,7 @@ class ThreadedRuntime:
             t.start()
 
         deadline = time.monotonic() + self.join_timeout_s
-        sweep_wait = cfg.idle_sleep_s
+        sweep_wait = IDLE_SLEEP_S
         try:
             while not stop.is_set():
                 if cluster.master.sync():
@@ -404,7 +313,7 @@ class ThreadedRuntime:
                     )
                 if wake.wait(timeout=sweep_wait):
                     wake.clear()
-                    sweep_wait = cfg.idle_sleep_s
+                    sweep_wait = IDLE_SLEEP_S
                 else:
                     sweep_wait = min(sweep_wait * 2,
                                      cfg.aggregator_sync_period_s)

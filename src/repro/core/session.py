@@ -44,7 +44,8 @@ from typing import Any, Callable, List, Optional, Set
 
 from .config import GThinkerConfig
 from .errors import JobCancelledError
-from .runtime import AbortToken, get_runtime
+from .job import get_runtime
+from .runtime import AbortToken
 from .worker import LocalTableMemo
 
 __all__ = [
@@ -271,7 +272,6 @@ class Session:
         app_factory: Callable[[], Any],
         *,
         config: Optional[GThinkerConfig] = None,
-        runtime: Optional[str] = None,
         checkpoint_path: Optional[str] = None,
         abort_after_rounds: Optional[int] = None,
         resume_from: Optional[str] = None,
@@ -299,7 +299,7 @@ class Session:
         # complete the cycle during package init.
         from .job import _dispatch, resolve_resume
 
-        runtime = runtime if runtime is not None else self.runtime
+        runtime = self.runtime
         config = config if config is not None else self._config
         checkpoint = None
         if resume_from is not None:

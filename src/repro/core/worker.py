@@ -56,9 +56,9 @@ class AtomicCounter:
         self._lock = threading.Lock()
         self._value = 0
 
-    def increment(self, amount: int = 1) -> int:
+    def increment(self) -> int:
         with self._lock:
-            self._value += amount
+            self._value += 1
             return self._value
 
     @property

@@ -54,6 +54,10 @@ PAPER_TABLE2: Dict[str, Dict[str, float]] = {
 }
 
 
+#: Generator seed of every stand-in: a name and a scale fix one graph.
+SEED = 7
+
+
 @dataclass(frozen=True)
 class DatasetSpec:
     """A named synthetic dataset recipe."""
@@ -62,15 +66,15 @@ class DatasetSpec:
     description: str
     builder: Callable[[float, int], Tuple[Graph, Tuple[Tuple[int, ...], ...]]]
 
-    def build(self, scale: float = 1.0, seed: int = 7) -> Graph:
-        graph, _planted = self.builder(scale, seed)
+    def build(self, scale: float = 1.0) -> Graph:
+        graph, _planted = self.builder(scale, SEED)
         return graph
 
     def build_with_planted(
-        self, scale: float = 1.0, seed: int = 7
+        self, scale: float = 1.0
     ) -> Tuple[Graph, Tuple[Tuple[int, ...], ...]]:
         """Also return planted clique memberships (for oracle assertions)."""
-        return self.builder(scale, seed)
+        return self.builder(scale, SEED)
 
 
 def _scaled(base: int, scale: float, minimum: int = 16) -> int:
@@ -137,7 +141,6 @@ DATASETS: Dict[str, DatasetSpec] = {
 def make_dataset(
     name: str,
     scale: float = 1.0,
-    seed: int = 7,
     labeled: Optional[int] = None,
 ) -> Graph:
     """Build a named dataset stand-in.
@@ -159,9 +162,9 @@ def make_dataset(
         raise KeyError(
             f"unknown dataset {name!r}; available: {sorted(DATASETS)}"
         ) from None
-    g = spec.build(scale=scale, seed=seed)
+    g = spec.build(scale=scale)
     if labeled is not None:
-        g = with_random_labels(g, labeled, seed=seed + 99)
+        g = with_random_labels(g, labeled, seed=SEED + 99)
     return g
 
 

@@ -94,27 +94,19 @@ def barabasi_albert(n: int, m: int, seed: int = 0) -> Graph:
     return Graph.from_edges(edges, extra_vertices=range(n))
 
 
-def rmat(
-    scale: int,
-    edge_factor: int = 8,
-    a: float = 0.57,
-    b: float = 0.19,
-    c: float = 0.19,
-    seed: int = 0,
-) -> Graph:
+def rmat(scale: int, edge_factor: int = 8, seed: int = 0) -> Graph:
     """R-MAT (recursive matrix) generator, the Graph500 workhorse.
 
     ``2**scale`` vertices and roughly ``edge_factor * 2**scale``
     undirected edges with a skewed, community-like structure.  The
-    default (a, b, c) parameters match the Graph500 specification and
-    produce degree skew close to web/social graphs (Skitter, Orkut).
+    quadrant probabilities (a, b, c) = (0.57, 0.19, 0.19) are the
+    Graph500 specification's and produce degree skew close to
+    web/social graphs (Skitter, Orkut).
     """
+    a, b, c = 0.57, 0.19, 0.19
     n = 1 << scale
     num_edges = edge_factor * n
     rng = random.Random(seed)
-    d = 1.0 - (a + b + c)
-    if d < 0:
-        raise ValueError("a + b + c must be <= 1")
     edges: List[Tuple[int, int]] = []
     for _ in range(num_edges):
         u = v = 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Tuple, Union
 
 from .graph import Graph
 from .partition import hash_partition
@@ -80,12 +80,9 @@ def read_adjacency(path: PathLike) -> Graph:
     return Graph(adj, labels=labels)
 
 
-def write_edge_list(g: Graph, path: PathLike, comments: Optional[str] = None) -> None:
+def write_edge_list(g: Graph, path: PathLike) -> None:
     """Write a SNAP-style edge list (``u<TAB>v``), one row per undirected edge."""
     with open(path, "w", encoding="ascii") as f:
-        if comments:
-            for row in comments.splitlines():
-                f.write(f"# {row}\n")
         for u, v in g.edges():
             f.write(f"{u}\t{v}\n")
 

@@ -98,17 +98,17 @@ def degeneracy(g: Graph) -> int:
     return max(cores.values(), default=0)
 
 
-def greedy_clique_seed(g: Graph, starts: int = 64) -> Tuple[int, ...]:
+def greedy_clique_seed(g: Graph) -> Tuple[int, ...]:
     """A greedy clique grown from the densest end of the degeneracy order.
 
     Cheap and often large on clique-bearing graphs; used to seed the
     maximum-clique aggregator so branch-and-bound pruning starts tight.
-    ``starts`` bounds how many starting vertices are tried.
+    At most the last 64 vertices of the order are tried as starts.
     """
     order = degeneracy_order(g)
     reverse = list(reversed(order))
     best: Tuple[int, ...] = ()
-    for v in reverse[:starts]:
+    for v in reverse[:64]:
         if g.degree(v) + 1 <= len(best):
             continue
         clique = [v]

@@ -97,13 +97,13 @@ def _parse_frame_length(header: bytes) -> int:
     return length
 
 
-def listen_socket(host: str, port: int, backlog: int = 16) -> socket.socket:
+def listen_socket(host: str, port: int) -> socket.socket:
     """A bound, listening, non-blocking TCP socket."""
     sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind((host, port))
-        sock.listen(backlog)
+        sock.listen(16)
     except OSError:
         sock.close()  # e.g. the port is taken
         raise
@@ -277,11 +277,9 @@ class TcpTransport:
     """Batched node⇄node message routing over persistent TCP sockets.
 
     One instance per node process.  Mirrors
-    :class:`~repro.net.transport.ProcessTransport` exactly — including
-    the S2 overflow semantics: messages decoded beyond a caller's
-    ``limit`` are parked and do **not** count as received until actually
-    handed to the caller, keeping the sent/received termination
-    arithmetic sound.
+    :class:`~repro.net.transport.ProcessTransport`: a message counts as
+    received only when :meth:`poll` hands it to the caller, keeping the
+    sent/received termination arithmetic sound.
     """
 
     def __init__(
@@ -289,7 +287,6 @@ class TcpTransport:
         node_id: int,
         num_nodes: int,
         bind_host: str = "127.0.0.1",
-        bind_port: int = 0,
         metrics: Optional[MetricsRegistry] = None,
         connect_timeout_s: float = 10.0,
     ) -> None:
@@ -300,7 +297,7 @@ class TcpTransport:
         self._metrics = metrics or MetricsRegistry()
         self._connect_timeout_s = connect_timeout_s
         self._bind_host = bind_host
-        self._listener = listen_socket(bind_host, bind_port)
+        self._listener = listen_socket(bind_host, 0)
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._listener, selectors.EVENT_READ, "listen")
         #: Inbound socket -> partial-frame receive buffer.
@@ -311,8 +308,8 @@ class TcpTransport:
         self._buffers: List[List[Message]] = [[] for _ in range(num_nodes)]
         #: Encoded self-addressed batches awaiting the next poll.
         self._loopback: Deque[bytes] = deque()
-        #: Decoded messages beyond a poll's ``limit`` (S2 semantics).
-        self._overflow: Deque[Message] = deque()
+        #: Decoded messages awaiting the next poll.
+        self._inbox: Deque[Message] = deque()
         self.sent_count = 0
         self.received_count = 0
 
@@ -463,7 +460,7 @@ class TcpTransport:
                 return
             buf.extend(chunk)
         for payload in _extract_frames(buf):
-            self._overflow.extend(wire.decode_batch(payload))
+            self._inbox.extend(wire.decode_batch(payload))
 
     def _service_sockets(self) -> None:
         """Accept pending connections and decode every complete frame."""
@@ -477,9 +474,9 @@ class TcpTransport:
                 else:
                     self._read_conn(key.fileobj)
         while self._loopback:
-            self._overflow.extend(wire.decode_batch(self._loopback.popleft()))
+            self._inbox.extend(wire.decode_batch(self._loopback.popleft()))
 
-    def poll(self, worker_id: int, now: float = float("inf"), limit: int = 0) -> List[Message]:
+    def poll(self, worker_id: int, now: float = float("inf")) -> List[Message]:
         """Drain this node's inbox (non-blocking); flushes first."""
         if worker_id != self._node_id:
             raise ValueError(
@@ -488,10 +485,8 @@ class TcpTransport:
             )
         self.flush_outgoing()
         self._service_sockets()
-        out: List[Message] = []
-        overflow = self._overflow
-        while overflow and (not limit or len(out) < limit):
-            out.append(overflow.popleft())
+        out = list(self._inbox)
+        self._inbox.clear()
         self.received_count += len(out)
         return out
 
@@ -504,7 +499,7 @@ class TcpTransport:
         the given extra sockets (the node's control channel).  Returns
         True when something became readable; the data itself is consumed
         by the next :meth:`poll` / the caller's control recv."""
-        if self._overflow or self._loopback:
+        if self._inbox or self._loopback:
             return True
         registered = []
         for sock in extra:

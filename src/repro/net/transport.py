@@ -104,11 +104,11 @@ class Transport:
             self.deliver_hook(dst, available_at)
         return available_at
 
-    def poll(self, worker_id: int, now: float = float("inf"), limit: int = 0) -> List[Message]:
+    def poll(self, worker_id: int, now: float = float("inf")) -> List[Message]:
         """Dequeue messages for ``worker_id`` whose delivery time has passed.
 
         With the default ``now=inf`` (untimed runtimes) everything queued
-        is returned.  ``limit`` bounds the number returned (0 = all).
+        is returned.
         """
         box = self._mailboxes[worker_id]
         out: List[Message] = []
@@ -116,7 +116,7 @@ class Transport:
         with box.lock:
             while box.queue:
                 available_at, msg = box.queue.popleft()
-                if available_at <= now and (limit == 0 or len(out) < limit):
+                if available_at <= now:
                     out.append(msg)
                 else:
                     requeue.append((available_at, msg))
@@ -180,12 +180,6 @@ class ProcessTransport:
         self._queues = list(queues)
         self._metrics = metrics or MetricsRegistry()
         self._buffers: List[List[Message]] = [[] for _ in queues]
-        #: Messages decoded from an inbox batch but beyond a caller's
-        #: ``limit`` — returned first by the next :meth:`poll`.  They do
-        #: not count as received until actually handed to the caller, so
-        #: the sent/received termination arithmetic still sees them as
-        #: in flight.
-        self._overflow: Deque[Message] = deque()
         self.sent_count = 0
         self.received_count = 0
 
@@ -227,12 +221,9 @@ class ProcessTransport:
         The idle-wait primitive of the process worker's serve loop,
         mirroring :meth:`repro.net.tcp.TcpTransport.wait_for_activity`:
         ``extra`` carries the control pipe so one wait covers both
-        planes.  Returns immediately when parked overflow messages are
-        already deliverable.  Waking is best-effort — a spurious return
-        just costs one serve-loop iteration.
+        planes.  Waking is best-effort — a spurious return just costs
+        one serve-loop iteration.
         """
-        if self._overflow:
-            return True
         wait_on = list(extra)
         reader = getattr(self._queues[self._worker_id], "_reader", None)
         if reader is not None:
@@ -244,7 +235,7 @@ class ProcessTransport:
         except OSError:
             return True
 
-    def poll(self, worker_id: int, now: float = float("inf"), limit: int = 0) -> List[Message]:
+    def poll(self, worker_id: int, now: float = float("inf")) -> List[Message]:
         """Drain this worker's inbox (non-blocking); flushes first."""
         if worker_id != self._worker_id:
             raise ValueError(
@@ -253,26 +244,13 @@ class ProcessTransport:
             )
         self.flush_outgoing()
         out: List[Message] = []
-        overflow = self._overflow
-        while overflow and (not limit or len(out) < limit):
-            out.append(overflow.popleft())
         inbox = self._queues[self._worker_id]
-        while not limit or len(out) < limit:
+        while True:
             try:
                 batch = inbox.get_nowait()
             except queue_mod.Empty:
                 break
-            decoded = wire.decode_batch(batch)
-            if limit:
-                # A decoded batch may overshoot ``limit`` (batches are
-                # sender-sized); park the excess for the next poll so
-                # the Transport.poll contract — never more than
-                # ``limit`` messages — holds here too.
-                room = limit - len(out)
-                out.extend(decoded[:room])
-                overflow.extend(decoded[room:])
-            else:
-                out.extend(decoded)
+            out.extend(wire.decode_batch(batch))
         self.received_count += len(out)
         return out
 

@@ -144,22 +144,18 @@ def register_service_app(
     builder: Callable[[Dict[str, Any]], Any],
     description: str = "",
     defaults: Optional[Dict[str, Any]] = None,
-    replace: bool = False,
 ) -> None:
     """Register a custom named app with the service registry.
 
     ``builder(params)`` must validate its params (raise
     :class:`~repro.core.errors.JobRejectedError` on bad input) and
     return a picklable zero-arg Comper factory.  ``defaults`` are the
-    param values :func:`cache_key` fills in for omitted keys.  Mirrors
-    :func:`repro.core.runtime.register_runtime`'s contract.
+    param values :func:`cache_key` fills in for omitted keys.
     """
     if not name or not isinstance(name, str):
         raise ValueError(f"app name must be a non-empty string, got {name!r}")
-    if name in _APP_BUILDERS and not replace:
-        raise ValueError(
-            f"app {name!r} is already registered; pass replace=True to override"
-        )
+    if name in _APP_BUILDERS:
+        raise ValueError(f"app {name!r} is already registered")
     _APP_BUILDERS[name] = (builder, description, dict(defaults or {}))
 
 

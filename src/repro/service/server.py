@@ -69,7 +69,7 @@ from ..core.errors import (
     ServiceError,
     WireDecodeError,
 )
-from ..core.runtime import get_runtime
+from ..core.job import get_runtime
 from ..core.session import (
     JOB_CANCELLED,
     JOB_DONE,

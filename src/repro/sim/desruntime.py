@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from ..core.config import GThinkerConfig
+from ..core.config import DiskModel, GThinkerConfig
 from ..core.errors import GThinkerError
 from ..core.job import GraphSource, JobResult, _teardown, build_cluster
 from ..core.metrics import MetricsAccessors
@@ -226,7 +226,7 @@ class SimulatedRuntime:
         self.cluster = cluster
         cfg = cluster.config
         self.cpu_speed = cfg.machine.cpu_speed
-        disk = cfg.disk
+        disk = DiskModel()
 
         self._comm_entities = {}
         self._comper_entities = {}
@@ -271,17 +271,16 @@ def run_simulated_job(
     app_factory: Callable,
     graph: GraphSource,
     config: Optional[GThinkerConfig] = None,
-    runtime: Optional[SimulatedRuntime] = None,
 ) -> SimJobResult:
     """Run a G-thinker job on the simulated cluster.
 
     Same contract as :func:`repro.core.job.run_job` but time is virtual:
     ``num_workers`` machines with ``compers_per_worker`` cores each,
-    connected by ``config.network`` and backed by ``config.disk``.
+    connected by ``config.network`` and backed by a :class:`DiskModel`.
     """
     config = config or GThinkerConfig()
     cluster = build_cluster(app_factory, graph, config, timed_transport=True)
-    sim = runtime or SimulatedRuntime()
+    sim = SimulatedRuntime()
     # Virtual durations come from measured step walls; collect garbage
     # first so a previous job's heap doesn't tax this one's measurements.
     gc.collect()

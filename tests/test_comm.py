@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.api import Comper, Task, VertexView
+from repro.core.comm import RESPONSE_CHUNK
 from repro.core.config import GThinkerConfig
 from repro.core.job import build_cluster
 from repro.graph import Graph, hash_partition
@@ -17,8 +18,8 @@ class Quiet(Comper):
         return False
 
 
-def make_cluster(num_workers=2, **overrides):
-    g = Graph.from_edges([(i, i + 1) for i in range(30)])
+def make_cluster(num_workers=2, path_length=30, **overrides):
+    g = Graph.from_edges([(i, i + 1) for i in range(path_length)])
     cfg = GThinkerConfig(num_workers=num_workers, compers_per_worker=1,
                          task_batch_size=4, cache_capacity=64, cache_buckets=8,
                          **overrides)
@@ -78,14 +79,14 @@ def test_request_served_from_local_table():
 
 
 def test_response_chunking():
-    (cluster, g) = make_cluster(response_chunk=4)
+    (cluster, g) = make_cluster(path_length=2 * RESPONSE_CHUNK + 200)
     w0, w1 = cluster.workers
     owned = [v for v in g.vertices() if w1.owns_vertex(v)]
-    assert len(owned) > 4
+    assert len(owned) > RESPONSE_CHUNK
     cluster.transport.send(RequestBatch(src=0, dst=1, vertex_ids=owned))
     w1.comm.step()
     responses = cluster.transport.poll(0)
-    assert len(responses) >= 2
+    assert [len(r.ids) for r in responses] == [RESPONSE_CHUNK, len(owned) - RESPONSE_CHUNK]
     assert sum(len(r.ids) for r in responses) == len(owned)
     served = [vid for r in responses for (vid, _l, _a) in r.iter_rows()]
     assert served == owned

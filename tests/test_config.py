@@ -1,5 +1,8 @@
 """Tests for configuration and models."""
 
+import dataclasses
+import re
+
 import pytest
 
 from repro.core.config import (
@@ -39,10 +42,9 @@ def test_with_updates_returns_copy():
     ("cache_buckets", 0),
     ("decompose_threshold", 1),
     ("max_worker_restarts", -1),
-    ("worker_restart_backoff_s", -0.1),
     ("control_reply_timeout_s", 0.0),
     ("sync_every_rounds", 0),
-    ("steal_batches", 0),
+    ("steal_batches", -1),
     ("cache_count_delta", 0),
     ("aggregator_sync_period_s", 0.0),
     ("pending_threshold", -1),
@@ -59,17 +61,36 @@ def test_invalid_values_rejected(field, value):
     ("process_start_method", "spawn"),
     ("ipc_batch_max_messages", 8),
     ("checkpoint_dir", "/tmp/ck"),
+    ("disk", DiskModel()),
+    ("steal_enabled", False),
+    ("idle_sleep_s", 0.001),
+    ("idle_backoff_max_s", 0.05),
+    ("response_chunk", 16),
+    ("worker_restart_backoff_s", 0.0),
 ])
 def test_removed_fields_rejected(field, value):
     # Nothing set the first two and nothing read the third: node processes
     # start with fork where available, the transports batch a fixed
     # number of messages, and the CLI names its checkpoint file itself.
+    # Nothing set `disk` (the simulator uses the DiskModel default),
+    # `steal_batches=0` is what `steal_enabled=False` was, and only tests
+    # set the idle backoff, the response chunk and the restart backoff,
+    # now constants (config.IDLE_SLEEP_S / IDLE_BACKOFF_MAX_S,
+    # comm.RESPONSE_CHUNK, controlplane.RESTART_BACKOFF_S).
     with pytest.raises(TypeError):
         GThinkerConfig(**{field: value})
 
 
 def test_steal_batches_unchecked_when_stealing_disabled():
-    GThinkerConfig(steal_enabled=False, steal_batches=0)  # does not raise
+    GThinkerConfig(steal_batches=0)  # 0 = no stealing; does not raise
+
+
+def test_docstring_attributes_name_every_field():
+    doc = GThinkerConfig.__doc__.split("Attributes\n    ----------\n", 1)[1]
+    names = set()
+    for entry in re.findall(r"^    (\w[\w /]*):$", doc, re.M):
+        names.update(n.strip() for n in entry.split("/"))
+    assert names == {f.name for f in dataclasses.fields(GThinkerConfig)}
 
 
 def test_pending_threshold_zero_allowed():

@@ -5,7 +5,8 @@ test, also with protocol checking on — the ``runtime='checked'``
 configuration), wake-on-first-message in ``_wait_for_wake``, the
 master's endpoint layer (``_recv`` / ``_drain_events``) over both a
 pipe and a ``ControlChannel``, steal-plan memoization, prompt
-completion under a long sync period, and the control-plane timers.
+completion under a long sync period, the control-plane timers, and the
+requests ``prepare_job`` rejects before any node starts.
 """
 
 import queue
@@ -21,8 +22,9 @@ from hypothesis import strategies as st
 
 from repro.algorithms import count_triangles
 from repro.apps import TriangleCountComper
-from repro.core import GThinkerConfig, run_job
+from repro.core import GThinkerConfig, get_runtime, run_job
 from repro.core.api import Task
+from repro.core.checkpoint import JobCheckpoint
 from repro.core.containers import deserialize_tasks
 from repro.core.controlplane import (
     ControlPlaneMaster,
@@ -30,8 +32,9 @@ from repro.core.controlplane import (
     NodeSession,
     NodeStatus,
 )
-from repro.core.errors import WorkerProcessError
+from repro.core.errors import CheckpointError, GThinkerError, WorkerProcessError
 from repro.core.metrics import MetricsRegistry
+from repro.core.runtime import JobRequest
 from repro.core.worker import Worker
 from repro.graph import erdos_renyi
 from repro.net.transport import ProcessTransport
@@ -163,7 +166,7 @@ class _RecordingMaster(ControlPlaneMaster):
     def _send(self, node_id, cmd):
         self.sent.append((node_id, cmd))
 
-    def _recv(self, node_id, timeout=None):
+    def _recv(self, node_id):
         return self._replies(self.sent[-1][1])
 
     def _drain_events(self, timeout):
@@ -298,3 +301,44 @@ def test_master_timers_reported_on_process(graph):
     assert stats.control_idle_s >= 0.0
     assert "time:master_sweep_s" in res.metrics
     assert "time:control_idle_s" in res.metrics
+
+
+# -- prepare_job: requests a node set cannot run -----------------------------
+
+
+@pytest.fixture(scope="module")
+def two_worker_checkpoint(tmp_path_factory, graph):
+    path = tmp_path_factory.mktemp("ckpt") / "job.ckpt"
+    with pytest.raises(Exception):
+        run_job(TriangleCountComper, graph,
+                cfg(checkpoint_every_syncs=1, sync_every_rounds=2),
+                runtime="serial", checkpoint_path=str(path),
+                abort_after_rounds=4)
+    return JobCheckpoint.load(str(path))
+
+
+@pytest.mark.parametrize("runtime", ["process", "cluster"])
+def test_prepare_job_rejects_an_unpicklable_factory(runtime, graph):
+    request = JobRequest(app_factory=lambda: TriangleCountComper(),
+                         graph=graph, config=cfg())
+    with pytest.raises(GThinkerError, match="picklable app_factory"):
+        get_runtime(runtime).factory().execute(request)
+
+
+@pytest.mark.parametrize("runtime", ["process", "cluster"])
+def test_prepare_job_rejects_a_checkpoint_of_another_worker_count(
+        runtime, graph, two_worker_checkpoint):
+    assert two_worker_checkpoint.num_workers == 2
+    request = JobRequest(app_factory=TriangleCountComper, graph=graph,
+                         config=cfg(num_workers=3),
+                         checkpoint=two_worker_checkpoint)
+    with pytest.raises(CheckpointError, match="2 workers, job has 3"):
+        get_runtime(runtime).factory().execute(request)
+
+
+@pytest.mark.parametrize("runtime", ["process", "cluster"])
+def test_prepare_job_rejects_a_dict_graph(runtime):
+    request = JobRequest(app_factory=TriangleCountComper,
+                         graph={0: [1], 1: [0]}, config=cfg())
+    with pytest.raises(TypeError, match="unsupported graph source"):
+        get_runtime(runtime).factory().execute(request)

@@ -66,11 +66,6 @@ def test_rmat_shape():
     assert 0 < g.num_edges <= 4 * 256
 
 
-def test_rmat_rejects_bad_params():
-    with pytest.raises(ValueError):
-        rmat(scale=5, a=0.6, b=0.3, c=0.2)
-
-
 def test_rmat_skew():
     g = rmat(scale=9, edge_factor=8, seed=4)
     # R-MAT degree distributions are strongly skewed.

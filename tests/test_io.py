@@ -47,7 +47,9 @@ def test_adjacency_file_preserves_labels(tmp_path):
 
 def test_edge_list_roundtrip(tmp_path, er_graph):
     path = tmp_path / "g.txt"
-    write_edge_list(er_graph, path, comments="test graph\nsecond line")
+    write_edge_list(er_graph, path)
+    # SNAP files open with '#' comment rows; the reader skips them.
+    path.write_text("# test graph\n# second line\n" + path.read_text())
     back = read_edge_list(path)
     # Isolated vertices are not representable in an edge list.
     connected = er_graph.induced_subgraph(

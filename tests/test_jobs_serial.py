@@ -128,8 +128,8 @@ class TestMaxClique:
         res = run_job(MaxCliqueComper, g, cfg())
         assert res.aggregate == (3, 7)
 
-    def test_explicit_tau_overrides_config(self, er_graph):
-        res = run_job(lambda: MaxCliqueComper(tau=3), er_graph, cfg())
+    def test_small_tau_still_finds_max_clique(self, er_graph):
+        res = run_job(MaxCliqueComper, er_graph, cfg(decompose_threshold=3))
         assert len(res.aggregate) == len(max_clique_reference(er_graph))
 
 

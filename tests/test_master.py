@@ -117,7 +117,7 @@ class TestStealing:
 
     def test_steal_disabled(self, graph):
         cluster = build_cluster(OneTaskPerVertex, graph,
-                                cfg(steal_enabled=False))
+                                cfg(steal_batches=0))
         w0 = cluster.workers[0]
         w0.set_spawn_cursor(w0.num_local_vertices)
         cluster.master.sync()

@@ -35,7 +35,6 @@ def cfg(**kw):
         num_workers=2, compers_per_worker=2, task_batch_size=4,
         cache_capacity=256, cache_buckets=16, decompose_threshold=16,
         aggregator_sync_period_s=0.005,
-        worker_restart_backoff_s=0.0,       # fast tests
         control_reply_timeout_s=30.0,
     )
     base.update(kw)

@@ -1,5 +1,5 @@
 """Pull-path regressions: lock-acquisition counts, message counts, and
-the adaptive scheduling knobs (idle backoff).
+the pull-path constants (response chunk, idle backoff).
 
 The metrics-backed guarantees of the batched pull path: the bulk pull
 path (the only engine path) must do the *same work* as
@@ -9,11 +9,11 @@ acquisitions, and request/serve dedup must put strictly fewer messages
 on the wire.
 """
 
-import pytest
-
 from repro.algorithms import count_triangles
 from repro.apps import TriangleCountComper
 from repro.core import GThinkerConfig, run_job
+from repro.core.comm import RESPONSE_CHUNK
+from repro.core.config import IDLE_BACKOFF_MAX_S, IDLE_SLEEP_S
 from repro.core.job import build_cluster
 from repro.graph import erdos_renyi
 from repro.net import RequestBatch
@@ -72,16 +72,17 @@ def test_serve_dedup_sends_fewer_response_messages():
     """A duplicate-heavy request batch is answered once per unique id,
     so chunked serving emits fewer ResponseBatch messages than the
     per-vertex baseline (one answer per requested id) would."""
-    g = erdos_renyi(40, 0.2, seed=5)
-    cluster = build_cluster(TriangleCountComper, g, cfg(response_chunk=2))
+    g = erdos_renyi(2 * RESPONSE_CHUNK + 400, 0.001, seed=5)
+    cluster = build_cluster(TriangleCountComper, g, cfg())
     w1 = cluster.workers[1]
-    owned = [v for v in g.vertices() if w1.owns_vertex(v)][:3]
-    requested = owned * 4  # 12 ids, 3 unique
+    owned = [v for v in g.vertices() if w1.owns_vertex(v)][:RESPONSE_CHUNK + 1]
+    assert len(owned) == RESPONSE_CHUNK + 1
+    requested = owned * 2  # 2 * (chunk + 1) ids, chunk + 1 unique
     cluster.transport.send(RequestBatch(src=0, dst=1, vertex_ids=requested))
     w1.comm.step()
     responses = cluster.transport.poll(0)
-    baseline_msgs = -(-len(requested) // 2)  # ceil(12/2) without dedup
-    assert len(responses) == 2 < baseline_msgs  # ceil(3/2)
+    baseline_msgs = -(-len(requested) // RESPONSE_CHUNK)  # 3 without dedup
+    assert len(responses) == 2 < baseline_msgs
     served = [v for r in responses for (v, _l, _a) in r.iter_rows()]
     assert served == owned
     assert cluster.metrics.get("comm:requests_served") == len(owned)
@@ -122,25 +123,9 @@ def test_serial_pulls_travel_in_batches():
     assert res.metrics.get("net:messages") <= pulls / 8
 
 
-# -- config knobs -------------------------------------------------------------
-
-
-def test_idle_sleep_must_be_positive():
-    with pytest.raises(ValueError, match="idle_sleep_s"):
-        cfg(idle_sleep_s=0.0)
-
-
-def test_backoff_max_must_cover_idle_sleep():
-    with pytest.raises(ValueError, match="idle_backoff_max_s"):
-        cfg(idle_sleep_s=0.01, idle_backoff_max_s=0.001)
-
-
-def test_response_chunk_must_be_positive():
-    with pytest.raises(ValueError, match="response_chunk"):
-        cfg(response_chunk=0)
+# -- constants ----------------------------------------------------------------
 
 
 def test_pull_path_defaults():
-    c = cfg()
-    assert c.response_chunk == 4096
-    assert c.idle_backoff_max_s >= c.idle_sleep_s > 0
+    assert RESPONSE_CHUNK == 4096
+    assert IDLE_BACKOFF_MAX_S >= IDLE_SLEEP_S > 0

@@ -1,5 +1,5 @@
-"""The pluggable runtime registry: resolution, capabilities, uniform
-errors, custom registration, and spill-dir lifecycle."""
+"""The runtime table: resolution, capabilities, uniform errors, and
+spill-dir lifecycle."""
 
 import socket
 import tempfile
@@ -13,13 +13,9 @@ from repro.core import (
     UnsupportedRuntimeFeature,
     available_runtimes,
     capability_matrix,
-    get_runtime,
-    register_runtime,
     resume_job,
     run_job,
-    unregister_runtime,
 )
-from repro.core.runtime import RuntimeCapabilities
 from repro.apps import TriangleCountComper
 from repro.algorithms import count_triangles
 from repro.graph import erdos_renyi
@@ -145,39 +141,6 @@ def test_resume_works_on_threaded_and_checked(tmp_path, graph):
         result = resume_job(TriangleCountComper, graph, str(ckpt), cfg(),
                             runtime=runtime)
         assert result.aggregate == expected, runtime
-
-
-# -- custom registration --------------------------------------------------
-
-
-class _RecordingExecutor:
-    """A toy runtime: delegates to serial, tags the result."""
-
-    calls = []
-
-    def execute(self, request):
-        self.calls.append(request.config.num_workers)
-        return get_runtime("serial").factory().execute(request)
-
-
-def test_custom_runtime_registration(graph):
-    register_runtime("recording", _RecordingExecutor,
-                     RuntimeCapabilities(resume=True))
-    try:
-        result = run_job(TriangleCountComper, graph, cfg(),
-                         runtime="recording")
-        assert result.aggregate == count_triangles(graph)
-        assert _RecordingExecutor.calls == [2]
-    finally:
-        unregister_runtime("recording")
-        _RecordingExecutor.calls.clear()
-    with pytest.raises(UnknownRuntimeError):
-        run_job(TriangleCountComper, graph, cfg(), runtime="recording")
-
-
-def test_duplicate_registration_rejected():
-    with pytest.raises(ValueError, match="already registered"):
-        register_runtime("serial", _RecordingExecutor)
 
 
 # -- spill-dir lifecycle --------------------------------------------------

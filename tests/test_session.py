@@ -26,7 +26,7 @@ from repro.core import resume_job
 from repro.core.api import Comper, SumAggregator, Task
 from repro.core.errors import JobAbortedError, JobCancelledError
 from repro.core.job import resolve_resume
-from repro.core.runtime import get_runtime
+from repro.core import get_runtime
 from repro.core.session import JOB_CANCELLED, JOB_DONE, JOB_RUNNING, LocalJobHandle
 from repro.graph import erdos_renyi
 
