@@ -11,14 +11,14 @@ Two roles in the reproduction:
 * :func:`enumerate_maximal_cliques` (Bron–Kerbosch with pivoting) and
   :func:`max_clique_reference` are independent oracles used by tests.
 
-All functions operate on plain ``{v: sorted tuple}`` adjacency mappings
-so tasks can call them on locally materialized subgraphs without
-round-tripping through :class:`repro.graph.Graph`.
+All functions take a :class:`repro.graph.Graph` or a plain ``{v: sorted
+row}`` adjacency mapping, so tasks can call them on the rows they pulled
+without round-tripping through a graph object.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -36,10 +36,47 @@ __all__ = [
 AdjMap = Mapping[int, Sequence[int]]
 
 
-def _as_adj(g) -> Dict[int, Tuple[int, ...]]:
-    if isinstance(g, Graph):
-        return g.adjacency()
-    return {v: tuple(a) for v, a in g.items()}
+def _scoped_edges(g: AdjMap) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(ids, lo, hi)`` of a ``{id: sorted row}`` mapping.
+
+    ``ids`` are the row ids in mapping order; ``lo[i] < hi[i]`` are the
+    positions in ``ids`` of the ends of the i-th undirected edge, each
+    edge once.  An adjacency item that names a row is an edge whichever
+    of its two rows lists it, so full and ``Γ_>``-trimmed rows give the
+    same edges.  Items naming no row (ids two hops out) and self-loops
+    are dropped.  One vectorised pass over the concatenated rows: a
+    membership test against the sorted ids, one ``searchsorted`` of the
+    items that name a row, one sort to drop repeats.
+    """
+    n = len(g)
+    ids = np.fromiter(g, dtype=np.int64, count=n)
+    rows = list(g.values())
+    lens = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+    flat = kernels.flatten_rows(rows)
+    order = ids.argsort(kind="stable")
+    sorted_ids = ids[order]
+    named = kernels.in_sorted(flat, sorted_ids)
+    src = np.arange(n).repeat(lens)[named]
+    dst = order[sorted_ids.searchsorted(flat[named])]
+    lo = np.minimum(src, dst)
+    keys = lo * n + (src + dst - lo)  # (lo, hi) with hi the larger end
+    keys.sort()
+    keys = np.concatenate((keys[:1], keys[1:][keys[1:] != keys[:-1]]))
+    lo, hi = np.divmod(keys, n)
+    keep = lo != hi
+    return ids, lo[keep], hi[keep]
+
+
+_ONE = np.uint64(1)
+
+
+def _mask_words(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """Row masks of ``n <= 128`` positions as two uint64 words per row:
+    ``words[:n]`` holds bits 0-63, ``words[n:]`` bits 64-127."""
+    words = np.zeros(2 * n, dtype=np.uint64)
+    np.bitwise_or.at(words, (dst >> 6) * n + src,
+                     _ONE << (dst & 63).astype(np.uint64))
+    return words
 
 
 def _color_positions(order: np.ndarray, rows: Sequence[np.ndarray],
@@ -162,7 +199,10 @@ def max_clique(g, lower_bound: int = 0) -> Tuple[int, ...]:
     ----------
     g:
         A :class:`~repro.graph.Graph` or a ``{v: sorted adjacency}``
-        mapping.
+        mapping (int64 arrays or int sequences).  Rows may be full or
+        ``Γ_>``-trimmed and may name ids that have no row of their own:
+        the search runs on the undirected graph induced by the mapping's
+        ids, symmetrised here.
     lower_bound:
         A clique size already known to exist *elsewhere* (the paper's
         :math:`\\Delta = |S_{max}| - |t.S|` pruning seed).  The search
@@ -174,50 +214,40 @@ def max_clique(g, lower_bound: int = 0) -> Tuple[int, ...]:
     The vertex tuple of the best clique found that beats ``lower_bound``,
     or ``()`` if the bound cannot be beaten.
     """
-    adj = _as_adj(g)
-    if not adj:
+    if isinstance(g, Graph):
+        g = {v: g.neighbors_array(v) for v in g.vertices()}
+    if not g:
         return ()
-    best: List[int] = []
-    best_size = max(lower_bound, 0)
+    ids, lo, hi = _scoped_edges(g)
+    n = ids.size
+    floor = max(lower_bound, 0)
 
     # Order candidates by degeneracy-ish heuristic: ascending degree for
     # the outer loop gives small candidate sets early (cheap) and leaves
     # the dense core for last, when the incumbent already prunes hard.
-    # Vertices are then remapped to dense positions in that order so the
-    # whole search runs on sorted int64 position arrays and the candidate
-    # narrowing is a vectorized kernel intersection.
-    order = sorted(adj, key=lambda v: len(adj[v]))
-    n = len(order)
-    pos = {v: i for i, v in enumerate(order)}
-
+    # Vertices are then remapped to dense positions in that order, so a
+    # candidate set is a bitmask (or a sorted position array) and the
+    # narrowing is one ``&`` (or one kernel intersection).
+    degrees = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
+    order = degrees.argsort(kind="stable")  # ties keep mapping order
+    rank = order.argsort()
+    lo, hi = rank[lo], rank[hi]
+    src, dst = np.concatenate((lo, hi)), np.concatenate((hi, lo))
     if n <= _BITSET_MAX:
-        masks = [0] * n
-        for i, v in enumerate(order):
-            m = 0
-            for u in adj[v]:
-                j = pos.get(u)
-                if j is not None:
-                    m |= 1 << j
-            masks[i] = m
-        best = _max_clique_bitset(masks, n, best_size)
-        if len(best) > max(lower_bound, 0) or (lower_bound <= 0 and best):
-            return tuple(sorted(int(order[p]) for p in best))
-        return ()
-
-    rows: List[np.ndarray] = [
-        np.sort(np.fromiter((pos[u] for u in adj[v] if u in pos),
-                            dtype=np.int64))
-        for v in order
-    ]
-    full_degs = np.fromiter((len(adj[v]) for v in order), dtype=np.int64,
-                            count=n)
-    color_scratch = np.full(n, -1, dtype=np.int64)
-    incumbent = [best_size, best]
-    _array_expand((rows, full_degs, color_scratch), [],
-                  np.arange(n, dtype=np.int64), incumbent)
-    best_size, best = incumbent
-    if best_size > max(lower_bound, 0) or (lower_bound <= 0 and best):
-        return tuple(sorted(int(order[p]) for p in best))
+        words = _mask_words(src, dst, n)
+        low, high = words[:n].tolist(), words[n:].tolist()
+        masks = low if n <= 64 else [a | b << 64 for a, b in zip(low, high)]
+        best = _max_clique_bitset(masks, n, floor)
+    else:
+        pairs = np.sort(src * n + dst)
+        degrees = degrees[order]
+        rows = np.split(pairs % n, np.cumsum(degrees)[:-1])
+        incumbent = [floor, []]
+        _array_expand((rows, degrees, np.full(n, -1, dtype=np.int64)),
+                      [], np.arange(n, dtype=np.int64), incumbent)
+        best = incumbent[1]
+    if len(best) > floor or (lower_bound <= 0 and best):
+        return tuple(sorted(ids[order[best]].tolist()))
     return ()
 
 
@@ -243,7 +273,8 @@ def enumerate_maximal_cliques(g) -> Iterator[Tuple[int, ...]]:
     path.  Iterative-friendly recursion depth: bounded by the graph's
     degeneracy, fine for our test sizes.
     """
-    adj = {v: set(a) for v, a in _as_adj(g).items()}
+    rows = g.adjacency() if isinstance(g, Graph) else g
+    adj = {v: set(a) for v, a in rows.items()}
     yield from bron_kerbosch(adj, set(), set(adj), set())
 
 

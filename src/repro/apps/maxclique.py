@@ -7,8 +7,9 @@ the clique, and the task's subgraph ``t.g`` is induced by
 * ``task_spawn(v)`` prunes against the aggregator's current best
   (``|S_max| >= 1 + |Γ_>(v)|``), then creates the top-level task
   ``<{v}, Γ_>(v)>`` and pulls every candidate.
-* ``compute`` first materializes ``t.g`` (top-level tasks only), then
-  either *decomposes* — when ``|V(t.g)| > τ`` it creates one child task
+* ``compute`` takes ``t.g`` as the pulled rows themselves (top-level
+  tasks) or as the subgraph its parent built (children), then either
+  *decomposes* — when ``|V(t.g)| > τ`` it creates one child task
   ``<S ∪ u, Γ_>(S ∪ u)>`` per candidate ``u``, pruning children that
   cannot beat ``S_max`` — or *mines serially* with branch-and-bound
   seeded at ``Δ = |S_max| - |t.S|``.
@@ -19,10 +20,13 @@ after each periodic sync, so pruning tightens globally as the job runs.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..algorithms.cliques import max_clique
 from ..core.api import Comper, MaxAggregator, Task, VertexView
+from ..graph import kernels
 from .common import GtTrimmer
 
 __all__ = ["MaxCliqueComper"]
@@ -84,51 +88,44 @@ class MaxCliqueComper(Comper):
 
     def compute(self, task: Task, frontier: Sequence[VertexView]) -> bool:
         s: Tuple[int, ...] = task.context
-        if len(s) == 1 and task.g.num_vertices == 0 and frontier:
-            self._build_top_level_subgraph(task, frontier)
-        if task.g.num_vertices > self.config.decompose_threshold:
-            self._decompose(task, s)
+        # Fig. 5 line 2: a top-level task's t.g is induced by Γ_>(v), and
+        # its pulled rows are that subgraph as they stand (the kernel
+        # drops ids two hops out and symmetrises the Γ_>-trimmed rows).
+        # A child's t.g was built by its parent's decomposition.
+        if frontier:
+            adj = {view.id: view.adj for view in frontier}
         else:
-            self._mine_serially(task, s)
+            adj = task.g.adjacency()
+        if len(adj) > self.config.decompose_threshold:
+            self._decompose(adj, s)
+        else:
+            self._mine_serially(adj, s)
         return False  # MCF tasks finish in one compute round (Fig. 5)
 
     # -- helpers ------------------------------------------------------------
 
-    def _build_top_level_subgraph(self, task: Task, frontier: Sequence[VertexView]) -> None:
-        """Fig. 5 line 2: t.g := subgraph induced by Γ_>(v).
-
-        Adjacency items outside Γ_>(v) are 2 hops from v and filtered.
-        """
-        candidates = frozenset(view.id for view in frontier)
-        for view in frontier:
-            task.g.add_vertex(view.id, view.adj, label=view.label, keep_only=candidates)
-        # Pulled rows are Γ_>-trimmed (upward edges only); the serial
-        # miner and the decomposition need undirected adjacency.
-        task.g.symmetrize()
-
-    def _decompose(self, task: Task, s: Tuple[int, ...]) -> None:
+    def _decompose(self, adj: Mapping[int, Sequence[int]], s: Tuple[int, ...]) -> None:
         """Fig. 5 lines 4-9: one child <S ∪ u, Γ_>(S ∪ u)> per candidate."""
         best = _best_size(self.aggregator_value)
-        g = task.g
-        for u in sorted(g.vertices()):
+        ids = np.fromiter(sorted(adj), dtype=np.int64, count=len(adj))
+        for u in ids.tolist():
             # Candidates of the child: u's neighbors in t.g with larger
             # ids (t.g's vertices are already common neighbors of S).
-            child_vertices = [w for w in g.neighbors(u) if w > u]
-            if len(s) + 1 + len(child_vertices) <= best:
+            kids = kernels.intersect(kernels.suffix_gt(adj[u], u), ids)
+            if len(s) + 1 + kids.size <= best:
                 continue  # Fig. 5 line 9: child cannot beat S_max
             child = Task(context=tuple(sorted(s + (u,))))
-            keep = frozenset(child_vertices)
-            for w in child_vertices:
-                child.g.add_vertex(w, g.neighbors(w), keep_only=keep)
+            for w in kids.tolist():
+                child.g.add_vertex(w, kernels.intersect(adj[w], kids))
             self.add_task(child)
 
-    def _mine_serially(self, task: Task, s: Tuple[int, ...]) -> None:
+    def _mine_serially(self, adj: Mapping[int, Sequence[int]], s: Tuple[int, ...]) -> None:
         """Fig. 5 lines 10-14: branch-and-bound on the small subgraph."""
         best = _best_size(self.aggregator_value)
-        if len(s) + task.g.num_vertices <= best:
+        if len(s) + len(adj) <= best:
             return  # line 11
         delta = max(0, best - len(s))
-        found = max_clique(task.g.adjacency(), lower_bound=delta)
+        found = max_clique(adj, lower_bound=delta)
         candidate = tuple(sorted(set(s) | set(found)))
         if len(candidate) > best:
             self.aggregate(candidate)  # line 13: S_max := t.S ∪ S'_max

@@ -351,7 +351,9 @@ def fig2_crossover(
     """Measure the Fig. 2 claim: constructing ``g`` costs O(|g|) IO while
     mining ``g`` costs superlinear CPU, so past a modest |g| the CPU side
     dominates and IO can hide under computation.  Graphs are
-    ``erdos_renyi(n, 0.4)``; IO goes over the default GigE model."""
+    ``erdos_renyi(n, 0.4)``; IO goes over the default GigE model.  The
+    CPU side is the best of three runs, so a process's first numpy call
+    (one-time warm-up, not mining) is not charged to the first size."""
     network = NetworkModel()
     headers = ["|g| (vertices)", "IO cost (transfer g)", "CPU cost (mine g)", "CPU/IO"]
     rows = []
@@ -359,9 +361,12 @@ def fig2_crossover(
         g = erdos_renyi(n, 0.4, seed=n)
         io_bytes = g.memory_estimate_bytes()
         io_s = network.transfer_time(io_bytes)
-        t0 = time.perf_counter()
-        max_clique(g.adjacency())
-        cpu_s = time.perf_counter() - t0
+        adj = g.adjacency()
+        cpu_s = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            max_clique(adj)
+            cpu_s = min(cpu_s, time.perf_counter() - t0)
         rows.append([
             n, format_seconds(io_s), format_seconds(cpu_s), f"{cpu_s / io_s:.2f}",
         ])

@@ -160,17 +160,19 @@ class CheckedVertexCache(VertexCache):
     def request_batch(self, vertices, task_id: int) -> BatchRequestOutcome:
         with self._check_lock:
             hits = 0
+            entries = {}
             duplicates = 0
             to_send = []
             for v in vertices:
                 outcome = self.request(v, task_id)
                 if outcome.status == RequestOutcome.HIT:
                     hits += 1
+                    entries[v] = outcome.entry
                 elif outcome.status == RequestOutcome.MISS_SEND:
                     to_send.append(v)
                 else:
                     duplicates += 1
-            return BatchRequestOutcome(hits, to_send, duplicates)
+            return BatchRequestOutcome(hits, entries, to_send, duplicates)
 
     def insert_responses(self, rows):
         with self._check_lock:

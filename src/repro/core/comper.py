@@ -8,8 +8,8 @@ Every round a comper:
   under the ``D`` threshold), refills ``Q_task`` when ``|Q| <= C``
   (spilled files first, then fresh spawns) and starts the next task:
   its pulls are resolved against the local table and the vertex cache,
-  and the task either computes inline (everything available locally) or
-  parks in ``T_task`` until its responses arrive.
+  and the task either computes inline (everything local or a cache hit)
+  or parks in ``T_task`` until its responses arrive.
 
 Deviation from the paper noted in DESIGN.md: our push() computes a ready
 task until it either finishes or needs to wait again, instead of exactly
@@ -19,7 +19,7 @@ independent so only intra-comper interleaving differs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .api import Comper, Task, VertexView
 from .containers import (
@@ -30,6 +30,7 @@ from .containers import (
     make_task_id,
 )
 from .errors import TaskError
+from .vertex_cache import CachedVertex
 
 __all__ = ["ComperEngine"]
 
@@ -142,12 +143,16 @@ class ComperEngine:
     def _resolve_ready_frontier(self, task: Task) -> List[VertexView]:
         """Frontier of a task out of ``B_task``: its remote pulls from
         the cache (locked at park time), the rest from ``T_local``."""
-        pulls = task.pulls_in_flight
         get_locked = self.worker.cache.get_locked
-        views = {}
-        for v in task.remote_in_flight:
-            entry = get_locked(v, task.task_id)
-            views[v] = VertexView(entry.vid, entry.label, entry.adj)
+        return self._frontier(task.pulls_in_flight, {
+            v: get_locked(v, task.task_id).view for v in task.remote_in_flight
+        })
+
+    def _frontier(self, pulls: Sequence[int],
+                  views: Dict[int, VertexView]) -> List[VertexView]:
+        """The iteration's frontier in pull order: ``views`` of the
+        remote pulls (their locked cache entries), the rest from
+        ``T_local``."""
         if len(views) < len(pulls):
             local = [v for v in pulls if v not in views]
             views.update(zip(local, self.worker.local_views(local)))
@@ -204,26 +209,34 @@ class ComperEngine:
     ) -> Optional[List[VertexView]]:
         """Resolve the pulls of ``task``'s next iteration, once.
 
-        Splits them by table membership; if any are remote the task is
-        parked (push() continues it) and None is returned, otherwise
-        the all-local frontier.  The remote list is kept on the task
-        until the iteration's release, so no pull is classified twice.
+        Splits them by table membership and parks the task if any are
+        remote.  Returns the frontier when every pull is local or a
+        cache hit; otherwise the task waits (push() continues it) and
+        None is returned.  The remote list is kept on the task until the
+        iteration's release, so no pull is classified twice.
         """
         remote = self.worker.remote_of(pulls)
-        if remote:
-            task.remote_in_flight = remote
-            self._park(task, remote)
+        if not remote:
+            return self.worker.local_views(pulls)
+        task.remote_in_flight = remote
+        entries = self._park(task, remote)
+        if entries is None:
             return None
-        return self.worker.local_views(pulls)
+        return self._frontier(pulls, {v: e.view for v, e in entries.items()})
 
-    def _park(self, task: Task, remote: List[int]) -> None:
+    def _park(self, task: Task, remote: List[int]
+              ) -> Optional[Dict[int, CachedVertex]]:
         """Park ``task`` in ``T_task`` and request its remote pulls.
 
         Park-first protocol: the task enters ``T_task`` *before* the
         cache requests are issued, so a response racing in from another
-        thread always finds the pending entry.  Cache hits are
-        self-notified; when the last notification lands (ours or the
-        receiver's) the task moves to ``B_task``.
+        thread always finds the pending entry.  The cache hits count as
+        arrivals in one notification; when the last arrival lands (ours
+        or the receiver's) the task is ready.  A task whose every pull
+        hit has no response in flight, so nothing else can reach its
+        entry: it leaves ``T_task`` at once and the locked entries are
+        returned for the caller to compute on.  Otherwise the task moves
+        to ``B_task`` when ready and None is returned.
         """
         if task.task_id == -1:
             task.task_id = make_task_id(self.global_id, self._seq)
@@ -234,19 +247,22 @@ class ComperEngine:
         # Bulk OP1: one bucket-lock acquisition per touched bucket, one
         # comm-lock acquisition for all first misses.
         batch = self.worker.cache.request_batch(remote, task.task_id)
-        for _ in range(batch.hits):
-            self._notify_self(task.task_id)
+        ready = (self.t_task.notify_arrival(task.task_id, batch.hits)
+                 if batch.hits else None)
         if batch.to_send:
             self.worker.comm.queue_requests(batch.to_send)
         # duplicates: the in-flight responses will notify us.
-
-    def _notify_self(self, task_id: int) -> None:
-        """Self-notification for a cache HIT during park (one per hit)."""
-        ready = self.t_task.notify_arrival(task_id)
-        if ready is not None:
-            if self.checker is not None:
-                self.checker.on_ready(ready)
-            self.b_task.put(ready)
+        if ready is None:
+            return None
+        if self.checker is not None:
+            self.checker.on_ready(task)
+        if batch.hits < len(remote):
+            # Every duplicate's response landed before the hits counted.
+            self.b_task.put(task)
+            return None
+        if self.checker is not None:
+            self.checker.on_resumed(task, self.global_id)
+        return batch.entries
 
     # -- the compute loop -----------------------------------------------------
 

@@ -325,13 +325,15 @@ class PendingTable:
                 raise KeyError(f"duplicate pending task id {task_id:#x}")
             self._entries[task_id] = PendingEntry(task, req=req)
 
-    def notify_arrival(self, task_id: int) -> Optional[Task]:
-        """Increment ``met``; if ``met == req`` remove and return the task."""
+    def notify_arrival(self, task_id: int, count: int = 1) -> Optional[Task]:
+        """Add ``count`` arrivals to ``met`` (a parking comper counts all
+        its cache hits in one call); if ``met == req`` remove and return
+        the task."""
         with self._lock:
             entry = self._entries.get(task_id)
             if entry is None:
                 raise KeyError(f"arrival for unknown pending task {task_id:#x}")
-            entry.met += 1
+            entry.met += count
             if entry.met > entry.req:
                 raise ValueError(
                     f"task {task_id:#x} met {entry.met} > req {entry.req}"

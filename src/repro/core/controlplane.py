@@ -916,6 +916,10 @@ class ControlPlaneMaster:
         sweep_wait = IDLE_SLEEP_S
         self._pending_wake = False
         self._last_steal_key = None
+        # Both master timers are reported from the start, so a node set
+        # that drains before its first wait still reports idle 0.0.
+        self.metrics.add("time:master_sweep_s", 0.0)
+        self.metrics.add("time:control_idle_s", 0.0)
         while True:
             if self.abort is not None:
                 # The unwind reaches the executor's ``finally``, which

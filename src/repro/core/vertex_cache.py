@@ -47,6 +47,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from ..graph import kernels
+from .api import VertexView
 from .errors import CacheProtocolError
 from .metrics import MetricsRegistry
 
@@ -71,12 +72,17 @@ class CachedVertex:
     remote vertices materialized from a wire response, or a zero-copy
     view into the local ``SharedCSR`` partition when the runtime caches
     locally-owned rows.  Legacy tuple adjacency is still accepted.
+    ``view`` is the entry as the frontier element every hit hands out.
     """
 
     vid: int
     label: int
     adj: Union[np.ndarray, Sequence[int]]
     lock_count: int = 0
+    view: VertexView = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.view = VertexView(self.vid, self.label, self.adj)
 
     def memory_estimate_bytes(self) -> int:
         adj = self.adj
@@ -115,15 +121,18 @@ class BatchRequestOutcome:
 
     Equivalent to folding the per-vertex :class:`RequestOutcome` stream:
     ``hits`` counts HIT outcomes (each took one lock, exactly as the
-    per-vertex op would), ``to_send`` lists the MISS_SEND vertices in
-    batch order (the caller must queue a network request for each), and
+    per-vertex op would) and ``entries`` maps each hit vertex to its
+    locked entry, ``to_send`` lists the MISS_SEND vertices in batch
+    order (the caller must queue a network request for each), and
     ``duplicates`` counts suppressed MISS_DUPLICATE outcomes.
     """
 
-    __slots__ = ("hits", "to_send", "duplicates")
+    __slots__ = ("hits", "entries", "to_send", "duplicates")
 
-    def __init__(self, hits: int, to_send: List[int], duplicates: int) -> None:
+    def __init__(self, hits: int, entries: Dict[int, CachedVertex],
+                 to_send: List[int], duplicates: int) -> None:
         self.hits = hits
+        self.entries = entries
         self.to_send = to_send
         self.duplicates = duplicates
 
@@ -266,13 +275,14 @@ class VertexCache:
         Groups the vertices by bucket and takes each touched bucket's
         mutex once, applying the per-vertex OP1 state transitions in
         batch order inside it.  Observationally equivalent to calling
-        :meth:`request` per vertex; HIT entries are *not* returned
-        because the park-first protocol resolves them later through
-        :meth:`get_locked` (the lock is taken here, exactly as OP1 does).
+        :meth:`request` per vertex; the HIT entries come back locked (the
+        lock is taken here, exactly as OP1 does), so a task whose every
+        pull hit reads them without a :meth:`get_locked` round.
         """
         by_bucket: Dict[int, List[int]] = {}
         for v in vertices:
             by_bucket.setdefault(v % self._num_buckets, []).append(v)
+        entries: Dict[int, CachedVertex] = {}
         hits = 0
         duplicates = 0
         new_entries = 0
@@ -287,6 +297,7 @@ class VertexCache:
                         if entry.lock_count == 0:
                             b.zero.discard(v)
                         entry.lock_count += 1
+                        entries[v] = entry
                         hits += 1
                         continue
                     pending = b.requests.get(v)
@@ -312,7 +323,7 @@ class VertexCache:
             if v in send_set:
                 send_set.discard(v)
                 to_send.append(v)
-        return BatchRequestOutcome(hits, to_send, duplicates)
+        return BatchRequestOutcome(hits, entries, to_send, duplicates)
 
     # -- OP2: receiving thread inserts a response ------------------------------
 

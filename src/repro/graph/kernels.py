@@ -52,6 +52,7 @@ __all__ = [
     "IdArray",
     "as_ids_array",
     "flatten_rows",
+    "in_sorted",
     "intersect",
     "intersect_count",
     "intersect_count_many",
@@ -273,13 +274,24 @@ def _np_intersect_count_many(a: AdjLike, arrays: Iterable[AdjLike]) -> int:
         rows = [b for b in rows if len(b) < hub_size]
         for b in hubs:
             total += int(np.count_nonzero(_gallop_mask(a, as_ids_array(b))))
-    flat = flatten_rows(rows)
+    return total + int(np.count_nonzero(in_sorted(flatten_rows(rows), a)))
+
+
+def in_sorted(values: IdArray, a: IdArray) -> np.ndarray:
+    """Boolean mask over ``values``: which of them occur in ``a``
+    (sorted, duplicate-free, non-empty).
+
+    A bitmap over ``a``'s id range (:func:`_bitmap_mask`, O(1) per
+    value) when that range is at most ``_BITMAP_SLOTS_PER_ELEMENT``
+    slots per value, else a binary search (:func:`_gallop_mask`); the
+    choice reads only ``a[0]``, ``a[-1]`` and ``values.size``.
+    """
     first = int(a[0])
-    # a[-1] - a[0] + 1 <= slots * |flat|, on python ints (cannot overflow)
-    dense = int(a[-1]) - first < _BITMAP_SLOTS_PER_ELEMENT * flat.size
+    # a[-1] - a[0] + 1 <= slots * |values|, on python ints (cannot overflow)
+    dense = int(a[-1]) - first < _BITMAP_SLOTS_PER_ELEMENT * values.size
     if dense and first > _INT64_MIN:
-        return total + int(np.count_nonzero(_bitmap_mask(flat, a)))
-    return total + int(np.count_nonzero(_gallop_mask(flat, a)))
+        return _bitmap_mask(values, a)
+    return _gallop_mask(values, a)
 
 
 def _np_suffix_gt(adj: AdjLike, v: int) -> IdArray:

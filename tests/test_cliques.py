@@ -1,5 +1,6 @@
 """Tests for the serial clique miners against independent oracles."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +9,7 @@ from repro.algorithms import (
     max_clique,
     max_clique_reference,
 )
+from repro.algorithms.cliques import _BITSET_MAX
 from repro.graph import Graph, erdos_renyi, plant_clique, ring_of_cliques
 
 from tests.oracles import nx_of
@@ -100,3 +102,46 @@ def test_lower_bound_never_loses_better_answer(n, p, seed, bound):
         assert len(found) == true_size
     else:
         assert found == ()
+
+
+def _rows(g, form, stride):
+    """``g``'s adjacency as the kernel may receive it, ids scaled by
+    ``stride`` (a large stride makes the id span sparse): full rows,
+    Γ_>-trimmed rows, or full rows that also name ids with no row of
+    their own (below and above every real id, as a task's pulled rows
+    name vertices two hops out)."""
+    n = g.num_vertices
+    adj = {}
+    for v in g.vertices():
+        row = np.asarray(g.neighbors(v), dtype=np.int64)
+        if form == "trimmed":
+            row = row[row > v]
+        elif form == "out_of_scope":
+            row = np.union1d(row, [-1 - v, n + v])
+        adj[v * stride] = row * stride
+    return adj
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 70),
+                st.integers(_BITSET_MAX - 4, _BITSET_MAX + 20)),
+    p=st.floats(0.02, 0.4),
+    seed=st.integers(0, 1000),
+    form=st.sampled_from(["full", "trimmed", "out_of_scope"]),
+    stride=st.sampled_from([1, 10**9]),
+)
+def test_max_clique_on_any_row_form(n, p, seed, form, stride):
+    """The kernel symmetrises trimmed rows and drops ids that have no
+    row, on both sides of the bitmask/ndarray switch and for dense and
+    sparse id spans: it returns a clique of the oracle's size."""
+    if n > 70:
+        p = min(p, 0.15)  # keeps the Bron–Kerbosch oracle quick
+    g = erdos_renyi(n, p, seed=seed)
+    found = max_clique(_rows(g, form, stride))
+    assert len(found) == len(max_clique_reference(g))
+    assert all(v % stride == 0 for v in found)
+    members = [v // stride for v in found]
+    for i, u in enumerate(members):
+        for w in members[i + 1:]:
+            assert g.has_edge(u, w)

@@ -1,13 +1,16 @@
 """Engine-level tests of the comper pop/push rounds, parking and refills."""
 
 import functools
+import threading
 
 import pytest
 
 from repro.algorithms import count_triangles
 from repro.apps import TriangleCountComper
 from repro.core.api import Comper, Task, VertexView
+from repro.core.comper import ComperEngine
 from repro.core.config import GThinkerConfig
+from repro.core.containers import ReadyBuffer
 from repro.core.errors import TaskError
 from repro.core.job import build_cluster, run_job
 from repro.core.runtime import SerialRuntime
@@ -236,3 +239,90 @@ def test_bulk_and_per_vertex_paths_report_the_same_counters(runtime):
         assert locks[False] == locks[True]  # both runs decomposed
     else:
         assert locks[False] < locks[True]
+
+
+class PullHub(Comper):
+    """Every task pulls one hub vertex.  On the worker that does not own
+    it the first pulls miss; every later one hits the cache."""
+
+    def __init__(self, hub: int, seen=None) -> None:
+        super().__init__()
+        self.hub, self.seen = hub, seen
+
+    def task_spawn(self, v: VertexView) -> None:
+        t = Task(context=v.id)
+        t.pull(self.hub)
+        self.add_task(t)
+
+    def compute(self, task, frontier):
+        (view,) = frontier
+        if self.seen is not None:
+            self.seen(task)
+        self.output((task.context, view.id, tuple(view.adj)))
+        return False
+
+
+def _hub(graph):
+    return next(v for v in graph.vertices()
+                if hash_partition(v, 2) == 1 and graph.degree(v))
+
+
+def _check_hub_outputs(graph, hub, outputs):
+    assert sorted(o[0] for o in outputs) == sorted(graph.vertices())
+    assert {o[1:] for o in outputs} == {(hub, graph.neighbors(hub))}
+
+
+@pytest.mark.parametrize("runtime", ["serial", "checked"])
+def test_all_hit_task_computes_in_the_round_it_is_popped(
+    graph, runtime, monkeypatch
+):
+    """A task whose every remote pull hits the cache leaves T_task at
+    once and computes inside the pop that started it: only tasks that
+    missed pass through B_task (and the checked runtime's lifecycle and
+    lock-ledger checkers accept the parked -> ready -> computing path)."""
+    phase = threading.local()
+
+    def in_phase(name, method):
+        def wrapped(self, *args):
+            outer = getattr(phase, "name", None)
+            phase.name = name
+            try:
+                return method(self, *args)
+            finally:
+                phase.name = outer
+        return wrapped
+
+    monkeypatch.setattr(ComperEngine, "_start",
+                        in_phase("pop", ComperEngine._start))
+    monkeypatch.setattr(ComperEngine, "_push",
+                        in_phase("push", ComperEngine._push))
+    put = ReadyBuffer.put
+    ready = []
+    monkeypatch.setattr(ReadyBuffer, "put",
+                        lambda self, task: (ready.append(task), put(self, task)))
+    computed_in = []
+    hub = _hub(graph)
+    result = run_job(
+        functools.partial(PullHub, hub,
+                          lambda task: computed_in.append(phase.name)),
+        graph, cfg(), runtime=runtime)
+    _check_hub_outputs(graph, hub, result.outputs)
+    m = result.metrics
+    missed = m.get("cache:miss_first", 0) + m.get("cache:miss_duplicate", 0)
+    assert m.get("cache:hits", 0) > missed > 0
+    assert len(ready) == computed_in.count("push") == missed
+    assert computed_in.count("pop") == graph.num_vertices - missed
+
+
+def test_all_hit_answers_on_threaded(graph):
+    """With D = 0 a comper pops nothing while its first (missing) task
+    waits, so every later pull of the hub is a hit computed inline,
+    with the response receiver running on its own thread.  No steals
+    and no spills: a stolen batch is invisible to termination detection
+    between its poll and its landing (a known threaded-runtime race)."""
+    hub = _hub(graph)
+    config = cfg(pending_threshold=0, steal_batches=0, task_batch_size=64)
+    result = run_job(functools.partial(PullHub, hub), graph, config,
+                     runtime="threaded")
+    _check_hub_outputs(graph, hub, result.outputs)
+    assert result.metrics.get("cache:hits", 0) > 0

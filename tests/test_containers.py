@@ -145,6 +145,17 @@ class TestPendingTable:
         assert table.notify_arrival(1) is task
         assert len(table) == 0
 
+    def test_counted_arrivals(self):
+        """A parking comper counts all its cache hits in one call."""
+        table = PendingTable()
+        task = Task()
+        table.insert(1, task, req=3)
+        assert table.notify_arrival(1, 2) is None
+        assert table.notify_arrival(1) is task
+        table.insert(2, task, req=2)
+        with pytest.raises(ValueError):
+            table.notify_arrival(2, 3)
+
     def test_duplicate_insert_rejected(self):
         table = PendingTable()
         table.insert(1, Task(), req=1)

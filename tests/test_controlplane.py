@@ -36,7 +36,7 @@ from repro.core.errors import CheckpointError, GThinkerError, WorkerProcessError
 from repro.core.metrics import MetricsRegistry
 from repro.core.runtime import JobRequest
 from repro.core.worker import Worker
-from repro.graph import erdos_renyi
+from repro.graph import Graph, erdos_renyi
 from repro.net.transport import ProcessTransport
 
 
@@ -301,6 +301,16 @@ def test_master_timers_reported_on_process(graph):
     assert stats.control_idle_s >= 0.0
     assert "time:master_sweep_s" in res.metrics
     assert "time:control_idle_s" in res.metrics
+
+
+def test_master_timers_reported_when_the_master_never_waits():
+    """A job with no task drains within its first two sweeps, so the
+    master never waits; both timers are reported all the same."""
+    graph = Graph.from_edges([], extra_vertices=range(4))
+    res = run_job(TriangleCountComper, graph, cfg(), runtime="process")
+    assert res.aggregate == 0
+    assert res.metrics["time:master_sweep_s"] > 0.0
+    assert res.metrics["time:control_idle_s"] >= 0.0
 
 
 # -- prepare_job: requests a node set cannot run -----------------------------

@@ -74,6 +74,8 @@ class TestRequestBatch:
         assert out.duplicates == 1
         assert out.to_send == [12]
         assert c.get_locked(10).lock_count == 2
+        assert list(out.entries) == [10]
+        assert out.entries[10] is c.get_locked(10)
 
     def test_hit_leaves_zero_table(self):
         c = make_cache()
@@ -230,6 +232,10 @@ def test_batch_ops_equal_per_vertex_sequences(rounds):
                 o = seq.request(v, task_id)
                 if o.status == RequestOutcome.HIT:
                     hits += 1
+                    assert out.entries[v].lock_count >= 1
+                    view = out.entries[v].view
+                    assert (view.id, view.label, tuple(view.adj)) == \
+                        (v, v * 10, (v, v + 1))
                 elif o.status == RequestOutcome.MISS_SEND:
                     to_send.append(v)
                     model[v] = "requested"
@@ -237,6 +243,8 @@ def test_batch_ops_equal_per_vertex_sequences(rounds):
                     duplicates += 1
             assert (out.hits, out.to_send, out.duplicates) == \
                 (hits, to_send, duplicates)
+            assert sorted(out.entries) == sorted(
+                {v for v in vs if model.get(v) == "cached"})
         elif kind == "resp":
             rows = []
             for v in dict.fromkeys(vs):
@@ -289,6 +297,20 @@ class TestCheckedBulkOps:
         assert landed == [(1, [5, 5]), (2, [5])]
         c.release_batch([1, 1, 2], task_id=5)
         assert c.evict(10) == 2
+
+    def test_checked_cache_returns_the_hit_entries(self):
+        """The checked decomposition hands back the same locked entries
+        as the bulk op, so an all-hit task computes on either."""
+        plain, checked = make_cache(), make_cache(cls=CheckedVertexCache)
+        for c in (plain, checked):
+            c.request_batch([1, 2], task_id=5)
+            c.insert_responses([(1, 10, (2,)), (2, 20, (1,))])
+            out = c.request_batch([2, 1, 3], task_id=6)
+            assert (out.hits, out.to_send) == (2, [3])
+            assert {v: (e.view.id, e.view.label, tuple(e.view.adj))
+                    for v, e in out.entries.items()} == {
+                1: (1, 10, (2,)), 2: (2, 20, (1,))}
+            assert all(e is c.get_locked(v, 6) for v, e in out.entries.items())
 
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_fuzz_bulk_matches_per_vertex_answers(self, seed):
