@@ -11,63 +11,21 @@ backend runs one OS process per worker:
   :class:`~repro.net.transport.ProcessTransport` — batched per
   destination, drained through ``multiprocessing`` queues (the paper's
   batched sending applied to IPC);
-* a control plane of per-worker pipes carries the master protocol of
-  :class:`~repro.core.controlplane.ControlPlaneMaster`: periodic syncs
-  (aggregator partials up, global value down, status snapshot for
-  termination detection), master-coordinated steal commands,
-  sync-barrier checkpoints, and the final report (outputs + metrics
-  snapshot), with each worker's
-  :class:`~repro.core.metrics.MetricsRegistry` merged into the parent
-  via ``merge_from`` at join time.
+* a control plane of per-worker pipes carries the protocol of the one
+  master every runtime shares,
+  :class:`~repro.core.controlplane.ControlPlaneMaster`: sync sweeps,
+  steal commands, double-snapshot termination, sync-barrier
+  checkpoints and the final report (outputs + metrics snapshot, merged
+  into the parent's :class:`~repro.core.metrics.MetricsRegistry`).
 
-Termination mirrors :class:`~repro.core.master.Master`'s double
-snapshot: two consecutive syncs must observe every worker drained
-(no tasks in memory / on disk / unspawned, no queued or buffered
-outgoing messages), a globally balanced ``sent == received`` message
-count, and an unchanged progress counter between the observations.
-
-Fault tolerance (paper §V-B)
-----------------------------
-
-This runtime supports the full capability set: **checkpointing**,
-**failure injection** and **resume**.
-
-*Checkpoints* are a sync-barrier protocol.  Every
-``checkpoint_every_syncs`` master sweeps the parent quiesces all workers
-(``"quiesce"`` — engines pause, only the comm service keeps stepping so
-in-transit messages drain), polls ``"qstatus"`` until the wire is
-*settled* — globally ``sum(sent) == sum(received)`` with zero buffered
-outgoing anywhere, which proves no message exists in any queue — then
-collects a :class:`~repro.core.checkpoint.WorkerSnapshot` per worker
-(``"checkpoint"``: spawn cursor, every in-memory and spilled task with
-its pull set, outputs, aggregator partial, transport counters) and
-resumes all workers with the freshly folded global aggregate
-(``"resume"``).  Snapshots are kept in memory as the rollback point and,
-when a ``checkpoint_path`` is given, written atomically as a
-:class:`~repro.core.checkpoint.JobCheckpoint` shard (same format as the
-serial runtime's — shards resume across runtimes).
-
-*Recovery* is a global rollback.  When any worker dies or times out on
-the control plane, the parent terminates the whole worker set, rebuilds
-fresh queues and pipes, and respawns every worker from the last barrier
-snapshot (or from scratch when none was taken): caches restart cold,
-restored tasks re-issue their pull sets, transport counters resume from
-the barrier's balanced values so termination stays sound, outputs are
-replaced by the snapshot's (work redone after the barrier cannot
-duplicate records), and the master aggregator rolls back to the barrier
-value so sum-style aggregates count redone work exactly once.
-Single-worker respawn would be unsound — in-transit messages addressed
-to the dead worker and the survivors' unanswered pulls are unrecoverable
-— so rollback is all-or-nothing.  Retries are bounded by
-``max_worker_restarts`` with exponential backoff
-(``controlplane.RESTART_BACKOFF_S`` doubling per consecutive restart); a
-worker that *reported* an exception (an app/framework bug that would
-recur) raises :class:`~repro.core.errors.WorkerProcessError` with
-``recoverable=False`` and the original traceback chained, immediately
-— unless what it reported is wire damage
-(:class:`~repro.core.errors.WireDecodeError`), which a rollback clears
-and the report therefore marks recoverable, exactly as on the cluster
-runtime.
+This runtime has the full capability set: **checkpointing**, **failure
+injection** and **resume**.  Recovery is the master's global rollback:
+when any worker dies or times out on the control plane, the parent
+terminates the whole worker set and respawns it from the last barrier
+snapshot, with fresh queues and pipes, so a batch sent before the loss
+belongs to the rolled-back epoch and is never delivered.  Single-worker
+respawn would be unsound — in-transit messages addressed to the dead
+worker and the survivors' unanswered pulls are unrecoverable.
 
 *Failure injection* is driven by
 :class:`~repro.core.config.FailurePlanConfig`: the selected worker

@@ -1,17 +1,16 @@
 """Execution runtimes and the types of the runtime table.
 
 Low-level cluster steppers (both drive the same components — comm
-services, comper engines, GC, master — only the interleaving differs):
+services, comper engines, GC — only the interleaving differs; both call
+:meth:`~repro.core.master.Master.sync`, one round of the one master
+every runtime shares, at points of their choosing):
 
 * :class:`SerialRuntime` — gives every worker one burst round
   (:meth:`Worker.step_round`, the node round of the process and cluster
   backends) in turn, in one thread.  Deterministic; the default for
-  tests and the substrate the checkpointing support relies on
-  (components are quiescent between rounds).  The process backend
-  reaches the same quiescent state across process boundaries with its
-  sync-barrier checkpoint protocol (see
-  :mod:`repro.core.procruntime`), so checkpointing, failure injection
-  and resume are available on both.
+  tests.  Its checkpoints are the process and cluster backends'
+  sync-barrier protocol (see :mod:`repro.core.controlplane`), run over
+  loopback channels, so its shards resume on any runtime.
 * :class:`ThreadedRuntime` — one OS thread per comper plus one comm/GC
   thread per worker, mirroring the paper's thread layout.  Exercises the
   real lock protocols (bucketed cache, concurrent containers).  The GIL
@@ -41,7 +40,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from .config import IDLE_BACKOFF_MAX_S, IDLE_SLEEP_S, GThinkerConfig
 from .containers import SpillRoot
@@ -51,9 +50,11 @@ from .errors import (
     JobCancelledError,
     UnsupportedRuntimeFeature,
 )
-from .master import Master
 from .metrics import MetricsRegistry
 from .worker import ENGINE_BURST_STEPS, LocalTableMemo, Worker
+
+if TYPE_CHECKING:  # the master imports the control plane, which imports us
+    from .master import Master
 
 __all__ = [
     "AbortToken",
@@ -69,7 +70,7 @@ __all__ = [
 @dataclass
 class Cluster:
     workers: List[Worker]
-    master: Master
+    master: "Master"
     transport: object
     metrics: MetricsRegistry
     config: GThinkerConfig

@@ -200,11 +200,15 @@ class TestFailureRecovery:
         )
         assert set(res.outputs) == set(enumerate_quasi_cliques(g, 0.6, min_size=4))
 
-    @pytest.mark.parametrize("rounds", [4, 6, 8])
+    @pytest.mark.parametrize("rounds", [4, 6, 7])
     def test_bundling_apps_recover_buffered_members(self, graph, tmp_path,
                                                     rounds):
         """Neither a bundle still buffered in an app nor a batch stolen
-        in the checkpointing sync may fall between cursor and snapshot."""
+        in the checkpointing sync may fall between cursor and snapshot.
+
+        Syncs fall every 2 rounds, so the shards are those of rounds 2,
+        4 and 6.  The matching job ends before round 8: the barrier's
+        comm steps land responses, which saves it engine rounds."""
         tc = functools.partial(BundledTriangleCountComper, bundle_size=16,
                                heavy_threshold=8)
         gm = functools.partial(SubgraphMatchComper, path_query(2))

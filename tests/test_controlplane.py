@@ -291,6 +291,32 @@ def test_plan_steals_memoizes_unchanged_statuses():
     assert master.metrics.get("control:steal_plan_skipped") == 1
 
 
+def test_in_process_master_runs_the_node_set_round(graph, monkeypatch):
+    """Master.sync is one ControlPlaneMaster round over loopback nodes:
+    the serial runtime's syncs, steals and sweep timer are the node
+    sets' own."""
+    from repro.core import build_cluster
+    from repro.core.controlplane import ControlPlaneMaster
+    from repro.core.master import LoopbackChannel
+    from repro.core.runtime import SerialRuntime
+
+    rounds = []
+    real_round = ControlPlaneMaster._round
+    monkeypatch.setattr(ControlPlaneMaster, "_round",
+                        lambda self: rounds.append(1) or real_round(self))
+    syncs = []
+    cluster = build_cluster(TriangleCountComper, graph,
+                            cfg(steal_batches=2, sync_every_rounds=2))
+    real_sync = cluster.master.sync
+    cluster.master.sync = lambda now=0.0: syncs.append(1) or real_sync(now)
+    assert all(isinstance(c, LoopbackChannel)
+               for c in cluster.master.channels)
+    SerialRuntime().run(cluster)
+    assert len(rounds) == len(syncs) >= 2
+    assert cluster.master.global_aggregator.value == count_triangles(graph)
+    assert cluster.metrics.get("time:master_sweep_s") > 0.0
+
+
 # -- control-plane timers and the typed accessor ---------------------------
 
 

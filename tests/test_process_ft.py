@@ -148,6 +148,45 @@ def test_process_shard_resumes_on_process_and_serial(graph, tmp_path):
     assert resumed_serial.aggregate == expected
 
 
+def test_serial_barrier_shard_with_pulls_and_a_steal_in_flight_resumes_on_process(
+        graph, tmp_path):
+    """The serial runtime checkpoints through the same barrier: a shard
+    taken while pulls and a just-stolen batch are on the wire settles
+    them first, has balanced transport counters, and resumes on the
+    process runtime to the oracle answer."""
+    from repro.core import build_cluster
+    from repro.core.checkpoint import JobCheckpoint
+    from repro.core.job import _teardown
+
+    ck = str(tmp_path / "serial.ckpt")
+    cluster = build_cluster(TriangleCountComper, graph,
+                            cfg(checkpoint_every_syncs=1))
+    cluster.master.checkpoint_path = ck
+    w0, w1 = cluster.workers
+    ports = [cluster.transport.port(0), cluster.transport.port(1)]
+    try:
+        # Worker 1 spawns all its tasks while worker 0 only serves its
+        # pulls, so worker 0 is left the victim of a steal.
+        while w1.unspawned_count():
+            w1.step_round()
+            w0.comm.step()
+        w1.step_round()  # its last pulls are on the wire, unserved
+        assert sum(p.sent_count for p in ports) \
+            > sum(p.received_count for p in ports)
+        assert cluster.master.sync() is False
+        assert cluster.metrics.get("steal:batches") >= 1
+    finally:
+        _teardown(cluster)
+    shard = JobCheckpoint.load(ck)
+    assert shard.epoch == 1
+    sent = sum(s.sent for s in shard.worker_snapshots)
+    assert sent > 0
+    assert sent == sum(s.received for s in shard.worker_snapshots)
+    resumed = resume_job(TriangleCountComper, graph, ck, cfg(),
+                         runtime="process")
+    assert resumed.aggregate == count_triangles(graph)
+
+
 # -- failure classification ----------------------------------------------
 
 

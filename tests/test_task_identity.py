@@ -162,7 +162,9 @@ def test_steal_reparks_task_under_thief_worker_id():
     a.add_task(Task(context=[]))  # spill the yielded task
     assert len(w0.l_file) == 1
 
-    moved = cluster.master._steal_one_batch(w0, thief_id=1, now=0.0)
+    # The one steal move: ("steal", thief, n) on the master's channel.
+    moved = cluster.master._steal_via_master(
+        0, 1, cluster.config.task_batch_size)
     assert moved == 1
     w1.comm.step()  # receive the TaskBatchTransfer into w1's L_file
     assert len(w1.l_file) == 1
@@ -200,7 +202,8 @@ def test_remote_set_is_rederived_by_the_worker_that_restarts_the_task():
     assert task.pending_pulls() == (u, v2)
 
     a.add_task(Task(context=[]))  # spill the yielded task
-    assert cluster.master._steal_one_batch(w0, thief_id=1, now=0.0) == 1
+    assert cluster.master._steal_via_master(
+        0, 1, cluster.config.task_batch_size) == 1
     w1.comm.step()  # TaskBatchTransfer lands in w1's L_file
     assert c.step()  # refill, pop, resolve pulls on w1
     (entry,) = c.t_task._entries.values()
