@@ -32,7 +32,7 @@ def test_seeding_ablation(benchmark):
     fig5, seeded = out["fig5"], out["seeded"]
     assert len(seeded.aggregate) == len(fig5.aggregate)
     rows = [
-        ["Fig. 5 as published", format_seconds(fig5.virtual_time_s),
+        ["Fig. 5 + degree peel", format_seconds(fig5.virtual_time_s),
          int(fig5.metrics.get("tasks:created", 0))],
         [f"+ core pruning + greedy seed (size {out['seed_size']})",
          format_seconds(seeded.virtual_time_s),

@@ -7,7 +7,9 @@ Two roles in the reproduction:
   subgraph is small enough (Fig. 5 line 12 — "run serial algorithm on
   t.g, with current maximum clique size = |S_max| - |t.S|").  It follows
   the classic Carraghan–Pardalos / [31]-style search: greedy coloring
-  upper bound plus incumbent pruning seeded from the aggregator.
+  upper bound plus incumbent pruning seeded from the aggregator, after
+  :func:`peel` has dropped the vertices with too few neighbours to be
+  in a clique that beats that incumbent.
 * :func:`enumerate_maximal_cliques` (Bron–Kerbosch with pivoting) and
   :func:`max_clique_reference` are independent oracles used by tests.
 
@@ -18,7 +20,7 @@ without round-tripping through a graph object.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -27,6 +29,8 @@ from ..graph.graph import Graph
 
 __all__ = [
     "max_clique",
+    "peel",
+    "Scoped",
     "max_clique_reference",
     "enumerate_maximal_cliques",
     "bron_kerbosch",
@@ -39,25 +43,28 @@ AdjMap = Mapping[int, Sequence[int]]
 def _scoped_edges(g: AdjMap) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(ids, lo, hi)`` of a ``{id: sorted row}`` mapping.
 
-    ``ids`` are the row ids in mapping order; ``lo[i] < hi[i]`` are the
+    ``ids`` are the row ids in ascending order; ``lo[i] < hi[i]`` are the
     positions in ``ids`` of the ends of the i-th undirected edge, each
-    edge once.  An adjacency item that names a row is an edge whichever
-    of its two rows lists it, so full and ``Γ_>``-trimmed rows give the
-    same edges.  Items naming no row (ids two hops out) and self-loops
-    are dropped.  One vectorised pass over the concatenated rows: a
-    membership test against the sorted ids, one ``searchsorted`` of the
-    items that name a row, one sort to drop repeats.
+    edge once, sorted by ``(lo, hi)``.  An adjacency item that names a
+    row is an edge whichever of its two rows lists it, so full and
+    ``Γ_>``-trimmed rows give the same edges.  Items naming no row (ids
+    two hops out) and self-loops are dropped.  One vectorised pass over
+    the concatenated rows: a membership test against the sorted ids, one
+    ``searchsorted`` of the items that name a row, one sort to drop
+    repeats.
     """
     n = len(g)
     ids = np.fromiter(g, dtype=np.int64, count=n)
+    if not n:
+        return ids, ids, ids
     rows = list(g.values())
     lens = np.fromiter(map(len, rows), dtype=np.int64, count=n)
     flat = kernels.flatten_rows(rows)
     order = ids.argsort(kind="stable")
-    sorted_ids = ids[order]
-    named = kernels.in_sorted(flat, sorted_ids)
-    src = np.arange(n).repeat(lens)[named]
-    dst = order[sorted_ids.searchsorted(flat[named])]
+    ids = ids[order]
+    named = kernels.in_sorted(flat, ids)
+    src = order.argsort()[np.arange(n).repeat(lens)[named]]
+    dst = ids.searchsorted(flat[named])
     lo = np.minimum(src, dst)
     keys = lo * n + (src + dst - lo)  # (lo, hi) with hi the larger end
     keys.sort()
@@ -65,6 +72,49 @@ def _scoped_edges(g: AdjMap) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     lo, hi = np.divmod(keys, n)
     keep = lo != hi
     return ids, lo[keep], hi[keep]
+
+
+class Scoped(NamedTuple):
+    """A ``{id: row}`` mapping as the search sees it: ``ids`` ascending,
+    each undirected edge once as positions ``lo < hi`` sorted by
+    ``(lo, hi)``, and each position's ``degrees``."""
+
+    ids: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    degrees: np.ndarray
+
+
+def _degrees(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    return np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
+
+
+def peel(g, floor: int) -> Scoped:
+    """The part of ``g`` that can hold a clique of more than ``floor``
+    vertices.
+
+    ``g`` is a ``{id: sorted row}`` mapping (scoped as in
+    :func:`max_clique`) or a :class:`Scoped` already.  Every member of
+    such a clique has at least ``floor`` neighbours in it, so vertices
+    with fewer than ``floor`` neighbours left are dropped, round by
+    round, until none is.  Nothing is dropped when ``floor <= 0``; when
+    every vertex meets the floor the peel costs one comparison.
+    """
+    if isinstance(g, Scoped):
+        ids, lo, hi, degrees = g
+    else:
+        ids, lo, hi = _scoped_edges(g)
+        degrees = _degrees(lo, hi, ids.size)
+    while floor > 0:
+        keep = degrees >= floor
+        if keep.all():
+            break
+        ids = ids[keep]
+        at = keep.cumsum() - 1  # new position of each kept one: order holds
+        both = keep[lo] & keep[hi]
+        lo, hi = at[lo[both]], at[hi[both]]
+        degrees = _degrees(lo, hi, ids.size)
+    return Scoped(ids, lo, hi, degrees)
 
 
 _ONE = np.uint64(1)
@@ -198,16 +248,18 @@ def max_clique(g, lower_bound: int = 0) -> Tuple[int, ...]:
     Parameters
     ----------
     g:
-        A :class:`~repro.graph.Graph` or a ``{v: sorted adjacency}``
-        mapping (int64 arrays or int sequences).  Rows may be full or
-        ``Γ_>``-trimmed and may name ids that have no row of their own:
-        the search runs on the undirected graph induced by the mapping's
-        ids, symmetrised here.
+        A :class:`~repro.graph.Graph`, a ``{v: sorted adjacency}``
+        mapping (int64 arrays or int sequences), or the :class:`Scoped`
+        form :func:`peel` returns.  Rows may be full or ``Γ_>``-trimmed
+        and may name ids that have no row of their own: the search runs
+        on the undirected graph induced by the mapping's ids,
+        symmetrised here.
     lower_bound:
         A clique size already known to exist *elsewhere* (the paper's
         :math:`\\Delta = |S_{max}| - |t.S|` pruning seed).  The search
         only reports cliques strictly larger than this; if none exists
-        the empty tuple is returned.
+        the empty tuple is returned.  Before searching, :func:`peel`
+        drops the vertices that cannot be in such a clique.
 
     Returns
     -------
@@ -216,11 +268,11 @@ def max_clique(g, lower_bound: int = 0) -> Tuple[int, ...]:
     """
     if isinstance(g, Graph):
         g = {v: g.neighbors_array(v) for v in g.vertices()}
-    if not g:
-        return ()
-    ids, lo, hi = _scoped_edges(g)
-    n = ids.size
     floor = max(lower_bound, 0)
+    ids, lo, hi, degrees = peel(g, floor)
+    n = ids.size
+    if n <= floor:
+        return ()
 
     # Order candidates by degeneracy-ish heuristic: ascending degree for
     # the outer loop gives small candidate sets early (cheap) and leaves
@@ -228,8 +280,7 @@ def max_clique(g, lower_bound: int = 0) -> Tuple[int, ...]:
     # Vertices are then remapped to dense positions in that order, so a
     # candidate set is a bitmask (or a sorted position array) and the
     # narrowing is one ``&`` (or one kernel intersection).
-    degrees = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
-    order = degrees.argsort(kind="stable")  # ties keep mapping order
+    order = degrees.argsort(kind="stable")  # ties keep id order
     rank = order.argsort()
     lo, hi = rank[lo], rank[hi]
     src, dst = np.concatenate((lo, hi)), np.concatenate((hi, lo))
@@ -246,9 +297,8 @@ def max_clique(g, lower_bound: int = 0) -> Tuple[int, ...]:
         _array_expand((rows, degrees, np.full(n, -1, dtype=np.int64)),
                       [], np.arange(n, dtype=np.int64), incumbent)
         best = incumbent[1]
-    if len(best) > floor or (lower_bound <= 0 and best):
-        return tuple(sorted(ids[order[best]].tolist()))
-    return ()
+    # The incumbent only moves to a clique larger than ``floor``.
+    return tuple(sorted(ids[order[best]].tolist()))
 
 
 def bron_kerbosch(adj: Dict[int, Set[int]], r: Set[int], p: Set[int],

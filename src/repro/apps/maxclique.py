@@ -1,4 +1,5 @@
-"""Maximum clique finding (MCF) — the paper's Fig. 5 application, verbatim.
+"""Maximum clique finding (MCF) — the paper's Fig. 5 application plus
+one departure: a degree peel before the τ test.
 
 A task is ``<S, ext(S)>``: ``S`` is the vertex set already assumed in
 the clique, and the task's subgraph ``t.g`` is induced by
@@ -8,11 +9,16 @@ the clique, and the task's subgraph ``t.g`` is induced by
   (``|S_max| >= 1 + |Γ_>(v)|``), then creates the top-level task
   ``<{v}, Γ_>(v)>`` and pulls every candidate.
 * ``compute`` takes ``t.g`` as the pulled rows themselves (top-level
-  tasks) or as the subgraph its parent built (children), then either
-  *decomposes* — when ``|V(t.g)| > τ`` it creates one child task
-  ``<S ∪ u, Γ_>(S ∪ u)>`` per candidate ``u``, pruning children that
+  tasks) or as the subgraph its parent built (children) and *peels* it:
+  with ``Δ = |S_max| - |t.S| > 0``, vertices with fewer than ``Δ``
+  neighbours left are dropped round by round, since no member of a
+  clique that beats ``S_max`` has fewer.  Fig. 5 prunes by set sizes
+  only (lines 9 and 11); here the task ends when ``Δ`` or fewer
+  vertices survive.  Otherwise, on the survivors, it either
+  *decomposes* — when more than τ survive it creates one child task
+  ``<S ∪ u, Γ_>(S ∪ u)>`` per survivor ``u``, pruning children that
   cannot beat ``S_max`` — or *mines serially* with branch-and-bound
-  seeded at ``Δ = |S_max| - |t.S|``.
+  seeded at ``Δ``.
 
 The aggregator tracks the largest clique found anywhere; workers see it
 after each periodic sync, so pruning tightens globally as the job runs.
@@ -20,13 +26,12 @@ after each periodic sync, so pruning tightens globally as the job runs.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..algorithms.cliques import max_clique
+from ..algorithms.cliques import Scoped, max_clique, peel
 from ..core.api import Comper, MaxAggregator, Task, VertexView
-from ..graph import kernels
 from .common import GtTrimmer
 
 __all__ = ["MaxCliqueComper"]
@@ -96,36 +101,55 @@ class MaxCliqueComper(Comper):
             adj = {view.id: view.adj for view in frontier}
         else:
             adj = task.g.adjacency()
-        if len(adj) > self.config.decompose_threshold:
-            self._decompose(adj, s)
+        best = _best_size(self.aggregator_value)
+        if len(s) + len(adj) <= best:
+            return False  # Fig. 5 line 11, before the peel's array work
+        # Beyond Fig. 5: only vertices with at least Δ = |S_max| - |t.S|
+        # neighbours in t.g can extend t.S past S_max.  The survivors
+        # feed the τ test, the search and the children.
+        core = peel(adj, best - len(s))
+        if len(s) + core.ids.size <= best:
+            return False  # Δ or fewer survive: nothing here beats S_max
+        if core.ids.size > self.config.decompose_threshold:
+            self._decompose(core, s, best)
         else:
-            self._mine_serially(adj, s)
+            self._mine_serially(core, s, best)
         return False  # MCF tasks finish in one compute round (Fig. 5)
 
     # -- helpers ------------------------------------------------------------
 
-    def _decompose(self, adj: Mapping[int, Sequence[int]], s: Tuple[int, ...]) -> None:
-        """Fig. 5 lines 4-9: one child <S ∪ u, Γ_>(S ∪ u)> per candidate."""
-        best = _best_size(self.aggregator_value)
-        ids = np.fromiter(sorted(adj), dtype=np.int64, count=len(adj))
-        for u in ids.tolist():
-            # Candidates of the child: u's neighbors in t.g with larger
-            # ids (t.g's vertices are already common neighbors of S).
-            kids = kernels.intersect(kernels.suffix_gt(adj[u], u), ids)
+    def _decompose(self, core: Scoped, s: Tuple[int, ...], best: int) -> None:
+        """Fig. 5 lines 4-9: one child <S ∪ u, Γ_>(S ∪ u)> per candidate.
+
+        A child's t.g is induced by u's larger-id neighbours in t.g; its
+        rows are Γ_>-trimmed (each edge once, under its smaller id).
+        """
+        ids, lo, hi, _ = core
+        # Positions follow id order and edges are sorted by (lo, hi), so
+        # hi[ptr[u]:ptr[u + 1]] are u's larger-id neighbours.
+        ptr = np.searchsorted(lo, np.arange(ids.size + 1))
+        inside = np.zeros(ids.size, dtype=bool)
+        for u in range(ids.size):
+            kids = hi[ptr[u]:ptr[u + 1]]
             if len(s) + 1 + kids.size <= best:
                 continue  # Fig. 5 line 9: child cannot beat S_max
-            child = Task(context=tuple(sorted(s + (u,))))
-            for w in kids.tolist():
-                child.g.add_vertex(w, kernels.intersect(adj[w], kids))
+            # The kids' larger-id neighbours back to back, kept where
+            # they are kids too, then cut where each kid's run ends.
+            starts, lens = ptr[kids], ptr[kids + 1] - ptr[kids]
+            ends = lens.cumsum()
+            out = hi[np.arange(lens.sum()) + np.repeat(starts - ends + lens, lens)]
+            inside[kids] = True
+            kept = inside[out]
+            inside[kids] = False
+            cuts = np.concatenate(([0], kept.cumsum()))[ends[:-1]]
+            child = Task(context=tuple(sorted(s + (int(ids[u]),))))
+            for w, row in zip(ids[kids].tolist(), np.split(ids[out[kept]], cuts)):
+                child.g.add_vertex(w, row)
             self.add_task(child)
 
-    def _mine_serially(self, adj: Mapping[int, Sequence[int]], s: Tuple[int, ...]) -> None:
+    def _mine_serially(self, core: Scoped, s: Tuple[int, ...], best: int) -> None:
         """Fig. 5 lines 10-14: branch-and-bound on the small subgraph."""
-        best = _best_size(self.aggregator_value)
-        if len(s) + len(adj) <= best:
-            return  # line 11
-        delta = max(0, best - len(s))
-        found = max_clique(adj, lower_bound=delta)
+        found = max_clique(core, lower_bound=best - len(s))
         candidate = tuple(sorted(set(s) | set(found)))
         if len(candidate) > best:
             self.aggregate(candidate)  # line 13: S_max := t.S ∪ S'_max

@@ -9,7 +9,7 @@ from repro.algorithms import (
     max_clique,
     max_clique_reference,
 )
-from repro.algorithms.cliques import _BITSET_MAX
+from repro.algorithms.cliques import _BITSET_MAX, peel
 from repro.graph import Graph, erdos_renyi, plant_clique, ring_of_cliques
 
 from tests.oracles import nx_of
@@ -145,3 +145,42 @@ def test_max_clique_on_any_row_form(n, p, seed, form, stride):
     for i, u in enumerate(members):
         for w in members[i + 1:]:
             assert g.has_edge(u, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 70),
+                st.integers(_BITSET_MAX - 4, _BITSET_MAX + 20)),
+    p=st.floats(0.05, 0.5),
+    seed=st.integers(0, 1000),
+    extra=st.integers(0, 9),
+    form=st.sampled_from(["full", "trimmed"]),
+    shift=st.integers(-2, 1),
+)
+def test_peeled_search_at_any_bound_matches_oracle(n, p, seed, extra, form,
+                                                   shift):
+    """With ``lower_bound = k`` for k at ω - 2, ω - 1, ω and ω + 1, the
+    degree peel keeps every maximum clique when k < ω (each member has
+    ω - 1 >= k neighbours in it) and the search returns one; when k >= ω
+    it returns ``()``.  A disjoint clique of ``extra`` vertices has
+    members with exactly that many neighbours, the peel's edge case."""
+    if n > 70:
+        p = min(p, 0.15)  # keeps the Bron–Kerbosch oracle quick
+    g = erdos_renyi(n, p, seed=seed)
+    side = [(n + i, n + j) for i in range(extra) for j in range(i + 1, extra)]
+    g = Graph.from_edges(list(g.edges()) + side,
+                         extra_vertices=range(n + extra))
+    ref = max_clique_reference(g)
+    k = max(0, len(ref) + shift)
+    rows = _rows(g, form, 1)
+    core = peel(rows, k)
+    assert (core.degrees >= k).all()
+    found = max_clique(rows, lower_bound=k)
+    if k < len(ref):
+        assert set(ref) <= set(core.ids.tolist())
+        assert len(found) == len(ref)
+        for i, u in enumerate(found):
+            for w in found[i + 1:]:
+                assert g.has_edge(u, w)
+    else:
+        assert found == ()

@@ -1,6 +1,8 @@
 """End-to-end serial-runtime jobs for all four applications, validated
 against independent oracles across configurations."""
 
+from functools import partial
+
 import pytest
 
 from repro.algorithms import (
@@ -131,6 +133,24 @@ class TestMaxClique:
     def test_small_tau_still_finds_max_clique(self, er_graph):
         res = run_job(MaxCliqueComper, er_graph, cfg(decompose_threshold=3))
         assert len(res.aggregate) == len(max_clique_reference(er_graph))
+
+    @pytest.mark.parametrize("runtime", ["serial", "process"])
+    def test_degree_peel_under_a_near_maximum_incumbent(self, runtime):
+        """Seeded with a clique of ω - 1 vertices, every task with
+        |S| < ω - 1 has a floor Δ = |S_max| - |S| > 0, so the degree peel
+        runs at every level of decomposition (τ = 4) and must keep every
+        member of a bigger clique."""
+        g, _ = plant_clique(erdos_renyi(120, 0.25, seed=3), 9, seed=1)
+        ref = max_clique_reference(g)
+        res = run_job(partial(MaxCliqueComper, initial_clique=ref[:-1]), g,
+                      cfg(decompose_threshold=4), runtime=runtime)
+        assert len(res.aggregate) == len(ref) == 9
+        for i, u in enumerate(res.aggregate):
+            for v in res.aggregate[i + 1:]:
+                assert g.has_edge(u, v)
+        if runtime == "serial":
+            # Fig. 5's size tests alone create 271 tasks here.
+            assert res.metrics["tasks:created"] == 109
 
 
 class TestSubgraphMatch:
