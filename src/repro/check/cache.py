@@ -9,6 +9,8 @@ two on every operation:
   R-table) lock count equals the sum of ledger holds across tasks;
 * **no release-without-request** (and no unattributed release): OP3 must
   name a task that holds a ledger lock on the vertex;
+* **no view without a hold**: every view handed to a task (its hits at
+  park time, its arrivals) is of a vertex it holds a ledger lock on;
 * **Γ/Z/R disjointness** and Z-table consistency on the touched bucket.
 
 Operations are serialized by one checker lock so the assertions are
@@ -83,7 +85,7 @@ class CheckedVertexCache(VertexCache):
             if entry is not None:
                 have = entry.lock_count
             elif pending is not None:
-                have = pending.lock_count
+                have = len(pending)
             else:
                 have = 0
             want = self._holds_by_vertex.get(v, 0)
@@ -152,10 +154,9 @@ class CheckedVertexCache(VertexCache):
             self._check_bucket(v)
 
     # Bulk ops decompose into the checked per-vertex operations so every
-    # batch element passes through the ledger and invariant checks.  The
-    # one-lock-per-bucket optimization is deliberately *not* taken here:
-    # the checker's job is semantics, and the decomposition is exactly
-    # the observational-equivalence contract the property tests assert.
+    # batch element passes through the ledger and invariant checks; the
+    # decomposition is exactly the observational-equivalence contract
+    # the property tests assert.
 
     def request_batch(self, vertices, task_id: int) -> BatchRequestOutcome:
         with self._check_lock:
@@ -174,12 +175,13 @@ class CheckedVertexCache(VertexCache):
                     duplicates += 1
             return BatchRequestOutcome(hits, entries, to_send, duplicates)
 
-    def insert_responses(self, rows):
+    def insert_responses(self, batch):
         with self._check_lock:
-            return [
-                (int(v), self.insert_response(v, label, adj))
-                for v, label, adj in rows
-            ]
+            landed = []
+            for v, label, adj in batch.iter_rows():
+                waiting = self.insert_response(v, label, adj)
+                landed.append((self._bucket(v).gamma[v], waiting))
+            return landed
 
     def release_batch(self, vertices, task_id: int = -1) -> None:
         with self._check_lock:
@@ -188,13 +190,23 @@ class CheckedVertexCache(VertexCache):
 
     def get_locked(self, v: int, task_id: int = -1):
         with self._check_lock:
-            if self._ledger.get(task_id, {}).get(v, 0) < 1:
-                self._fail(
-                    "get_locked by a task holding no ledger lock on the vertex",
-                    task_id=task_id,
-                    vertex=v,
-                )
+            self.check_delivery(task_id, (v,))
             return super().get_locked(v, task_id)
+
+    def check_delivery(self, task_id: int, vertices) -> None:
+        """Every view handed to a task (a park-time hit, an arrival
+        delivered by the receiver) must be of a vertex that task holds
+        a ledger lock on: the task computes on it until its release."""
+        with self._check_lock:
+            held = self._ledger.get(task_id, {})
+            for v in vertices:
+                if held.get(v, 0) < 1:
+                    self._fail(
+                        "view handed to a task holding no ledger lock on "
+                        "the vertex",
+                        task_id=task_id,
+                        vertex=v,
+                    )
 
     def evict(self, max_evictions=None) -> int:
         # Guard entered before the serializing lock so a second

@@ -238,7 +238,8 @@ class TaskLifecycleChecker:
                     "next arrival",
                     task,
                 )
-            if task.pulls_in_flight or task.remote_in_flight:
+            if (task.pulls_in_flight or task.remote_in_flight
+                    or task.views_in_flight):
                 self._fail(
                     "on_yielded: task yielded with pulls still in flight "
                     "(cache locks would leak, and the remote list is only "

@@ -62,7 +62,7 @@ class Task:
     """
 
     __slots__ = ("g", "context", "_pulls", "_pull_set", "task_id",
-                 "pulls_in_flight", "remote_in_flight")
+                 "pulls_in_flight", "remote_in_flight", "views_in_flight")
 
     def __init__(self, context: Any = None) -> None:
         self.g = Subgraph()
@@ -78,6 +78,11 @@ class Task:
         # worker: empty whenever the task sits in ``Q_task``, so it never
         # travels through a yield, spill, steal or checkpoint.
         self.remote_in_flight: Sequence[int] = ()
+        # The locked cache views of ``remote_in_flight`` handed over so
+        # far (hits at park time, arrivals since), keyed by vertex; the
+        # resumed task's frontier is built from them.  A map only while
+        # the task is parked or ready, on the worker that parked it.
+        self.views_in_flight: Optional[Dict[int, VertexView]] = None
 
     def pull(self, v: int) -> None:
         """Request ``Gamma(v)`` to be available in the next iteration."""

@@ -8,17 +8,20 @@ notifying the pending tasks of the owning compers.
 
 The pull path is batch-first end to end:
 
-* **queueing** dedups per destination — distinct tasks on different
-  compers can ask for the same remote vertex in one flush window; only
-  the first copy travels (``comm:requests_deduped`` counts the rest);
-* **serving** answers a whole request batch as one struct-of-arrays
-  :class:`~repro.net.message.ResponseBatch` (labels/degrees gathered
-  into int64 arrays, all adjacency rows concatenated with a single
-  ``np.concatenate``) so the GTWIRE1 encoder can dump it without a
-  per-vertex loop;
+* **queueing** needs no dedup: the R-table sends a vertex at most once
+  per response round trip (a second task asking for it in the same
+  flush window is a ``cache:miss_duplicate``, and waits on the first
+  request), so every queued id is a first miss;
+* **serving** answers each distinct id once (``comm:requests_deduped``
+  counts the repeats a peer's batch carried), a whole request batch as
+  one struct-of-arrays :class:`~repro.net.message.ResponseBatch`
+  (labels/degrees gathered into int64 arrays, all adjacency rows
+  concatenated with a single ``np.concatenate``) so the GTWIRE1 encoder
+  can dump it without a per-vertex loop;
 * **landing** inserts a whole response batch through
-  :meth:`~repro.core.vertex_cache.VertexCache.insert_responses`, one
-  bucket-lock acquisition per touched bucket.
+  :meth:`~repro.core.vertex_cache.VertexCache.insert_responses` straight
+  from its arrays, then wakes each waiting task once, with the views of
+  every vertex of the batch it waited for.
 
 ``time:comm_flush_s`` / ``time:comm_serve_s`` / ``time:comm_land_s``
 timers attribute wall time to the three phases.
@@ -29,9 +32,10 @@ from __future__ import annotations
 import threading
 import time
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence
 
 from ..net.message import Message, RequestBatch, ResponseBatch, TaskBatchTransfer
+from .api import VertexView
 from .containers import comper_of_task_id
 from .errors import GThinkerError, TaskError
 
@@ -49,16 +53,12 @@ class CommService:
         self.worker = worker
         self._lock = threading.Lock()
         self._outgoing: Dict[int, List[int]] = defaultdict(list)
-        # Per-destination membership of the *unflushed* buffer, for
-        # dedup.  Cleared with the buffer at flush time: once a request
-        # is on the wire the R-table is what suppresses re-requests.
-        self._outgoing_sets: Dict[int, Set[int]] = defaultdict(set)
         self._bytes_served = 0
 
     # -- comper-side -------------------------------------------------------
 
     def queue_requests(self, vertices: Sequence[int]) -> None:
-        """Append vertex pulls for batched transmission (dedup'd).
+        """Append first-miss vertex pulls for batched transmission.
 
         One lock acquisition per call.  Routing a miss is the only
         place the pull path evaluates the partition hash: compers decide
@@ -68,26 +68,16 @@ class CommService:
         """
         if not vertices:
             return
-        queued = 0
-        deduped = 0
         owner_of = self.worker.owner_of
         me = self.worker.worker_id
         with self._lock:
+            outgoing = self._outgoing
             for v in vertices:
                 dst = owner_of(v)
                 if dst == me:
                     raise self.worker.unknown_vertex_error(v)
-                pending = self._outgoing_sets[dst]
-                if v in pending:
-                    deduped += 1
-                    continue
-                pending.add(v)
-                self._outgoing[dst].append(v)
-                queued += 1
-        if queued:
-            self.worker.metrics.add("comm:requests_queued", queued)
-        if deduped:
-            self.worker.metrics.add("comm:requests_deduped", deduped)
+                outgoing[dst].append(v)
+        self.worker.metrics.add("comm:requests_queued", len(vertices))
 
     def pending_outgoing(self) -> int:
         with self._lock:
@@ -112,7 +102,6 @@ class CommService:
         with self._lock:
             batches = {dst: vs for dst, vs in self._outgoing.items() if vs}
             self._outgoing.clear()
-            self._outgoing_sets.clear()
         for dst, vertex_ids in batches.items():
             msg = RequestBatch(src=self.worker.worker_id, dst=dst, vertex_ids=vertex_ids)
             self.worker.transport.send(msg, now=now)
@@ -154,9 +143,8 @@ class CommService:
     def _serve_requests(self, msg: RequestBatch, now: float) -> None:
         """Answer a pull batch from the local vertex table.
 
-        Duplicate vertex ids in the batch (possible when the requester
-        ran without queue-side dedup, or mixed batches meet) are served
-        once.  The reply is built structure-of-arrays
+        Duplicate vertex ids in the batch (the R-table never sends any,
+        but the batch comes from a peer) are served once.  The reply is built structure-of-arrays
         (:meth:`ResponseBatch.from_rows`: one label/degree gather plus a
         single ``np.concatenate`` over the T_local row views) — the
         GTWIRE1 encoder then ships it without touching the rows again.
@@ -178,28 +166,38 @@ class CommService:
         self.worker.metrics.add("time:comm_serve_s", time.perf_counter() - t0)
 
     def _receive_responses(self, msg: ResponseBatch) -> None:
-        """Insert arrived vertices into the cache and wake waiting tasks."""
+        """Insert arrived vertices into the cache and wake waiting tasks:
+        one delivery per task with the views of all its arrivals, in the
+        order of each task's *last* arrival (the order per-vertex
+        notification made them ready in)."""
         t0 = time.perf_counter()
-        landed = self.worker.cache.insert_responses(msg.iter_rows())
-        for v, waiting in landed:
+        landed = self.worker.cache.insert_responses(msg)
+        by_task: Dict[int, Dict[int, VertexView]] = {}
+        for entry, waiting in landed:
             for task_id in waiting:
-                try:
-                    engine = self.worker.engine_by_global_id(
-                        comper_of_task_id(task_id)
-                    )
-                    engine.on_vertex_arrival(task_id)
-                except GThinkerError:
-                    raise
-                except Exception as exc:
-                    # A waiting task id that resolves to no engine or no
-                    # pending entry means task identity was corrupted
-                    # somewhere upstream (e.g. an id that survived a
-                    # spill/steal handoff).
-                    raise TaskError(
-                        task_id,
-                        f"cannot deliver arrival of vertex {v} "
-                        f"(ResponseBatch from worker {msg.src}): {exc}",
-                    ) from exc
+                views = by_task.pop(task_id, None) or {}
+                views[entry.vid] = entry.view
+                by_task[task_id] = views
+        for task_id, views in by_task.items():
+            try:
+                engine = self.worker.engine_by_global_id(
+                    comper_of_task_id(task_id)
+                )
+                ready = engine.deliver(task_id, views)
+            except GThinkerError:
+                raise
+            except Exception as exc:
+                # A waiting task id that resolves to no engine or no
+                # pending entry means task identity was corrupted
+                # somewhere upstream (e.g. an id that survived a
+                # spill/steal handoff).
+                raise TaskError(
+                    task_id,
+                    f"cannot deliver arrival of vertices {list(views)} "
+                    f"(ResponseBatch from worker {msg.src}): {exc}",
+                ) from exc
+            if ready is not None:
+                engine.b_task.put(ready)
         self.worker.metrics.add("comm:responses_received", len(landed))
         self.worker.metrics.add("time:comm_land_s", time.perf_counter() - t0)
         self.worker.note_progress()

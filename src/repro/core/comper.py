@@ -30,7 +30,6 @@ from .containers import (
     make_task_id,
 )
 from .errors import TaskError
-from .vertex_cache import CachedVertex
 
 __all__ = ["ComperEngine"]
 
@@ -134,25 +133,17 @@ class ComperEngine:
                 return False
             if self.checker is not None:
                 self.checker.on_resumed(task, self.global_id)
-            frontier = self._resolve_ready_frontier(task)
-            self._process(task, frontier)
+            views, task.views_in_flight = task.views_in_flight, None
+            self._process(task, self._frontier(task.pulls_in_flight, views))
         finally:
             self._active -= 1
         return True
 
-    def _resolve_ready_frontier(self, task: Task) -> List[VertexView]:
-        """Frontier of a task out of ``B_task``: its remote pulls from
-        the cache (locked at park time), the rest from ``T_local``."""
-        get_locked = self.worker.cache.get_locked
-        return self._frontier(task.pulls_in_flight, {
-            v: get_locked(v, task.task_id).view for v in task.remote_in_flight
-        })
-
     def _frontier(self, pulls: Sequence[int],
                   views: Dict[int, VertexView]) -> List[VertexView]:
         """The iteration's frontier in pull order: ``views`` of the
-        remote pulls (their locked cache entries), the rest from
-        ``T_local``."""
+        remote pulls (handed over locked at hit or arrival time), the
+        rest from ``T_local``."""
         if len(views) < len(pulls):
             local = [v for v in pulls if v not in views]
             views.update(zip(local, self.worker.local_views(local)))
@@ -230,24 +221,24 @@ class ComperEngine:
         if not remote:
             return self.worker.local_views(pulls)
         task.remote_in_flight = remote
-        entries = self._park(task, remote)
-        if entries is None:
+        views = self._park(task, remote)
+        if views is None:
             return None
-        return self._frontier(pulls, {v: e.view for v, e in entries.items()})
+        return self._frontier(pulls, views)
 
     def _park(self, task: Task, remote: List[int]
-              ) -> Optional[Dict[int, CachedVertex]]:
+              ) -> Optional[Dict[int, VertexView]]:
         """Park ``task`` in ``T_task`` and request its remote pulls.
 
         Park-first protocol: the task enters ``T_task`` *before* the
         cache requests are issued, so a response racing in from another
-        thread always finds the pending entry.  The cache hits count as
-        arrivals in one notification; when the last arrival lands (ours
+        thread always finds the pending entry.  The cache hits' views
+        are delivered in one call; when the last view is delivered (ours
         or the receiver's) the task is ready.  A task whose every pull
         hit has no response in flight, so nothing else can reach its
-        entry: it leaves ``T_task`` at once and the locked entries are
-        returned for the caller to compute on.  Otherwise the task moves
-        to ``B_task`` when ready and None is returned.
+        entry: it leaves ``T_task`` at once and its views are returned
+        for the caller to compute on.  Otherwise the task moves to
+        ``B_task`` when ready and None is returned.
         """
         if task.task_id == -1:
             task.task_id = make_task_id(self.global_id, self._seq)
@@ -255,25 +246,25 @@ class ComperEngine:
         if self.checker is not None:
             self.checker.on_parked(task, self.global_id)
         self.t_task.insert(task.task_id, task, req=len(remote))
-        # Bulk OP1: one bucket-lock acquisition per touched bucket, one
-        # comm-lock acquisition for all first misses.
+        # Bulk OP1: one pass over the pulls, one comm-lock acquisition
+        # for all first misses.
         batch = self.worker.cache.request_batch(remote, task.task_id)
-        ready = (self.t_task.notify_arrival(task.task_id, batch.hits)
-                 if batch.hits else None)
+        ready = (self.deliver(task.task_id, {
+            v: e.view for v, e in batch.entries.items()
+        }) if batch.hits else None)
         if batch.to_send:
             self.worker.comm.queue_requests(batch.to_send)
-        # duplicates: the in-flight responses will notify us.
+        # duplicates: the in-flight responses will be delivered to us.
         if ready is None:
             return None
-        if self.checker is not None:
-            self.checker.on_ready(task)
         if batch.hits < len(remote):
             # Every duplicate's response landed before the hits counted.
             self.b_task.put(task)
             return None
         if self.checker is not None:
             self.checker.on_resumed(task, self.global_id)
-        return batch.entries
+        views, task.views_in_flight = task.views_in_flight, None
+        return views
 
     # -- the compute loop -----------------------------------------------------
 
@@ -335,10 +326,16 @@ class ComperEngine:
 
     # -- receiver-side hooks ------------------------------------------------------
 
-    def on_vertex_arrival(self, task_id: int) -> None:
-        """Called by the comm service when a response for a waited vertex lands."""
-        ready = self.t_task.notify_arrival(task_id)
-        if ready is not None:
-            if self.checker is not None:
-                self.checker.on_ready(ready)
-            self.b_task.put(ready)
+    def deliver(self, task_id: int,
+                views: Dict[int, VertexView]) -> Optional[Task]:
+        """Hand parked task ``task_id`` the locked views of arrived
+        pulls (its own cache hits at park time, or the receiver's
+        arrivals from one response batch).  Returns the task once its
+        last pull is delivered; the caller computes it or puts it in
+        ``B_task``."""
+        if self.checker is not None:
+            self.worker.cache.check_delivery(task_id, views)
+        ready = self.t_task.notify_arrival(task_id, views)
+        if ready is not None and self.checker is not None:
+            self.checker.on_ready(ready)
+        return ready

@@ -39,7 +39,7 @@ from typing import (
 import numpy as np
 
 from ..net import wire
-from .api import Task
+from .api import Task, VertexView
 from .metrics import MetricsRegistry
 
 __all__ = [
@@ -323,21 +323,26 @@ class PendingTable:
         with self._lock:
             if task_id in self._entries:
                 raise KeyError(f"duplicate pending task id {task_id:#x}")
+            task.views_in_flight = {}
             self._entries[task_id] = PendingEntry(task, req=req)
 
-    def notify_arrival(self, task_id: int, count: int = 1) -> Optional[Task]:
-        """Add ``count`` arrivals to ``met`` (a parking comper counts all
-        its cache hits in one call); if ``met == req`` remove and return
-        the task."""
+    def notify_arrival(self, task_id: int,
+                       views: Dict[int, VertexView]) -> Optional[Task]:
+        """Hand a parked task the locked views of ``len(views)`` arrived
+        pulls (a parking comper hands over all its cache hits in one
+        call, the receiver one call per task and response batch); they
+        join ``task.views_in_flight``.  If ``met == req`` remove and
+        return the task."""
         with self._lock:
             entry = self._entries.get(task_id)
             if entry is None:
                 raise KeyError(f"arrival for unknown pending task {task_id:#x}")
-            entry.met += count
+            entry.met += len(views)
             if entry.met > entry.req:
                 raise ValueError(
                     f"task {task_id:#x} met {entry.met} > req {entry.req}"
                 )
+            entry.task.views_in_flight.update(views)
             if entry.met == entry.req:
                 del self._entries[task_id]
                 return entry.task

@@ -8,9 +8,9 @@ parallel.  Each bucket holds three tables:
   of tasks currently using ``v``;
 * **Z-table** — the subset of Γ-table entries with ``lock_count == 0``
   (safe to evict; lets GC scan only evictables while holding the lock);
-* **R-table** — vertices requested but not yet received, each with the
-  id list of waiting tasks (``lock_count`` is that list's length plus
-  any extra holds).
+* **R-table** — vertices requested but not yet received, each mapped to
+  the list of waiting task ids (its length is the lock count the
+  response will transfer).
 
 The four atomic operations:
 
@@ -30,23 +30,23 @@ on the shared counter while keeping the estimation error below
 
 The bulk entry points :meth:`VertexCache.request_batch`,
 :meth:`VertexCache.insert_responses` and :meth:`VertexCache.release_batch`
-apply a whole batch of OP1/OP2/OP3 operations while taking each touched
-bucket's mutex **once per batch** instead of once per vertex.  They are
-observationally equivalent to the per-vertex sequence in batch order
-(same outcomes, same lock counts, same Z-table membership, same
-``s_cache``); only the number of mutex acquisitions differs, which the
-``cache:bucket_lock_acquisitions`` metric makes visible.
+are the per-vertex sequence in batch order — one in-order pass, each
+vertex's transition under its own bucket mutex (the paper's OP
+granularity) — minus its per-call overhead.  The OP outcome counts are
+per-bucket ints bumped under that mutex and published by
+:meth:`VertexCache.commit_lock_metrics`: exact on every runtime.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from ..graph import kernels
+from ..net.message import ResponseBatch
 from .api import VertexView
 from .errors import CacheProtocolError
 from .metrics import MetricsRegistry
@@ -91,17 +91,6 @@ class CachedVertex:
         return _ENTRY_HEADER_BYTES + 8 * len(adj)
 
 
-@dataclass
-class _PendingRequest:
-    """An R-table entry: tasks waiting for the response."""
-
-    waiting_task_ids: List[int] = field(default_factory=list)
-
-    @property
-    def lock_count(self) -> int:
-        return len(self.waiting_task_ids)
-
-
 class RequestOutcome:
     """Result of OP1."""
 
@@ -138,17 +127,24 @@ class BatchRequestOutcome:
 
 
 class _Bucket:
-    __slots__ = ("lock", "gamma", "zero", "requests", "acquisitions")
+    __slots__ = ("lock", "gamma", "zero", "requests", "acquisitions", "hits",
+                 "miss_first", "miss_duplicate", "responses", "evictions")
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
         self.gamma: Dict[int, CachedVertex] = {}
         self.zero: Set[int] = set()
-        self.requests: Dict[int, _PendingRequest] = {}
-        #: Mutex acquisitions by OP1-OP4/get_locked (bulk ops count one
-        #: per touched bucket).  Mutated only while ``lock`` is held, so
-        #: the count is exact without any extra synchronization.
+        #: R-table: vertex -> ids of the tasks waiting for its response.
+        self.requests: Dict[int, List[int]] = {}
+        # Mutex acquisitions by OP1-OP4/get_locked and the OP outcome
+        # counts.  Mutated only while ``lock`` is held, so they are
+        # exact without any extra synchronization.
         self.acquisitions = 0
+        self.hits = 0
+        self.miss_first = 0
+        self.miss_duplicate = 0
+        self.responses = 0
+        self.evictions = 0
 
 
 class VertexCache:
@@ -184,8 +180,8 @@ class VertexCache:
         self._gc_cursor = 0
         self._gc_lock = threading.Lock()
 
-        #: Acquisition total already published by commit_lock_metrics.
-        self._lock_metrics_committed = 0
+        #: Per-metric totals already published by commit_lock_metrics.
+        self._committed: Dict[str, int] = {}
 
     # -- bucket addressing ------------------------------------------------
 
@@ -251,20 +247,18 @@ class VertexCache:
                 if entry.lock_count == 0:
                     b.zero.discard(v)
                 entry.lock_count += 1
-                self._metrics.add("cache:hits")
+                b.hits += 1
                 return RequestOutcome(RequestOutcome.HIT, entry)
-            pending = b.requests.get(v)
-            if pending is None:
+            waiting = b.requests.get(v)
+            if waiting is None:
                 # Case 2.1: first request for v.
-                b.requests[v] = _PendingRequest([task_id])
-                self._metrics.add("cache:miss_first")
-                new_entry = True
+                b.requests[v] = [task_id]
+                b.miss_first += 1
             else:
                 # Case 2.2: duplicate request — suppressed.
-                pending.waiting_task_ids.append(task_id)
-                self._metrics.add("cache:miss_duplicate")
-                new_entry = False
-        if new_entry:
+                waiting.append(task_id)
+                b.miss_duplicate += 1
+        if waiting is None:
             self._bump(+1)
             return RequestOutcome(RequestOutcome.MISS_SEND)
         return RequestOutcome(RequestOutcome.MISS_DUPLICATE)
@@ -272,57 +266,39 @@ class VertexCache:
     def request_batch(self, vertices: Sequence[int], task_id: int) -> BatchRequestOutcome:
         """Bulk OP1: request every vertex in ``vertices`` for one task.
 
-        Groups the vertices by bucket and takes each touched bucket's
-        mutex once, applying the per-vertex OP1 state transitions in
-        batch order inside it.  Observationally equivalent to calling
-        :meth:`request` per vertex; the HIT entries come back locked (the
-        lock is taken here, exactly as OP1 does), so a task whose every
-        pull hit reads them without a :meth:`get_locked` round.
+        One in-order pass applying :meth:`request`'s transition to each
+        vertex under its bucket's mutex.  The HIT entries come back
+        locked (the lock is taken here, exactly as OP1 does), so the
+        task reads them without a :meth:`get_locked` round.
         """
-        by_bucket: Dict[int, List[int]] = {}
-        for v in vertices:
-            by_bucket.setdefault(v % self._num_buckets, []).append(v)
+        buckets, k = self._buckets, self._num_buckets
         entries: Dict[int, CachedVertex] = {}
-        hits = 0
-        duplicates = 0
-        new_entries = 0
-        send_set: Set[int] = set()
-        for bidx, vs in by_bucket.items():
-            b = self._buckets[bidx]
+        to_send: List[int] = []
+        hits = duplicates = 0
+        for v in vertices:
+            b = buckets[v % k]
             with b.lock:
                 b.acquisitions += 1
-                for v in vs:
-                    entry = b.gamma.get(v)
-                    if entry is not None:
-                        if entry.lock_count == 0:
-                            b.zero.discard(v)
-                        entry.lock_count += 1
-                        entries[v] = entry
-                        hits += 1
-                        continue
-                    pending = b.requests.get(v)
-                    if pending is None:
-                        b.requests[v] = _PendingRequest([task_id])
-                        new_entries += 1
-                        send_set.add(v)
-                    else:
-                        pending.waiting_task_ids.append(task_id)
-                        duplicates += 1
-        if hits:
-            self._metrics.add("cache:hits", hits)
-        if new_entries:
-            self._metrics.add("cache:miss_first", new_entries)
-            self._bump(+new_entries)
-        if duplicates:
-            self._metrics.add("cache:miss_duplicate", duplicates)
-        # Preserve batch order in to_send so request batches on the wire
-        # match what the per-vertex path would have queued (one entry per
-        # MISS_SEND even if the batch names a vertex twice).
-        to_send: List[int] = []
-        for v in vertices:
-            if v in send_set:
-                send_set.discard(v)
-                to_send.append(v)
+                entry = b.gamma.get(v)
+                if entry is not None:
+                    if entry.lock_count == 0:
+                        b.zero.discard(v)
+                    entry.lock_count += 1
+                    b.hits += 1
+                    entries[v] = entry
+                    hits += 1
+                    continue
+                waiting = b.requests.get(v)
+                if waiting is None:
+                    b.requests[v] = [task_id]
+                    b.miss_first += 1
+                    to_send.append(v)
+                else:
+                    waiting.append(task_id)
+                    b.miss_duplicate += 1
+                    duplicates += 1
+        if to_send:
+            self._bump(len(to_send))
         return BatchRequestOutcome(hits, entries, to_send, duplicates)
 
     # -- OP2: receiving thread inserts a response ------------------------------
@@ -339,8 +315,8 @@ class VertexCache:
         b = self._bucket(v)
         with b.lock:
             b.acquisitions += 1
-            pending = b.requests.pop(v, None)
-            if pending is None:
+            waiting = b.requests.pop(v, None)
+            if waiting is None:
                 raise CacheProtocolError(
                     f"response for vertex {v} that has no R-table entry"
                 )
@@ -350,69 +326,60 @@ class VertexCache:
             if arr.flags.writeable:
                 arr.flags.writeable = False
             entry = CachedVertex(int(v), int(label), arr,
-                                 lock_count=pending.lock_count)
+                                 lock_count=len(waiting))
             b.gamma[v] = entry
-            waiting = list(pending.waiting_task_ids)
+            b.responses += 1
         # s_cache unchanged (R-table entry became a Γ-table entry).
         if self._memory_model is not None:
             self._memory_model.add_cache(entry.memory_estimate_bytes())
-        self._metrics.add("cache:responses")
         return waiting
 
     def insert_responses(
-        self, rows: Iterable[Tuple[int, int, Sequence[int]]]
-    ) -> List[Tuple[int, List[int]]]:
-        """Bulk OP2: land a batch of ``(v, label, adj)`` responses.
+        self, batch: ResponseBatch
+    ) -> List[Tuple[CachedVertex, List[int]]]:
+        """Bulk OP2: land a whole :class:`ResponseBatch`.
 
-        Groups by bucket, takes each bucket's mutex once, and applies the
-        per-vertex OP2 transition for each row in batch order.  Returns
-        ``[(v, waiting_task_ids), ...]`` in batch order so the caller can
-        notify pending tasks exactly as it would per vertex.  Raises
+        One in-order pass applying :meth:`insert_response`'s transition
+        to each row under its bucket's mutex; each row's adjacency is a
+        slice of one read-only ``adj_concat``.  Returns ``[(entry,
+        waiting_task_ids), ...]`` in batch order, so the caller hands
+        each waiting task the entry's view.  Raises
         :class:`CacheProtocolError` mid-batch on a protocol violation —
         rows already landed stay landed, mirroring a per-vertex sequence
         that fails partway through.
         """
-        by_bucket: Dict[int, List[Tuple[int, int, int, Sequence[int]]]] = {}
-        order = 0
-        for v, label, adj in rows:
-            by_bucket.setdefault(v % self._num_buckets, []).append(
-                (order, v, label, adj)
-            )
-            order += 1
-        results: List[Optional[Tuple[int, List[int]]]] = [None] * order
-        added_bytes = 0
-        landed = 0
+        ids = batch.ids.tolist()
+        labels = batch.labels.tolist()
+        offsets = batch.offsets.tolist()
+        adj = kernels.as_ids_array(batch.adj_concat).view()
+        adj.flags.writeable = False
+        buckets, k = self._buckets, self._num_buckets
+        landed: List[Tuple[CachedVertex, List[int]]] = []
         try:
-            for bidx, items in by_bucket.items():
-                b = self._buckets[bidx]
+            for i, v in enumerate(ids):
+                b = buckets[v % k]
                 with b.lock:
                     b.acquisitions += 1
-                    for pos, v, label, adj in items:
-                        pending = b.requests.pop(v, None)
-                        if pending is None:
-                            raise CacheProtocolError(
-                                f"response for vertex {v} that has no R-table entry"
-                            )
-                        if v in b.gamma:
-                            raise CacheProtocolError(
-                                f"vertex {v} already in Γ-table"
-                            )
-                        arr = kernels.as_ids_array(adj)
-                        if arr.flags.writeable:
-                            arr.flags.writeable = False
-                        entry = CachedVertex(int(v), int(label), arr,
-                                             lock_count=pending.lock_count)
-                        b.gamma[v] = entry
-                        results[pos] = (int(v), list(pending.waiting_task_ids))
-                        added_bytes += entry.memory_estimate_bytes()
-                        landed += 1
+                    waiting = b.requests.pop(v, None)
+                    if waiting is None:
+                        raise CacheProtocolError(
+                            f"response for vertex {v} that has no R-table entry"
+                        )
+                    if v in b.gamma:
+                        raise CacheProtocolError(f"vertex {v} already in Γ-table")
+                    entry = b.gamma[v] = CachedVertex(
+                        v, labels[i], adj[offsets[i]:offsets[i + 1]],
+                        lock_count=len(waiting))
+                    b.responses += 1
+                landed.append((entry, waiting))
         finally:
-            # s_cache unchanged (R-table entries became Γ-table entries).
-            if self._memory_model is not None and added_bytes:
-                self._memory_model.add_cache(added_bytes)
-            if landed:
-                self._metrics.add("cache:responses", landed)
-        return [r for r in results if r is not None]
+            # s_cache unchanged (R-table entries became Γ-table entries);
+            # the landed rows are a prefix, so their bytes are one sum.
+            n = len(landed)
+            if self._memory_model is not None and n:
+                self._memory_model.add_cache(
+                    n * _ENTRY_HEADER_BYTES + 8 * (offsets[n] - offsets[0]))
+        return landed
 
     # -- OP3: task releases a vertex after an iteration -------------------------
 
@@ -437,36 +404,32 @@ class VertexCache:
     def release_batch(self, vertices: Sequence[int], task_id: int = -1) -> None:
         """Bulk OP3: release every vertex in ``vertices`` for one task.
 
-        Groups by bucket and takes each touched bucket's mutex once.
-        Equivalent to calling :meth:`release` per vertex in batch order
-        (a vertex listed twice is decremented twice).
+        One in-order pass applying :meth:`release`'s transition to each
+        vertex under its bucket's mutex (a vertex listed twice is
+        decremented twice).
         """
-        by_bucket: Dict[int, List[int]] = {}
+        buckets, k = self._buckets, self._num_buckets
         for v in vertices:
-            by_bucket.setdefault(v % self._num_buckets, []).append(v)
-        for bidx, vs in by_bucket.items():
-            b = self._buckets[bidx]
+            b = buckets[v % k]
             with b.lock:
                 b.acquisitions += 1
-                for v in vs:
-                    entry = b.gamma.get(v)
-                    if entry is None or entry.lock_count <= 0:
-                        raise CacheProtocolError(
-                            f"release of vertex {v} that is not locked in the "
-                            f"Γ-table"
-                        )
-                    entry.lock_count -= 1
-                    if entry.lock_count == 0:
-                        b.zero.add(v)
+                entry = b.gamma.get(v)
+                if entry is None or entry.lock_count <= 0:
+                    raise CacheProtocolError(
+                        f"release of vertex {v} that is not locked in the "
+                        f"Γ-table"
+                    )
+                entry.lock_count -= 1
+                if entry.lock_count == 0:
+                    b.zero.add(v)
 
-    # -- reads for ready tasks (no extra lock taken) -----------------------------
+    # -- reads of held entries (no extra lock taken) -----------------------------
 
     def get_locked(self, v: int, task_id: int = -1) -> CachedVertex:
-        """Fetch a vertex this task already holds a lock on.
-
-        Used when a pending task becomes ready: its request locks were
-        taken at OP1 time, so resolution must *not* re-increment.
-        ``task_id`` is checker attribution, ignored here.
+        """Fetch a vertex this task already holds a lock on, without
+        re-incrementing it (tests and diagnostics: the engine gets its
+        views at hit or arrival time).  ``task_id`` is checker
+        attribution, ignored here.
         """
         b = self._bucket(v)
         with b.lock:
@@ -509,15 +472,15 @@ class VertexCache:
                         entry = b.gamma.pop(v)
                         freed_bytes += entry.memory_estimate_bytes()
                         evicted += 1
+                        b.evictions += 1
         if evicted:
             with self._s_cache_lock:
                 self._s_cache -= evicted
             if self._memory_model is not None:
                 self._memory_model.add_cache(-freed_bytes)
-            self._metrics.add("cache:evictions", evicted)
         return evicted
 
-    # -- lock-acquisition accounting ------------------------------------------
+    # -- counter publication --------------------------------------------------
 
     def bucket_lock_acquisitions(self) -> int:
         """Total bucket-mutex acquisitions so far (racy read; exact once
@@ -525,17 +488,32 @@ class VertexCache:
         return sum(b.acquisitions for b in self._buckets)
 
     def commit_lock_metrics(self) -> None:
-        """Publish the acquisition total to ``cache:bucket_lock_acquisitions``.
+        """Publish the per-bucket counters (lock acquisitions, hits,
+        misses, responses, evictions) to their ``cache:*`` metrics.
 
-        Delta-tracked so repeated calls (every sync) are idempotent; the
-        metric ends up equal to :meth:`bucket_lock_acquisitions` at job
-        end.
+        Watermark-tracked so repeated calls (every sync) are idempotent;
+        each metric ends up equal to its bucket total at job end.
         """
-        total = self.bucket_lock_acquisitions()
-        delta = total - self._lock_metrics_committed
-        if delta:
-            self._metrics.add("cache:bucket_lock_acquisitions", delta)
-            self._lock_metrics_committed = total
+        # One pass over the buckets: this runs at every status report.
+        acq = hits = first = dup = resp = evict = 0
+        for b in self._buckets:
+            acq += b.acquisitions
+            hits += b.hits
+            first += b.miss_first
+            dup += b.miss_duplicate
+            resp += b.responses
+            evict += b.evictions
+        committed = self._committed
+        for metric, total in (("cache:bucket_lock_acquisitions", acq),
+                              ("cache:hits", hits),
+                              ("cache:miss_first", first),
+                              ("cache:miss_duplicate", dup),
+                              ("cache:responses", resp),
+                              ("cache:evictions", evict)):
+            delta = total - committed.get(metric, 0)
+            if delta:
+                self._metrics.add(metric, delta)
+                committed[metric] = total
 
     # -- invariant checks (tests) -------------------------------------------------
 

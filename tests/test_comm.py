@@ -18,9 +18,11 @@ class Quiet(Comper):
         return False
 
 
-def make_cluster(num_workers=2, path_length=30, **overrides):
+def make_cluster(num_workers=2, path_length=30, compers_per_worker=1,
+                 **overrides):
     g = Graph.from_edges([(i, i + 1) for i in range(path_length)])
-    cfg = GThinkerConfig(num_workers=num_workers, compers_per_worker=1,
+    cfg = GThinkerConfig(num_workers=num_workers,
+                         compers_per_worker=compers_per_worker,
                          task_batch_size=4, cache_capacity=64, cache_buckets=8,
                          **overrides)
     return build_cluster(Quiet, g, cfg), g
@@ -34,35 +36,62 @@ def remote_vertex_of(worker, graph):
     )
 
 
+def park_pulls(engines, pulls):
+    """One task per engine, each pulling ``pulls``; each engine parks
+    its task in one round (nothing answers, so none resumes)."""
+    for engine in engines:
+        task = Task(context="x")
+        task.pull_many(pulls)
+        engine.add_task(task)
+    for engine in engines:
+        assert engine.step()
+
+
 def test_queue_and_flush_batches():
-    (cluster, g) = make_cluster()
+    """Tasks on two compers pull one remote vertex in one flush window:
+    the R-table puts exactly one id on the wire and counts the second
+    pull as a duplicate miss, waiting on the first."""
+    (cluster, g) = make_cluster(compers_per_worker=2)
     w0 = cluster.workers[0]
     v = remote_vertex_of(w0, g)
-    w0.comm.queue_requests([v])
-    w0.comm.queue_requests([v])  # second pull of the same vertex is deduped
+    park_pulls(w0.engines, [v])
     assert w0.comm.pending_outgoing() == 1
-    assert cluster.metrics.get("comm:requests_deduped") == 1
+    w0.flush_for_status()  # publishes the cache's per-bucket counters
+    assert cluster.metrics.get("cache:miss_first") == 1
+    assert cluster.metrics.get("cache:miss_duplicate") == 1
     assert cluster.metrics.get("comm:requests_queued") == 1
+    assert cluster.metrics.get("comm:requests_deduped") == 0
     w0.comm.step()
     assert w0.comm.pending_outgoing() == 0
     owner = cluster.workers[hash_partition(v, 2)]
     msgs = cluster.transport.poll(owner.worker_id)
-    assert len(msgs) == 1  # one batch with one (dedup'd) id
+    assert len(msgs) == 1  # one batch with one id
     assert msgs[0].vertex_ids == [v]
 
 
 def test_queue_requests_bulk_dedups_across_destinations():
-    (cluster, g) = make_cluster()
+    """Tasks on two compers pull the same remote vertices, owned by two
+    other workers, in one flush window: each destination gets each of
+    its ids once, and the R-table keeps suppressing re-requests after
+    the flush, until the response lands."""
+    (cluster, g) = make_cluster(num_workers=3, compers_per_worker=2)
     w0 = cluster.workers[0]
-    remote = [v for v in g.vertices() if not w0.owns_vertex(v)][:6]
-    w0.comm.queue_requests(remote + remote[:3])
+    remote = ([v for v in g.vertices() if hash_partition(v, 3) == 1][:3]
+              + [v for v in g.vertices() if hash_partition(v, 3) == 2][:3])
+    park_pulls(w0.engines, remote)
     assert w0.comm.pending_outgoing() == len(remote)
-    assert cluster.metrics.get("comm:requests_deduped") == 3
-    # The dedup window resets at flush: a re-request after the batch is
-    # on the wire queues again (the R-table suppresses real duplicates).
     w0.comm.step()
-    w0.comm.queue_requests(remote[:1])
-    assert w0.comm.pending_outgoing() == 1
+    for dst in (1, 2):
+        (msg,) = cluster.transport.poll(dst)
+        assert msg.vertex_ids == [v for v in remote
+                                  if hash_partition(v, 3) == dst]
+    park_pulls(w0.engines[:1], remote[:1])  # a third task, after the flush
+    assert w0.comm.pending_outgoing() == 0
+    w0.flush_for_status()
+    assert cluster.metrics.get("comm:requests_queued") == len(remote)
+    assert cluster.metrics.get("cache:miss_first") == len(remote)
+    assert cluster.metrics.get("cache:miss_duplicate") == len(remote) + 1
+    assert cluster.metrics.get("comm:requests_deduped") == 0
 
 
 def test_request_served_from_local_table():
@@ -124,6 +153,45 @@ def test_response_wakes_pending_task():
     assert len(engine.t_task) == 0
     assert len(engine.b_task) == 1
     assert engine.b_task.get() is task
+
+
+def test_one_batch_wakes_tasks_in_order_of_their_last_arrival():
+    """One ResponseBatch answers vertices that three parked tasks share.
+    Each task gets one delivery with all its views, and the tasks reach
+    B_task in the order a per-vertex notification made them ready: by
+    their *last* arrival in the batch, not their first."""
+    (cluster, g) = make_cluster()
+    w0, w1 = cluster.workers
+    engine = w0.engines[0]
+    a, b, c = [v for v in g.vertices() if w1.owns_vertex(v)][:3]
+    pulls = {"t1": [a, b], "t2": [b, c], "t3": [c, a]}
+    for name, vs in pulls.items():
+        task = Task(context=name)
+        task.pull_many(vs)
+        engine.add_task(task)
+    for _ in pulls:
+        assert engine.step()  # park t1, t2, t3 in that order
+    assert len(engine.t_task) == 3
+    batch = [a, b, c]
+    cluster.transport.send(ResponseBatch.from_rows(
+        1, 0, [(v, 0, g.neighbors(v)) for v in batch]))
+    w0.comm.step()
+    # Per-vertex reference: each arrival notifies its waiters in park
+    # order; a task is ready at the arrival that completes it.
+    met, expected = dict.fromkeys(pulls, 0), []
+    for v in batch:
+        for name, vs in pulls.items():
+            if v in vs:
+                met[name] += 1
+                if met[name] == len(vs):
+                    expected.append(name)
+    assert expected == ["t1", "t2", "t3"]  # first arrival: t1, t3, t2
+    ready = engine.b_task.get_batch(10)
+    assert [t.context for t in ready] == expected
+    for t in ready:
+        assert sorted(t.views_in_flight) == sorted(pulls[t.context])
+        assert all(view.adj.tolist() == list(g.neighbors(v))
+                   for v, view in t.views_in_flight.items())
 
 
 def test_task_batch_lands_in_lfile():

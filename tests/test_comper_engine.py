@@ -216,7 +216,9 @@ def test_bulk_and_per_vertex_paths_report_the_same_counters(runtime):
     the one per-iteration remote list: at one schedule a deterministic
     eviction-heavy TC job must pin the same cache and comm counters
     either way.  (The ``checked`` runtime always decomposes, so there
-    the two runs also pin its seeded schedule as repeatable.)"""
+    the two runs also pin its seeded schedule as repeatable.)  The bulk
+    ops take one bucket mutex per vertex, as the decomposition does, so
+    the lock count is pinned too."""
     g = erdos_renyi(400, 0.03, seed=5)
     pinned = ("cache:hits", "cache:miss_first", "cache:miss_duplicate",
               "cache:evictions", "comm:requests_queued",
@@ -235,10 +237,7 @@ def test_bulk_and_per_vertex_paths_report_the_same_counters(runtime):
     assert seen[False] == seen[True]
     assert seen[False]["cache:evictions"] > 0
     assert seen[False]["cache:miss_first"] > 0
-    if runtime == "checked" or GThinkerConfig().check_enabled:
-        assert locks[False] == locks[True]  # both runs decomposed
-    else:
-        assert locks[False] < locks[True]
+    assert locks[False] == locks[True]
 
 
 class PullHub(Comper):
@@ -332,6 +331,49 @@ def test_threaded_steals_lose_no_task_under_preemption(graph):
             result = run_job(functools.partial(PullHub, hub), graph, config,
                              runtime="threaded")
             _check_hub_outputs(graph, hub, result.outputs)
+    finally:
+        sys.setswitchinterval(old)
+
+
+class CountRemotePulls(PullHub):
+    """PullHub that records, per computed task, whether its worker
+    pulled the hub remotely (every task computes exactly once)."""
+
+    def __init__(self, hub, remote) -> None:
+        super().__init__(hub)
+        self.remote = remote
+
+    def compute(self, task, frontier):
+        self.remote.append(not self._engine.worker.owns_vertex(self.hub))
+        return super().compute(task, frontier)
+
+
+def test_cache_counters_exact_under_preemption(graph):
+    """Two compers per worker and the response receiver race on one
+    cache under a 0.1 ms switch interval.  The OP counters are bumped
+    under the bucket mutex each transition holds, so they stay exact:
+    one response per first miss, one served id per first miss, and one
+    OP1 outcome per remote pull issued."""
+    import sys
+
+    hub = _hub(graph)
+    config = cfg(compers_per_worker=2, pending_threshold=0)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for _ in range(20):
+            remote = []
+            result = run_job(
+                functools.partial(CountRemotePulls, hub, remote), graph,
+                config, runtime="threaded")
+            _check_hub_outputs(graph, hub, result.outputs)
+            m = result.metrics
+            first = m.get("cache:miss_first", 0)
+            assert first > 0
+            assert m.get("cache:responses") == first
+            assert m.get("comm:requests_served") == first
+            assert (m.get("cache:hits", 0) + first
+                    + m.get("cache:miss_duplicate", 0)) == sum(remote)
     finally:
         sys.setswitchinterval(old)
 

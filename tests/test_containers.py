@@ -140,21 +140,24 @@ class TestPendingTable:
         table = PendingTable()
         task = Task()
         table.insert(1, task, req=3)
-        assert table.notify_arrival(1) is None
-        assert table.notify_arrival(1) is None
-        assert table.notify_arrival(1) is task
+        assert table.notify_arrival(1, {10: "a"}) is None
+        assert table.notify_arrival(1, {11: "b"}) is None
+        assert table.notify_arrival(1, {12: "c"}) is task
         assert len(table) == 0
+        assert task.views_in_flight == {10: "a", 11: "b", 12: "c"}
 
     def test_counted_arrivals(self):
-        """A parking comper counts all its cache hits in one call."""
+        """A parking comper hands over all its cache hits in one call;
+        ``met`` counts the views delivered."""
         table = PendingTable()
         task = Task()
         table.insert(1, task, req=3)
-        assert table.notify_arrival(1, 2) is None
-        assert table.notify_arrival(1) is task
+        assert table.notify_arrival(1, {10: "a", 11: "b"}) is None
+        assert table.notify_arrival(1, {12: "c"}) is task
         table.insert(2, task, req=2)
+        assert task.views_in_flight == {}  # a new park starts empty
         with pytest.raises(ValueError):
-            table.notify_arrival(2, 3)
+            table.notify_arrival(2, {10: "a", 11: "b", 12: "c"})
 
     def test_duplicate_insert_rejected(self):
         table = PendingTable()
@@ -164,14 +167,14 @@ class TestPendingTable:
 
     def test_unknown_arrival_rejected(self):
         with pytest.raises(KeyError):
-            PendingTable().notify_arrival(99)
+            PendingTable().notify_arrival(99, {10: "a"})
 
     def test_over_notification_rejected(self):
         table = PendingTable()
         table.insert(1, Task(), req=1)
-        table.notify_arrival(1)
+        table.notify_arrival(1, {10: "a"})
         with pytest.raises(KeyError):
-            table.notify_arrival(1)
+            table.notify_arrival(1, {10: "a"})
 
     def test_concurrent_notifications(self):
         """Racing notifier threads: the task is released exactly once."""
@@ -181,19 +184,21 @@ class TestPendingTable:
         winners = []
         lock = threading.Lock()
 
-        def notifier():
-            for _ in range(8):
-                ready = table.notify_arrival(7)
+        def notifier(i):
+            for j in range(8):
+                ready = table.notify_arrival(7, {8 * i + j: j})
                 if ready is not None:
                     with lock:
                         winners.append(ready)
 
-        threads = [threading.Thread(target=notifier) for _ in range(8)]
+        threads = [threading.Thread(target=notifier, args=(i,))
+                   for i in range(8)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
         assert winners == [task]
+        assert sorted(task.views_in_flight) == list(range(64))
 
 
 class TestTaskFileList:

@@ -2,6 +2,7 @@
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.algorithms import count_triangles, max_clique_reference
@@ -13,7 +14,7 @@ from repro.check import (
     TaskLifecycleChecker,
 )
 from repro.check.fuzz import HopSumComper, hop_sum_oracle
-from repro.core.api import Task
+from repro.core.api import Task, VertexView
 from repro.core.config import GThinkerConfig
 from repro.core.containers import TaskQueue, make_task_id
 from repro.core.errors import ProtocolViolation
@@ -183,6 +184,26 @@ def test_cache_rejects_get_locked_without_hold():
     with pytest.raises(ProtocolViolation, match="no ledger lock"):
         cache.get_locked(v, make_task_id(1, 0))  # a task with no hold
     cache.release(v, owner)
+
+
+def test_delivery_rejects_a_view_the_task_holds_no_lock_on():
+    """Every view handed to a parked task (hits at park time, arrivals
+    from the receiver) must be of a vertex the task holds a ledger lock
+    on: a resumed task computes on its views with no ``get_locked``
+    round, so delivery is where the ledger is checked."""
+    cluster, g = make_cluster(check_protocols=True)
+    w0 = cluster.workers[0]
+    engine = w0.engines[0]
+    v, other = [x for x in g.vertices() if hash_partition(x, 2) == 1][:2]
+    task = Task(context="x")
+    task.pull(v)
+    engine.add_task(task)
+    assert engine.step()  # parks on v, holding one ledger lock
+    assert len(engine.t_task) == 1
+    forged = {other: VertexView(other, 0, np.asarray(g.neighbors(other)))}
+    with pytest.raises(ProtocolViolation, match="no ledger lock"):
+        engine.deliver(task.task_id, forged)
+    assert len(engine.t_task) == 1  # not delivered, so not ready
 
 
 def test_cache_rejects_anonymous_request():

@@ -2,16 +2,17 @@
 the pull-path constants (response chunk, idle backoff).
 
 The metrics-backed guarantees of the batched pull path: the bulk pull
-path (the only engine path) must do the *same work* as
-its per-vertex OP1–OP3 decomposition — what ``CheckedVertexCache``
-turns every bulk call into — with strictly fewer bucket-lock
-acquisitions, and request/serve dedup must put strictly fewer messages
-on the wire.
+path (the only engine path) must do the *same work* as its per-vertex
+OP1–OP3 decomposition — what ``CheckedVertexCache`` turns every bulk
+call into — down to the bucket-lock acquisitions (one per vertex op,
+the paper's OP granularity), and R-table/serve dedup must put strictly
+fewer ids and messages on the wire.
 """
 
 from repro.algorithms import count_triangles
 from repro.apps import TriangleCountComper
 from repro.core import GThinkerConfig, run_job
+from repro.core.api import Comper, Task
 from repro.core.comm import RESPONSE_CHUNK
 from repro.core.config import IDLE_BACKOFF_MAX_S, IDLE_SLEEP_S
 from repro.core.job import build_cluster
@@ -26,14 +27,15 @@ def cfg(**kw):
     return GThinkerConfig(**base)
 
 
-# -- bulk vs per-vertex: same answer, fewer lock acquisitions -----------------
+# -- bulk vs per-vertex: same answer, same lock acquisitions ------------------
 
 
-def test_bulk_path_takes_strictly_fewer_bucket_locks():
+def test_bulk_path_takes_one_bucket_lock_per_vertex_op():
     """Same serial schedule twice: plain ``VertexCache`` (bulk ops) vs
     ``CheckedVertexCache``, which decomposes every bulk call into the
     reference per-vertex ``request`` / ``insert_response`` /
-    ``release`` — that decomposition *is* the equivalence contract."""
+    ``release`` — that decomposition *is* the equivalence contract,
+    down to one bucket-lock acquisition per vertex op."""
     g = erdos_renyi(80, 0.15, seed=21)
     expected = count_triangles(g)
     bulk = run_job(TriangleCountComper, g, cfg(), runtime="serial")
@@ -43,11 +45,7 @@ def test_bulk_path_takes_strictly_fewer_bucket_locks():
     a = bulk.metrics.get("cache:bucket_lock_acquisitions")
     b = per_vertex.metrics.get("cache:bucket_lock_acquisitions")
     assert a and b, "lock metric missing from job results"
-    if cfg().check_enabled:
-        # REPRO_CHECK=1 turns the checker on for both runs.
-        assert a == b, f"checked bulk path took {a} lock acquisitions vs {b}"
-    else:
-        assert a < b, f"bulk path took {a} lock acquisitions vs {b} per-vertex"
+    assert a == b, f"bulk path took {a} lock acquisitions vs {b} per-vertex"
     # Same protocol traffic either way: the batching is invisible to the
     # OP1/OP2/OP3 ledger.
     for key in ("cache:hits", "cache:miss_first", "cache:miss_duplicate",
@@ -88,18 +86,40 @@ def test_serve_dedup_sends_fewer_response_messages():
     assert cluster.metrics.get("comm:requests_served") == len(owned)
 
 
+class ParkOnly(Comper):
+    """Spawns nothing; the test adds the tasks."""
+
+    def task_spawn(self, v):
+        pass
+
+    def compute(self, task, frontier):
+        return False
+
+
 def test_queue_dedup_sends_fewer_request_ids():
+    """Three tasks on two compers pull the same four remote vertices in
+    one flush window: 12 pulls, and the R-table puts each id on the wire
+    once, counting the other 8 as duplicate misses."""
     g = erdos_renyi(40, 0.2, seed=5)
-    cluster = build_cluster(TriangleCountComper, g, cfg())
+    cluster = build_cluster(ParkOnly, g, cfg())
     w0 = cluster.workers[0]
+    a, b = w0.engines
     remote = [v for v in g.vertices() if not w0.owns_vertex(v)][:4]
-    w0.comm.queue_requests(remote * 3)  # per-vertex baseline: 12 queued
+    for engine in (a, a, b):
+        task = Task()
+        task.pull_many(remote)
+        engine.add_task(task)
+    for engine in (a, a, b):
+        assert engine.step()  # park: no response comes back
     assert w0.comm.pending_outgoing() == len(remote)
     w0.comm.step()
-    dst = remote[0] % 2
-    msgs = cluster.transport.poll(dst)
-    assert sum(len(m.vertex_ids) for m in msgs) <= len(remote)
-    assert cluster.metrics.get("comm:requests_deduped") == 2 * len(remote)
+    msgs = cluster.transport.poll(1)
+    assert sorted(v for m in msgs for v in m.vertex_ids) == sorted(remote)
+    w0.flush_for_status()
+    m = cluster.metrics
+    assert m.get("cache:miss_first") == m.get("comm:requests_queued") == 4
+    assert m.get("cache:miss_duplicate") == 2 * len(remote)
+    assert m.get("comm:requests_deduped") == 0
 
 
 # -- batching: pulls travel in real batches on every runtime ------------------

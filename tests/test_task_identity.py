@@ -19,6 +19,7 @@ import pytest
 from repro.algorithms import count_triangles
 from repro.apps import TriangleCountComper
 from repro.core.api import Comper, SumAggregator, Task
+from repro.core.checkpoint import restore_task, snapshot_task
 from repro.core.config import GThinkerConfig
 from repro.core.containers import (
     comper_of_task_id,
@@ -180,7 +181,10 @@ def test_steal_reparks_task_under_thief_worker_id():
 def test_remote_set_is_rederived_by_the_worker_that_restarts_the_task():
     """yield -> spill -> steal -> refill on another worker: which pulls
     are remote is relative to the worker, so the per-iteration remote
-    list must not travel with the task (same hazard as the stale id)."""
+    list must not travel with the task (same hazard as the stale id),
+    and neither may the cache views delivered to it: those are locked
+    entries of the parking worker's cache, and neither a checkpoint, a
+    spill file nor a steal batch carries them."""
     cluster, g = make_cluster()
     w0, w1 = cluster.workers
     a = w0.engines[0]
@@ -193,12 +197,18 @@ def test_remote_set_is_rederived_by_the_worker_that_restarts_the_task():
     a.add_task(task)
     assert a.step()  # park on w0
     assert task.remote_in_flight == [v1]
+    assert task.views_in_flight == {}
     pump_comm(cluster)
+    # Ready in B_task with the arrived view, locked in w0's cache...
+    assert list(task.views_in_flight) == [v1]
+    # ...which a checkpoint of the waiting task does not record.
+    assert restore_task(snapshot_task(task)).views_in_flight is None
     a.add_task(Task(context=[]))
     a.add_task(Task(context=[]))
     assert a._push()  # resume -> compute pulls [u, v2] -> inline yield
     # Released with the iteration and not recomputed for the yield.
     assert task.remote_in_flight == () and task.pulls_in_flight == []
+    assert task.views_in_flight is None
     assert task.pending_pulls() == (u, v2)
 
     a.add_task(Task(context=[]))  # spill the yielded task
@@ -210,11 +220,12 @@ def test_remote_set_is_rederived_by_the_worker_that_restarts_the_task():
     stolen = entry.task
     assert stolen.pulls_in_flight == [u, v2]
     assert stolen.remote_in_flight == [u]  # w0 would have said [v2]
+    assert stolen.views_in_flight == {}  # nothing delivered on w1 yet
     assert w0.remote_of([u, v2]) == [v2]
 
     pump_comm(cluster)
     assert c._push()  # frontier: u from the cache, v2 from w1's T_local
-    assert stolen.remote_in_flight == ()
+    assert stolen.remote_in_flight == () and stolen.views_in_flight is None
     for w in cluster.workers:  # every cache lock was released
         w.cache.check_invariants()
         size = w.cache.exact_size()
@@ -227,6 +238,7 @@ def test_serialize_tasks_drops_the_remote_list():
     t.remote_in_flight = [7]  # as if a park-time list had leaked
     (out,) = deserialize_tasks(serialize_tasks([t]))
     assert t.remote_in_flight == () and out.remote_in_flight == ()
+    assert out.views_in_flight is None
 
 
 def test_misrouted_arrival_raises_contextual_task_error():

@@ -2,9 +2,9 @@
 
 The contract under test: each bulk entry point is *observationally
 equivalent* to the per-vertex OP1/OP2/OP3 sequence in batch order — same
-outcomes, same lock counts, same Z-table membership, same ``s_cache`` —
-and differs only in how many bucket-mutex acquisitions it costs, which
-``bucket_lock_acquisitions()`` makes measurable.
+outcomes, same lock counts, same Z-table membership, same ``s_cache``,
+and one bucket-mutex acquisition per vertex as the paper's atomic OPs
+take, which ``bucket_lock_acquisitions()`` makes measurable.
 """
 
 import pytest
@@ -17,6 +17,7 @@ from repro.core.errors import CacheProtocolError
 from repro.core.job import run_job
 from repro.core.vertex_cache import RequestOutcome, VertexCache
 from repro.graph import erdos_renyi
+from repro.net import ResponseBatch
 
 
 def make_cache(capacity=100, buckets=4, delta=1, cls=VertexCache):
@@ -34,8 +35,15 @@ def snapshot(c):
             for v, entry in b.gamma.items():
                 state[v] = ("gamma", entry.lock_count, v in b.zero)
             for v, pending in b.requests.items():
-                state[v] = ("requested", tuple(pending.waiting_task_ids))
+                state[v] = ("requested", tuple(pending))
     return state
+
+
+def land(c, rows):
+    """Bulk OP2 of ``(v, label, adj)`` rows packed as one ResponseBatch;
+    returns ``[(v, waiting_task_ids), ...]``."""
+    return [(entry.vid, waiting) for entry, waiting in
+            c.insert_responses(ResponseBatch.from_rows(0, 0, rows))]
 
 
 # -- unit tests: request_batch -----------------------------------------------
@@ -94,9 +102,7 @@ class TestInsertResponses:
         c = make_cache(buckets=2)
         c.request_batch([1, 2, 3, 4], task_id=1)
         c.request(3, task_id=9)
-        landed = c.insert_responses(
-            [(4, 40, (1,)), (1, 10, ()), (3, 30, (2, 5))]
-        )
+        landed = land(c, [(4, 40, (1,)), (1, 10, ()), (3, 30, (2, 5))])
         assert landed == [(4, [1]), (1, [1]), (3, [1, 9])]
         assert tuple(c.get_locked(3).adj) == (2, 5)
         assert c.get_locked(3).label == 30
@@ -105,7 +111,7 @@ class TestInsertResponses:
         c = make_cache(buckets=1)  # one bucket => deterministic order
         c.request_batch([1, 2], task_id=1)
         with pytest.raises(CacheProtocolError):
-            c.insert_responses([(1, 0, ()), (99, 0, ()), (2, 0, ())])
+            land(c, [(1, 0, ()), (99, 0, ()), (2, 0, ())])
         # Row 1 landed before the violation, exactly like the per-vertex
         # sequence; row 2 never ran.
         assert c.get_locked(1).lock_count == 1
@@ -115,7 +121,7 @@ class TestInsertResponses:
         c = make_cache(delta=1)
         c.request_batch([1, 2, 3], task_id=1)
         before = c.size_estimate
-        c.insert_responses([(1, 0, ()), (2, 0, ()), (3, 0, ())])
+        land(c, [(1, 0, ()), (2, 0, ()), (3, 0, ())])
         assert c.size_estimate == before == 3
 
 
@@ -126,7 +132,7 @@ class TestReleaseBatch:
     def test_release_to_zero_enables_eviction(self):
         c = make_cache()
         c.request_batch([1, 2], task_id=1)
-        c.insert_responses([(1, 0, ()), (2, 0, ())])
+        land(c, [(1, 0, ()), (2, 0, ())])
         c.release_batch([1, 2], task_id=1)
         assert c.evict(10) == 2
 
@@ -150,13 +156,14 @@ class TestReleaseBatch:
 
 
 class TestLockAccounting:
-    def test_batch_ops_acquire_strictly_fewer_locks(self):
-        """The whole point: same ops, fewer mutex acquisitions."""
+    def test_batch_ops_acquire_one_lock_per_vertex(self):
+        """Same ops, same mutex acquisitions: each vertex's transition
+        runs under its own bucket mutex, the paper's OP granularity."""
         vs = list(range(32))
         batch, seq = make_cache(buckets=4), make_cache(buckets=4)
 
         batch.request_batch(vs, task_id=1)
-        batch.insert_responses([(v, 0, ()) for v in vs])
+        land(batch, [(v, 0, ()) for v in vs])
         batch.release_batch(vs, task_id=1)
 
         for v in vs:
@@ -167,8 +174,8 @@ class TestLockAccounting:
             seq.release(v)
 
         assert snapshot(batch) == snapshot(seq)
-        # 3 passes x 4 touched buckets vs 3 passes x 32 vertices.
-        assert batch.bucket_lock_acquisitions() == 12
+        # 3 passes x 32 vertices either way.
+        assert batch.bucket_lock_acquisitions() == 96
         assert seq.bucket_lock_acquisitions() == 96
 
     def test_commit_lock_metrics_is_idempotent(self):
@@ -253,7 +260,7 @@ def test_batch_ops_equal_per_vertex_sequences(rounds):
                     model[v] = "cached"
             if not rows:
                 continue
-            landed = batch.insert_responses(rows)
+            landed = land(batch, rows)
             expected = [(v, seq.insert_response(v, label, adj))
                         for v, label, adj in rows]
             assert landed == expected
@@ -293,7 +300,7 @@ class TestCheckedBulkOps:
         c = make_cache(cls=CheckedVertexCache)
         out = c.request_batch([1, 2, 1], task_id=5)
         assert (out.hits, out.to_send, out.duplicates) == (0, [1, 2], 1)
-        landed = c.insert_responses([(1, 0, ()), (2, 0, ())])
+        landed = land(c, [(1, 0, ()), (2, 0, ())])
         assert landed == [(1, [5, 5]), (2, [5])]
         c.release_batch([1, 1, 2], task_id=5)
         assert c.evict(10) == 2
@@ -304,7 +311,7 @@ class TestCheckedBulkOps:
         plain, checked = make_cache(), make_cache(cls=CheckedVertexCache)
         for c in (plain, checked):
             c.request_batch([1, 2], task_id=5)
-            c.insert_responses([(1, 10, (2,)), (2, 20, (1,))])
+            land(c, [(1, 10, (2,)), (2, 20, (1,))])
             out = c.request_batch([2, 1, 3], task_id=6)
             assert (out.hits, out.to_send) == (2, [3])
             assert {v: (e.view.id, e.view.label, tuple(e.view.adj))
