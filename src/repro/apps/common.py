@@ -23,8 +23,10 @@ class BundlingComper(Comper):
     each spawn vertex to :meth:`spawn_member`: a heavy one gets a task
     of its own, the rest are buffered and leave ``bundle_size`` at a
     time through :meth:`emit_bundle` — the last, partial bundle on
-    ``spawn_flush``.  Members wait only in this buffer, never across a
-    steal payload or a checkpoint (the worker flushes before both).
+    ``spawn_flush``.  Members wait only in this buffer, and never
+    outlive the job: a worker's partition closes only once every comper
+    that took from its spawn cursor has flushed (and a steal payload or
+    a checkpoint flushes before it ships).
     """
 
     def __init__(self, bundle_size: int) -> None:

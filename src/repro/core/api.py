@@ -278,7 +278,8 @@ class Comper(abc.ABC):
         """
 
     def spawn_flush(self) -> None:
-        """Called once the local spawn cursor is exhausted.
+        """Called once the local spawn cursor is exhausted, on a comper
+        that took vertices from it.
 
         Apps that *bundle* several spawned vertices into one task (the
         paper's future-work item for low-degree vertices, after [38])

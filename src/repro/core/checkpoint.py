@@ -11,9 +11,9 @@ Every runtime that checkpoints takes the one sync-barrier checkpoint of
 the master (:meth:`~repro.core.controlplane.ControlPlaneMaster._checkpoint`):
 workers quiesce, the wire is drained until ``sent == received``
 globally, then every worker ships a :class:`WorkerSnapshot` —
-including its aggregator partial and transport counters, so the
-termination detector stays sound after a restore.  Recovery builds a
-fresh job seeded from the snapshots
+including its aggregator partial and transport counters, so the next
+barrier's ``sent == received`` test stays sound after a restore.
+Recovery builds a fresh job seeded from the snapshots
 (:meth:`~repro.core.controlplane.ControlPlaneMaster.start`); every
 runtime reads the same :class:`JobCheckpoint` format, so a shard
 written by one can be resumed by another.
@@ -87,8 +87,8 @@ class WorkerSnapshot:
     partial: Any = None
     #: The worker's monotone transport counters at the barrier.
     #: Globally ``sum(sent) == sum(received)`` (the barrier drains the
-    #: wire first), so restoring them keeps the ``sent == received``
-    #: termination rule sound after recovery.
+    #: wire first), so restoring them keeps the next barrier's
+    #: ``sent == received`` settle test sound after recovery.
     sent: int = 0
     received: int = 0
 

@@ -125,7 +125,6 @@ class CommService:
                 self._receive_responses(msg)
             elif isinstance(msg, TaskBatchTransfer):
                 self.worker.l_file.add_payload(msg.payload, msg.num_tasks)
-                self.worker.note_progress()
             else:  # pragma: no cover - no other message kinds exist
                 raise TypeError(f"unknown message type {type(msg)!r}")
         except (GThinkerError, TypeError):
@@ -136,8 +135,9 @@ class CommService:
                 f"comm dispatch of {type(msg).__name__} "
                 f"(worker {msg.src} -> {msg.dst}) failed: {exc!r}",
             ) from exc
-        # Only now is the message received: what it carried (a stolen
-        # batch, a response) is in a container termination counts.
+        # Only now is the message received: at the checkpoint barrier,
+        # sum(sent) == sum(received) then means what every message
+        # carried (a stolen batch, a response) is in a container.
         self.worker.transport.mark_received(self.worker.worker_id)
 
     def _serve_requests(self, msg: RequestBatch, now: float) -> None:
@@ -200,4 +200,3 @@ class CommService:
                 engine.b_task.put(ready)
         self.worker.metrics.add("comm:responses_received", len(landed))
         self.worker.metrics.add("time:comm_land_s", time.perf_counter() - t0)
-        self.worker.note_progress()

@@ -63,10 +63,13 @@ class ComperEngine:
             else self.INLINE_ITERATION_LIMIT
         )
         self._seq = 0
-        self._active = 0  # tasks taken out of containers, mid-processing
-        # Set once the worker's spawn cursor exhausted and this comper's
-        # app got its spawn_flush() call (bundling apps hold buffers).
-        self.spawn_flushed = False
+        # Monotone task counters written by this comper's thread only;
+        # termination reads nothing else (DESIGN.md §13).  A task retires
+        # as ``finished`` or, re-queued and so born again, in ``yields``.
+        self.born = self.finished = self.yields = self.iterations = 0
+        # False from this comper's first take from the spawn cursor until
+        # its spawn_flush() after the cursor ran out has returned.
+        self.spawn_flushed = True
 
     # -- services exposed to the app (via Comper base class) ---------------
 
@@ -75,6 +78,7 @@ class ComperEngine:
         return self.worker.config
 
     def add_task(self, task: Task) -> None:
+        self.born += 1  # before the task can be seen anywhere
         if self.checker is not None:
             self.checker.on_queued(task, self.global_id)
         spill = self.q_task.append(task)
@@ -82,7 +86,6 @@ class ComperEngine:
             if self.checker is not None:
                 self.checker.on_spilled(spill, self.global_id)
             self.worker.l_file.spill(spill)
-        self.worker.metrics.add("tasks:created")
 
     def aggregate(self, value) -> None:
         self.worker.aggregator.aggregate(value)
@@ -93,10 +96,7 @@ class ComperEngine:
     def output(self, record) -> None:
         self.worker.add_output(record)
 
-    # -- status (termination detection & gating) ---------------------------
-
-    def tasks_in_memory(self) -> int:
-        return len(self.q_task) + len(self.b_task) + len(self.t_task) + self._active
+    # -- status (gating) ----------------------------------------------------
 
     def pending_load(self) -> int:
         """|T_task| + |B_task|, gated against the paper's D threshold."""
@@ -126,17 +126,13 @@ class ComperEngine:
     # -- push: consume ready tasks -----------------------------------------
 
     def _push(self) -> bool:
-        self._active += 1  # in hand before it leaves B_task
-        try:
-            task = self.b_task.get()
-            if task is None:
-                return False
-            if self.checker is not None:
-                self.checker.on_resumed(task, self.global_id)
-            views, task.views_in_flight = task.views_in_flight, None
-            self._process(task, self._frontier(task.pulls_in_flight, views))
-        finally:
-            self._active -= 1
+        task = self.b_task.get()
+        if task is None:
+            return False
+        if self.checker is not None:
+            self.checker.on_resumed(task, self.global_id)
+        views, task.views_in_flight = task.views_in_flight, None
+        self._process(task, self._frontier(task.pulls_in_flight, views))
         return True
 
     def _frontier(self, pulls: Sequence[int],
@@ -155,48 +151,32 @@ class ComperEngine:
         refilled = False
         if self.q_task.needs_refill():
             refilled = self._refill()
-        self._active += 1  # in hand before it leaves Q_task
-        try:
-            task = self.q_task.pop()
-            if task is None:
-                # Advancing the spawn cursor is progress even when every
-                # candidate vertex was pruned by task_spawn.
-                return refilled
-            if self.checker is not None:
-                self.checker.on_started(task, self.global_id)
-            self._start(task)
-        finally:
-            self._active -= 1
+        task = self.q_task.pop()
+        if task is None:
+            # Advancing the spawn cursor is progress even when every
+            # candidate vertex was pruned by task_spawn.
+            return refilled
+        if self.checker is not None:
+            self.checker.on_started(task, self.global_id)
+        self._start(task)
         return True
 
     def _refill(self) -> bool:
         """Prioritized refill: spilled/stolen files first, then spawns.
 
         Returns True if any refill source yielded work (tasks loaded or
-        spawn cursor advanced).  The batch is in hand (``_active``) across
-        a file read or a spawn that spills, as termination detection
-        reads the containers one at a time while compers run.
+        spawn cursor advanced).
         """
-        self._active += 1
-        try:
-            # Progress before the batch leaves L_file and once it is in
-            # Q_task, so a snapshot that missed it in both sees a change.
-            l_file = self.worker.l_file
-            if len(l_file):
-                self.worker.note_progress()
-            tasks = l_file.take_file()
-            if tasks is not None:
-                if self.checker is not None:
-                    self.checker.on_adopted(tasks, self.global_id)
-                self.q_task.prepend(tasks)
-                self.worker.note_progress()
-                return True
-            room = self.q_task.refill_room()
-            if room > 0:
-                return self.worker.spawn_into(self, room) > 0
-            return False
-        finally:
-            self._active -= 1
+        tasks = self.worker.l_file.take_file()
+        if tasks is not None:
+            if self.checker is not None:
+                self.checker.on_adopted(tasks, self.global_id)
+            self.q_task.prepend(tasks)
+            return True
+        room = self.q_task.refill_room()
+        if room > 0:
+            return self.worker.spawn_into(self, room) > 0
+        return False
 
     def _start(self, task: Task) -> None:
         """Resolve a task fresh from ``Q_task`` (no locks held yet)."""
@@ -286,7 +266,7 @@ class ComperEngine:
                 more = self.app.compute(task, frontier)
             except Exception as exc:
                 raise TaskError(task.task_id, repr(exc)) from exc
-            self.worker.metrics.add("tasks:iterations")
+            self.iterations += 1
             # Release every remote vertex of the iteration just finished
             # ("a task always releases all its previously requested
             # non-local vertices from T_cache after each iteration"):
@@ -300,7 +280,7 @@ class ComperEngine:
             if not more:
                 if self.checker is not None:
                     self.checker.on_finished(task, self.global_id)
-                self.worker.metrics.add("tasks:finished")
+                self.finished += 1
                 return
             if iterations >= self.inline_limit:
                 # Yield: return the task (with its pulls restored) to the
@@ -318,7 +298,7 @@ class ComperEngine:
                 if self.checker is not None:
                     self.checker.on_yielded(task, self.global_id)
                 self.add_task(task)
-                self.worker.metrics.add("comper:inline_yields")
+                self.yields += 1
                 return
             frontier = self._next_frontier(task, pulls)
             if frontier is None:

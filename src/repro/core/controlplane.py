@@ -8,11 +8,12 @@ plane, many machines) and the in-process runtimes (``serial``,
 loopback channel) all drive the *same* protocol:
 
 * periodic **sync sweeps** — global aggregate down, per-node status
-  (task/queue occupancy, transport counters, progress, workload
-  estimate, aggregator partial) up;
-* Safra-style **double-snapshot termination**: two consecutive sweeps
-  must observe every node drained, globally ``sum(sent) ==
-  sum(received)``, and an unchanged progress counter;
+  (monotone task counters, the closed flag, workload estimate,
+  aggregator partial) up;
+* **termination from monotone task counters** (Mattern's four-counter
+  method, DESIGN.md §13): two consecutive sweeps must read the same
+  global ``(born, retired)``, ``born == retired``, and every node's
+  spawn partition closed;
 * master-coordinated, workload-**proportional stealing** with ping-pong
   hysteresis;
 * **sync-barrier checkpoints**: quiesce → drain the wire to a provably
@@ -105,13 +106,11 @@ class NodeStatus:
     """One node's answer to a sync command."""
 
     worker_id: int
-    tasks_in_memory: int
-    tasks_on_disk: int
-    unspawned: int
-    outgoing: int
-    sent: int
-    received: int
-    progress: int
+    #: Tasks born and retired on this node so far (:meth:`Worker.task_counts`).
+    born: int
+    retired: int
+    #: :meth:`Worker.closed`: nothing left behind the spawn cursor.
+    closed: bool
     workload: int
     partial: Any
 
@@ -247,23 +246,18 @@ class NodeSession:
         """Flush node-local state and build a fresh :class:`NodeStatus`.
 
         The serve loop is the process's only cache-mutating thread, so
-        flushing here makes ``s_cache`` exact and the lock-acquisition
-        metric current at every status report.
+        flushing here makes ``s_cache`` exact and the cache and task
+        metrics current at every status report.
         """
         worker = self.worker
-        transport = self.transport
         worker.flush_for_status()
-        transport.flush_outgoing()
+        self.transport.flush_outgoing()
+        born, retired = worker.task_counts()
         return NodeStatus(
             worker_id=worker.worker_id,
-            tasks_in_memory=worker.tasks_in_memory(),
-            tasks_on_disk=len(worker.l_file),
-            unspawned=worker.unspawned_count(),
-            outgoing=(worker.comm.pending_outgoing()
-                      + transport.pending_unflushed()),
-            sent=transport.sent_count,
-            received=transport.received_count,
-            progress=worker.progress.value,
+            born=born,
+            retired=retired,
+            closed=worker.closed(),
             workload=worker.remaining_workload_estimate(),
             partial=worker.aggregator.take_partial(),
         )
@@ -355,9 +349,10 @@ def seed_node(worker, transport, snapshot: Optional[WorkerSnapshot],
     """Restore a freshly built node from its barrier snapshot and the
     folded global aggregate (either may be None: a cold start).
 
-    Counters resume from the barrier's balanced values; the fresh
-    queues/sockets/mailboxes are empty, so ``sent == received`` still
-    means "wire empty" to the termination detector.
+    Transport counters resume from the barrier's balanced values; the
+    fresh queues/sockets/mailboxes are empty, so ``sent == received``
+    still means "wire empty" to the next barrier.  Task counters start
+    over: every restored task is born again through ``add_task``.
     """
     if snapshot is not None:
         restore_worker(worker, snapshot)
@@ -753,7 +748,7 @@ class ControlPlaneMaster:
             self.global_aggregator.reset()
         self._sweeps = 0
         self._prev_idle = False
-        self._prev_progress = -1
+        self._prev_counts = None
         self._pending_wake = False
         self._last_steal_key = None
         self._boot(ckpt, self.global_aggregator.value if ckpt is not None else None)
@@ -961,19 +956,6 @@ class ControlPlaneMaster:
         for nid in range(n):
             self._recv(nid)  # ("resumed", nid)
 
-    @staticmethod
-    def _statuses_idle(statuses: List[NodeStatus]) -> bool:
-        """The Safra snapshot predicate over one full status set."""
-        return (
-            all(
-                s.tasks_in_memory == 0 and s.tasks_on_disk == 0
-                and s.unspawned == 0 and s.outgoing == 0
-                for s in statuses
-            )
-            and sum(s.sent for s in statuses)
-            == sum(s.received for s in statuses)
-        )
-
     def _finalize(self) -> List[NodeFinal]:
         finals: List[NodeFinal] = []
         for nid in range(self.num_nodes):
@@ -996,9 +978,11 @@ class ControlPlaneMaster:
 
     def _round(self) -> bool:
         """Sweep, plan steals, checkpoint on cadence; True when this
-        sweep and the last were both idle with unchanged global progress.
+        sweep and the last were both idle — every task born has retired
+        and every partition is closed — with the same task totals.
         (The statuses predate the steals, but an idle sweep shows no
-        workload gap to plan a steal over.)"""
+        workload gap to plan a steal over, and a steal that moves tasks
+        either births them or moves tasks not yet retired.)"""
         if self.abort is not None:
             # The unwind reaches the executor's teardown — quota is back
             # within one sweep of the cancel request.
@@ -1015,10 +999,11 @@ class ControlPlaneMaster:
             raise JobAbortedError(
                 f"job aborted after {self._sweeps} sync sweeps"
             )
-        idle = self._statuses_idle(statuses)
-        progress = sum(s.progress for s in statuses)
-        done = idle and self._prev_idle and progress == self._prev_progress
-        self._prev_idle, self._prev_progress = idle, progress
+        counts = (sum(s.born for s in statuses),
+                  sum(s.retired for s in statuses))
+        idle = counts[0] == counts[1] and all(s.closed for s in statuses)
+        done = idle and self._prev_idle and counts == self._prev_counts
+        self._prev_idle, self._prev_counts = idle, counts
         return done
 
     def _run_to_completion(self) -> List[NodeFinal]:

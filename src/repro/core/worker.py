@@ -35,7 +35,7 @@ from .metrics import MetricsRegistry, WorkerMemoryModel
 from .vertex_cache import VertexCache
 
 __all__ = [
-    "Worker", "AtomicCounter", "ENGINE_BURST_STEPS", "LocalTable",
+    "Worker", "ENGINE_BURST_STEPS", "LocalTable",
     "LocalTableMemo", "build_local_table",
 ]
 
@@ -45,26 +45,6 @@ __all__ = [
 #: engine has work); big enough that the per-round flush/poll overhead
 #: is noise next to the mining work.
 ENGINE_BURST_STEPS = 32
-
-
-class AtomicCounter:
-    """A lock-guarded counter (GIL does not make ``+=`` atomic)."""
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0
-
-    def increment(self) -> int:
-        with self._lock:
-            self._value += 1
-            return self._value
-
-    @property
-    def value(self) -> int:
-        with self._lock:
-            return self._value
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,6 +158,7 @@ class _CollectorEngine:
         return self.worker.config
 
     def add_task(self, task: Task) -> None:
+        self.worker.born_for_steals += 1  # before the payload ships
         self.collected.append(task)
 
     def aggregate(self, value) -> None:
@@ -274,7 +255,10 @@ class Worker:
 
         self._outputs: List[Any] = []
         self._outputs_lock = threading.Lock()
-        self.progress = AtomicCounter()
+        #: Tasks the steal collector created; the control thread writes it.
+        self.born_for_steals = 0
+        #: Engine counter totals last published as metrics.
+        self._published: Dict[str, int] = {}
         self.cost_meter = CostMeter()
         #: Task-pool bytes last folded into the memory model.
         self._last_task_bytes = 0
@@ -420,15 +404,17 @@ class Worker:
                     exhausted = True
                     break
                 v = self._spawn_order[self._spawn_next]
+                # Cleared before the cursor moves: a status that reads
+                # the cursor exhausted then reads this flag after it.
+                engine.spawn_flushed = False
                 self._spawn_next += 1
             engine.app.task_spawn(self._entry(v))
             spawned_from += 1
-            self.note_progress()
         if exhausted and not engine.spawn_flushed:
-            # Let bundling apps emit their final partial bundle, exactly
-            # once per comper.
-            engine.spawn_flushed = True
+            # Let bundling apps emit their final partial bundle, once per
+            # comper that took from the cursor; flagged once it returned.
             engine.app.spawn_flush()
+            engine.spawn_flushed = True
         return spawned_from
 
     def spawn_batch_payload(self, max_tasks: int) -> Optional[Tuple[bytes, int]]:
@@ -442,7 +428,6 @@ class Worker:
                 v = self._spawn_order[self._spawn_next]
                 self._spawn_next += 1
             self._steal_app.task_spawn(self._entry(v))
-            self.note_progress()
         # Bundling apps: the cursor is already past the members of the
         # partial bundle and no later payload is promised, so it ships
         # with this one (the batch may run one task over ``max_tasks``).
@@ -478,10 +463,23 @@ class Worker:
         with self._outputs_lock:
             self._outputs = list(records)
 
-    # -- progress / status ------------------------------------------------------------------
+    # -- status ------------------------------------------------------------------------------
 
-    def note_progress(self) -> None:
-        self.progress.increment()
+    def task_counts(self) -> Tuple[int, int]:
+        """``(born, retired)`` over this worker's compers and steal
+        collector: monotone, so any read order is sound (DESIGN.md §13)."""
+        engines = self.engines
+        return (self.born_for_steals + sum(e.born for e in engines),
+                sum(e.finished + e.yields for e in engines))
+
+    def closed(self) -> bool:
+        """The spawn cursor is exhausted and every comper that took from
+        it has flushed: each vertex of this partition is in a born task
+        or was pruned.  The cursor is read first, and once it is
+        exhausted no comper takes again, so a flag read after it stays
+        set: ``closed`` never goes back to False."""
+        return (self.unspawned_count() == 0
+                and all(e.spawn_flushed for e in self.engines))
 
     def engine_by_global_id(self, global_comper_id: int) -> ComperEngine:
         base = self.worker_id * self.config.compers_per_worker
@@ -493,7 +491,8 @@ class Worker:
         return self.engines[idx]
 
     def tasks_in_memory(self) -> int:
-        return sum(e.tasks_in_memory() for e in self.engines)
+        return sum(len(e.q_task) + len(e.b_task) + len(e.t_task)
+                   for e in self.engines)
 
     def drained(self) -> bool:
         """No task in memory or on disk, nothing unspawned, no pull queued."""
@@ -578,12 +577,28 @@ class Worker:
 
         Called from the control-plane serve loop (the only
         cache-mutating thread) before every status/final report, so
-        ``s_cache``, the lock-acquisition metrics, and the memory gauge
-        are current whenever the master reads them.
+        ``s_cache``, the cache and task counter metrics, and the memory
+        gauge are current whenever the master reads them.
         """
         self.cache.flush_local_counter()
         self.cache.commit_lock_metrics()
+        self.commit_task_metrics()
         self.update_memory_gauge()
+
+    def commit_task_metrics(self) -> None:
+        """Publish the engines' task counters, watermarked like the
+        cache's, so each metric equals its engine total at job end
+        (``tasks:created`` counts yields and restores, not steals)."""
+        published = self._published
+        for metric, attr in (("tasks:created", "born"),
+                             ("tasks:finished", "finished"),
+                             ("tasks:iterations", "iterations"),
+                             ("comper:inline_yields", "yields")):
+            total = sum(getattr(e, attr) for e in self.engines)
+            delta = total - published.get(metric, 0)
+            if delta:
+                self.metrics.add(metric, delta)
+                published[metric] = total
 
     def cleanup(self) -> None:
         """Job teardown: delete spill files and unhook the components.

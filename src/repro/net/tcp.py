@@ -13,8 +13,7 @@ little-endian unsigned payload length followed by the payload bytes):
   :class:`~repro.net.transport.ProcessTransport`'s polling contract
   (``send`` / ``poll`` / ``mark_received`` / ``flush_outgoing`` /
   ``pending_unflushed`` plus the monotone ``sent_count`` /
-  ``received_count`` the Safra-style double-snapshot termination
-  arithmetic reads).  Outgoing messages buffer per destination and
+  ``received_count`` the checkpoint barrier's settle test reads).  Outgoing messages buffer per destination and
   drain as **one frame per batch** whose payload is byte-for-byte the
   :func:`repro.net.wire.encode_batch` GTWIRE1 encoding over a
   persistent socket per peer — the data plane never unpickles bytes

@@ -3,13 +3,13 @@
 Two implementations of one polling contract (``send`` / ``poll`` /
 ``mark_received`` / ``flush_outgoing``).  A polled message counts as
 received only when the comm service calls ``mark_received`` after its
-dispatch returned: between the two it sits in no container, so counting
-it at ``poll`` would let termination detection miss it.
+dispatch returned, so the checkpoint barrier's ``sum(sent) ==
+sum(received)`` means whatever every message carried is in a container.
 
 * :class:`Transport` — all workers in one process, per-worker mailboxes.
   Counts messages and bytes (for the IO-bound vs CPU-bound analysis),
-  keeps every worker's ``sent_count`` / ``received_count`` (termination
-  detection; :meth:`Transport.port` is one worker's end, shaped like a
+  keeps every worker's ``sent_count`` / ``received_count`` (the
+  checkpoint barrier; :meth:`Transport.port` is one worker's end, shaped like a
   node's own transport), and supports *timed delivery*: the DES
   runtime stamps each message with an ``available_at`` virtual time
   computed from a :class:`~repro.core.config.NetworkModel`; the serial
@@ -191,12 +191,13 @@ class ProcessTransport:
     per worker) plus its own id.  ``send`` buffers per destination;
     buffers drain as a single ``queue.put`` (one GTWIRE1 payload) when
     they reach :data:`MAX_BATCH_MESSAGES`, on :meth:`flush_outgoing`, or on
-    the next :meth:`poll`.  Termination detection cannot observe a
+    the next :meth:`poll`.  The checkpoint barrier cannot observe a
     cross-process in-flight count directly, so the transport keeps
     monotone ``sent_count`` / ``received_count`` (dispatched) counters
-    that workers report at every master sync: globally, ``sum(sent) ==
-    sum(received)`` together with the master's double-snapshot progress
-    check means the wire is empty.
+    that workers report at every barrier poll: globally, ``sum(sent) ==
+    sum(received)`` with nothing buffered means the wire is empty.
+    Termination needs no wire term: every message in flight belongs to
+    a task that is born and not retired (DESIGN.md §13).
     """
 
     def __init__(

@@ -266,9 +266,8 @@ def test_idle_burst_job_does_not_wait_out_the_sync_period(graph):
 
 def _statuses(workloads):
     return [
-        NodeStatus(worker_id=i, tasks_in_memory=1, tasks_on_disk=0,
-                   unspawned=0, outgoing=0, sent=0, received=0,
-                   progress=0, workload=w, partial=None)
+        NodeStatus(worker_id=i, born=1, retired=0, closed=True,
+                   workload=w, partial=None)
         for i, w in enumerate(workloads)
     ]
 

@@ -1,8 +1,12 @@
 """Tests for the master: termination detection, stealing, sync."""
 
+import functools
+
 import pytest
 
-from repro.core.api import Comper, Task, VertexView
+from repro.algorithms import count_triangles
+from repro.apps import BundledTriangleCountComper
+from repro.core.api import Comper, SumAggregator, Task, VertexView
 from repro.core.config import GThinkerConfig
 from repro.core.job import build_cluster
 from repro.core.controlplane import plan_steals
@@ -52,33 +56,65 @@ def test_termination_requires_double_snapshot(graph):
     assert master.done
 
 
-def test_progress_resets_double_snapshot(graph):
-    cluster = build_cluster(NoopApp, graph, cfg())
-    master = cluster.master
+class PullContext(Comper):
+    """Spawns nothing; a task planted through ``add_task`` pulls its
+    context vertex, then outputs the id that arrived."""
+
+    def task_spawn(self, v: VertexView) -> None:
+        pass
+
+    def compute(self, task, frontier):
+        if frontier:
+            self.output(frontier[0].id)
+            return False
+        task.pull(task.context)
+        return True
+
+
+def _closed_cluster(app, graph):
+    """A cluster whose spawn cursors are exhausted, nothing spawned."""
+    cluster = build_cluster(app, graph, cfg())
     for w in cluster.workers:
         w.set_spawn_cursor(w.num_local_vertices)
+    return cluster
+
+
+def _park_remote_pull(cluster):
+    """Plant a task on worker 0 that pulls a vertex worker 1 owns and
+    step its comper once: the task parks in ``T_task``."""
+    remote = cluster.workers[1]._spawn_order[0]
+    engine = cluster.workers[0].engines[0]
+    engine.add_task(Task(context=remote))
+    engine.step()
+    assert len(engine.t_task) == 1
+    return remote
+
+
+def test_progress_resets_double_snapshot(graph):
+    """A task born and retired between two idle sweeps changes the
+    totals: the second sweep is a first idle observation again."""
+    cluster = _closed_cluster(NoopApp, graph)
+    master = cluster.master
     assert master.sync() is False
-    cluster.workers[0].note_progress()  # something happened in between
-    assert master.sync() is False  # progress changed: not terminal yet
+    engine = cluster.workers[0].engines[0]
+    engine.add_task(Task())  # something happened in between
+    engine.step()
+    assert (engine.born, engine.finished) == (1, 1)
+    assert master.sync() is False  # totals changed: not terminal yet
     assert master.sync() is True
 
 
 def test_in_flight_messages_block_termination(graph):
-    from repro.net import RequestBatch
-
-    cluster = build_cluster(NoopApp, graph, cfg())
-    for w in cluster.workers:
-        w.set_spawn_cursor(w.num_local_vertices)
-    cluster.transport.send(RequestBatch(src=0, dst=1, vertex_ids=[1]))
+    """A pull on the wire belongs to a parked task that has not retired."""
+    cluster = _closed_cluster(PullContext, graph)
+    remote = _park_remote_pull(cluster)
+    cluster.workers[0].comm.step()  # the request batch is on the wire
+    assert cluster.transport.port(1).queue
     master = cluster.master
     assert master.sync() is False
     assert master.sync() is False  # still in flight
-    # Dropped by the test: counting it received empties the wire.
-    (msg,) = cluster.transport.poll(1)
-    cluster.transport.mark_received(1)
-    cluster.workers[1].note_progress()
-    master.sync()
-    assert master.sync() is True
+    SerialRuntime().run(cluster)
+    assert [rec for w in cluster.workers for rec in w.outputs()] == [remote]
 
 
 def test_polled_but_undispatched_batch_blocks_termination(graph):
@@ -106,14 +142,13 @@ def test_polled_but_undispatched_batch_blocks_termination(graph):
 
 
 def test_pending_tasks_block_termination(graph):
-    cluster = build_cluster(NoopApp, graph, cfg())
-    for w in cluster.workers:
-        w.set_spawn_cursor(w.num_local_vertices)
-    engine = cluster.workers[0].engines[0]
-    engine.t_task.insert(1, Task(), req=1)
+    cluster = _closed_cluster(PullContext, graph)
+    remote = _park_remote_pull(cluster)
     master = cluster.master
     assert master.sync() is False
     assert master.sync() is False
+    SerialRuntime().run(cluster)
+    assert [rec for w in cluster.workers for rec in w.outputs()] == [remote]
 
 
 def test_sync_after_done_is_stable(graph):
@@ -125,6 +160,228 @@ def test_sync_after_done_is_stable(graph):
     master.sync()
     assert master.done
     assert master.sync() is True  # idempotent
+
+
+# -- termination windows ----------------------------------------------------
+#
+# Each case calls Master.sync() twice from inside one window where a
+# task, or a spawn vertex that will become one, sits in no container:
+# neither call may end the job, and the job must still finish with the
+# oracle's answer.  A whole-job case opens its window every time a
+# comper enters it; a planted case opens it where the task in the window
+# is the only work left, so a counter bumped out of order shows.
+
+
+class WalkComper(Comper):
+    """One walk per (spawn vertex, neighbour): each compute() pulls the
+    current vertex's largest neighbour, ``HOPS`` hops in all, so with
+    ``inline_iteration_limit=1`` every iteration yields; the walk's last
+    compute adds a child task that aggregates where the walk ended.
+    Spawning one walk per neighbour overshoots the queue's refill room,
+    so batches spill and are refilled."""
+
+    HOPS = 3
+
+    def make_aggregator(self):
+        return SumAggregator()
+
+    def task_spawn(self, v):
+        for n in v.adj:
+            self.add_task(self.walk(n))
+
+    @classmethod
+    def walk(cls, start):
+        task = Task(context=cls.HOPS)
+        task.pull(start)
+        return task
+
+    def compute(self, task, frontier):
+        if not frontier:  # a child: the walk's end
+            self.aggregate(task.context)
+            return False
+        view = frontier[0]
+        task.context -= 1
+        if task.context == 0:
+            self.add_task(Task(context=view.id))
+            return False
+        task.pull(max(view.adj))
+        return True
+
+
+def walk_end(g, start):
+    for _ in range(WalkComper.HOPS - 1):
+        start = max(g.neighbors(start))
+    return start
+
+
+def _wrap(obj, name, window, when=None):
+    """Open ``window`` before each call of ``obj.name`` that ``when``
+    accepts."""
+    original = getattr(obj, name)
+
+    def hooked(*args):
+        if when is None or when(*args):
+            window()
+        return original(*args)
+
+    setattr(obj, name, hooked)
+
+
+def _computing(engine):
+    """Record the task each compute() call runs on; returns the record,
+    which holds one entry while compute() runs."""
+    current = []
+    compute = engine.app.compute
+
+    def hooked(task, frontier):
+        current[:] = [task]
+        try:
+            return compute(task, frontier)
+        finally:
+            current.append(None)
+
+    engine.app.compute = hooked
+    return current
+
+
+def _walk_job(check, install):
+    """Every walk of a 2-worker job; ``install(worker, window)`` hooks
+    each worker."""
+    g = erdos_renyi(30, 0.2, seed=3)
+    cluster = build_cluster(WalkComper, g, cfg(
+        num_workers=2, task_batch_size=1, inline_iteration_limit=1,
+        check_protocols=check))
+    _drive(cluster, install)
+    want = sum(walk_end(g, n) for v in g.vertices() for n in g.neighbors(v))
+    return cluster.master.global_aggregator.value, want
+
+
+def _planted_walk(check, install):
+    """One walk planted on a closed 1-worker cluster: it and its child
+    are the only tasks of the job."""
+    g = erdos_renyi(30, 0.2, seed=3)
+    cluster = build_cluster(WalkComper, g, cfg(
+        num_workers=1, inline_iteration_limit=1, check_protocols=check))
+    worker = cluster.workers[0]
+    worker.set_spawn_cursor(worker.num_local_vertices)
+    start = worker._spawn_order[0]
+    worker.engines[0].add_task(WalkComper.walk(start))
+    _drive(cluster, install)
+    return cluster.master.global_aggregator.value, walk_end(g, start)
+
+
+def _drive(cluster, install):
+    opened = []
+
+    def window():
+        opened.append(True)
+        _two_syncs_stay_open(cluster.master)
+
+    for w in cluster.workers:
+        install(w, window)
+    SerialRuntime().run(cluster)
+    assert opened
+
+
+def _two_syncs_stay_open(master):
+    assert master.sync() is False
+    assert master.sync() is False
+
+
+def _before_task_spawn(worker, window):
+    """The cursor has moved past the vertex; task_spawn has not run."""
+    for engine in worker.engines:
+        _wrap(engine.app, "task_spawn", window)
+
+
+def _after_take_file(worker, window):
+    """The batch has left ``L_file`` and is not in ``Q_task`` yet."""
+    take_file = worker.l_file.take_file
+
+    def hooked():
+        tasks = take_file()
+        if tasks is not None:
+            window()
+        return tasks
+
+    worker.l_file.take_file = hooked
+
+
+def _before_children(worker, window):
+    """A parent is inside compute() and has not added its child yet."""
+    for engine in worker.engines:
+        current = _computing(engine)
+        _wrap(engine.app, "add_task", window,
+              when=lambda task, current=current: len(current) == 1)
+
+
+def _in_yield_requeue(worker, window):
+    """A yielded task is being re-queued: it has left every container
+    and is neither born again nor counted as a yield yet."""
+    for engine in worker.engines:
+        current = _computing(engine)
+        _wrap(engine, "add_task", window,
+              when=lambda task, current=current: current[:1] == [task])
+
+
+def _bundle_members_buffered(check, flush_window):
+    """Comper 0 holds bundle members while comper 1 has exhausted the
+    cursor and mined its own bundle: every container is empty.  Then
+    either two syncs run at once, or (``flush_window``) inside comper
+    0's spawn_flush, before emit_bundle's add_task."""
+    g = erdos_renyi(60, 0.2, seed=5)
+    cluster = build_cluster(
+        functools.partial(BundledTriangleCountComper, 1000, 10**6), g,
+        GThinkerConfig(num_workers=1, compers_per_worker=2,
+                       task_batch_size=2, check_protocols=check))
+    e0, e1 = cluster.workers[0].engines
+    e0.step()
+    assert e0.app._bundle
+    while e1.step():
+        pass
+    assert cluster.workers[0].unspawned_count() == 0
+    assert cluster.workers[0].tasks_in_memory() == 0
+    if flush_window:
+        opened = []
+
+        def window():
+            opened.append(True)
+            _two_syncs_stay_open(cluster.master)
+
+        _wrap(e0.app, "emit_bundle", window)
+        SerialRuntime().run(cluster)
+        assert opened
+    else:
+        _two_syncs_stay_open(cluster.master)
+        SerialRuntime().run(cluster)
+    return cluster.master.global_aggregator.value, count_triangles(g)
+
+
+_WINDOWS = {
+    "bundle_members_buffered":
+        functools.partial(_bundle_members_buffered, flush_window=False),
+    "spawn_flush_before_add_task":
+        functools.partial(_bundle_members_buffered, flush_window=True),
+    "cursor_advanced_before_task_spawn":
+        functools.partial(_walk_job, install=_before_task_spawn),
+    "take_file_batch_left_l_file":
+        functools.partial(_walk_job, install=_after_take_file),
+    "compute_before_children":
+        functools.partial(_planted_walk, install=_before_children),
+    "compute_before_children_whole_job":
+        functools.partial(_walk_job, install=_before_children),
+    "yield_requeue":
+        functools.partial(_planted_walk, install=_in_yield_requeue),
+    "yield_requeue_whole_job":
+        functools.partial(_walk_job, install=_in_yield_requeue),
+}
+
+
+@pytest.mark.parametrize("check", [False, True], ids=["plain", "checked"])
+@pytest.mark.parametrize("window", sorted(_WINDOWS))
+def test_no_sync_inside_a_window_ends_the_job(window, check):
+    got, want = _WINDOWS[window](check)
+    assert got == want
 
 
 class TestStealing:

@@ -6,7 +6,7 @@ from repro.core.api import Comper, Task, VertexView
 from repro.core.config import GThinkerConfig
 from repro.core.containers import deserialize_tasks
 from repro.core.job import build_cluster
-from repro.core.worker import AtomicCounter, CostMeter
+from repro.core.worker import CostMeter
 from repro.graph import erdos_renyi, hash_partition
 
 
@@ -197,21 +197,6 @@ def test_trimmer_applied_at_load(small_config):
                 assert all(u > v for u in view.adj)  # Γ_> trimming
 
 
-def test_atomic_counter_threadsafe():
-    import threading
-
-    c = AtomicCounter()
-
-    def bump():
-        for _ in range(10_000):
-            c.increment()
-
-    threads = [threading.Thread(target=bump) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert c.value == 40_000
 
 
 def test_cost_meter_drain():
