@@ -52,7 +52,8 @@ class BundledTriangleCountComper(BundlingComper):
             return  # no triangle has v as its smallest vertex
         self.spawn_member((v.id, v.adj), len(v.adj) >= self.heavy_threshold)
 
-    def emit_bundle(self, members: List[Tuple[int, Tuple[int, ...]]]) -> None:
+    def emit_bundle(self, members: List[Tuple[int, Sequence[int]]]) -> None:
+        # (v, Γ_>(v)) members: a context kind GTTASK1 encodes.
         task = Task(context=members)
         for _v, gt in members:
             task.pull_many(gt)  # dedupes across bundle members

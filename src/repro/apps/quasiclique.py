@@ -54,18 +54,19 @@ class QuasiCliqueComper(Comper):
         # A member of a qualifying set needs degree >= ceil(γ(min_size-1)).
         if len(v.adj) < math.ceil(self.gamma * (self.min_size - 1)):
             return
-        task = Task(context={"root": v.id, "iteration": 0})
+        task = Task(context=(v.id, 0))  # (root, iteration)
         task.g.add_vertex(v.id, v.adj, label=v.label)
         task.pull_many(v.adj)
         self.add_task(task)
 
     def compute(self, task: Task, frontier: Sequence[VertexView]) -> bool:
-        ctx = task.context
-        ctx["iteration"] += 1
+        root, iteration = task.context
+        iteration += 1
+        task.context = (root, iteration)
         for view in frontier:
             if view.id not in task.g:
                 task.g.add_vertex(view.id, view.adj, label=view.label)
-        if ctx["iteration"] == 1:
+        if iteration == 1:
             # Iteration 2 of the paper's description: pull the 2nd hop.
             pull_next_hop(task, frontier)
             if task.pending_pulls():
@@ -76,7 +77,7 @@ class QuasiCliqueComper(Comper):
     # -- serial mining -----------------------------------------------------------
 
     def _mine(self, task: Task) -> None:
-        root = task.context["root"]
+        root = task.context[0]
         ego = set(task.g.vertices())
         adjacency = {
             v: [u for u in task.g.neighbors(v) if u in ego] for v in ego

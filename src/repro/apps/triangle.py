@@ -41,12 +41,13 @@ class TriangleCountComper(Comper):
         # triangle has v as its smallest vertex.
         if len(v.adj) < 2:
             return
-        task = Task(context=(v.id, v.adj))
+        # One (u, Γ_>(u)) member: a context kind GTTASK1 encodes.
+        task = Task(context=[(v.id, v.adj)])
         task.pull_many(v.adj)
         self.add_task(task)
 
     def compute(self, task: Task, frontier: Sequence[VertexView]) -> bool:
-        u, gt_u = task.context
+        ((u, gt_u),) = task.context
         count = 0
         if self._list:
             for view in frontier:

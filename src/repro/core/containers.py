@@ -25,12 +25,12 @@ Workers additionally share:
 from __future__ import annotations
 
 import os
-import pickle
 import shutil
 import tempfile
 import threading
 import uuid
 from collections import deque
+from itertools import accumulate
 from pathlib import Path
 from typing import (
     Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union,
@@ -51,6 +51,7 @@ __all__ = [
     "PendingEntry",
     "SpillRoot",
     "TaskFileList",
+    "snapshot_tasks",
     "serialize_tasks",
     "deserialize_tasks",
 ]
@@ -76,28 +77,32 @@ _TASK_MAGIC = b"GTTASK1\x00"
 _CTX_NONE = 0
 _CTX_INT = 1
 _CTX_INT_TUPLE = 2
-_CTX_PICKLE = 3
+# Kind 3 held a pickled context; it is retired, not reused.
+_CTX_ROWS = 4
 
 
-def _encode_task(task: Task, chunks: List[bytes]) -> None:
-    ints, padded = wire.ints, wire.padded
-    pulls = task.pending_pulls()
-    chunks.append(ints(len(pulls)))
-    chunks.append(np.asarray(pulls, dtype="<i8").tobytes())
-    adj = task.g.adjacency()
-    vids = sorted(adj)
-    n = len(vids)
-    degrees = np.fromiter((len(adj[v]) for v in vids), dtype="<i8", count=n)
-    chunks.append(ints(n))
-    chunks.append(np.asarray(vids, dtype="<i8").tobytes())
-    chunks.append(
-        np.fromiter((task.g.label(v) for v in vids), dtype="<i8",
-                    count=n).tobytes()
-    )
-    chunks.append(degrees.tobytes())
-    for v in vids:
-        chunks.append(np.asarray(adj[v], dtype="<i8").tobytes())
-    ctx = task.context
+def _context_rows(ctx: Any) -> Optional[List[np.ndarray]]:
+    """The int64 rows of a ``[(int id, int row), ...]`` context, else
+    None.  A row is a signed-integer ndarray or a tuple of ints."""
+    if type(ctx) is not list:
+        return None
+    rows = []
+    for member in ctx:
+        if (type(member) is not tuple or len(member) != 2
+                or type(member[0]) is not int):
+            return None
+        row = member[1]
+        if isinstance(row, np.ndarray):
+            if row.ndim != 1 or row.dtype.kind != "i":
+                return None
+        elif type(row) is not tuple or any(type(x) is not int for x in row):
+            return None
+        rows.append(np.asarray(row, dtype="<i8"))
+    return rows
+
+
+def _encode_context(ctx: Any, chunks: List[bytes]) -> None:
+    ints = wire.ints
     if ctx is None:
         chunks.append(ints(_CTX_NONE))
     elif type(ctx) is int:
@@ -106,9 +111,53 @@ def _encode_task(task: Task, chunks: List[bytes]) -> None:
         chunks.append(ints(_CTX_INT_TUPLE, len(ctx)))
         chunks.append(np.asarray(ctx, dtype="<i8").tobytes())
     else:
-        raw = pickle.dumps(ctx, protocol=pickle.HIGHEST_PROTOCOL)
-        chunks.append(ints(_CTX_PICKLE, len(raw)))
-        chunks.append(padded(raw))
+        rows = _context_rows(ctx)
+        if rows is None:
+            raise TypeError(
+                f"a task context of type {type(ctx).__name__!r} has no "
+                f"GTTASK1 image: a context is None, an int, a tuple of "
+                f"ints, or a list of (int id, int row) pairs"
+            )
+        chunks.append(ints(_CTX_ROWS, len(rows)))
+        chunks.append(np.asarray([m[0] for m in ctx], dtype="<i8").tobytes())
+        _pack_rows(rows, chunks)
+
+
+def _pack_rows(rows: Sequence[Sequence[int]], chunks: List[bytes]) -> None:
+    """The rows' lengths, then the rows concatenated (read back by
+    :func:`_read_rows`)."""
+    chunks.append(np.fromiter(map(len, rows), dtype="<i8",
+                              count=len(rows)).tobytes())
+    chunks.extend(np.asarray(r, dtype="<i8").tobytes() for r in rows)
+
+
+def _encode_task(task: Task, chunks: List[bytes]) -> None:
+    ints = wire.ints
+    pulls = task.all_pending_pulls()
+    chunks.append(ints(len(pulls)))
+    chunks.append(np.asarray(pulls, dtype="<i8").tobytes())
+    adj = task.g.adjacency()
+    vids = sorted(adj)
+    chunks.append(ints(len(vids)))
+    chunks.append(np.asarray(vids, dtype="<i8").tobytes())
+    chunks.append(np.asarray([task.g.label(v) for v in vids],
+                             dtype="<i8").tobytes())
+    _pack_rows([adj[v] for v in vids], chunks)
+    _encode_context(task.context, chunks)
+
+
+def snapshot_tasks(tasks: Sequence[Task]) -> bytes:
+    """Encode tasks as one ``GTTASK1`` payload, leaving them untouched.
+
+    The checkpoint image: the tasks resume after the barrier, so their
+    ids and remote lists stay.  A task's pulls are the union of its
+    in-flight and requested ones (:meth:`Task.all_pending_pulls`), so a
+    restored task re-requests every vertex it was waiting for.
+    """
+    chunks: List[bytes] = [_TASK_MAGIC, wire.ints(len(tasks))]
+    for t in tasks:
+        _encode_task(t, chunks)
+    return b"".join(chunks)
 
 
 def serialize_tasks(tasks: Sequence[Task]) -> bytes:
@@ -126,11 +175,11 @@ def serialize_tasks(tasks: Sequence[Task]) -> bytes:
 
     The encoding is the flat int64 frame format (``GTTASK1`` magic): a
     task's pending pulls and its subgraph rows are packed as raw arrays,
-    and the context as ``None`` / int / int-tuple frames with pickle for
-    anything richer.  A task with in-flight pulls has no representation
-    and raises ``ValueError``: the engine clears ``pulls_in_flight``
-    before a task re-enters ``Q_task``, so nothing that reaches a spill
-    file or a steal batch carries any.
+    and the context as one of the kinds docs/API.md lists ("The task
+    context"); any other context is a ``TypeError``.  A task with
+    in-flight pulls raises ``ValueError``: the engine clears
+    ``pulls_in_flight`` before a task re-enters ``Q_task``, so nothing
+    that reaches a spill file or a steal batch carries any.
     """
     tasks = list(tasks)
     for t in tasks:
@@ -138,19 +187,49 @@ def serialize_tasks(tasks: Sequence[Task]) -> bytes:
         t.remote_in_flight = ()
     if any(t.pulls_in_flight for t in tasks):
         raise ValueError("cannot serialize a task with in-flight pulls")
-    chunks: List[bytes] = [_TASK_MAGIC, wire.ints(len(tasks))]
-    for t in tasks:
-        _encode_task(t, chunks)
-    return b"".join(chunks)
+    return snapshot_tasks(tasks)
+
+
+def _read_rows(cur: wire.Cursor, n: int,
+               what: str) -> Tuple[np.ndarray, List[int]]:
+    """Read ``n`` rows packed by :func:`_pack_rows`: the concatenated
+    rows in one read, and their ``n + 1`` offsets (python ints, so
+    forged lengths cannot wrap around)."""
+    degrees = cur.read_ints(n, f"{what} lengths").tolist()
+    if degrees and min(degrees) < 0:
+        raise wire.WireDecodeError(
+            f"negative row length ({min(degrees)}) in {what}"
+        )
+    offsets = list(accumulate(degrees, initial=0))
+    return cur.read_ints(offsets[-1], what), offsets
+
+
+def _decode_context(cur: wire.Cursor) -> Any:
+    kind = cur.read_int("task context kind")
+    if kind == _CTX_NONE:
+        return None
+    if kind == _CTX_INT:
+        return cur.read_int("int context")
+    if kind == _CTX_INT_TUPLE:
+        return tuple(cur.read_ints(cur.read_count("context tuple length"),
+                                   "context tuple").tolist())
+    if kind == _CTX_ROWS:
+        m = cur.read_count("context member count")
+        ids = cur.read_ints(m, "context member ids").tolist()
+        flat, offsets = _read_rows(cur, m, "context rows")
+        flat.flags.writeable = False  # like VertexView.adj
+        return [(ids[i], flat[offsets[i]:offsets[i + 1]]) for i in range(m)]
+    raise wire.WireDecodeError(f"unknown task context kind {kind}")
 
 
 def deserialize_tasks(payload: bytes) -> List[Task]:
     """Decode a ``GTTASK1`` payload; anything else is a ``WireDecodeError``.
 
-    The payload comes off a spill file or out of a steal frame, so every
-    read goes through the bounds-checked :class:`repro.net.wire.Cursor`:
-    a truncated or corrupt payload raises :class:`WireDecodeError`, never
-    a raw numpy error or a silently short array.
+    The payload comes off a spill file, out of a steal frame or out of
+    a checkpoint, so every read goes through the bounds-checked
+    :class:`repro.net.wire.Cursor`: a truncated or corrupt payload
+    raises :class:`WireDecodeError`, never a raw numpy error or a
+    silently short array.
     """
     if payload[:8] != _TASK_MAGIC:
         raise wire.WireDecodeError(
@@ -165,38 +244,17 @@ def deserialize_tasks(payload: bytes) -> List[Task]:
         task._pulls = pulls
         task._pull_set = set(pulls)
         n = cur.read_count("subgraph vertex count")
-        vids = cur.read_ints(n, "subgraph vertex ids")
-        labels = cur.read_ints(n, "subgraph labels")
-        degrees = cur.read_ints(n, "subgraph degrees")
+        vids = cur.read_ints(n, "subgraph vertex ids").tolist()
+        labels = cur.read_ints(n, "subgraph labels").tolist()
+        flat, offsets = _read_rows(cur, n, "subgraph rows")
+        flat = flat.tolist()
         adj = task.g._adj
         lbl = task.g._labels
-        for i in range(n):
-            row = cur.read_ints(degrees[i], "subgraph adjacency row")
-            adj[int(vids[i])] = tuple(row.tolist())
+        for i, v in enumerate(vids):
+            adj[v] = tuple(flat[offsets[i]:offsets[i + 1]])
             if labels[i]:
-                lbl[int(vids[i])] = int(labels[i])
-        kind = cur.read_int("task context kind")
-        if kind == _CTX_INT:
-            task.context = cur.read_int("int context")
-        elif kind == _CTX_INT_TUPLE:
-            task.context = tuple(
-                cur.read_ints(cur.read_count("context tuple length"),
-                              "context tuple").tolist()
-            )
-        elif kind == _CTX_PICKLE:
-            raw = cur.read_bytes(cur.read_count("pickled context length"),
-                                 "pickled context")
-            try:
-                task.context = pickle.loads(raw)
-            except Exception as exc:
-                # pickle raises UnpicklingError, EOFError, ValueError,
-                # AttributeError, ... depending on where the bytes go
-                # wrong; normalize them all to the typed decode error.
-                raise wire.WireDecodeError(
-                    f"cannot unpickle task context: {exc!r}"
-                ) from exc
-        elif kind != _CTX_NONE:
-            raise wire.WireDecodeError(f"unknown task context kind {kind}")
+                lbl[v] = labels[i]
+        task.context = _decode_context(cur)
         tasks.append(task)
     return tasks
 

@@ -1001,6 +1001,13 @@ class ControlPlaneMaster:
             )
         counts = (sum(s.born for s in statuses),
                   sum(s.retired for s in statuses))
+        if counts[1] > counts[0]:
+            # Correct counting cannot get here (Worker.task_counts); a
+            # job that did would never see born == retired, and spin.
+            raise GThinkerError(
+                f"task counters broken: {counts[1]} tasks retired but "
+                f"only {counts[0]} born"
+            )
         idle = counts[0] == counts[1] and all(s.closed for s in statuses)
         done = idle and self._prev_idle and counts == self._prev_counts
         self._prev_idle, self._prev_counts = idle, counts

@@ -271,21 +271,17 @@ def _cluster_executor():
     return ClusterExecutor()
 
 
-_FULL = RuntimeCapabilities(
-    checkpointing=True, failure_injection=True,
-    protocol_checking=True, resume=True, cancellation=True,
-)
-_IN_MEMORY = RuntimeCapabilities(protocol_checking=True, resume=True,
-                                 cancellation=True)
+_FULL = RuntimeCapabilities(checkpointing=True, failure_injection=True)
+_IN_MEMORY = RuntimeCapabilities()
 
 #: The runtimes ``run_job``/``resume_job``/``Session`` accept by name.
 #: ``cluster`` has honest full capabilities: checkpointing, injected
 #: node kills with global-rollback recovery, and shard resume all work
 #: (recovery by respawn only in localhost spawn mode — attach mode
-#: raises with resume guidance).  Protocol checking runs node-local like
-#: the process runtime's.  Cancellation is the process runtime's, from
-#: the same master: the sweep raises, shutdown closes every control
-#: channel, and attached nodes see the close and exit.
+#: raises with resume guidance).  Every runtime runs the protocol
+#: checkers, resumes and cancels, so none of those is a capability:
+#: on ``cluster`` the sweep raises on cancel, shutdown closes every
+#: control channel, and attached nodes see the close and exit.
 RUNTIMES: Dict[str, RuntimeSpec] = {
     spec.name: spec for spec in (
         RuntimeSpec("serial", SerialExecutor, _FULL),
@@ -321,40 +317,6 @@ def capability_matrix() -> Dict[str, Dict[str, bool]]:
         }
         for name, spec in sorted(RUNTIMES.items())
     }
-
-
-def _dispatch(
-    runtime: str,
-    app_factory: Callable[[], Comper],
-    graph: GraphSource,
-    config: GThinkerConfig,
-    checkpoint_path: Optional[str] = None,
-    abort_after_rounds: Optional[int] = None,
-    checkpoint: Optional[JobCheckpoint] = None,
-    abort=None,
-    local_tables: Optional[LocalTableMemo] = None,
-) -> JobResult:
-    """The single dispatch path shared by run_job and resume_job."""
-    spec = get_runtime(runtime)
-    wanted = []
-    if checkpoint_path is not None:
-        wanted.append("checkpointing")
-    if abort_after_rounds is not None or config.failure_plan is not None:
-        wanted.append("failure_injection")
-    if checkpoint is not None:
-        wanted.append("resume")
-    spec.require(*wanted)
-    executor = spec.factory()
-    return executor.execute(JobRequest(
-        app_factory=app_factory,
-        graph=graph,
-        config=config,
-        checkpoint_path=checkpoint_path,
-        abort_after_rounds=abort_after_rounds,
-        checkpoint=checkpoint,
-        abort=abort,
-        local_tables=local_tables,
-    ))
 
 
 def resolve_resume(

@@ -122,10 +122,6 @@ class RuntimeCapabilities:
 
     checkpointing: bool = False
     failure_injection: bool = False
-    protocol_checking: bool = True
-    resume: bool = False
-    #: Running jobs honor an :class:`AbortToken` at sync boundaries.
-    cancellation: bool = False
 
     def feature_names(self) -> Tuple[str, ...]:
         return tuple(f.name for f in fields(self))
@@ -144,7 +140,7 @@ class JobRequest:
     #: resuming, else None.
     checkpoint: Any = None
     #: Cooperative-cancellation token (an :class:`AbortToken`), or None
-    #: when the caller never cancels / the runtime declines cancellation.
+    #: when the caller never cancels.
     abort: Any = None
     #: The submitting Session's resident local tables (None outside a
     #: Session).  The in-process executors attach them; ``process`` and

@@ -45,7 +45,7 @@ from typing import Any, Callable, List, Optional, Set
 from .config import GThinkerConfig
 from .errors import JobCancelledError
 from .job import get_runtime
-from .runtime import AbortToken
+from .runtime import AbortToken, JobRequest
 from .worker import LocalTableMemo
 
 __all__ = [
@@ -103,13 +103,11 @@ class JobHandle:
         """Try to cancel; True iff the request was accepted.
 
         A queued job cancels immediately.  A *running* job cancels
-        cooperatively when its runtime declares the ``cancellation``
-        capability (every built-in runtime does): the job's abort token
-        is set, the control plane observes it at the next sync boundary,
-        and the handle reaches the ``cancelled`` terminal state shortly
-        after — ``cancel()`` returning True means the cancel was
-        *accepted*, not that the job already stopped.  Runtimes without
-        the capability and finished jobs return False.
+        cooperatively on every runtime: the job's abort token is set,
+        the control plane observes it at the next sync boundary, and the
+        handle reaches the ``cancelled`` terminal state shortly after —
+        ``cancel()`` returning True means the cancel was *accepted*, not
+        that the job already stopped.  Finished jobs return False.
         """
         raise NotImplementedError
 
@@ -125,8 +123,7 @@ class LocalJobHandle(JobHandle):
         self._result = None
         self._error: Optional[BaseException] = None
         self._callbacks: List[Callable[["LocalJobHandle"], None]] = []
-        #: The job's cooperative-cancellation token; None when the
-        #: runtime declined the ``cancellation`` capability.
+        #: The job's cooperative-cancellation token (set by ``submit``).
         self._abort: Optional[AbortToken] = None
 
     # -- protocol ----------------------------------------------------
@@ -297,7 +294,7 @@ class Session:
         # Imported here, not at module top: job.py imports this module
         # lazily from run_job, and importing it back at top level would
         # complete the cycle during package init.
-        from .job import _dispatch, resolve_resume
+        from .job import resolve_resume
 
         runtime = self.runtime
         config = config if config is not None else self._config
@@ -320,32 +317,27 @@ class Session:
             wanted.append("checkpointing")
         if abort_after_rounds is not None or config.failure_plan is not None:
             wanted.append("failure_injection")
-        if checkpoint is not None:
-            wanted.append("resume")
         spec.require(*wanted)
         if runtime in self._CSR_RUNTIMES:
             self._warm()
 
-        graph = self.graph
-        local_tables = self._local_tables
-        ckpt = checkpoint
-        # Runtimes with the ``cancellation`` capability get an abort
-        # token threaded down to their control plane; others run exactly
-        # as before and cancel() on a running handle returns False.
-        abort = AbortToken() if spec.capabilities.cancellation else None
+        # Every runtime's control plane honors the abort token.
+        request = JobRequest(
+            app_factory=app_factory,
+            graph=self.graph,
+            config=config,
+            checkpoint_path=checkpoint_path,
+            abort_after_rounds=abort_after_rounds,
+            checkpoint=checkpoint,
+            abort=AbortToken(),
+            local_tables=self._local_tables,
+        )
 
         def thunk():
             if profiler is not None:
                 profiler.enable()
             try:
-                return _dispatch(
-                    runtime, app_factory, graph, config,
-                    checkpoint_path=checkpoint_path,
-                    abort_after_rounds=abort_after_rounds,
-                    checkpoint=ckpt,
-                    abort=abort,
-                    local_tables=local_tables,
-                )
+                return spec.factory().execute(request)
             finally:
                 if profiler is not None:
                     profiler.disable()
@@ -354,7 +346,7 @@ class Session:
             if self._closed:
                 raise RuntimeError("cannot submit to a closed Session")
             handle = LocalJobHandle(self, f"job-{next(self._seq)}")
-            handle._abort = abort
+            handle._abort = request.abort
             job = _PendingJob(handle, thunk)
             if self._max_concurrent is None or self._running < self._max_concurrent:
                 self._start_locked(job)
@@ -401,7 +393,7 @@ class Session:
 
     def _cancel(self, handle: LocalJobHandle) -> bool:
         with self._lock:
-            if handle._state == JOB_RUNNING and handle._abort is not None:
+            if handle._state == JOB_RUNNING:
                 # Cooperative running-job cancel: set the token and
                 # return — the control plane unwinds at its next sync
                 # boundary and the runner thread settles the handle in

@@ -467,10 +467,14 @@ class Worker:
 
     def task_counts(self) -> Tuple[int, int]:
         """``(born, retired)`` over this worker's compers and steal
-        collector: monotone, so any read order is sound (DESIGN.md §13)."""
+        collector: monotone, so any read order is sound for termination
+        (DESIGN.md §13).  Every retired count is read before any born
+        count: a task is born before it retires, so even while compers
+        run ``retired <= born`` holds, and the master can treat the
+        opposite as a counting bug."""
         engines = self.engines
-        return (self.born_for_steals + sum(e.born for e in engines),
-                sum(e.finished + e.yields for e in engines))
+        retired = sum(e.finished + e.yields for e in engines)
+        return (self.born_for_steals + sum(e.born for e in engines), retired)
 
     def closed(self) -> bool:
         """The spawn cursor is exhausted and every comper that took from

@@ -83,8 +83,7 @@ class RemoteJobHandle(JobHandle):
         True means the cancel was *accepted*: a queued job is already
         ``cancelled`` in the returned record; a running one aborts at
         its next sync boundary and settles asynchronously.  False means
-        the job already finished, or it is running on a runtime that
-        declines mid-run cancellation.
+        the job already finished.
         """
         cancelled, record = self._client.cancel(self.job_id)
         self._record = record

@@ -39,8 +39,7 @@ property):
   job is cancelled cooperatively through the runtime's
   :class:`~repro.core.runtime.AbortToken` (honored at sync-barrier /
   steal-sweep boundaries), releasing its worker quota within one
-  scheduler pass.  A custom runtime that declines running-job
-  cancellation simply returns False for running jobs.
+  scheduler pass.
 
 The wire is the ``net/`` control-plane plumbing: one
 :class:`~repro.net.tcp.ControlChannel` (length-prefixed pickled frames,
@@ -232,7 +231,7 @@ class GraphService:
         result_cache_size: int = 128,
         cache_dir: Optional[str] = None,
     ) -> None:
-        spec = get_runtime(runtime)
+        get_runtime(runtime)  # an unknown name fails here, before any work
         self._base_config = config or GThinkerConfig()
         if max_workers_per_job is None:
             max_workers_per_job = self._base_config.num_workers
@@ -261,7 +260,6 @@ class GraphService:
         self._max_workers_per_job = max_workers_per_job
         self._max_queue_depth = max_queue_depth
         self._weights = dict(tenant_weights or {})
-        self._cancellable = spec.capabilities.cancellation
 
         # The execution substrate: one Session, graph resident, no
         # second queue below the admission scheduler.
@@ -577,9 +575,7 @@ class GraphService:
         scheduler pass rather than instantly.  On a deduplicated key
         only the named subscriber is settled; the shared execution is
         killed only when its last live subscriber cancels.  Returns
-        False for finished jobs, and for running jobs when the
-        service runtime declines running-job cancellation and no
-        other subscriber keeps the execution alive to spare.
+        False for finished jobs.
         """
         kill_handle = None
         with self._lock:
@@ -588,11 +584,6 @@ class GraphService:
                 return False
             execution = record.execution
             others_live = bool(execution.live_records(but=record))
-            if (record.status == JOB_RUNNING and not others_live
-                    and not self._cancellable):
-                # Honoring this cancel means stopping the actual run,
-                # and the runtime declines mid-run aborts.
-                return False
             record.status = JOB_CANCELLED
             record.finished_at = time.time()
             self._settle_locked(record)
@@ -644,7 +635,6 @@ class GraphService:
             "max_workers_per_job": self._max_workers_per_job,
             "max_queue_depth": self._max_queue_depth,
             "tenant_weights": dict(self._weights),
-            "cancellation": self._cancellable,
         }
         num_vertices = getattr(self.graph, "num_vertices", None)
         if num_vertices is not None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import multiprocessing as mp
+import pickle
 import socket
 
 import pytest
@@ -12,6 +13,17 @@ from repro.core.config import GThinkerConfig
 from repro.core.controlplane import ControlPlaneMaster
 from repro.graph import Graph, erdos_renyi, ring_of_cliques
 from repro.net.tcp import ControlChannel
+
+
+@pytest.fixture
+def no_unpickling(monkeypatch):
+    """Any ``pickle.loads`` during the test is a failure: the data
+    plane must refuse foreign bytes *before* handing them to pickle,
+    and a task image never holds a pickle."""
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("pickle.loads called on a data-plane payload")
+
+    monkeypatch.setattr(pickle, "loads", refuse)
 
 
 @pytest.fixture(params=["pipe", "channel"])

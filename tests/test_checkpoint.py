@@ -7,6 +7,7 @@ import pytest
 from repro.algorithms import (
     count_matches,
     count_triangles,
+    enumerate_maximal_cliques,
     enumerate_quasi_cliques,
     max_clique_reference,
     path_query,
@@ -14,19 +15,15 @@ from repro.algorithms import (
 from repro.apps import (
     BundledTriangleCountComper,
     MaxCliqueComper,
+    MaximalCliqueComper,
     QuasiCliqueComper,
     SubgraphMatchComper,
     TriangleCountComper,
 )
 from repro.core import GThinkerConfig, resume_job, run_job
-from repro.core.checkpoint import (
-    JobCheckpoint,
-    TaskSnapshot,
-    WorkerSnapshot,
-    restore_task,
-    snapshot_task,
-)
+from repro.core.checkpoint import JobCheckpoint, WorkerSnapshot
 from repro.core.api import Task
+from repro.core.containers import deserialize_tasks, snapshot_tasks
 from repro.core.errors import CheckpointError, JobAbortedError
 from repro.graph import erdos_renyi
 
@@ -46,14 +43,21 @@ def graph():
     return erdos_renyi(130, 0.09, seed=77)
 
 
+def _one_task(payload: bytes) -> Task:
+    (task,) = deserialize_tasks(payload)
+    return task
+
+
 class TestTaskSnapshots:
+    """A checkpoint holds tasks as GTTASK1 batches (``snapshot_tasks``)."""
+
     def test_roundtrip_fresh_task(self):
-        t = Task(context={"S": (1,)})
+        t = Task(context=(1,))
         t.g.add_vertex(1, (2, 3), label=4)
         t.pull(2)
         t.pull(3)
-        back = restore_task(snapshot_task(t))
-        assert back.context == {"S": (1,)}
+        back = _one_task(snapshot_tasks([t]))
+        assert back.context == (1,)
         assert back.g.neighbors(1) == (2, 3)
         assert back.g.label(1) == 4
         assert back.pending_pulls() == (2, 3)
@@ -63,7 +67,7 @@ class TestTaskSnapshots:
         t = Task()
         t.pull(5)
         t.pulls_in_flight = t.take_pulls()
-        back = restore_task(snapshot_task(t))
+        back = _one_task(snapshot_tasks([t]))
         assert back.pending_pulls() == (5,)
         assert back.pulls_in_flight == []
 
@@ -77,9 +81,7 @@ class TestTaskSnapshots:
         t.pulls_in_flight = t.take_pulls()
         t.pull(6)  # re-requested while still in flight: dedup
         t.pull(7)  # new pull queued behind the in-flight ones
-        snap = snapshot_task(t)
-        assert snap.pulls == (5, 6, 7)
-        back = restore_task(snap)
+        back = _one_task(snapshot_tasks([t]))
         assert back.pending_pulls() == (5, 6, 7)
         assert back.pulls_in_flight == []
 
@@ -108,6 +110,34 @@ class TestCheckpointFile:
         bad.write_bytes(b"not a pickle")
         with pytest.raises(CheckpointError):
             JobCheckpoint.load(bad)
+
+    @pytest.mark.parametrize("shard", ["empty", "truncated", "missing_class"])
+    def test_load_unpickling_failure_is_checkpoint_error(
+            self, tmp_path, monkeypatch, shard):
+        """Every way a shard fails to unpickle is one CheckpointError:
+        an empty file (EOFError), a cut shard, and a shard naming a
+        class that no longer exists (AttributeError) — as every shard
+        that held pickled ``TaskSnapshot`` rows does."""
+        from repro.core import checkpoint
+
+        class TaskSnapshot:  # pickled under the retired class's name
+            pass
+
+        TaskSnapshot.__module__ = checkpoint.__name__
+        TaskSnapshot.__qualname__ = "TaskSnapshot"
+        monkeypatch.setattr(checkpoint, "TaskSnapshot", TaskSnapshot,
+                            raising=False)
+        stale = [TaskSnapshot()] if shard == "missing_class" else []
+        path = tmp_path / "job.ckpt"
+        JobCheckpoint(worker_snapshots=[WorkerSnapshot(3, tasks=stale)],
+                      aggregator_global=42, num_workers=1,
+                      compers_per_worker=1).save(path)
+        monkeypatch.delattr(checkpoint, "TaskSnapshot")
+        raw = path.read_bytes()
+        path.write_bytes({"empty": b"", "truncated": raw[: len(raw) // 2],
+                          "missing_class": raw}[shard])
+        with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+            JobCheckpoint.load(path)
 
     def test_load_wrong_type(self, tmp_path):
         import pickle
@@ -158,17 +188,18 @@ class TestSnapshotNonDestructive:
         w = cluster.workers[0]
         engine = w.engines[0]
         for i in range(5):
-            engine.b_task.put(Task(context=("probe", i)))
+            engine.b_task.put(Task(context=(-1, i)))  # (probe, i)
         before = cluster.metrics.snapshot()
         snap = snapshot_worker(w)
         assert cluster.metrics.snapshot() == before
         # The buffered tasks were captured...
-        probed = [ts.context for ts in snap.tasks
-                  if isinstance(ts.context, tuple) and ts.context[0] == "probe"]
-        assert probed == [("probe", i) for i in range(5)]
+        probed = [t.context for payload in snap.tasks
+                  for t in deserialize_tasks(payload)
+                  if isinstance(t.context, tuple) and t.context[:1] == (-1,)]
+        assert probed == [(-1, i) for i in range(5)]
         # ...and are still buffered, in their original FIFO order.
         assert [t.context for t in engine.b_task.get_batch(limit=10**9)] == \
-            [("probe", i) for i in range(5)]
+            [(-1, i) for i in range(5)]
 
 
 def _abort_then_resume(app_factory, graph, tmp_path, rounds):
@@ -276,3 +307,53 @@ def test_checkpoint_of_completed_job_resumes_to_same_answer(graph, tmp_path):
     resumed = resume_job(TriangleCountComper, graph, ck,
                          cfg(checkpoint_every_syncs=0))
     assert first.aggregate == resumed.aggregate == count_triangles(graph)
+
+
+# Every app's context kind through spill, steal, checkpoint and resume,
+# with ``pickle.loads`` refusing: (factory, answer of a result, oracle).
+_QC_GRAPH = erdos_renyi(40, 0.12, seed=5)
+_NO_PICKLE_APPS = {
+    "tc": (TriangleCountComper, lambda r: r.aggregate, count_triangles),
+    "bundled_tc": (
+        functools.partial(BundledTriangleCountComper, bundle_size=4,
+                          heavy_threshold=8),
+        lambda r: r.aggregate, count_triangles),
+    "qc": (functools.partial(QuasiCliqueComper, gamma=0.6, min_size=4),
+           lambda r: set(r.outputs),
+           lambda g: set(enumerate_quasi_cliques(g, 0.6, min_size=4))),
+    "mcf": (MaxCliqueComper, lambda r: len(r.aggregate),
+            lambda g: len(max_clique_reference(g))),
+    "gm": (functools.partial(SubgraphMatchComper, path_query(2)),
+           lambda r: r.aggregate, lambda g: count_matches(g, path_query(2))),
+    "maximal_cliques": (
+        functools.partial(MaximalCliqueComper, min_size=3),
+        lambda r: sorted(r.outputs),
+        lambda g: sorted(c for c in enumerate_maximal_cliques(g)
+                         if len(c) >= 3)),
+}
+
+
+@pytest.mark.parametrize("app", sorted(_NO_PICKLE_APPS))
+def test_task_images_need_no_unpickling(app, graph, tmp_path, no_unpickling):
+    """C = 1 makes every app spill; stealing moves batches; a shard
+    taken at every sync holds tasks, spilled files included; and the
+    resumed job gives the oracle's answer.  No step unpickles."""
+    factory, answer, oracle = _NO_PICKLE_APPS[app]
+    g = _QC_GRAPH if app == "qc" else graph
+    job_cfg = functools.partial(cfg, task_batch_size=1, sync_every_rounds=2,
+                                steal_batches=4)
+    full = run_job(factory, g, job_cfg(), runtime="serial",
+                   checkpoint_path=str(tmp_path / "full.ckpt"))
+    assert answer(full) == oracle(g)
+    assert full.metrics.get("steal:tasks", 0) > 0
+
+    ck = str(tmp_path / "job.ckpt")
+    with pytest.raises(JobAbortedError):
+        run_job(factory, g, job_cfg(), runtime="serial", checkpoint_path=ck,
+                abort_after_rounds=4)
+    snaps = JobCheckpoint.load(ck).worker_snapshots
+    assert sum(len(deserialize_tasks(p)) for s in snaps for p in s.tasks) > 0
+    spilled_files = sum(len(s.tasks) - 1 for s in snaps)
+    resumed = resume_job(factory, g, ck, job_cfg(checkpoint_every_syncs=0))
+    assert answer(resumed) == oracle(g)
+    assert spilled_files + resumed.metrics.get("tasks:spilled", 0) > 0

@@ -230,7 +230,6 @@ def test_cluster_runtime_registered_with_full_capabilities():
     assert "cluster" in available_runtimes()
     caps = get_runtime("cluster").capabilities
     assert caps.checkpointing and caps.failure_injection
-    assert caps.protocol_checking and caps.resume
 
 
 # ---------------------------------------------------------------------------

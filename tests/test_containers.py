@@ -17,8 +17,11 @@ from repro.core.containers import (
 )
 
 
-def make_tasks(n, tag="t"):
-    return [Task(context=f"{tag}{i}") for i in range(n)]
+T, A, B, NEW = range(4)  # tags: contexts are (tag, i) int tuples
+
+
+def make_tasks(n, tag=T):
+    return [Task(context=(tag, i)) for i in range(n)]
 
 
 class TestTaskIds:
@@ -62,27 +65,27 @@ class TestTaskQueue:
         tasks = make_tasks(12)
         for t in tasks:
             assert q.append(t) is None
-        extra = Task(context="extra")
+        extra = Task(context=(-1,))
         spill = q.append(extra)
         assert spill is not None
         assert len(spill) == 4
         assert len(q) == 9  # 2C + 1
         # The spilled batch is the *last* C tasks, in original order.
-        assert [t.context for t in spill] == ["t8", "t9", "t10", "t11"]
+        assert [t.context for t in spill] == [(T, 8), (T, 9), (T, 10), (T, 11)]
 
     def test_fifo_order(self):
         q = TaskQueue(batch_size=4)
         for t in make_tasks(3):
             q.append(t)
-        assert q.pop().context == "t0"
+        assert q.pop().context == (T, 0)
 
     def test_prepend_runs_first(self):
         q = TaskQueue(batch_size=4)
-        q.append(Task(context="old"))
-        q.prepend(make_tasks(2, tag="new"))
-        assert q.pop().context == "new0"
-        assert q.pop().context == "new1"
-        assert q.pop().context == "old"
+        q.append(Task(context=(-2,)))
+        q.prepend(make_tasks(2, tag=NEW))
+        assert q.pop().context == (NEW, 0)
+        assert q.pop().context == (NEW, 1)
+        assert q.pop().context == (-2,)
 
     def test_pop_empty(self):
         assert TaskQueue(2).pop() is None
@@ -97,7 +100,7 @@ class TestReadyBuffer:
         b = ReadyBuffer()
         for t in make_tasks(3):
             b.put(t)
-        assert b.get().context == "t0"
+        assert b.get().context == (T, 0)
         assert len(b) == 2
 
     def test_get_empty(self):
@@ -108,7 +111,7 @@ class TestReadyBuffer:
         for t in make_tasks(5):
             b.put(t)
         batch = b.get_batch(3)
-        assert [t.context for t in batch] == ["t0", "t1", "t2"]
+        assert [t.context for t in batch] == [(T, 0), (T, 1), (T, 2)]
         assert len(b) == 2
 
     def test_concurrent_put_get(self):
@@ -208,15 +211,15 @@ class TestTaskFileList:
         assert len(lf) == 1
         assert lf.num_tasks_on_disk() == 4
         back = lf.take_file()
-        assert [t.context for t in back] == ["t0", "t1", "t2", "t3"]
+        assert [t.context for t in back] == [(T, 0), (T, 1), (T, 2), (T, 3)]
         assert len(lf) == 0
         assert lf.take_file() is None
 
     def test_fifo_file_order(self, tmp_path):
         lf = TaskFileList(tmp_path)
-        lf.spill(make_tasks(2, tag="a"))
-        lf.spill(make_tasks(2, tag="b"))
-        assert lf.take_file()[0].context == "a0"
+        lf.spill(make_tasks(2, tag=A))
+        lf.spill(make_tasks(2, tag=B))
+        assert lf.take_file()[0].context == (A, 0)
 
     def test_payload_roundtrip(self, tmp_path):
         lf = TaskFileList(tmp_path)
@@ -225,7 +228,7 @@ class TestTaskFileList:
         assert count == 3
         lf.add_payload(payload, count)
         assert lf.num_tasks_on_disk() == 3
-        assert [t.context for t in lf.take_file()] == ["t0", "t1", "t2"]
+        assert [t.context for t in lf.take_file()] == [(T, 0), (T, 1), (T, 2)]
 
     def test_cleanup_removes_files(self, tmp_path):
         lf = TaskFileList(tmp_path / "x")
@@ -245,13 +248,15 @@ class TestTaskFileList:
 
     def test_tasks_preserve_subgraph(self, tmp_path):
         lf = TaskFileList(tmp_path)
-        t = Task(context="rich")
+        t = Task(context=[(1, (2, 3))])
         t.g.add_vertex(1, (2, 3))
         t.pull(9)
         lf.spill([t])
         back = lf.take_file()[0]
         assert back.g.neighbors(1) == (2, 3)
         assert back.pending_pulls() == (9,)
+        ((v, row),) = back.context
+        assert v == 1 and row.tolist() == [2, 3]
 
 
 def test_serialize_roundtrip():

@@ -426,6 +426,32 @@ class TestStealing:
         assert sorted(outputs) == sorted(graph.vertices())
 
 
+    def test_uncounted_steal_births_fail_the_job(self, monkeypatch):
+        """A steal collector that skips ``born_for_steals`` makes the
+        stolen tasks retire without a birth: the sweep sees more tasks
+        retired than born and fails the job at once, instead of waiting
+        for ``born == retired`` forever."""
+        import time
+
+        from repro.core.errors import GThinkerError
+        from repro.core.worker import _CollectorEngine
+
+        monkeypatch.setattr(_CollectorEngine, "add_task",
+                            lambda self, task: self.collected.append(task))
+        cluster = build_cluster(
+            OneTaskPerVertex, erdos_renyi(300, 0.02, seed=9),
+            cfg(steal_batches=8, sync_every_rounds=1, task_batch_size=1),
+        )
+        idle = cluster.workers[0]  # spawned out: the others' tasks move
+        idle.set_spawn_cursor(idle.num_local_vertices)
+        t0 = time.monotonic()
+        with pytest.raises(GThinkerError, match=r"(\d+) tasks retired but "
+                                                r"only (\d+) born"):
+            SerialRuntime().run(cluster)
+        assert time.monotonic() - t0 < 1.0
+        assert cluster.metrics.get("steal:tasks") > 0
+
+
 def test_aggregator_final_sync_before_done(graph):
     """Partials aggregated after the last periodic sync still count."""
     from repro.core.api import SumAggregator

@@ -43,9 +43,10 @@ def test_all_builtin_runtimes_registered():
 
 def test_capability_matrix_shape():
     matrix = capability_matrix()
-    features = {"checkpointing", "failure_injection", "protocol_checking",
-                "resume", "cancellation"}
-    for name in ("serial", "threaded", "checked", "process"):
+    # Protocol checking, resume and cancellation work on every runtime,
+    # so they are not capabilities.
+    features = {"checkpointing", "failure_injection"}
+    for name in ("serial", "threaded", "checked", "process", "cluster"):
         assert set(matrix[name]) == features
     assert matrix["serial"]["checkpointing"]
     assert matrix["serial"]["failure_injection"]
@@ -54,9 +55,6 @@ def test_capability_matrix_shape():
     for feature in features:
         assert matrix["process"][feature], feature
     assert not matrix["threaded"]["checkpointing"]
-    # Every built-in runtime supports cooperative cancellation.
-    for name in ("serial", "threaded", "checked", "process", "cluster"):
-        assert matrix[name]["cancellation"], name
 
 
 def test_every_builtin_runs_through_registry(graph):

@@ -501,16 +501,6 @@ class TestRunningCancel:
             assert stats["workers_available"] == 2
             assert stats["cancelled"] == 1
 
-    def test_running_cancel_refused_without_capability(self, graph, gate):
-        wait_started, release = gate
-        with GraphService(graph, config=cfg(), worker_budget=2) as svc:
-            svc._cancellable = False  # a runtime without cancellation
-            record = svc.submit(JobSpec("block"))
-            assert wait_started()
-            assert not svc.cancel(record["job_id"])
-            release()
-            assert svc.wait_result(record["job_id"], timeout=120) is not None
-
 
 # -- in-flight dedup ------------------------------------------------------
 

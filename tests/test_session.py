@@ -208,9 +208,11 @@ class TestRunningCancel:
             assert after.result(timeout=60).aggregate == count_triangles(graph)
 
     def test_capability_flags(self):
+        # Every runtime cancels, so cancellation is no capability flag.
         for runtime in ("serial", "threaded", "process", "checked",
                         "cluster"):
-            assert get_runtime(runtime).capabilities.cancellation, runtime
+            features = get_runtime(runtime).capabilities.feature_names()
+            assert "cancellation" not in features, runtime
 
     def test_attach_mode_nodes_exit_when_their_job_is_cancelled(self, graph):
         """Cancelling an attach-mode cluster job closes every control
@@ -253,25 +255,6 @@ class TestRunningCancel:
             for node in nodes:
                 if node.is_alive():
                     node.terminate()
-
-    def test_cancel_without_capability_returns_false(self, graph,
-                                                     monkeypatch):
-        # Simulate an incapable runtime: a running handle with no abort
-        # token must refuse (False), not pretend.
-        started, release = threading.Event(), threading.Event()
-
-        def blocker():
-            started.set()
-            release.wait(30)
-            return TriangleCountComper()
-
-        with Session(graph, cfg()) as session:
-            handle = session.submit(blocker)
-            assert started.wait(10)
-            handle._abort = None  # what a capability-less runtime gets
-            assert not handle.cancel()
-            release.set()
-            assert handle.result(timeout=60) is not None
 
 
 # -- the one-shot wrappers ---------------------------------------------

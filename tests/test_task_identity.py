@@ -19,13 +19,13 @@ import pytest
 from repro.algorithms import count_triangles
 from repro.apps import TriangleCountComper
 from repro.core.api import Comper, SumAggregator, Task
-from repro.core.checkpoint import restore_task, snapshot_task
 from repro.core.config import GThinkerConfig
 from repro.core.containers import (
     comper_of_task_id,
     deserialize_tasks,
     make_task_id,
     serialize_tasks,
+    snapshot_tasks,
 )
 from repro.core.errors import TaskError
 from repro.core.job import build_cluster, run_job
@@ -35,8 +35,9 @@ from repro.graph import Graph, erdos_renyi, hash_partition
 class ScriptedComper(Comper):
     """``compute`` follows the pull script carried in the task context.
 
-    The context is a list of pull stages; each compute() call issues the
-    next stage's pulls and the task finishes when the script runs out.
+    The context is a list of ``(stage, pulls)`` rows (a context kind
+    spills and steals encode); each compute() call issues the next
+    stage's pulls and the task finishes when the script runs out.
     """
 
     def task_spawn(self, v):
@@ -45,7 +46,7 @@ class ScriptedComper(Comper):
     def compute(self, task, frontier):
         if not task.context:
             return False
-        for v in task.context.pop(0):
+        for v in task.context.pop(0)[1]:
             task.pull(v)
         return True
 
@@ -81,7 +82,7 @@ def park_and_yield(cluster, engine, first_pull, next_pulls):
     filler tasks, so the next ``add_task`` spills exactly this task
     (spill takes the last ``C`` = 1 tasks from the tail).
     """
-    task = Task(context=[list(next_pulls)])
+    task = Task(context=[(1, tuple(next_pulls))])
     task.pull(first_pull)
     engine.add_task(task)
     assert engine.step()  # pop -> park, mint id, request first_pull
@@ -192,7 +193,7 @@ def test_remote_set_is_rederived_by_the_worker_that_restarts_the_task():
     v1, v2 = owned_by(g, 1)[:2]  # remote for w0, local for w1
     u = owned_by(g, 0)[0]        # local for w0, remote for w1
 
-    task = Task(context=[[u, v2]])
+    task = Task(context=[(1, (u, v2))])
     task.pull(v1)
     a.add_task(task)
     assert a.step()  # park on w0
@@ -202,7 +203,8 @@ def test_remote_set_is_rederived_by_the_worker_that_restarts_the_task():
     # Ready in B_task with the arrived view, locked in w0's cache...
     assert list(task.views_in_flight) == [v1]
     # ...which a checkpoint of the waiting task does not record.
-    assert restore_task(snapshot_task(task)).views_in_flight is None
+    (restored,) = deserialize_tasks(snapshot_tasks([task]))
+    assert restored.views_in_flight is None
     a.add_task(Task(context=[]))
     a.add_task(Task(context=[]))
     assert a._push()  # resume -> compute pulls [u, v2] -> inline yield

@@ -4,9 +4,14 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.api import Task
-from repro.core.containers import deserialize_tasks, serialize_tasks
+from repro.core.containers import (
+    deserialize_tasks,
+    serialize_tasks,
+    snapshot_tasks,
+)
 from repro.net import wire
 from repro.net.message import (
     Message,
@@ -82,16 +87,6 @@ def test_mixed_batch_preserves_order():
     assert [type(m) for m in out] == [type(m) for m in msgs]
 
 
-@pytest.fixture
-def no_unpickling(monkeypatch):
-    """Any ``pickle.loads`` during the test is a failure: the data
-    plane must refuse foreign bytes *before* handing them to pickle."""
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("pickle.loads called on a data-plane payload")
-
-    monkeypatch.setattr(pickle, "loads", refuse)
-
-
 def test_pickled_message_list_is_refused_without_unpickling(no_unpickling):
     """A *valid* pickle of a message list — what the old pickle wire
     format put on the queue — is not a GTWIRE1 payload."""
@@ -135,11 +130,87 @@ def test_task_codec_roundtrip():
     assert out.task_id == -1
 
 
+def _plain(context):
+    """A decoded context with its rows as lists, comparable by ``==``."""
+    if type(context) is list:
+        return [(v, np.asarray(row).tolist()) for v, row in context]
+    return context
+
+
 def test_task_codec_context_kinds():
-    cases = [None, 5, (1, 2), {"rich": [1]}, "str", (1, "mixed")]
+    rows = [(4, np.array([5, 6], dtype=np.int64)), (7, ()), (8, (9,))]
+    cases = [None, 5, (1, 2), (), [], rows]
     payload = serialize_tasks([Task(context=c) for c in cases])
     out = deserialize_tasks(payload)
-    assert [t.context for t in out] == cases
+    assert [_plain(t.context) for t in out] == [_plain(c) for c in cases]
+    for v, row in out[-1].context:
+        assert type(v) is int
+        assert row.dtype == np.int64 and not row.flags.writeable
+
+
+@pytest.mark.parametrize("context", [
+    {"rich": [1]}, "str", (1, "mixed"), (1, np.int64(2)), True, 2.5,
+    [[1, 2]], [(1, 2)], [(1, np.array([0.5]))], [("a", (1,))],
+    [(1, np.zeros((2, 2), dtype=np.int64))], [(1, (2, "x"))],
+    [(1, np.array([2**63], dtype=np.uint64))],
+])
+def test_task_codec_refuses_other_contexts_at_encode(context):
+    with pytest.raises(TypeError, match=type(context).__name__):
+        serialize_tasks([Task(context=context)])
+
+
+_i64 = st.integers(-2**63, 2**63 - 1)
+_row = st.lists(_i64, max_size=4).flatmap(
+    lambda xs: st.sampled_from([tuple(xs), np.array(xs, dtype=np.int64)]))
+_contexts = st.one_of(
+    st.none(), _i64, st.lists(_i64, max_size=4).map(tuple),
+    st.lists(st.tuples(_i64, _row), max_size=4),  # rows: 0, 1, many
+)
+
+
+@st.composite
+def _task(draw):
+    t = Task(context=draw(_contexts))
+    t.pull_many(draw(st.lists(_i64, max_size=4, unique=True)))
+    rows = draw(st.dictionaries(_i64, st.lists(_i64, max_size=4), max_size=3))
+    for v, row in rows.items():
+        t.g.add_vertex(v, row, label=draw(st.integers(0, 3)))
+    return t
+
+
+def _image(t):
+    return (_plain(t.context), t.pending_pulls(), dict(t.g.adjacency()),
+            {v: t.g.label(v) for v in t.g.vertices()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_task(), max_size=3))
+def test_task_codec_roundtrip_every_context_kind(tasks):
+    """Every context kind, with and without pulls, round-trips through
+    GTTASK1, and every strict prefix of the payload is a typed decode
+    error (the format holds only int64 words, so none decodes)."""
+    expected = [_image(t) for t in tasks]
+    payload = serialize_tasks(tasks)
+    assert [_image(t) for t in deserialize_tasks(payload)] == expected
+    for cut in range(len(payload)):
+        with pytest.raises(wire.WireDecodeError):
+            deserialize_tasks(payload[:cut])
+
+
+def test_snapshot_tasks_keeps_ids_and_pulls_in_flight():
+    """The checkpoint image leaves the task alone and records the union
+    of its in-flight and requested pulls."""
+    t = Task(context=[(1, (2,))])
+    t.pull(5)
+    t.pull(6)
+    t.pulls_in_flight = t.take_pulls()
+    t.pull(6)
+    t.pull(7)
+    t.task_id, t.remote_in_flight = 0xBEEF, [5]
+    (out,) = deserialize_tasks(snapshot_tasks([t]))
+    assert out.pending_pulls() == (5, 6, 7) and out.pulls_in_flight == []
+    assert (t.task_id, t.remote_in_flight) == (0xBEEF, [5])
+    assert out.task_id == -1 and out.remote_in_flight == ()
 
 
 def test_task_codec_invalidates_task_ids():
@@ -188,9 +259,9 @@ def _messages_equal(a, b):
 
 
 def _tasks_equal(a, b):
-    return (a.context, a.pending_pulls(), a.g.adjacency(),
+    return (_plain(a.context), a.pending_pulls(), a.g.adjacency(),
             [a.g.label(v) for v in sorted(a.g.adjacency())]) == (
-            b.context, b.pending_pulls(), b.g.adjacency(),
+            _plain(b.context), b.pending_pulls(), b.g.adjacency(),
             [b.g.label(v) for v in sorted(b.g.adjacency())])
 
 
@@ -230,9 +301,11 @@ _FRAME_CASES = {
     # GTTASK1, as it comes off a spill file or out of a steal frame.
     "task_payload": _task_case(
         [_sample_task(None), _sample_task(5), _sample_task((1, 2))]),
-    # The one place pickle survives on the wire: a rich task context.
-    "pickle": _task_case(
-        [_sample_task({"rich": [1]}), _sample_task((1, "mixed"))]),
+    # Rows contexts: TC's one member, a bundle with an empty row.
+    "task_rows": _task_case([
+        _sample_task([(1, np.array([2, 3], dtype=np.int64))]),
+        _sample_task([(4, ()), (5, (6, 7, 8))]),
+    ]),
 }
 
 
@@ -259,13 +332,27 @@ def test_truncation_at_every_boundary_raises_or_decodes_whole(kind):
     assert clean_decodes <= 7
 
 
-def test_corrupt_pickled_task_context_raises_wire_decode_error():
-    context = {"rich": [1]}
-    blob = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
-    payload = serialize_tasks([Task(context=context)])
-    assert blob in payload
-    with pytest.raises(wire.WireDecodeError, match="task context"):
-        deserialize_tasks(payload.replace(blob, b"\xff" * len(blob)))
+def test_corrupt_rows_context_raises_wire_decode_error():
+    """A negative or overflowing row length in a rows context is a
+    typed decode error, never a short or wrapped-around slice."""
+    payload = serialize_tasks([Task(context=[(1, (2, 3)), (4, (5,))])])
+    # The payload ends with the member ids, their row lengths, the rows.
+    head, tail = payload[:-40], payload[-24:]
+    assert payload[-40:-24] == np.array([2, 1], dtype="<i8").tobytes()
+    for bad in ([-1, 1], [2**62, 2**62], [2**63 - 1, 2]):
+        forged = head + np.array(bad, dtype="<i8").tobytes() + tail
+        with pytest.raises(wire.WireDecodeError, match="context rows"):
+            deserialize_tasks(forged)
+
+
+def test_unknown_context_kind_raises():
+    """Kind 3 was a pickled context; it is retired, so it decodes as
+    no known kind."""
+    payload = serialize_tasks([Task(context=None)])
+    kind = wire.ints(0)
+    assert payload.endswith(kind)
+    with pytest.raises(wire.WireDecodeError, match="context kind 3"):
+        deserialize_tasks(payload[:-8] + wire.ints(3))
 
 
 def test_wire_decode_error_is_value_error():
