@@ -38,15 +38,16 @@ class EdgeSupportComper(Comper):
     def task_spawn(self, v: VertexView) -> None:
         if not len(v.adj):  # v.adj is an ndarray on the hot path
             return
-        # A context must have a GTTASK1 image (docs/API.md, "The task
-        # context"): one (id, row) member is a list of one pair.
-        task = Task(context=[(v.id, v.adj)])
+        # Rows a task keeps go in its subgraph t.g (docs/API.md, "The
+        # task context"); the task needs no context.
+        task = Task()
+        task.g.add_vertex(v.id, v.adj)
         for u in v.adj:
             task.pull(u)
         self.add_task(task)
 
     def compute(self, task: Task, frontier) -> bool:
-        ((u, gt_u),) = task.context
+        ((u, gt_u),) = task.g.adjacency().items()
         for view in frontier:
             # support of edge (u, view.id): common larger neighbors plus
             # triangles closed through smaller vertices are counted by

@@ -53,9 +53,10 @@ class BundledTriangleCountComper(BundlingComper):
         self.spawn_member((v.id, v.adj), len(v.adj) >= self.heavy_threshold)
 
     def emit_bundle(self, members: List[Tuple[int, Sequence[int]]]) -> None:
-        # (v, Γ_>(v)) members: a context kind GTTASK1 encodes.
-        task = Task(context=members)
-        for _v, gt in members:
+        # t.g holds each member's row Γ_>(v); the task needs no context.
+        task = Task()
+        for v, gt in members:
+            task.g.add_vertex(v, gt)
             task.pull_many(gt)  # dedupes across bundle members
         self.add_task(task)
 
@@ -64,7 +65,7 @@ class BundledTriangleCountComper(BundlingComper):
     def compute(self, task: Task, frontier: Sequence[VertexView]) -> bool:
         adj_of: Dict[int, Sequence[int]] = {view.id: view.adj for view in frontier}
         count = 0
-        for _v, gt_v in task.context:
+        for gt_v in task.g.adjacency().values():
             # One fused kernel call per bundle member, as in plain TC.
             count += kernels.intersect_count_many(
                 gt_v, [adj_of[u] for u in kernels.as_ids_array(gt_v).tolist()]

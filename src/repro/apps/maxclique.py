@@ -136,15 +136,17 @@ class MaxCliqueComper(Comper):
             # The kids' larger-id neighbours back to back, kept where
             # they are kids too, then cut where each kid's run ends.
             starts, lens = ptr[kids], ptr[kids + 1] - ptr[kids]
-            ends = lens.cumsum()
-            out = hi[np.arange(lens.sum()) + np.repeat(starts - ends + lens, lens)]
+            runs = np.concatenate(([0], lens.cumsum()))
+            out = hi[np.arange(runs[-1]) + np.repeat(starts - runs[:-1], lens)]
             inside[kids] = True
             kept = inside[out]
             inside[kids] = False
-            cuts = np.concatenate(([0], kept.cumsum()))[ends[:-1]]
+            at = np.concatenate(([0], kept.cumsum()))[runs].tolist()
+            rows = ids[out[kept]]
+            rows.flags.writeable = False  # t.g keeps its slices as given
             child = Task(context=tuple(sorted(s + (int(ids[u]),))))
-            for w, row in zip(ids[kids].tolist(), np.split(ids[out[kept]], cuts)):
-                child.g.add_vertex(w, row)
+            for i, w in enumerate(ids[kids].tolist()):
+                child.g.add_vertex(w, rows[at[i]:at[i + 1]])
             self.add_task(child)
 
     def _mine_serially(self, core: Scoped, s: Tuple[int, ...], best: int) -> None:

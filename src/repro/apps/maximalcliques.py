@@ -70,13 +70,12 @@ class MaximalCliqueComper(Comper):
 
     def compute(self, task: Task, frontier: Sequence[VertexView]) -> bool:
         v = task.context
-        hood = {v, *task.g.neighbors(v)}
-        adjacency: Dict[int, Set[int]] = {
-            v: set(task.g.neighbors(v))
-        }
+        # .tolist() boxes np.int64 to python ints, so emitted cliques
+        # stay plain-int tuples.
+        nbrs = set(task.g.neighbors(v).tolist())
+        hood = {v, *nbrs}
+        adjacency: Dict[int, Set[int]] = {v: nbrs}
         for view in frontier:
-            # .tolist() boxes np.int64 back to python ints so emitted
-            # cliques stay plain-int tuples.
             row = view.adj.tolist() if isinstance(view.adj, np.ndarray) else view.adj
             adjacency[view.id] = {u for u in row if u in hood}
         count = 0

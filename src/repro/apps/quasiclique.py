@@ -79,8 +79,10 @@ class QuasiCliqueComper(Comper):
     def _mine(self, task: Task) -> None:
         root = task.context[0]
         ego = set(task.g.vertices())
+        # .tolist(): python ints, so emitted quasi-cliques stay plain.
         adjacency = {
-            v: [u for u in task.g.neighbors(v) if u in ego] for v in ego
+            v: [u for u in task.g.neighbors(v).tolist() if u in ego]
+            for v in ego
         }
         count = 0
         for qc in enumerate_quasi_cliques(

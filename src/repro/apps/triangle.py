@@ -14,7 +14,7 @@ concurrency, not deep task recursion.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..core.api import Comper, SumAggregator, Task, VertexView
 from ..graph import kernels
@@ -41,13 +41,14 @@ class TriangleCountComper(Comper):
         # triangle has v as its smallest vertex.
         if len(v.adj) < 2:
             return
-        # One (u, Γ_>(u)) member: a context kind GTTASK1 encodes.
-        task = Task(context=[(v.id, v.adj)])
+        # t.g holds the one row Γ_>(u); the task needs no context.
+        task = Task()
+        task.g.add_vertex(v.id, v.adj)
         task.pull_many(v.adj)
         self.add_task(task)
 
     def compute(self, task: Task, frontier: Sequence[VertexView]) -> bool:
-        ((u, gt_u),) = task.context
+        ((u, gt_u),) = task.g.adjacency().items()
         count = 0
         if self._list:
             for view in frontier:

@@ -53,6 +53,11 @@ class VertexView(NamedTuple):
 class Task:
     """A unit of mining work: a subgraph ``g`` plus app-defined ``context``.
 
+    ``g``'s rows are read-only int64 ndarrays, like ``VertexView.adj``;
+    rows a task keeps beyond an iteration go there.  ``context`` is
+    ``None``, an int or a tuple of ints, the kinds the task image
+    encodes (docs/API.md, "The task context").
+
     ``pull(v)`` requests the adjacency list of ``v`` for the *next*
     iteration (the paper's task-based vertex pulling); ``pull_many(ids)``
     requests a whole adjacency array in one call.  Pulls are

@@ -30,7 +30,6 @@ import tempfile
 import threading
 import uuid
 from collections import deque
-from itertools import accumulate
 from pathlib import Path
 from typing import (
     Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union,
@@ -77,28 +76,8 @@ _TASK_MAGIC = b"GTTASK1\x00"
 _CTX_NONE = 0
 _CTX_INT = 1
 _CTX_INT_TUPLE = 2
-# Kind 3 held a pickled context; it is retired, not reused.
-_CTX_ROWS = 4
-
-
-def _context_rows(ctx: Any) -> Optional[List[np.ndarray]]:
-    """The int64 rows of a ``[(int id, int row), ...]`` context, else
-    None.  A row is a signed-integer ndarray or a tuple of ints."""
-    if type(ctx) is not list:
-        return None
-    rows = []
-    for member in ctx:
-        if (type(member) is not tuple or len(member) != 2
-                or type(member[0]) is not int):
-            return None
-        row = member[1]
-        if isinstance(row, np.ndarray):
-            if row.ndim != 1 or row.dtype.kind != "i":
-                return None
-        elif type(row) is not tuple or any(type(x) is not int for x in row):
-            return None
-        rows.append(np.asarray(row, dtype="<i8"))
-    return rows
+# Kind 3 held a pickled context and kind 4 a list of (id, row) members
+# (a task's rows live in ``task.g``); both are retired, not reused.
 
 
 def _encode_context(ctx: Any, chunks: List[bytes]) -> None:
@@ -111,38 +90,22 @@ def _encode_context(ctx: Any, chunks: List[bytes]) -> None:
         chunks.append(ints(_CTX_INT_TUPLE, len(ctx)))
         chunks.append(np.asarray(ctx, dtype="<i8").tobytes())
     else:
-        rows = _context_rows(ctx)
-        if rows is None:
-            raise TypeError(
-                f"a task context of type {type(ctx).__name__!r} has no "
-                f"GTTASK1 image: a context is None, an int, a tuple of "
-                f"ints, or a list of (int id, int row) pairs"
-            )
-        chunks.append(ints(_CTX_ROWS, len(rows)))
-        chunks.append(np.asarray([m[0] for m in ctx], dtype="<i8").tobytes())
-        _pack_rows(rows, chunks)
-
-
-def _pack_rows(rows: Sequence[Sequence[int]], chunks: List[bytes]) -> None:
-    """The rows' lengths, then the rows concatenated (read back by
-    :func:`_read_rows`)."""
-    chunks.append(np.fromiter(map(len, rows), dtype="<i8",
-                              count=len(rows)).tobytes())
-    chunks.extend(np.asarray(r, dtype="<i8").tobytes() for r in rows)
+        raise TypeError(
+            f"a task context of type {type(ctx).__name__!r} has no "
+            f"GTTASK1 image: a context is None, an int or a tuple of ints "
+            f"(rows belong in task.g)"
+        )
 
 
 def _encode_task(task: Task, chunks: List[bytes]) -> None:
-    ints = wire.ints
     pulls = task.all_pending_pulls()
-    chunks.append(ints(len(pulls)))
+    chunks.append(wire.ints(len(pulls)))
     chunks.append(np.asarray(pulls, dtype="<i8").tobytes())
     adj = task.g.adjacency()
     vids = sorted(adj)
-    chunks.append(ints(len(vids)))
-    chunks.append(np.asarray(vids, dtype="<i8").tobytes())
-    chunks.append(np.asarray([task.g.label(v) for v in vids],
-                             dtype="<i8").tobytes())
-    _pack_rows([adj[v] for v in vids], chunks)
+    rows = [adj[v] for v in vids]
+    wire.pack_rows(chunks, vids, [task.g.label(v) for v in vids],
+                   list(map(len, rows)), np.concatenate(rows) if rows else rows)
     _encode_context(task.context, chunks)
 
 
@@ -174,9 +137,10 @@ def serialize_tasks(tasks: Sequence[Task]) -> bytes:
     relative to the worker that parked the task.
 
     The encoding is the flat int64 frame format (``GTTASK1`` magic): a
-    task's pending pulls and its subgraph rows are packed as raw arrays,
-    and the context as one of the kinds docs/API.md lists ("The task
-    context"); any other context is a ``TypeError``.  A task with
+    task's pending pulls are packed as a raw array, its subgraph as one
+    rows block (:func:`repro.net.wire.pack_rows`), and the context as
+    one of the kinds docs/API.md lists ("The task context"); any other
+    context is a ``TypeError``.  A task with
     in-flight pulls raises ``ValueError``: the engine clears
     ``pulls_in_flight`` before a task re-enters ``Q_task``, so nothing
     that reaches a spill file or a steal batch carries any.
@@ -190,20 +154,6 @@ def serialize_tasks(tasks: Sequence[Task]) -> bytes:
     return snapshot_tasks(tasks)
 
 
-def _read_rows(cur: wire.Cursor, n: int,
-               what: str) -> Tuple[np.ndarray, List[int]]:
-    """Read ``n`` rows packed by :func:`_pack_rows`: the concatenated
-    rows in one read, and their ``n + 1`` offsets (python ints, so
-    forged lengths cannot wrap around)."""
-    degrees = cur.read_ints(n, f"{what} lengths").tolist()
-    if degrees and min(degrees) < 0:
-        raise wire.WireDecodeError(
-            f"negative row length ({min(degrees)}) in {what}"
-        )
-    offsets = list(accumulate(degrees, initial=0))
-    return cur.read_ints(offsets[-1], what), offsets
-
-
 def _decode_context(cur: wire.Cursor) -> Any:
     kind = cur.read_int("task context kind")
     if kind == _CTX_NONE:
@@ -213,12 +163,6 @@ def _decode_context(cur: wire.Cursor) -> Any:
     if kind == _CTX_INT_TUPLE:
         return tuple(cur.read_ints(cur.read_count("context tuple length"),
                                    "context tuple").tolist())
-    if kind == _CTX_ROWS:
-        m = cur.read_count("context member count")
-        ids = cur.read_ints(m, "context member ids").tolist()
-        flat, offsets = _read_rows(cur, m, "context rows")
-        flat.flags.writeable = False  # like VertexView.adj
-        return [(ids[i], flat[offsets[i]:offsets[i + 1]]) for i in range(m)]
     raise wire.WireDecodeError(f"unknown task context kind {kind}")
 
 
@@ -229,7 +173,8 @@ def deserialize_tasks(payload: bytes) -> List[Task]:
     a checkpoint, so every read goes through the bounds-checked
     :class:`repro.net.wire.Cursor`: a truncated or corrupt payload
     raises :class:`WireDecodeError`, never a raw numpy error or a
-    silently short array.
+    silently short array.  A task's rows are read-only int64 slices of
+    the one rows block it carries (:func:`repro.net.wire.read_rows`).
     """
     if payload[:8] != _TASK_MAGIC:
         raise wire.WireDecodeError(
@@ -243,17 +188,10 @@ def deserialize_tasks(payload: bytes) -> List[Task]:
         pulls = cur.read_ints(cur.read_count("pull count"), "pulls").tolist()
         task._pulls = pulls
         task._pull_set = set(pulls)
-        n = cur.read_count("subgraph vertex count")
-        vids = cur.read_ints(n, "subgraph vertex ids").tolist()
-        labels = cur.read_ints(n, "subgraph labels").tolist()
-        flat, offsets = _read_rows(cur, n, "subgraph rows")
-        flat = flat.tolist()
-        adj = task.g._adj
-        lbl = task.g._labels
-        for i, v in enumerate(vids):
-            adj[v] = tuple(flat[offsets[i]:offsets[i + 1]])
-            if labels[i]:
-                lbl[v] = labels[i]
+        vids, labels, rows, offsets = wire.read_rows(cur, "subgraph")
+        bounds = offsets.tolist()
+        for i, (v, label) in enumerate(zip(vids.tolist(), labels.tolist())):
+            task.g.add_vertex(v, rows[bounds[i]:bounds[i + 1]], label)
         task.context = _decode_context(cur)
         tasks.append(task)
     return tasks

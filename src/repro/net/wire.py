@@ -14,9 +14,10 @@ around ``ndarray.tobytes()`` / ``np.frombuffer``:
   the receiving side are aligned ``np.frombuffer`` views into the single
   received buffer — adjacency lists are decoded with **zero copies and
   zero per-element Python objects**;
-* a ``ResponseBatch`` frame is struct-of-arrays: ``ids``, ``labels``
-  and ``degrees`` arrays followed by the concatenation of all adjacency
-  rows; rows are recovered by slicing at the cumulative-degree offsets;
+* a ``ResponseBatch`` frame is struct-of-arrays, one labelled rows
+  block (:func:`pack_rows`): ``ids``, ``labels`` and row-length arrays
+  followed by the concatenation of all adjacency rows; rows are
+  recovered by slicing at the cumulative-length offsets;
 * there are exactly three frame kinds (request, response, task
   transfer).  A payload that does not start with :data:`MAGIC`, an
   unknown kind on decode, or a message type without a frame on encode is
@@ -28,13 +29,14 @@ bytes object; like the ``SharedCSR`` views, they stay valid as long as
 any task holds them because the view keeps the buffer referenced.
 
 :class:`Cursor`, :func:`ints` and :func:`padded` are the one
-bounds-checked int64 reader and the two encoder helpers; the task codec
-(``GTTASK1``, :mod:`repro.core.containers`) is built on the same three.
+bounds-checked int64 reader and the two encoder helpers, and
+:func:`pack_rows` / :func:`read_rows` the one rows block; the task codec
+(``GTTASK1``, :mod:`repro.core.containers`) is built on the same five.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +48,8 @@ __all__ = [
     "Cursor",
     "ints",
     "padded",
+    "pack_rows",
+    "read_rows",
     "encode_batch",
     "decode_batch",
     "WireDecodeError",
@@ -87,13 +91,10 @@ def encode_batch(messages: Sequence[Message]) -> bytes:
         elif type(msg) is ResponseBatch:
             # The frame layout *is* the in-memory layout, so encoding is
             # four buffer dumps with no per-vertex Python loop.
-            chunks.append(ints(_KIND_RESPONSE, msg.src, msg.dst, len(msg.ids)))
-            chunks.append(_ids_bytes(msg.ids))
-            chunks.append(_ids_bytes(msg.labels))
-            chunks.append(
-                np.diff(np.asarray(msg.offsets, dtype="<i8")).tobytes()
-            )
-            chunks.append(_ids_bytes(msg.adj_concat))
+            chunks.append(ints(_KIND_RESPONSE, msg.src, msg.dst))
+            pack_rows(chunks, msg.ids, msg.labels,
+                      np.diff(np.asarray(msg.offsets, dtype="<i8")),
+                      msg.adj_concat)
         elif type(msg) is TaskBatchTransfer:
             chunks.append(
                 ints(_KIND_TASKS, msg.src, msg.dst, msg.num_tasks,
@@ -159,6 +160,49 @@ class Cursor:
         return self.buf[start : start + length]
 
 
+def pack_rows(chunks: List[bytes], ids: Sequence[int],
+              labels: Sequence[int], lengths: Sequence[int],
+              rows: Sequence[int]) -> None:
+    """Append a labelled rows block: the row count, then the ids, the
+    labels, the row lengths and the rows back to back, one int64 array
+    each.  A response frame and a ``GTTASK1`` subgraph both carry one;
+    :func:`read_rows` reads it back."""
+    chunks.append(ints(len(ids)))
+    chunks.extend(map(_ids_bytes, (ids, labels, lengths, rows)))
+
+
+def read_rows(cur: Cursor, what: str) -> Tuple[np.ndarray, np.ndarray,
+                                              np.ndarray, np.ndarray]:
+    """Read a block written by :func:`pack_rows` as ``(ids, labels,
+    rows, offsets)``: row ``i`` is ``rows[offsets[i]:offsets[i + 1]]``,
+    a zero-copy slice of one read-only int64 array.
+
+    Every row length is checked against the words left in the buffer
+    before the lengths are summed: the row count and each length are
+    then at most the buffer's word count, so forged lengths cannot wrap
+    the int64 sum around to a short read.
+    """
+    n = cur.read_count(f"{what} row count")
+    ids = cur.read_ints(n, f"{what} ids")
+    labels = cur.read_ints(n, f"{what} labels")
+    lengths = cur.read_ints(n, f"{what} row lengths")
+    words_left = (len(cur.buf) - cur.pos) // 8
+    # Read unsigned, a negative length is longer than any buffer.
+    if n and int(lengths.view("<u8").max()) > words_left:
+        shortest, longest = int(lengths.min()), int(lengths.max())
+        if shortest < 0:
+            raise WireDecodeError(
+                f"negative row length ({shortest}) in {what}")
+        raise WireDecodeError(
+            f"truncated frame: a row of {longest} ints in {what} but "
+            f"{words_left} int64 words are left in the buffer")
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    rows = cur.read_ints(offsets[-1], f"{what} rows")
+    rows.flags.writeable = False  # like VertexView.adj
+    return ids, labels, rows, offsets
+
+
 def decode_batch(payload: bytes) -> List[Message]:
     """Decode one transport payload back into a list of messages.
 
@@ -184,19 +228,8 @@ def decode_batch(payload: bytes) -> List[Message]:
                                 "request vertex ids")
             out.append(RequestBatch(src=src, dst=dst, vertex_ids=ids.tolist()))
         elif kind == _KIND_RESPONSE:
-            n = cur.read_count("response vertex count")
-            ids = cur.read_ints(n, "response ids")
-            labels = cur.read_ints(n, "response labels")
-            degrees = cur.read_ints(n, "response degrees")
-            if n and int(degrees.min()) < 0:
-                raise WireDecodeError(
-                    f"negative adjacency degree ({int(degrees.min())}) in "
-                    f"response frame {i}"
-                )
-            offsets = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(degrees, out=offsets[1:])
-            adj_concat = cur.read_ints(offsets[-1],
-                                       "concatenated adjacency rows")
+            ids, labels, adj_concat, offsets = read_rows(
+                cur, f"response frame {i}")
             out.append(ResponseBatch.from_soa(
                 src, dst, ids=ids, labels=labels,
                 adj_concat=adj_concat, offsets=offsets,

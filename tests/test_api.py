@@ -98,7 +98,7 @@ class TestTask:
         t.pull(6)
         back = pickle.loads(pickle.dumps(t))
         assert back.context == (1, 2)
-        assert back.g.neighbors(5) == (6, 7)
+        assert np.array_equal(back.g.neighbors(5), [6, 7])
         assert back.pending_pulls() == (6,)
 
     def test_memory_estimate(self):

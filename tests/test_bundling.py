@@ -89,7 +89,7 @@ def test_steal_payload_ships_its_partial_bundle(tmp_path):
     assert worker.spawn_cursor() == 4
     assert worker._steal_app._bundle == []
     shipped = sorted(v for task in deserialize_tasks(payload)
-                     for v, _gt in task.context)
+                     for v in task.g.vertices())
     assert shipped == [0, 1, 2, 3]
     assert count == 2  # the heavy singleton and the flushed bundle
     worker.cleanup()

@@ -5,13 +5,14 @@ import functools
 import pytest
 
 from repro.algorithms import count_triangles
-from repro.apps import BundledTriangleCountComper
+from repro.apps import BundledTriangleCountComper, TriangleCountComper
 from repro.core.api import Comper, SumAggregator, Task, VertexView
 from repro.core.config import GThinkerConfig
 from repro.core.job import build_cluster
 from repro.core.controlplane import plan_steals
 from repro.core.runtime import SerialRuntime
 from repro.graph import erdos_renyi
+from tests.oracles import skewed
 
 
 class NoopApp(Comper):
@@ -384,6 +385,15 @@ def test_no_sync_inside_a_window_ends_the_job(window, check):
     assert got == want
 
 
+def _skewed_graph():
+    """Nine in ten of 300 vertices on worker 1 of 3."""
+    return skewed(erdos_renyi(300, 0.03, seed=9), 3)
+
+
+def _steal_cfg():
+    return cfg(steal_batches=8, sync_every_rounds=1, task_batch_size=1)
+
+
 class TestStealing:
     def test_plan_moves_batches_to_idle_worker(self, graph):
         cluster = build_cluster(OneTaskPerVertex, graph, cfg(steal_batches=4))
@@ -415,16 +425,25 @@ class TestStealing:
         # All workers have comparable unspawned counts: no batch moves.
         assert cluster.metrics.get("steal:batches") == 0
 
-    def test_stolen_tasks_complete_job(self, graph):
-        """End-to-end with aggressive stealing: outputs must cover every
-        vertex exactly once."""
-        cluster = build_cluster(
-            OneTaskPerVertex, graph, cfg(steal_batches=8, sync_every_rounds=2)
-        )
+    def test_stolen_tasks_complete_job(self):
+        """End-to-end with aggressive stealing off the one worker that
+        owns most vertices: outputs must cover every vertex exactly
+        once."""
+        graph = _skewed_graph()
+        cluster = build_cluster(OneTaskPerVertex, graph, _steal_cfg())
         SerialRuntime().run(cluster)
+        assert cluster.metrics.get("steal:tasks") > 0
         outputs = [rec for w in cluster.workers for rec in w.outputs()]
         assert sorted(outputs) == sorted(graph.vertices())
 
+    def test_stolen_tc_tasks_match_the_oracle(self):
+        """Stolen TC tasks carry their row Γ_>(u) in ``t.g`` through the
+        steal payload; the count must still be the oracle's."""
+        graph = _skewed_graph()
+        cluster = build_cluster(TriangleCountComper, graph, _steal_cfg())
+        SerialRuntime().run(cluster)
+        assert cluster.metrics.get("steal:tasks") > 0
+        assert cluster.master.global_aggregator.value == count_triangles(graph)
 
     def test_uncounted_steal_births_fail_the_job(self, monkeypatch):
         """A steal collector that skips ``born_for_steals`` makes the

@@ -16,7 +16,7 @@ def make(adj, labels=None):
 def test_add_and_access():
     s = make({0: (1, 2), 1: (0,), 2: (0,)})
     assert s.num_vertices == 3
-    assert s.neighbors(0) == (1, 2)
+    assert np.array_equal(s.neighbors(0), [1, 2])
     assert 0 in s and 9 not in s
 
 
@@ -27,18 +27,33 @@ def test_labels_default_zero():
     assert s.label(1) == 0
 
 
-def test_ndarray_row_boxes_to_python_ints():
+def test_rows_are_read_only_int64_arrays():
+    """A read-only int64 row is kept as given (no boxing, no copy); a
+    writeable array or a tuple is copied once into a read-only int64
+    array.  Vertex ids stay python ints."""
     s = Subgraph()
-    s.add_vertex(np.int64(4), np.array([1, 7], dtype=np.int64))
-    assert s.neighbors(4) == (1, 7)
-    assert all(type(u) is int for u in s.neighbors(4))
+    given = np.array([1, 7], dtype=np.int64)
+    s.add_vertex(np.int64(4), given)
+    given[0] = 99  # the caller's array stays the caller's
+    s.add_vertex(5, (2, 3))
+    s.add_vertex(6, ())
+    frozen = np.array([8], dtype=np.int64)
+    frozen.flags.writeable = False
+    s.add_vertex(7, frozen)
+    assert s.neighbors(7) is frozen
+    s.add_vertex(8, np.array([9], dtype=np.int32))
+    for v, want in ((4, [1, 7]), (5, [2, 3]), (6, []), (7, [8]), (8, [9])):
+        row = s.neighbors(v)
+        assert row.dtype == np.int64 and not row.flags.writeable
+        assert np.array_equal(row, want)
     assert all(type(v) is int for v in s.vertices())
 
 
 def test_re_add_overwrites():
     s = make({0: (1,)})
     s.add_vertex(0, (2, 3))
-    assert s.neighbors(0) == (2, 3)
+    assert np.array_equal(s.neighbors(0), [2, 3])
+    assert s.memory_estimate_bytes() == 24 + 8 * 2
 
 
 def edges(s):
@@ -76,3 +91,5 @@ def test_memory_estimate_grows():
     before = s.memory_estimate_bytes()
     s.add_vertex(0, tuple(range(100)))
     assert s.memory_estimate_bytes() > before + 700
+    s.add_vertex(1, np.arange(3, dtype=np.int64))
+    assert s.memory_estimate_bytes() == (24 + 8 * 100) + (24 + 8 * 3)

@@ -35,9 +35,9 @@ from repro.graph import Graph, erdos_renyi, hash_partition
 class ScriptedComper(Comper):
     """``compute`` follows the pull script carried in the task context.
 
-    The context is a list of ``(stage, pulls)`` rows (a context kind
-    spills and steals encode); each compute() call issues the next
-    stage's pulls and the task finishes when the script runs out.
+    The context is the int tuple of pulls the next compute() call issues
+    (a context kind spills and steals encode); the call after that, with
+    the script used up, finishes the task.
     """
 
     def task_spawn(self, v):
@@ -46,8 +46,8 @@ class ScriptedComper(Comper):
     def compute(self, task, frontier):
         if not task.context:
             return False
-        for v in task.context.pop(0)[1]:
-            task.pull(v)
+        task.pull_many(task.context)
+        task.context = ()
         return True
 
 
@@ -82,15 +82,15 @@ def park_and_yield(cluster, engine, first_pull, next_pulls):
     filler tasks, so the next ``add_task`` spills exactly this task
     (spill takes the last ``C`` = 1 tasks from the tail).
     """
-    task = Task(context=[(1, tuple(next_pulls))])
+    task = Task(context=tuple(next_pulls))
     task.pull(first_pull)
     engine.add_task(task)
     assert engine.step()  # pop -> park, mint id, request first_pull
     assert len(engine.t_task) == 1
     pump_comm(cluster)  # request -> serve -> response wakes the task
     assert len(engine.b_task) == 1
-    engine.add_task(Task(context=[]))
-    engine.add_task(Task(context=[]))
+    engine.add_task(Task(context=()))
+    engine.add_task(Task(context=()))
     assert engine._push()  # resume -> one compute iteration -> inline yield
     assert len(engine.q_task) == 3
     return task
@@ -128,7 +128,7 @@ def test_spill_refill_across_compers_routes_arrival_to_new_owner():
     v1, v2 = owned_by(g, 1)[:2]
 
     task = park_and_yield(cluster, a, v1, [v2])
-    a.add_task(Task(context=[]))  # overflow: spills the yielded task
+    a.add_task(Task(context=()))  # overflow: spills the yielded task
     assert len(w0.l_file) == 1
 
     assert b.step()  # refill from L_file, pop, park under b's own id
@@ -161,7 +161,7 @@ def test_steal_reparks_task_under_thief_worker_id():
     u = owned_by(g, 0)[0]  # remote from the thief's point of view
 
     park_and_yield(cluster, a, v1, [u])
-    a.add_task(Task(context=[]))  # spill the yielded task
+    a.add_task(Task(context=()))  # spill the yielded task
     assert len(w0.l_file) == 1
 
     # The one steal move: ("steal", thief, n) on the master's channel.
@@ -193,7 +193,7 @@ def test_remote_set_is_rederived_by_the_worker_that_restarts_the_task():
     v1, v2 = owned_by(g, 1)[:2]  # remote for w0, local for w1
     u = owned_by(g, 0)[0]        # local for w0, remote for w1
 
-    task = Task(context=[(1, (u, v2))])
+    task = Task(context=(u, v2))
     task.pull(v1)
     a.add_task(task)
     assert a.step()  # park on w0
@@ -205,15 +205,15 @@ def test_remote_set_is_rederived_by_the_worker_that_restarts_the_task():
     # ...which a checkpoint of the waiting task does not record.
     (restored,) = deserialize_tasks(snapshot_tasks([task]))
     assert restored.views_in_flight is None
-    a.add_task(Task(context=[]))
-    a.add_task(Task(context=[]))
+    a.add_task(Task(context=()))
+    a.add_task(Task(context=()))
     assert a._push()  # resume -> compute pulls [u, v2] -> inline yield
     # Released with the iteration and not recomputed for the yield.
     assert task.remote_in_flight == () and task.pulls_in_flight == []
     assert task.views_in_flight is None
     assert task.pending_pulls() == (u, v2)
 
-    a.add_task(Task(context=[]))  # spill the yielded task
+    a.add_task(Task(context=()))  # spill the yielded task
     assert cluster.master._steal_via_master(
         0, 1, cluster.config.task_batch_size) == 1
     w1.comm.step()  # TaskBatchTransfer lands in w1's L_file
@@ -252,7 +252,7 @@ def test_misrouted_arrival_raises_contextual_task_error():
     a = w0.engines[0]
     v1 = owned_by(g, 1)[0]
 
-    task = Task(context=[])
+    task = Task(context=())
     task.pull(v1)
     a.add_task(task)
     assert a.step()  # park + request

@@ -123,29 +123,27 @@ def test_task_codec_roundtrip():
     (out,) = deserialize_tasks(payload)
     assert out.context == (3, 4)
     assert out.pending_pulls() == (10, 11)
-    assert out.g.neighbors(1) == (2, 3)
+    assert np.array_equal(out.g.neighbors(1), [2, 3])
     assert out.g.label(1) == 7
-    assert out.g.neighbors(2) == (1, 3)
+    assert np.array_equal(out.g.neighbors(2), [1, 3])
     assert out.g.label(2) == 0
+    assert all(type(v) is int for v in out.g.vertices())
+    for v in out.g.vertices():
+        row = out.g.neighbors(v)
+        assert row.dtype == np.int64 and not row.flags.writeable
     assert out.task_id == -1
 
 
-def _plain(context):
-    """A decoded context with its rows as lists, comparable by ``==``."""
-    if type(context) is list:
-        return [(v, np.asarray(row).tolist()) for v, row in context]
-    return context
-
-
 def test_task_codec_context_kinds():
-    rows = [(4, np.array([5, 6], dtype=np.int64)), (7, ()), (8, (9,))]
-    cases = [None, 5, (1, 2), (), [], rows]
+    """The three context kinds round-trip; a list of (id, row) members,
+    the retired kind 4, is refused (rows belong in ``task.g``)."""
+    cases = [None, 5, (1, 2), ()]
     payload = serialize_tasks([Task(context=c) for c in cases])
     out = deserialize_tasks(payload)
-    assert [_plain(t.context) for t in out] == [_plain(c) for c in cases]
-    for v, row in out[-1].context:
-        assert type(v) is int
-        assert row.dtype == np.int64 and not row.flags.writeable
+    assert [t.context for t in out] == cases
+    assert all(type(x) is int for x in out[2].context)
+    with pytest.raises(TypeError, match="list"):
+        serialize_tasks([Task(context=[(4, (5, 6))])])
 
 
 @pytest.mark.parametrize("context", [
@@ -153,6 +151,7 @@ def test_task_codec_context_kinds():
     [[1, 2]], [(1, 2)], [(1, np.array([0.5]))], [("a", (1,))],
     [(1, np.zeros((2, 2), dtype=np.int64))], [(1, (2, "x"))],
     [(1, np.array([2**63], dtype=np.uint64))],
+    [(1, (2, 3))],  # the retired rows kind: rows belong in task.g
 ])
 def test_task_codec_refuses_other_contexts_at_encode(context):
     with pytest.raises(TypeError, match=type(context).__name__):
@@ -164,7 +163,6 @@ _row = st.lists(_i64, max_size=4).flatmap(
     lambda xs: st.sampled_from([tuple(xs), np.array(xs, dtype=np.int64)]))
 _contexts = st.one_of(
     st.none(), _i64, st.lists(_i64, max_size=4).map(tuple),
-    st.lists(st.tuples(_i64, _row), max_size=4),  # rows: 0, 1, many
 )
 
 
@@ -172,14 +170,15 @@ _contexts = st.one_of(
 def _task(draw):
     t = Task(context=draw(_contexts))
     t.pull_many(draw(st.lists(_i64, max_size=4, unique=True)))
-    rows = draw(st.dictionaries(_i64, st.lists(_i64, max_size=4), max_size=3))
+    rows = draw(st.dictionaries(_i64, _row, max_size=3))  # 0, 1, many
     for v, row in rows.items():
         t.g.add_vertex(v, row, label=draw(st.integers(0, 3)))
     return t
 
 
 def _image(t):
-    return (_plain(t.context), t.pending_pulls(), dict(t.g.adjacency()),
+    return (t.context, t.pending_pulls(),
+            {v: row.tolist() for v, row in t.g.adjacency().items()},
             {v: t.g.label(v) for v in t.g.vertices()})
 
 
@@ -197,10 +196,47 @@ def test_task_codec_roundtrip_every_context_kind(tasks):
             deserialize_tasks(payload[:cut])
 
 
+_labelled_rows = st.dictionaries(
+    _i64, st.tuples(st.integers(0, 3), _row), max_size=4)  # 0, 1, many
+
+
+@settings(max_examples=60, deadline=None)
+@given(_labelled_rows, st.lists(_i64, max_size=3, unique=True))
+def test_rows_block_roundtrip_in_both_formats(rows, pulls):
+    """One rows block, two frames: a GTWIRE1 response and a GTTASK1
+    task carrying the same labelled rows (empty ones included) decode
+    them back as read-only int64 arrays equal to the input, and every
+    strict prefix of either payload is a typed decode error."""
+    expected = {v: (label, list(row)) for v, (label, row) in rows.items()}
+    response = ResponseBatch.from_rows(
+        0, 1, [(v, label, row) for v, (label, row) in rows.items()])
+    task = Task()
+    task.pull_many(pulls)
+    for v, (label, row) in rows.items():
+        task.g.add_vertex(v, row, label=label)
+    payloads = [(wire.encode_batch([response]), wire.decode_batch),
+                (serialize_tasks([task]), deserialize_tasks)]
+    (msg,), (out,) = (decode(payload) for payload, decode in payloads)
+    decoded = [list(msg.iter_rows()),
+               [(v, out.g.label(v), out.g.neighbors(v))
+                for v in out.g.vertices()]]
+    assert out.pending_pulls() == tuple(pulls)
+    for got in decoded:
+        assert {v: (label, adj.tolist()) for v, label, adj in got} == expected
+        for v, label, adj in got:
+            assert type(v) is int and type(label) is int
+            assert adj.dtype == np.int64 and not adj.flags.writeable
+    for payload, decode in payloads:
+        for cut in range(len(payload)):
+            with pytest.raises(wire.WireDecodeError):
+                decode(payload[:cut])
+
+
 def test_snapshot_tasks_keeps_ids_and_pulls_in_flight():
     """The checkpoint image leaves the task alone and records the union
     of its in-flight and requested pulls."""
-    t = Task(context=[(1, (2,))])
+    t = Task(context=(1,))
+    t.g.add_vertex(1, (2,))
     t.pull(5)
     t.pull(6)
     t.pulls_in_flight = t.take_pulls()
@@ -259,10 +295,7 @@ def _messages_equal(a, b):
 
 
 def _tasks_equal(a, b):
-    return (_plain(a.context), a.pending_pulls(), a.g.adjacency(),
-            [a.g.label(v) for v in sorted(a.g.adjacency())]) == (
-            _plain(b.context), b.pending_pulls(), b.g.adjacency(),
-            [b.g.label(v) for v in sorted(b.g.adjacency())])
+    return _image(a) == _image(b)
 
 
 def _sample_task(context):
@@ -272,6 +305,14 @@ def _sample_task(context):
     t.g.add_vertex(1, (2, 3), label=7)
     t.g.add_vertex(2, np.array([1, 3], dtype=np.int64))
     t.g.add_vertex(3, ())
+    return t
+
+
+def _rows_task(rows):
+    t = Task()
+    for v, row in rows.items():
+        t.g.add_vertex(v, row)
+    t.pull_many([u for row in rows.values() for u in row])
     return t
 
 
@@ -301,11 +342,9 @@ _FRAME_CASES = {
     # GTTASK1, as it comes off a spill file or out of a steal frame.
     "task_payload": _task_case(
         [_sample_task(None), _sample_task(5), _sample_task((1, 2))]),
-    # Rows contexts: TC's one member, a bundle with an empty row.
-    "task_rows": _task_case([
-        _sample_task([(1, np.array([2, 3], dtype=np.int64))]),
-        _sample_task([(4, ()), (5, (6, 7, 8))]),
-    ]),
+    # Rows in t.g: TC's one row, a bundle with an empty row.
+    "task_rows": _task_case([_rows_task({1: np.array([2, 3])}),
+                             _rows_task({4: (), 5: (6, 7, 8)})]),
 }
 
 
@@ -332,27 +371,29 @@ def test_truncation_at_every_boundary_raises_or_decodes_whole(kind):
     assert clean_decodes <= 7
 
 
-def test_corrupt_rows_context_raises_wire_decode_error():
-    """A negative or overflowing row length in a rows context is a
-    typed decode error, never a short or wrapped-around slice."""
-    payload = serialize_tasks([Task(context=[(1, (2, 3)), (4, (5,))])])
-    # The payload ends with the member ids, their row lengths, the rows.
-    head, tail = payload[:-40], payload[-24:]
-    assert payload[-40:-24] == np.array([2, 1], dtype="<i8").tobytes()
+def test_corrupt_subgraph_rows_raise_wire_decode_error():
+    """A negative or overflowing row length in a task's subgraph rows is
+    a typed decode error, never a short or wrapped-around slice."""
+    payload = serialize_tasks([_rows_task({1: (2, 3), 4: (5,)})])
+    # The payload ends with the row lengths, the rows, the context kind.
+    head, tail = payload[:-48], payload[-32:]
+    assert payload[-48:-32] == np.array([2, 1], dtype="<i8").tobytes()
     for bad in ([-1, 1], [2**62, 2**62], [2**63 - 1, 2]):
         forged = head + np.array(bad, dtype="<i8").tobytes() + tail
-        with pytest.raises(wire.WireDecodeError, match="context rows"):
+        with pytest.raises(wire.WireDecodeError, match="subgraph"):
             deserialize_tasks(forged)
 
 
 def test_unknown_context_kind_raises():
-    """Kind 3 was a pickled context; it is retired, so it decodes as
-    no known kind."""
+    """Kind 3 was a pickled context and kind 4 a list of (id, row)
+    members; both are retired, so they decode as no known kind."""
     payload = serialize_tasks([Task(context=None)])
     kind = wire.ints(0)
     assert payload.endswith(kind)
-    with pytest.raises(wire.WireDecodeError, match="context kind 3"):
-        deserialize_tasks(payload[:-8] + wire.ints(3))
+    for retired in (3, 4):
+        with pytest.raises(wire.WireDecodeError,
+                           match=f"context kind {retired}"):
+            deserialize_tasks(payload[:-8] + wire.ints(retired))
 
 
 def test_wire_decode_error_is_value_error():
@@ -402,6 +443,17 @@ def test_negative_response_degree_raises():
     payload = (wire.MAGIC + _header(1) + _header(2, 0, 1) + _header(1)
                + _header(7) + _header(0) + _header(-1))
     with pytest.raises(wire.WireDecodeError):
+        wire.decode_batch(payload)
+
+
+def test_wrapping_response_degrees_raise():
+    """Four degrees of 2^62 sum to 2^64, which an int64 sum wraps to 0:
+    the frame must be a truncation error, not four empty rows."""
+    n = 4
+    payload = (wire.MAGIC + _header(1) + _header(2, 0, 1) + _header(n)
+               + _header(*range(n)) + _header(*[0] * n)
+               + _header(*[2**62] * n))
+    with pytest.raises(wire.WireDecodeError, match="response frame 0"):
         wire.decode_batch(payload)
 
 
