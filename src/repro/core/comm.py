@@ -54,6 +54,8 @@ class CommService:
         self._lock = threading.Lock()
         self._outgoing: Dict[int, List[int]] = defaultdict(list)
         self._bytes_served = 0
+        #: Ids queued over the job, published as ``comm:requests_queued``.
+        self.requests_queued = 0
 
     # -- comper-side -------------------------------------------------------
 
@@ -77,7 +79,7 @@ class CommService:
                 if dst == me:
                     raise self.worker.unknown_vertex_error(v)
                 outgoing[dst].append(v)
-        self.worker.metrics.add("comm:requests_queued", len(vertices))
+            self.requests_queued += len(vertices)
 
     def pending_outgoing(self) -> int:
         with self._lock:

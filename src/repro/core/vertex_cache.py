@@ -68,11 +68,11 @@ _ENTRY_HEADER_BYTES = 64
 class CachedVertex:
     """A Γ-table entry.
 
-    ``adj`` is a sorted read-only int64 ndarray — an owned array for
-    remote vertices materialized from a wire response, or a zero-copy
-    view into the local ``SharedCSR`` partition when the runtime caches
-    locally-owned rows.  Legacy tuple adjacency is still accepted.
-    ``view`` is the entry as the frontier element every hit hands out.
+    The cache holds remote rows only.  ``adj`` is a sorted read-only
+    int64 ndarray: a slice of the ``adj_concat`` of the
+    :class:`ResponseBatch` that carried it, or the array given to
+    :meth:`VertexCache.insert_response`, made read-only.  ``view`` is
+    the entry as the frontier element every hit hands out.
     """
 
     vid: int

@@ -257,7 +257,7 @@ class Worker:
         self._outputs_lock = threading.Lock()
         #: Tasks the steal collector created; the control thread writes it.
         self.born_for_steals = 0
-        #: Engine counter totals last published as metrics.
+        #: Counter totals last published as metrics.
         self._published: Dict[str, int] = {}
         self.cost_meter = CostMeter()
         #: Task-pool bytes last folded into the memory model.
@@ -581,24 +581,26 @@ class Worker:
 
         Called from the control-plane serve loop (the only
         cache-mutating thread) before every status/final report, so
-        ``s_cache``, the cache and task counter metrics, and the memory
-        gauge are current whenever the master reads them.
+        ``s_cache``, the cache, task and comm counter metrics, and the
+        memory gauge are current whenever the master reads them.
         """
         self.cache.flush_local_counter()
         self.cache.commit_lock_metrics()
-        self.commit_task_metrics()
+        self.commit_counters()
         self.update_memory_gauge()
 
-    def commit_task_metrics(self) -> None:
-        """Publish the engines' task counters, watermarked like the
-        cache's, so each metric equals its engine total at job end
-        (``tasks:created`` counts yields and restores, not steals)."""
-        published = self._published
-        for metric, attr in (("tasks:created", "born"),
-                             ("tasks:finished", "finished"),
-                             ("tasks:iterations", "iterations"),
-                             ("comper:inline_yields", "yields")):
-            total = sum(getattr(e, attr) for e in self.engines)
+    def commit_counters(self) -> None:
+        """Publish the engines' task counters and the comm service's
+        queued pulls, watermarked like the cache's, so each metric
+        equals its total at job end (``tasks:created`` counts yields and
+        restores, not steals)."""
+        published, engines = self._published, self.engines
+        for metric, total in (
+                ("tasks:created", sum(e.born for e in engines)),
+                ("tasks:finished", sum(e.finished for e in engines)),
+                ("tasks:iterations", sum(e.iterations for e in engines)),
+                ("comper:inline_yields", sum(e.yields for e in engines)),
+                ("comm:requests_queued", self.comm.requests_queued)):
             delta = total - published.get(metric, 0)
             if delta:
                 self.metrics.add(metric, delta)

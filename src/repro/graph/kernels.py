@@ -1,11 +1,13 @@
 """Sorted-array mining kernels.
 
-Every adjacency list on the hot path is a sorted, duplicate-free
-``numpy.ndarray`` of ``int64`` vertex ids (a zero-copy view into a
-``SharedCSR`` partition for local vertices, an owned array for remote
-ones).  The mining inner loops — triangle counting, clique expansion,
-subgraph-matching candidate generation — all reduce to intersections of
-such arrays, so this module is the single place they are implemented.
+Every adjacency list on the hot path is a sorted, duplicate-free,
+read-only ``numpy.ndarray`` of ``int64`` vertex ids: a view of the
+graph's CSR row for local vertices (a ``SharedCSR`` segment on the
+process runtime), and for remote ones a slice of the ``adj_concat``
+buffer of the response batch that carried the row.  The mining inner
+loops — triangle counting, clique expansion, subgraph-matching
+candidate generation — all reduce to intersections of such arrays, so
+this module is the single place they are implemented.
 
 Strategy auto-selection inside ``intersect`` / ``intersect_count``:
 
@@ -16,18 +18,10 @@ Strategy auto-selection inside ``intersect`` / ``intersect_count``:
   degree-skewed graphs where a low-degree frontier is intersected
   against a hub's adjacency.
 
-The fused frontier kernel ``intersect_count_many(a, rows)`` applies the
-same size rule per row, but batches everything under the cut: it
-flattens the non-hub rows and tests them against ``a`` in one segmented
-pass (see :func:`_np_intersect_count_many`); rows past the cut are
-probed ``a``-into-row.  The segmented pass itself picks:
-
-* **bitmap** — a ``bool`` table over ``a``'s id range with a ``False``
-  slot on each side, one clipped ``take`` per element — when that range
-  is at most 4 slots per flattened element (dense ids, e.g. a TC task
-  on a compact graph);
-* **search** — one ``searchsorted`` of the flattened rows into ``a``
-  otherwise (sparse or huge id spaces, where the table would not pay).
+The fused frontier kernel ``intersect_count_many(a, rows)`` flattens
+the rows and looks every element up in ``a`` in one pass
+(:func:`in_sorted`, through a per-thread membership table kept between
+calls); only hub rows are probed ``a``-into-row instead.
 
 Call sites look the kernels up as module attributes
 (``kernels.intersect(...)``), so a profiler can wrap the names in
@@ -43,12 +37,14 @@ adds hypothesis property coverage.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Dict, Iterable, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "GALLOP_RATIO",
+    "HUB_MIN",
     "IdArray",
     "as_ids_array",
     "flatten_rows",
@@ -60,6 +56,7 @@ __all__ = [
     "intersect_many",
     "intersect_merge",
     "suffix_gt",
+    "TABLE_SLOTS",
 ]
 
 IdArray = np.ndarray
@@ -100,27 +97,6 @@ def _gallop_mask(small: IdArray, large: IdArray) -> np.ndarray:
     ``large[-1]`` can never compare equal to it.
     """
     return large.take(large.searchsorted(small), mode="clip") == small
-
-
-def _bitmap_mask(small: IdArray, large: IdArray) -> np.ndarray:
-    """``_gallop_mask`` by table lookup: one ``take`` per element of
-    ``small`` instead of a binary search into ``large``.
-
-    ``mark`` covers ``large``'s id range ``[large[0], large[-1]]`` with a
-    ``False`` slot on each side, so slot ``x - lo`` answers "is ``x`` in
-    ``large``" for ``lo = large[0] - 1``.  ``mode='clip'`` sends every
-    id below the range (offset ``<= 0``) to the left slot and every id
-    above it to the right one.  The int64 subtraction may wrap for ids
-    far from the range, but never into ``[1, span]``: that would need a
-    true offset of ``w - 2**64`` with ``w <= span``, i.e. an id below
-    ``-2**63``.  ``large`` must be sorted, non-empty and start above
-    int64's minimum (so ``lo`` exists); the table has
-    ``large[-1] - large[0] + 3`` bytes, so callers bound the span.
-    """
-    lo = int(large[0]) - 1
-    mark = np.zeros(int(large[-1]) - lo + 2, dtype=bool)
-    mark[large - lo] = True
-    return mark.take(small - lo, mode="clip")
 
 
 def _merge(a: IdArray, b: IdArray) -> IdArray:
@@ -236,13 +212,29 @@ def flatten_rows(rows: Sequence[AdjLike]) -> IdArray:
     return np.concatenate(rows, dtype=np.int64, casting="unsafe")
 
 
-#: The frontier probes ``a`` through a bitmap while ``a``'s id span is
-#: at most this many slots per flattened element (kernel time of one
-#: R-MAT scale-13 TC job: 0.152 s all-search, 0.088 s at 1, 0.075 s at
-#: 4, 0.073 s at 16; 4 keeps the table under the flat buffer's bytes).
-_BITMAP_SLOTS_PER_ELEMENT = 4
+#: A row is a hub only if it is this long as well as ``GALLOP_RATIO``
+#: times ``a``: a shorter row costs less read through the membership
+#: table than in a numpy call of its own (sweep: DESIGN.md §9.2).
+HUB_MIN = 1024
 
-_INT64_MIN = int(np.iinfo(np.int64).min)
+#: Most slots a thread's membership table may have (16 MB of ``bool``):
+#: :func:`in_sorted` uses the table only while ``a[-1] + 2`` fits.
+TABLE_SLOTS = 1 << 24
+
+_tables = threading.local()
+_NO_TABLE = np.zeros(0, dtype=bool)
+
+
+def _table(top: int) -> np.ndarray:
+    """This thread's membership table, all ``False``, grown (at least
+    twofold, never shrunk) past slot ``top + 1``; ``np.zeros`` pages
+    cost memory only once a call marks them."""
+    table = getattr(_tables, "table", _NO_TABLE)
+    if table.size < top + 2:
+        table = np.zeros(min(max(2 * table.size, top + 2), TABLE_SLOTS),
+                         dtype=bool)
+        _tables.table = table
+    return table
 
 
 def _np_intersect_count_many(a: AdjLike, arrays: Iterable[AdjLike]) -> int:
@@ -251,24 +243,19 @@ def _np_intersect_count_many(a: AdjLike, arrays: Iterable[AdjLike]) -> int:
     The triangle-counting inner loop: one fixed row ``a`` against a
     whole frontier of rows, in O(1) numpy calls instead of one per row.
     The frontier is flattened and every element is looked up in ``a`` in
-    a single segmented pass — rows need no boundaries, only the total
-    matters.  The lookup is a bitmap over ``a``'s id range
-    (:func:`_bitmap_mask`, O(1) per element) when that range is at most
-    ``_BITMAP_SLOTS_PER_ELEMENT`` slots per flattened element, else a
-    binary search (``|b| log |a|`` per row); the choice reads only
-    ``a[0]``, ``a[-1]`` and the flattened length.  Either direction is
-    the wrong one for a *hub* row, so rows with
-    ``|b| >= GALLOP_RATIO * |a|`` keep today's per-row choice and are
-    probed ``a``-into-``b`` instead (``|a| log |b|``): a 3-element ``a``
-    against 5000-element hubs never touches the hubs' elements.
-    ``arrays`` is consumed exactly once.
+    a single pass (:func:`in_sorted`) — rows need no boundaries, only the
+    total matters.  That is the wrong direction for a *hub* row, so rows
+    with ``|b| >= max(GALLOP_RATIO * |a|, HUB_MIN)`` are probed
+    ``a``-into-``b`` instead (``|a| log |b|``): a 3-element ``a`` against
+    5000-element hubs never touches the hubs' elements.  ``arrays`` is
+    consumed exactly once.
     """
     a = as_ids_array(a)
     rows = list(arrays)
     if a.size == 0 or not rows:
         return 0
     total = 0
-    hub_size = GALLOP_RATIO * a.size
+    hub_size = max(GALLOP_RATIO * a.size, HUB_MIN)
     if max(map(len, rows)) >= hub_size:
         hubs = [b for b in rows if len(b) >= hub_size]
         rows = [b for b in rows if len(b) < hub_size]
@@ -281,16 +268,22 @@ def in_sorted(values: IdArray, a: IdArray) -> np.ndarray:
     """Boolean mask over ``values``: which of them occur in ``a``
     (sorted, duplicate-free, non-empty).
 
-    A bitmap over ``a``'s id range (:func:`_bitmap_mask`, O(1) per
-    value) when that range is at most ``_BITMAP_SLOTS_PER_ELEMENT``
-    slots per value, else a binary search (:func:`_gallop_mask`); the
-    choice reads only ``a[0]``, ``a[-1]`` and ``values.size``.
+    When ``a[0] >= 1`` and ``a[-1] + 2 <= TABLE_SLOTS``, through this
+    thread's membership table (:func:`_table`): mark ``a``'s ids, one
+    clipped ``take`` of ``values``, clear the marks.  Slot 0 and the
+    slots past ``a[-1]`` are never marked, so a negative value (clipped
+    onto slot 0) and a value past the table (clipped onto its last
+    slot) read ``False``.  Any other ``a`` is binary-searched
+    (:func:`_gallop_mask`).
     """
-    first = int(a[0])
-    # a[-1] - a[0] + 1 <= slots * |values|, on python ints (cannot overflow)
-    dense = int(a[-1]) - first < _BITMAP_SLOTS_PER_ELEMENT * values.size
-    if dense and first > _INT64_MIN:
-        return _bitmap_mask(values, a)
+    top = int(a[-1])
+    if a[0] > 0 and top < TABLE_SLOTS - 1:
+        table = _table(top)
+        table[a] = True
+        try:
+            return table.take(values, mode="clip")
+        finally:
+            table[a] = False
     return _gallop_mask(values, a)
 
 

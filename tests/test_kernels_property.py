@@ -48,13 +48,27 @@ _RATIOS = (1, 8, 1 << 30)
 
 
 @contextmanager
-def _gallop_ratio(ratio):
-    saved = kernels.GALLOP_RATIO
-    kernels.GALLOP_RATIO = ratio
+def _patched(name, value):
+    saved = getattr(kernels, name)
+    setattr(kernels, name, value)
     try:
         yield
     finally:
-        kernels.GALLOP_RATIO = saved
+        setattr(kernels, name, saved)
+
+
+def _gallop_ratio(ratio):
+    return _patched("GALLOP_RATIO", ratio)
+
+
+def hub_min(floor):
+    return _patched("HUB_MIN", floor)
+
+
+def table_is_clear() -> bool:
+    """This thread's membership table holds no marks (or does not exist)."""
+    table = getattr(kernels._tables, "table", None)
+    return table is None or not table.any()
 
 
 # ---------------------------------------------------------------------------
@@ -178,39 +192,56 @@ def test_segmented_count_many_matches_pairwise_oracle(case):
     ) == expected
     # Every row a hub, or none: the answer does not move with the cut.
     for ratio in _RATIOS:
-        with _gallop_ratio(ratio):
-            assert kernels.intersect_count_many(a, rows) == expected
+        for floor in (0, kernels.HUB_MIN):
+            with _gallop_ratio(ratio), hub_min(floor):
+                assert kernels.intersect_count_many(a, rows) == expected
+    assert table_is_clear()
 
 
 def test_segmented_count_many_hub_rows_are_probed_not_searched(monkeypatch):
-    """Rows past the GALLOP_RATIO cut keep the per-row direction: a
-    3-element ``a`` against 5000-element hubs must never binary-search
-    the hubs' 15 000 elements into ``a``."""
+    """Rows past the cut (``HUB_MIN`` long and ``GALLOP_RATIO`` times
+    ``a``) keep the per-row direction: a 3-element ``a`` against
+    5000-element hubs must never look the hubs' 15 000 elements up in
+    ``a``.  The tiny row goes through the membership table, unsearched."""
     a = np.array([10, 2_000, 4_999], dtype=np.int64)
     hubs = [np.arange(5_000, dtype=np.int64) for _ in range(3)]
     tiny = [np.array([10, 11], dtype=np.int64)]
-    needles = []
-    real = kernels._gallop_mask
+    needles, looked_up, tables = [], [], []
+    real_mask, real_in, real_table = (
+        kernels._gallop_mask, kernels.in_sorted, kernels._table)
 
-    def spy(small, large):
+    def mask_spy(small, large):
         needles.append(len(small))
-        return real(small, large)
+        return real_mask(small, large)
 
-    monkeypatch.setattr(kernels, "_gallop_mask", spy)
+    def in_spy(values, ids):
+        looked_up.append(len(values))
+        return real_in(values, ids)
+
+    def table_spy(top):
+        tables.append(top)
+        return real_table(top)
+
+    monkeypatch.setattr(kernels, "_gallop_mask", mask_spy)
+    monkeypatch.setattr(kernels, "in_sorted", in_spy)
+    monkeypatch.setattr(kernels, "_table", table_spy)
     assert kernels.intersect_count_many(a, hubs + tiny) == 3 * 3 + 1
-    assert max(needles) <= 3  # a into each hub; the tiny row into a
-    assert sum(needles) == 3 * 3 + 2
+    assert needles == [3, 3, 3]  # a into each hub, nothing into a
+    assert looked_up == [2] and tables == [4_999]
+    assert table_is_clear()
 
 
-#: Bases for the bitmap strategy: zero, the ~2**62 shift, and the two
-#: ends of int64 (the bitmap offset ``x - (a[0] - 1)`` wraps there).
-_BITMAP_BASES = (0, _HUGE - 1_000, 2**63 - 400, -(2**63))
+#: Bases for the table strategy: zero, the table's last ids, the ~2**62
+#: shift, and the two ends of int64.
+_BITMAP_BASES = (0, kernels.TABLE_SLOTS - 160, _HUGE - 1_000, 2**63 - 400,
+                 -(2**63))
 
 
 @st.composite
 def dense_frontier(draw):
-    """``(a, rows)`` where ``a`` is dense over a small id range, so the
-    flattened rows usually outnumber it and the bitmap path is taken.
+    """``(a, rows)`` where ``a`` is dense over a small id range.  Near
+    zero ``a`` goes through the membership table; near the table's end
+    it falls on either side of the cap; at the far bases it is searched.
     Rows lie wholly below, wholly above or straddling ``[a[0], a[-1]]``;
     ``a`` is sometimes a single id."""
     base = draw(st.sampled_from(_BITMAP_BASES))
@@ -241,50 +272,71 @@ def test_bitmap_path_matches_pairwise_oracle(case):
     )
     assert kernels._np_intersect_count_many(a, rows) == expected
     flat = kernels.flatten_rows(rows)
-    assert np.count_nonzero(kernels._bitmap_mask(flat, a)) == (
-        np.count_nonzero(kernels._gallop_mask(flat, a))
-    )
+    mask = kernels.in_sorted(flat, a)
+    assert mask.tolist() == kernels._gallop_mask(flat, a).tolist()
+    assert np.count_nonzero(mask) == expected
+    assert table_is_clear()
 
 
-def test_bitmap_offsets_never_wrap_into_range():
-    """Ids a full int64 away from ``a`` wrap in the offset subtraction
-    and must still clip onto a ``False`` slot."""
+def test_table_reads_int64_extremes_as_absent():
+    """Values a full int64 away from ``a``, or past the table, clip onto
+    a slot that is never marked; ``a`` at either end of int64, or past
+    the cap, is searched instead and answers the same (only ``past_a``
+    holds one of the far values, ``cap - 1``)."""
     top = np.iinfo(np.int64).max
     bottom = np.iinfo(np.int64).min
+    cap = kernels.TABLE_SLOTS
+    far = np.array([bottom, bottom + 11, -1, 0, cap - 1, cap, cap + 1,
+                    top - 11, top], dtype=np.int64)
     low_a = np.arange(bottom + 1, bottom + 11, dtype=np.int64)
     high_a = np.arange(top - 10, top, dtype=np.int64)
-    far = np.array([bottom, bottom + 11, 0, top - 11, top], dtype=np.int64)
-    assert kernels._bitmap_mask(far, low_a).tolist() == [False] * 5
-    assert kernels._bitmap_mask(far, high_a).tolist() == [False] * 5
-    assert kernels._bitmap_mask(low_a, low_a).all()
-    assert kernels._bitmap_mask(high_a, high_a).all()
-    # a[0] == int64 min has no left slot: the search path answers.
+    table_a = np.arange(1, 11, dtype=np.int64)
+    last_a = np.array([1, cap - 3, cap - 2], dtype=np.int64)  # fills the cap
+    past_a = np.array([1, cap - 1], dtype=np.int64)  # would mark the last slot
+    for a in (low_a, high_a, table_a, last_a, past_a):
+        members = set(a.tolist())
+        assert kernels.in_sorted(far, a).tolist() == [
+            v in members for v in far.tolist()]
+        assert kernels.in_sorted(a, a).all()
+        assert table_is_clear()
+    assert kernels._tables.table.size == cap  # grown to the cap, no further
+    # a[0] == int64 min is searched like any other negative id.
     edge = np.array([bottom, bottom + 1], dtype=np.int64)
     assert kernels._np_intersect_count_many(edge, [edge] * 4) == 8
 
 
-def test_segmented_count_many_picks_bitmap_by_span(monkeypatch):
-    """The flattened rows go through the bitmap exactly when ``a``'s id
-    span is at most 4 slots per flattened element: a sparse ``a`` never
-    builds a mark array, a dense one never binary-searches the rows."""
+def test_segmented_count_many_picks_table_by_ids_and_cap(monkeypatch):
+    """The flattened rows go through the membership table exactly when
+    ``a`` holds no id below 1 and its last id leaves the table's last
+    slot unmarked (``a[-1] + 2 <= TABLE_SLOTS``); any other ``a`` is
+    binary-searched, and never builds or touches a table."""
+    cap = kernels.TABLE_SLOTS
     calls = []
-    for name in ("_gallop_mask", "_bitmap_mask"):
-        real = getattr(kernels, name)
+    real_mask, real_table = kernels._gallop_mask, kernels._table
 
-        def spy(small, large, _name=name, _real=real):
-            calls.append((_name, len(small)))
-            return _real(small, large)
+    def mask_spy(small, large):
+        calls.append(("search", len(small)))
+        return real_mask(small, large)
 
-        monkeypatch.setattr(kernels, name, spy)
+    def table_spy(top):
+        calls.append(("table", top))
+        return real_table(top)
+
+    monkeypatch.setattr(kernels, "_gallop_mask", mask_spy)
+    monkeypatch.setattr(kernels, "_table", table_spy)
     rows = [np.arange(0, 40, 2, dtype=np.int64) for _ in range(5)]
-    # 100 flattened elements: span 400 is the last bitmap span.
-    dense = np.array([0, 7, 399], dtype=np.int64)
-    sparse = np.array([0, 7, 400], dtype=np.int64)
-    assert kernels.intersect_count_many(dense, rows) == 5
-    assert calls == [("_bitmap_mask", 100)]
-    calls.clear()
-    assert kernels.intersect_count_many(sparse, rows) == 5
-    assert calls == [("_gallop_mask", 100)]
+    for ids, hits, path in (
+        ([2, 7, 38], 10, ("table", 38)),
+        ([1, 2, 38], 10, ("table", 38)),
+        ([2, 38, cap - 2], 10, ("table", cap - 2)),  # the last id it takes
+        ([2, 38, cap - 1], 10, ("search", 100)),
+        ([0, 2, 38], 15, ("search", 100)),
+        ([-4, 2, 38], 10, ("search", 100)),
+    ):
+        calls.clear()
+        assert kernels.intersect_count_many(np.array(ids), rows) == hits
+        assert calls == [path]
+        assert table_is_clear()
 
 
 def test_flatten_rows_normalizes_like_as_ids_array():

@@ -282,8 +282,12 @@ def _flush() -> None:
     _options.clear()
     _switch(_tag)
     if (calls or options) and _out:
-        Path(_out, f"{os.getpid()}-{uuid.uuid4().hex}.json").write_text(
-            json.dumps({"calls": calls, "options": options}))
+        # A process killed mid-write leaves only a ``.tmp`` file, which
+        # ``table``'s ``*/*.json`` glob does not read.
+        path = Path(_out, f"{os.getpid()}-{uuid.uuid4().hex}.json")
+        tmp = path.with_suffix(".json.tmp")
+        tmp.write_text(json.dumps({"calls": calls, "options": options}))
+        os.replace(tmp, path)
 
 
 def _exit(code):
@@ -356,7 +360,7 @@ def pytest_runtest_teardown(item):
 def run(entry: str, out: Path) -> int:
     records = out / entry
     records.mkdir(parents=True, exist_ok=True)
-    for old in records.glob("*.json"):
+    for old in records.glob("*.json*"):
         old.unlink()
     site = out / "site"
     site.mkdir(exist_ok=True)
