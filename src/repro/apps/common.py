@@ -103,9 +103,10 @@ class LabelTrimmer(Trimmer):
             if label not in self._allowed:
                 return adj[:0]
             # label_of is an arbitrary python callable, so this filter
-            # can't vectorize; it runs once per vertex at load time.
+            # can't vectorize; it runs once per vertex at load time, over
+            # python ints (tolist) rather than one numpy scalar per id.
             keep = np.fromiter(
-                (self._label_of(int(u)) in self._allowed for u in adj),
+                (self._label_of(u) in self._allowed for u in adj.tolist()),
                 dtype=bool, count=adj.size,
             )
             return adj[keep]

@@ -30,7 +30,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..graph.graph import Graph
 from ..graph.io import ShardedGraphStore
-from ..graph.partition import hash_partition
+from ..graph.partition import hash_partition, hash_partition_array
 from ..net.transport import Transport
 from .api import Comper
 from .checkpoint import JobCheckpoint
@@ -84,12 +84,16 @@ class JobResult(MetricsAccessors):
 
 
 def _partition_rows(graph: Graph, num_workers: int):
-    """Split an in-memory graph into per-worker row lists."""
+    """Split an in-memory graph into per-worker ``(v, label, adj)`` row
+    lists, ids ascending; each ``adj`` is a read-only view into the
+    graph's CSR ``indices``."""
+    vertex_ids, indptr, indices, labels = graph.csr_arrays()
+    owners = hash_partition_array(vertex_ids, num_workers).tolist()
+    bounds = indptr.tolist()
     rows: List[List] = [[] for _ in range(num_workers)]
-    for v in graph.sorted_vertices():
-        rows[hash_partition(v, num_workers)].append(
-            (v, graph.label(v), graph.neighbors(v))
-        )
+    for v, label, start, stop, owner in zip(
+            vertex_ids.tolist(), labels.tolist(), bounds, bounds[1:], owners):
+        rows[owner].append((v, label, indices[start:stop]))
     return rows
 
 

@@ -1,10 +1,11 @@
 """Sessions and job handles: the resident-graph entry-point layer.
 
 A :class:`Session` holds one graph resident and runs any number of jobs
-against it.  The first job pays the load/flatten cost; every later job
-reuses the memoized CSR arrays (:meth:`repro.graph.Graph.csr_arrays`)
-and, on the in-process runtimes, the partitioned and trimmed local
-tables (:class:`~repro.core.worker.LocalTable`), which is what makes a
+against it.  The graph's store is its CSR arrays
+(:meth:`repro.graph.Graph.csr_arrays`), built once with the graph; the
+first job pays the load cost and every later job on the in-process
+runtimes reuses the partitioned and trimmed local tables
+(:class:`~repro.core.worker.LocalTable`), which is what makes a
 long-lived job server economical — see :mod:`repro.service` for the
 multi-tenant server built on top.
 
@@ -222,10 +223,6 @@ class Session:
         admission scheduler and never wants a second queue below it.
     """
 
-    #: Runtimes whose workers read the flattened CSR; anything else
-    #: loads adjacency rows directly and must not pay the flatten.
-    _CSR_RUNTIMES = frozenset({"process", "cluster"})
-
     def __init__(
         self,
         graph,
@@ -247,20 +244,6 @@ class Session:
         self._closed = False
         self._seq = itertools.count(1)
         self._local_tables = LocalTableMemo()
-        self._warmed = False
-        if runtime in self._CSR_RUNTIMES:
-            self._warm()
-
-    # -- graph residency ----------------------------------------------
-
-    def _warm(self) -> None:
-        """Flatten the in-memory graph's CSR once (memoized on the graph)."""
-        if self._warmed:
-            return
-        csr = getattr(self.graph, "csr_arrays", None)
-        if callable(csr):
-            csr()
-        self._warmed = True
 
     # -- submission ----------------------------------------------------
 
@@ -318,8 +301,6 @@ class Session:
         if abort_after_rounds is not None or config.failure_plan is not None:
             wanted.append("failure_injection")
         spec.require(*wanted)
-        if runtime in self._CSR_RUNTIMES:
-            self._warm()
 
         # Every runtime's control plane honors the abort token.
         request = JobRequest(

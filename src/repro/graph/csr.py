@@ -109,9 +109,8 @@ class SharedCSR:
     @classmethod
     def from_graph(cls, g: Graph) -> "SharedCSR":
         """Build the arrays once and place them in shared memory."""
-        # The flatten itself is memoized on the (immutable) graph, so a
-        # second job on the same graph only pays the copy into fresh
-        # shared-memory blocks below.
+        # The arrays are the graph's own store: a job only pays the
+        # copy into fresh shared-memory blocks below.
         verts, indptr, indices, labels = g.csr_arrays()
         n = len(verts)
         blocks = [_alloc_block(a) for a in (indptr, indices, verts, labels)]

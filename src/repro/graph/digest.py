@@ -7,7 +7,7 @@ the miners see — the sorted adjacency structure plus vertex labels — and
 nothing incidental (Python object identity, dict order, file paths).
 
 For an in-memory :class:`~repro.graph.graph.Graph` the digest hashes the
-memoized CSR arrays, so on a resident graph it costs one pass over
+CSR arrays that are the graph's store, so it costs one pass over
 buffers that already exist.  For a :class:`~repro.graph.io.ShardedGraphStore`
 it hashes the parsed rows shard by shard, giving the same digest a
 ``Graph`` with identical content would get only if the row sets match —

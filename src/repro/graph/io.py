@@ -17,8 +17,11 @@ to it.  We reproduce that contract on the local filesystem:
 from __future__ import annotations
 
 import os
+from array import array
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Tuple, Union
+from typing import Dict, Iterable, Iterator, Tuple, Union
+
+import numpy as np
 
 from .graph import Graph
 from .partition import hash_partition
@@ -88,8 +91,12 @@ def write_edge_list(g: Graph, path: PathLike) -> None:
 
 
 def read_edge_list(path: PathLike) -> Graph:
-    """Read a SNAP-style edge list; ``#``-prefixed lines are comments."""
-    edges: List[Tuple[int, int]] = []
+    """Read a SNAP-style edge list; ``#``-prefixed lines are comments.
+
+    The endpoints are collected into one int64 buffer and handed to
+    :meth:`Graph.from_edges` as an ``(m, 2)`` array.
+    """
+    ids = array("q")
     with open(path, "r", encoding="ascii") as f:
         for line in f:
             line = line.strip()
@@ -98,8 +105,9 @@ def read_edge_list(path: PathLike) -> Graph:
             parts = line.split()
             if len(parts) < 2:
                 raise ValueError(f"malformed edge line: {line!r}")
-            edges.append((int(parts[0]), int(parts[1])))
-    return Graph.from_edges(edges)
+            ids.append(int(parts[0]))
+            ids.append(int(parts[1]))
+    return Graph.from_edges(np.frombuffer(ids, dtype=np.int64).reshape(-1, 2))
 
 
 class ShardedGraphStore:

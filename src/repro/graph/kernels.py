@@ -295,7 +295,9 @@ def _np_suffix_gt(adj: AdjLike, v: int) -> IdArray:
     pure-Python ``adjacency_suffix_gt`` oracle.
     """
     a = as_ids_array(adj)
-    return a[int(np.searchsorted(a, v, side="right")):]
+    # The method skips np.searchsorted's python dispatch wrapper: this
+    # runs once per owned row when a worker trims its T_local.
+    return a[int(a.searchsorted(v, side="right")):]
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,10 @@ def test_adjacency_file_preserves_labels(tmp_path):
 def test_edge_list_roundtrip(tmp_path, er_graph):
     path = tmp_path / "g.txt"
     write_edge_list(er_graph, path)
-    # SNAP files open with '#' comment rows; the reader skips them.
-    path.write_text("# test graph\n# second line\n" + path.read_text())
+    # SNAP files open with '#' comment rows; the reader skips them, and
+    # blank lines too.
+    path.write_text("# test graph\n# second line\n\n"
+                    + path.read_text().replace("\n", "\n  \n", 3))
     back = read_edge_list(path)
     # Isolated vertices are not representable in an edge list.
     connected = er_graph.induced_subgraph(
@@ -62,6 +64,9 @@ def test_edge_list_rejects_malformed(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1\n")
     with pytest.raises(ValueError):
+        read_edge_list(path)
+    path.write_text("0 1\n# fine\n2\n")  # after good lines too
+    with pytest.raises(ValueError, match="malformed edge line"):
         read_edge_list(path)
 
 

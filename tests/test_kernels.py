@@ -173,11 +173,11 @@ def test_trimmed_shared_entry_stays_zero_copy(shared):
         assert trimmed.tolist() == [u for u in g.neighbors(v) if u > v]
 
 
-def test_graph_neighbors_array_cached_and_readonly(er_graph):
+def test_graph_neighbors_array_is_readonly_csr_view(er_graph):
     v = next(iter(er_graph.vertices()))
     arr = er_graph.neighbors_array(v)
-    assert arr is er_graph.neighbors_array(v)  # memoized
     assert not arr.flags.writeable
+    assert np.shares_memory(arr, er_graph.csr_arrays()[2])
     assert arr.tolist() == list(er_graph.neighbors(v))
 
 
